@@ -159,23 +159,41 @@ def phase_gradients(lam: LambdaField) -> np.ndarray:
     return out
 
 
+# the independent (mu, nu) pairs of an antisymmetric tensor, in storage order
+PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+
+
 @dataclass(frozen=True)
 class FieldStrength:
-    """Antisymmetric tensor F[mu-1, nu-1], scalar or matrix valued per point."""
+    """Antisymmetric tensor F_mu_nu, scalar or matrix valued per point.
+
+    Only the six independent components are stored: values[k] holds
+    F_mu_nu for (mu, nu) = PAIRS[k], so values has shape (6, *dims), or
+    (6, *dims, 2, 2) when matrix valued. `component` supplies the mirrored
+    entries by sign and the zero diagonal.
+    """
 
     grid: lattice.Grid4
     values: np.ndarray
     matrix_valued: bool = False
 
     def component(self, mu: int, nu: int) -> np.ndarray:
-        return self.values[mu - 1, nu - 1]
+        if mu == nu:
+            return np.zeros_like(self.values[0])
+        if mu < nu:
+            return self.values[PAIRS.index((mu, nu))]
+        return -self.values[PAIRS.index((nu, mu))]
 
     def max_abs(self) -> float:
         return lattice.max_abs(self.values)
 
     def antisymmetry_defect(self) -> float:
-        swapped = np.swapaxes(self.values, 0, 1)
-        return lattice.max_abs(self.values + swapped)
+        """max |F_mu_nu + F_nu_mu| over all ordered pairs; zero by construction of the storage."""
+        return max(
+            lattice.max_abs(self.component(m, n) + self.component(n, m))
+            for m in range(1, 5)
+            for n in range(m, 5)
+        )
 
 
 def field_strength_ansatz(lam: LambdaField) -> FieldStrength:
@@ -187,11 +205,10 @@ def field_strength_ansatz(lam: LambdaField) -> FieldStrength:
     """
     f = build_profile(lam).values
     G = phase_gradients(lam)
-    F = np.zeros((4, 4) + lam.grid.dims, dtype=complex)
-    for m in range(4):
-        for n in range(m + 1, 4):
-            F[m, n] = 1j * (f[m] * G[m, n] - f[n] * G[n, m])
-            F[n, m] = -F[m, n]
+    F = np.empty((6,) + lam.grid.dims, dtype=complex)
+    for k, (mu, nu) in enumerate(PAIRS):
+        m, n = mu - 1, nu - 1
+        F[k] = 1j * (f[m] * G[m, n] - f[n] * G[n, m])
     return FieldStrength(lam.grid, F)
 
 
@@ -212,20 +229,17 @@ def field_strength_direct(obj, g: float, mode: str = ANALYTIC) -> FieldStrength:
             if obj.lam is None:
                 raise ValueError("analytic mode needs the profile's source phases")
             G = phase_gradients(obj.lam)
-            dA = np.empty((4, 4) + grid.dims, dtype=complex)
-            for n in range(4):
-                for m in range(4):
-                    dA[m, n] = -1j * f[n] * G[n, m]  # d_mu f_nu
+
+            def d(mu, nu):  # d_mu f_nu
+                return -1j * f[nu - 1] * G[nu - 1, mu - 1]
         else:
-            dA = np.empty((4, 4) + grid.dims, dtype=complex)
-            for n in range(4):
-                for m in range(4):
-                    dA[m, n] = lattice.partial(grid, f[n], m + 1)
-        F = np.zeros((4, 4) + grid.dims, dtype=complex)
-        for m in range(4):
-            for n in range(m + 1, 4):
-                F[m, n] = dA[m, n] - dA[n, m]
-                F[n, m] = -F[m, n]
+
+            def d(mu, nu):
+                return lattice.partial(grid, f[nu - 1], mu)
+
+        F = np.empty((6,) + grid.dims, dtype=complex)
+        for k, (mu, nu) in enumerate(PAIRS):
+            F[k] = d(mu, nu) - d(nu, mu)
         return FieldStrength(grid, F)
 
     raise TypeError("expected a GaugeProfile; matrix potentials go through field_strength_matrix")
@@ -235,15 +249,13 @@ def field_strength_matrix(grid: lattice.Grid4, A: np.ndarray, g: float) -> Field
     """Matrix-valued field strength with the commutator term kept."""
     g = su2_algebra.check_coupling(g)
     A = su2_algebra._check_matrix_field(grid, A, components=True)
-    F = np.zeros((4, 4) + grid.dims + (2, 2), dtype=complex)
-    for m in range(4):
-        for n in range(m + 1, 4):
-            F[m, n] = (
-                lattice.partial(grid, A[n], m + 1)
-                - lattice.partial(grid, A[m], n + 1)
-                + 1j * g * su2_algebra.commutator(A[m], A[n])
-            )
-            F[n, m] = -F[m, n]
+    F = su2_algebra.empty_matrices((6,) + grid.dims)
+    for k, (mu, nu) in enumerate(PAIRS):
+        F[k] = (
+            lattice.partial(grid, A[nu - 1], mu)
+            - lattice.partial(grid, A[mu - 1], nu)
+            + 1j * g * su2_algebra.commutator(A[mu - 1], A[nu - 1])
+        )
     return FieldStrength(grid, F, matrix_valued=True)
 
 
@@ -293,8 +305,8 @@ def lagrangian_density(lam: LambdaField) -> LagrangianDensity:
                 - 2.0 * f[m] * f[n] * G[m, n] * G[n, m]
             )
     vals *= 0.25
-    F = field_strength_ansatz(lam).values
-    ref = -0.25 * np.einsum("mn...,mn...->...", F, F)
+    F = field_strength_ansatz(lam)
+    ref = -0.25 * sum(F.component(m, n) ** 2 for m in range(1, 5) for n in range(1, 5))
     return LagrangianDensity(lam.grid, vals, ref)
 
 

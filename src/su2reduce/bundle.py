@@ -518,10 +518,10 @@ def reduction_pipeline(centers, n_schedule, g: float, a: int = 3, collapse_tol: 
 
     atlas = Atlas(tuple(collapsed_charts), collapsed=True)
     consistency = transition_consistency(atlas, samples=min(samples, 256), seed=seed)
-    stages.append(
-        StageResult("transition_consistency", consistency.status,
-                    {"centers": [list(c) for c in consistency.centers]})
-    )
+    details = {"centers": [list(c) for c in consistency.centers]}
+    if not consistency.consistent:
+        details["reason"] = consistency.reason
+    stages.append(StageResult("transition_consistency", consistency.status, details))
     if not consistency.consistent:
         return ReductionReport(tuple(stages), None, reports, consistency, ERRATA, "INCONSISTENT")
 

@@ -120,7 +120,7 @@ def residual_contraction_route(lam: ansatz_field.LambdaField, g: float) -> np.nd
     grid = lam.grid
     f = ansatz_field.build_profile(lam).values
     G = ansatz_field.phase_gradients(lam)
-    F = ansatz_field.field_strength_ansatz(lam).values
+    F = ansatz_field.field_strength_ansatz(lam)
     out = np.zeros((4,) + grid.dims, dtype=complex)
     for n in range(4):
         for m in range(4):
@@ -130,7 +130,7 @@ def residual_contraction_route(lam: ansatz_field.LambdaField, g: float) -> np.nd
                 + 1j * f[n] * G[n, m] ** 2
                 - f[n] * lattice.partial(grid, G[n, m], m + 1)
             )
-            out[n] += dF + 1j * g * f[m] * F[m, n]
+            out[n] += dF + 1j * g * f[m] * F.component(m + 1, n + 1)
     return out
 
 
@@ -163,9 +163,10 @@ def covariance_order(cfg: config.ScenarioConfig) -> lattice.OrderEstimate:
         Ap = su2_algebra.gauge_transform(grid, A, U, cfg.coupling)
         F = ansatz_field.field_strength_matrix(grid, A, cfg.coupling)
         Fp = ansatz_field.field_strength_matrix(grid, Ap, cfg.coupling)
-        Ud = su2_algebra.dagger(U)
-        conj = np.einsum("...ij,mn...jk,...kl->mn...il", U, F.values, Ud)
-        errs.append(lattice.max_abs(Fp.values - conj))
+        # one component at a time keeps a single conjugated copy alive
+        errs.append(max(
+            lattice.max_abs(Fp.values[k] - su2_algebra.conjugate(U, F.values[k])) for k in range(6)
+        ))
         hs.append(grid.h)
     return lattice.OrderEstimate(lattice.fit_order(hs, errs), False, tuple(hs), tuple(errs))
 

@@ -154,7 +154,9 @@ def cmd_verify(cfg: config.ScenarioConfig, args) -> int:
             max_gap=gap2, gauge_violation=max(gc.per_component), tolerance=1e-10)
 
     j = ansatz_field.anomalous_current(lam, g)
-    contracted = -1j * g * np.einsum("m...,mn...->n...", prof.values, f_ansatz.values)
+    contracted = -1j * g * np.stack([
+        sum(prof.values[m - 1] * f_ansatz.component(m, n) for m in range(1, 5)) for n in range(1, 5)
+    ])
     gap3 = lattice.max_abs(j - contracted)
     rep.add("anomalous_current_identity", report.PASS if gap3 <= 1e-12 else report.FAIL,
             max_gap=gap3, tolerance=1e-12)
@@ -357,8 +359,10 @@ def cmd_reduce(cfg: config.ScenarioConfig, args) -> int:
     timings["pipeline_s"] = time.perf_counter() - t0
 
     for stage in result.stages:
-        status = report.PASS if stage.status in ("PASS", "CONSISTENT") else report.FAIL
-        rep.add(f"stage_{stage.name}", status, **stage.details)
+        if stage.status in ("PASS", "CONSISTENT"):
+            rep.add(f"stage_{stage.name}", report.PASS, **stage.details)
+        else:
+            rep.add(f"stage_{stage.name}", report.FAIL, stage_status=stage.status, **stage.details)
 
     for idx, col in enumerate(result.collapse):
         rows = col.rows

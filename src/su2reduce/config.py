@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 from . import lattice
@@ -100,59 +101,50 @@ class ScenarioConfig:
     seed: int = 2024
 
     def __post_init__(self):
-        if int(self.grid_n) != self.grid_n or self.grid_n < 4:
+        for name in _INTEGER_FIELDS:
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        for name in _POSITIVE_FIELDS:
+            v = _number(getattr(self, name), name)
+            if not (v > 0 and math.isfinite(v)):
+                raise ConfigError(f"{name} must be positive and finite")
+        if self.grid_n < 4:
             raise ConfigError(f"grid_n must be an integer >= 4, got {self.grid_n}")
-        object.__setattr__(self, "grid_n", int(self.grid_n))
-        if not (self.box_length > 0 and math.isfinite(self.box_length)):
-            raise ConfigError("box_length must be positive and finite")
         if self.metric not in (lattice.EUCLIDEAN, lattice.LORENTZIAN):
             raise ConfigError(f"unknown metric {self.metric!r}")
-        if not (self.coupling > 0 and math.isfinite(self.coupling)):
-            raise ConfigError("coupling must be positive and finite")
         if self.pauli_index not in (1, 2, 3):
             raise ConfigError(f"pauli_index must be 1..3, got {self.pauli_index}")
         object.__setattr__(self, "phase_waves", _check_waves(self.phase_waves, "phase_waves"))
-        comps = tuple(int(c) for c in self.phase_components)
+        comps = tuple(
+            _integer(c, "phase_components") for c in _sequence(self.phase_components, "phase_components")
+        )
         if len(comps) != len(self.phase_waves) or any(c not in (1, 2, 3, 4) for c in comps):
             raise ConfigError("phase_components must list one component (1..4) per phase wave")
         object.__setattr__(self, "phase_components", comps)
         object.__setattr__(
             self, "gradient_waves", _check_waves(self.gradient_waves, "gradient_waves")
         )
-        amps = tuple(float(a) for a in self.scaling_amplitudes)
+        amps = tuple(
+            _number(a, "scaling_amplitudes")
+            for a in _sequence(self.scaling_amplitudes, "scaling_amplitudes")
+        )
         if len(amps) < 2 or any(not (a > 0 and math.isfinite(a)) for a in amps):
             raise ConfigError("scaling_amplitudes needs >= 2 positive finite entries")
         if any(b >= a for a, b in zip(amps, amps[1:])):
             raise ConfigError("scaling_amplitudes must decrease strictly")
         object.__setattr__(self, "scaling_amplitudes", amps)
-        if not (self.anomaly_amplitude > 0 and math.isfinite(self.anomaly_amplitude)):
-            raise ConfigError("anomaly_amplitude must be positive and finite")
-        for name in ("raw_order_grids", "divergence_grids", "covariance_grids", "pure_gauge_grids"):
+        for name in ("raw_order_grids", "divergence_grids", "covariance_grids", "pure_gauge_grids",
+                     "collapse_schedule"):
             object.__setattr__(self, name, _check_ladder(getattr(self, name), name))
-        if not (self.smooth_amp > 0 and math.isfinite(self.smooth_amp)):
-            raise ConfigError("smooth_amp must be positive and finite")
         object.__setattr__(self, "contraction_center", _check_center(self.contraction_center))
-        if int(self.contraction_n) != self.contraction_n or self.contraction_n < 1:
+        if self.contraction_n < 1:
             raise ConfigError(f"contraction_n must be an integer >= 1, got {self.contraction_n}")
-        object.__setattr__(self, "contraction_n", int(self.contraction_n))
-        if not (self.banach_offset > 0 and math.isfinite(self.banach_offset)):
-            raise ConfigError("banach_offset must be positive and finite")
-        if not (self.banach_tol > 0 and math.isfinite(self.banach_tol)):
-            raise ConfigError("banach_tol must be positive and finite")
-        if int(self.lipschitz_pairs) != self.lipschitz_pairs or self.lipschitz_pairs < 2:
+        if self.lipschitz_pairs < 2:
             raise ConfigError("lipschitz_pairs must be an integer >= 2")
-        object.__setattr__(self, "lipschitz_pairs", int(self.lipschitz_pairs))
-        object.__setattr__(
-            self, "collapse_schedule", _check_ladder(self.collapse_schedule, "collapse_schedule")
-        )
-        if not (self.collapse_tol > 0 and math.isfinite(self.collapse_tol)):
-            raise ConfigError("collapse_tol must be positive and finite")
         object.__setattr__(self, "second_center", _check_center(self.second_center))
         if self.reduce_centers not in (1, 2):
             raise ConfigError(f"reduce_centers must be 1 or 2, got {self.reduce_centers}")
-        if int(self.seed) != self.seed or self.seed < 0:
+        if self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")
-        object.__setattr__(self, "seed", int(self.seed))
 
     def grid(self) -> lattice.Grid4:
         return lattice.Grid4.cubic(self.grid_n, self.box_length, self.metric)
@@ -171,40 +163,72 @@ def _plain(v):
     return v
 
 
+# fields stored as Python ints; integral floats such as 8.0 are accepted
+_INTEGER_FIELDS = ("grid_n", "pauli_index", "contraction_n", "lipschitz_pairs",
+                   "reduce_centers", "seed")
+# fields that must be positive finite numbers; they keep the value given,
+# so a JSON integer such as "coupling": 2 stays 2 in the report
+_POSITIVE_FIELDS = ("box_length", "coupling", "anomaly_amplitude", "smooth_amp",
+                    "banach_offset", "banach_tol", "collapse_tol")
+
+
+def _number(value, name) -> float:
+    """value as a float; bools (an int subclass) and strings are refused like any non-number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} is out of range, got {value!r}") from None
+
+
+def _integer(value, name) -> int:
+    x = _number(value, name)
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    if not (math.isfinite(x) and x == int(x)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(x)
+
+
+def _sequence(value, name) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list, got {value!r}")
+    return tuple(value)
+
+
 def _check_waves(waves, name):
     checked = []
-    for i, entry in enumerate(waves):
+    for i, entry in enumerate(_sequence(waves, name)):
         try:
             cycles, amp, phase = entry
         except (TypeError, ValueError):
             raise ConfigError(f"{name}[{i}] must be (cycles, amplitude, phase)") from None
-        cyc = tuple(cycles)
+        cyc = _sequence(cycles, f"{name}[{i}] cycles")
         if len(cyc) != 4:
             raise ConfigError(f"{name}[{i}] cycles must have four entries")
-        for c in cyc:
-            # reject non-integer cycle counts up front: a fractional wave
-            # is silently incommensurate with the periodic grid
-            if float(c) != int(c):
-                raise ConfigError(f"{name}[{i}] cycle counts must be integers, got {c!r}")
-        amp = float(amp)
-        phase = float(phase)
+        # reject non-integer cycle counts up front: a fractional wave is
+        # silently incommensurate with the periodic grid
+        cyc = tuple(_integer(c, f"{name}[{i}] cycle count") for c in cyc)
+        amp = _number(amp, f"{name}[{i}] amplitude")
+        phase = _number(phase, f"{name}[{i}] phase")
         if not (math.isfinite(amp) and math.isfinite(phase)):
             raise ConfigError(f"{name}[{i}] amplitude and phase must be finite")
-        checked.append((tuple(int(c) for c in cyc), amp, phase))
+        checked.append((cyc, amp, phase))
     if not checked:
         raise ConfigError(f"{name} must not be empty")
     return tuple(checked)
 
 
 def _check_ladder(ladder, name):
-    ns = tuple(int(n) for n in ladder)
+    ns = tuple(_integer(n, name) for n in _sequence(ladder, name))
     if len(ns) < 2 or ns[0] < 2 or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ConfigError(f"{name} must be >= 2 strictly increasing grid sizes")
     return ns
 
 
 def _check_center(center):
-    c = tuple(float(v) for v in center)
+    c = tuple(_number(v, "centers") for v in _sequence(center, "centers"))
     if len(c) != 4 or any(not math.isfinite(v) for v in c):
         raise ConfigError("centers must be finite 4-vectors")
     return c
@@ -215,7 +239,7 @@ def load_config(path) -> ScenarioConfig:
     with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a JSON object")

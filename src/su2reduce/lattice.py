@@ -4,7 +4,10 @@ Fields are plain numpy arrays whose first four axes match the grid shape.
 Trailing axes (matrix entries and the like) ride along untouched, so the
 same stencils serve scalar, vector and matrix-valued data. All stencils
 wrap periodically; that makes discrete integration by parts exact and
-keeps every operator translation invariant.
+keeps every operator translation invariant. They are built by slicing
+into one preallocated result, which keeps the input's memory order: the
+interior points read the shifted slices directly and the two seam points
+read the wrapped neighbours.
 
 Index convention: mu runs 1..4 and maps to array axis mu-1. Axis 4 is the
 time axis, axes 1..3 are spatial.
@@ -88,20 +91,35 @@ def check_field(grid: Grid4, f: np.ndarray) -> np.ndarray:
     return f
 
 
-def partial(grid: Grid4, f: np.ndarray, mu: int) -> np.ndarray:
-    """Central first difference along direction mu: (f(x+h e) - f(x-h e)) / 2h."""
+def _stencil_views(grid: Grid4, f: np.ndarray, mu: int):
+    """(f, out, o): an uninitialised result `out` in f's memory order, with
+    f and o the views of the input and of `out` that put axis mu first."""
     _check_mu(mu)
     f = check_field(grid, f)
-    ax = mu - 1
-    return (np.roll(f, -1, axis=ax) - np.roll(f, 1, axis=ax)) / (2.0 * grid.h)
+    out = np.empty_like(f, dtype=np.result_type(f, 1.0))
+    return np.moveaxis(f, mu - 1, 0), out, np.moveaxis(out, mu - 1, 0)
+
+
+def partial(grid: Grid4, f: np.ndarray, mu: int) -> np.ndarray:
+    """Central first difference along direction mu: (f(x+h e) - f(x-h e)) / 2h."""
+    f, out, o = _stencil_views(grid, f, mu)
+    np.subtract(f[2:], f[:-2], out=o[1:-1])
+    np.subtract(f[1:2], f[-1:], out=o[:1])
+    np.subtract(f[:1], f[-2:-1], out=o[-1:])
+    out /= 2.0 * grid.h
+    return out
 
 
 def second_diff(grid: Grid4, f: np.ndarray, mu: int) -> np.ndarray:
     """Compact second difference along mu: (f(x+h e) - 2 f(x) + f(x-h e)) / h^2."""
-    _check_mu(mu)
-    f = check_field(grid, f)
-    ax = mu - 1
-    return (np.roll(f, -1, axis=ax) - 2.0 * f + np.roll(f, 1, axis=ax)) / grid.h**2
+    f, out, o = _stencil_views(grid, f, mu)
+    np.multiply(f, 2.0, out=o)
+    np.subtract(f[1:], o[:-1], out=o[:-1])
+    np.subtract(f[:1], o[-1:], out=o[-1:])
+    np.add(o[1:], f[:-1], out=o[1:])
+    np.add(o[:1], f[-1:], out=o[:1])
+    out /= grid.h**2
+    return out
 
 
 def box(grid: Grid4, f: np.ndarray) -> np.ndarray:

@@ -239,7 +239,8 @@ def test_c10_uniqueness_and_reduced_operator():
 
 def test_c11_reports_are_reproducible(capsys):
     worst = []
-    for argv in (["anomaly", "--json"], ["contract", "--json"], ["reduce", "--json"]):
+    for argv in (["verify", "--json"], ["anomaly", "--json"], ["contract", "--json"],
+                 ["reduce", "--json"]):
         code_a = cli.main(argv)
         out_a = capsys.readouterr().out
         code_b = cli.main(argv)

@@ -23,6 +23,11 @@ def gradient_field(grid):
     return checks.gradient_base_field(config.ScenarioConfig(), grid)
 
 
+def dense(F):
+    """All sixteen F[mu-1, nu-1] read through the public accessor."""
+    return np.stack([np.stack([F.component(m, n) for n in range(1, 5)]) for m in range(1, 5)])
+
+
 def test_mode_validation():
     with pytest.raises(ValueError):
         ansatz_field.Mode(0, (0, 1, 0, 0), 1.0)
@@ -113,9 +118,25 @@ def test_field_strength_matches_oracle():
         for comp, (cyc, amp, ph) in zip(cfg.phase_components, cfg.phase_waves)
     ]
     F = ansatz_field.field_strength_ansatz(lam)
-    assert np.max(np.abs(F.values - oracles.field_strength_oracle(grid, recs))) < 1e-13
+    assert F.values.shape == (6,) + grid.dims
+    assert np.max(np.abs(dense(F) - oracles.field_strength_oracle(grid, recs))) < 1e-13
     assert F.antisymmetry_defect() == 0.0
-    assert np.array_equal(F.component(1, 2), F.values[0, 1])
+    assert np.array_equal(F.component(1, 2), F.values[ansatz_field.PAIRS.index((1, 2))])
+
+
+def test_component_is_antisymmetric_with_zero_diagonal():
+    grid = small_grid(4)
+    lam = scenario_field(grid)
+    A = checks.smooth_matrix_potential(grid, np.random.default_rng(5), 0.5)
+    for F in (ansatz_field.field_strength_ansatz(lam), ansatz_field.field_strength_matrix(grid, A, 1.0)):
+        assert F.max_abs() > 0.0
+        for m in range(1, 5):
+            assert np.array_equal(F.component(m, m), np.zeros_like(F.values[0]))
+            for n in range(1, 5):
+                assert np.array_equal(F.component(n, m), -F.component(m, n))
+        for k, (m, n) in enumerate(ansatz_field.PAIRS):
+            assert np.array_equal(F.component(m, n), F.values[k])
+        assert F.antisymmetry_defect() == 0.0
 
 
 def test_direct_analytic_route_agrees_with_ansatz_form():
@@ -158,8 +179,9 @@ def test_matrix_reading_tensors_with_sigma():
         Fs = ansatz_field.field_strength_direct(prof, 1.0, mode=ansatz_field.RAW)
         sig = np.zeros((2, 2), dtype=complex)
         sig[:] = [[0, 1], [1, 0]] if a == 1 else [[1, 0], [0, -1]]
-        want = Fs.values[..., None, None] * sig
-        assert lattice.max_abs(Fm.values - want) < 1e-13
+        assert Fm.values.shape == (6,) + grid.dims + (2, 2)
+        want = dense(Fs)[..., None, None] * sig
+        assert lattice.max_abs(dense(Fm) - want) < 1e-13
         assert Fm.matrix_valued
 
 
@@ -259,6 +281,6 @@ def test_random_mode_sets_against_oracles():
         assert np.max(np.abs(G - oracles.gradient_table(grid, recs))) < 1e-13
         F = ansatz_field.field_strength_ansatz(lam)
         assert F.antisymmetry_defect() == 0.0
-        assert np.max(np.abs(F.values - oracles.field_strength_oracle(grid, recs))) < 1e-13
+        assert np.max(np.abs(dense(F) - oracles.field_strength_oracle(grid, recs))) < 1e-13
         Fd = ansatz_field.field_strength_direct(prof, 1.0, mode=ansatz_field.ANALYTIC)
         assert lattice.max_abs(F.values - Fd.values) < 1e-13

@@ -8,6 +8,8 @@ is paid once.
 import csv
 import json
 
+import pytest
+
 from su2reduce import cli, report
 
 
@@ -43,6 +45,21 @@ def test_reduce_two_centers_fails_consistency(capsys, tmp_path):
     assert code == 1
     assert "[FAIL] stage_transition_consistency" in out
     assert "overall: FAIL" in out
+
+
+def test_reduce_two_centers_report_carries_stage_status_and_reason(capsys, tmp_path):
+    cfgfile = tmp_path / "two.json"
+    cfgfile.write_text(json.dumps({"reduce_centers": 2}))
+    code, out, _ = run(["reduce", "--json", "--config", str(cfgfile)], capsys)
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    stage = checks["stage_transition_consistency"]
+    assert stage["status"] == "FAIL"
+    assert stage["details"]["stage_status"] == "INCONSISTENT"
+    assert "distinct centers" in stage["details"]["reason"]
+    assert len(stage["details"]["centers"]) == 2
+    # passing stages keep their details unchanged
+    assert "stage_status" not in checks["stage_chart_collapse"]["details"]
 
 
 def test_contract_invalid_map_skips_downstream(capsys, tmp_path):
@@ -135,6 +152,23 @@ def test_error_exits_are_code_two(capsys, tmp_path):
 
     code7, _, _ = run(["reduce", "--metric", "hyperbolic"], capsys)
     assert code7 == 2
+
+
+@pytest.mark.parametrize("text", [
+    '{"coupling": "2"}',
+    '{"grid_n": 1e400}',
+    '{"reduce_centers": true}',
+    '{"seed": false}',
+    '{"contraction_n": true}',
+    '{"phase_waves": [[[0, 1, 0, 0], "0.8", 0.0]], "phase_components": [1]}',
+], ids=["string_coupling", "overflowing_grid_n", "bool_reduce_centers", "bool_seed",
+        "bool_contraction_n", "string_amplitude"])
+def test_wrongly_typed_config_values_exit_two(capsys, tmp_path, text):
+    cfgfile = tmp_path / "typed.json"
+    cfgfile.write_text(text)
+    code, _, err = run(["reduce", "--config", str(cfgfile)], capsys)
+    assert code == 2
+    assert "config error" in err
 
 
 def test_help_exits_cleanly(capsys):

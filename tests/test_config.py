@@ -70,6 +70,16 @@ def test_load_config_overrides_and_rejects(tmp_path):
     with pytest.raises(config.ConfigError):
         config.load_config(unknown)
 
+    undecodable = tmp_path / "latin1.json"
+    undecodable.write_bytes(b"\xff\xfe{")
+    with pytest.raises(config.ConfigError):
+        config.load_config(undecodable)
+
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"seed": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    with pytest.raises(config.ConfigError):
+        config.load_config(deep)
+
     listfile = tmp_path / "list.json"
     listfile.write_text(json.dumps([1, 2]))
     with pytest.raises(config.ConfigError):
@@ -84,3 +94,38 @@ def test_loaded_lists_become_tuples(tmp_path):
     cfg = config.load_config(path)
     assert cfg.phase_waves == (((0, 1, 0, 0), 0.4, 0.0),)
     assert cfg.phase_components == (2,)
+
+
+def test_json_integers_still_fill_float_fields(tmp_path):
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps({"coupling": 2, "smooth_amp": 1, "scaling_amplitudes": [1, 0.5],
+                                "contraction_center": [1, 0, 0, 0], "grid_n": 8.0}))
+    cfg = config.load_config(path)
+    assert cfg.coupling == 2
+    assert cfg.scaling_amplitudes == (1.0, 0.5)
+    assert cfg.contraction_center == (1.0, 0.0, 0.0, 0.0)
+    assert cfg.grid_n == 8 and isinstance(cfg.grid_n, int)
+
+
+def test_wrong_types_are_config_errors():
+    bad = [
+        {"coupling": "2"},
+        {"grid_n": float("inf")},
+        {"grid_n": 8.5},
+        {"seed": 10**400},
+        {"reduce_centers": True},
+        {"seed": False},
+        {"contraction_n": True},
+        {"pauli_index": True},
+        {"coupling": None},
+        {"phase_waves": (((0, 1, 0, 0), "0.8", 0.0),), "phase_components": (1,)},
+        {"phase_waves": ((("0", 1, 0, 0), 0.8, 0.0),), "phase_components": (1,)},
+        {"phase_components": ("1", 2, 4)},
+        {"raw_order_grids": (8, 16.5, 32)},
+        {"raw_order_grids": 8},
+        {"contraction_center": (True, 0.0, 0.0, 0.0)},
+        {"scaling_amplitudes": ("0.1", 0.01)},
+    ]
+    for kw in bad:
+        with pytest.raises(config.ConfigError):
+            config.ScenarioConfig(**kw)

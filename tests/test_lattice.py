@@ -73,6 +73,31 @@ def test_box_metric_signs():
     assert lattice.max_abs(lattice.laplacian_spatial(grid_e, f) - (parts[0] + parts[1] + parts[2])) == 0.0
 
 
+def roll_partial(grid, f, mu):
+    ax = mu - 1
+    return (np.roll(f, -1, axis=ax) - np.roll(f, 1, axis=ax)) / (2.0 * grid.h)
+
+
+def roll_second_diff(grid, f, mu):
+    ax = mu - 1
+    return (np.roll(f, -1, axis=ax) - 2.0 * f + np.roll(f, 1, axis=ax)) / grid.h**2
+
+
+@pytest.mark.parametrize("dims", [(4, 4, 4, 4), (5, 4, 7, 6)])
+@pytest.mark.parametrize("trailing", [(), (2, 2)])
+def test_slicing_stencils_equal_rolled_reference(dims, trailing):
+    grid = lattice.Grid4(dims, 0.37)
+    rng = np.random.default_rng(17)
+    shape = dims + trailing
+    fields = [rng.standard_normal(shape)]
+    if trailing:
+        fields.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    for f in fields:
+        for mu in (1, 2, 3, 4):
+            assert np.array_equal(lattice.partial(grid, f, mu), roll_partial(grid, f, mu))
+            assert np.array_equal(lattice.second_diff(grid, f, mu), roll_second_diff(grid, f, mu))
+
+
 def test_divergence_and_shape_guards():
     grid = small_grid(8)
     rng = np.random.default_rng(3)

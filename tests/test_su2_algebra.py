@@ -129,3 +129,49 @@ def test_matrix_field_shape_guards():
         su2_algebra.pure_gauge_field(grid, good_u[..., :1, :], 1.0)
     with pytest.raises(lattice.GridMismatchError):
         su2_algebra.gauge_transform(grid, np.zeros((3,) + grid.dims + (2, 2)), good_u, 1.0)
+
+
+def random_matrices(rng, shape):
+    return rng.standard_normal(shape + (2, 2)) + 1j * rng.standard_normal(shape + (2, 2))
+
+
+def test_unrolled_product_matches_matmul():
+    rng = np.random.default_rng(41)
+    dims = (3, 4, 5, 2)
+    cases = [
+        (random_matrices(rng, dims), random_matrices(rng, dims)),
+        # a group field against a six-component tensor, both ways round
+        (random_matrices(rng, dims), random_matrices(rng, (6,) + dims)),
+        (random_matrices(rng, (6,) + dims), random_matrices(rng, dims)),
+        (random_matrices(rng, ()), random_matrices(rng, (7,))),
+    ]
+    for A, B in cases:
+        got = su2_algebra._mul(A, B)
+        want = np.matmul(A, B)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14
+        assert np.max(np.abs(su2_algebra.commutator(A, B) - (want - np.matmul(B, A)))) <= 1e-14
+
+
+def test_conjugate_matches_einsum():
+    rng = np.random.default_rng(43)
+    dims = (4, 3, 2, 5)
+    U = random_matrices(rng, dims)
+    X = random_matrices(rng, (6,) + dims)
+    want = np.einsum("...ij,m...jk,...lk->m...il", U, X, U.conj())
+    got = su2_algebra.conjugate(U, X)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14
+    got1 = su2_algebra.conjugate(U, X[2])
+    assert np.max(np.abs(got1 - want[2])) <= 1e-14
+
+
+def test_entry_planes_layout_gives_identical_products():
+    # the memory order of the operands must not change a single bit
+    rng = np.random.default_rng(47)
+    A = random_matrices(rng, (5, 6))
+    B = random_matrices(rng, (5, 6))
+    planar = su2_algebra.empty_matrices((5, 6))
+    planar[...] = A
+    assert planar[..., 1, 0].flags.c_contiguous
+    assert np.array_equal(su2_algebra._mul(planar, B), su2_algebra._mul(A, B))
