@@ -1,9 +1,15 @@
 """Quantities derived from the phase ansatz A_mu = exp(-i lambda_mu).
 
 lambda is a four-component real lattice field. Its componentwise complex
-exponential, the gauge profile, stands in for the potential; because the
-components are scalars the commutator term of the field strength drops
-and everything reduces to products of the profile with phase gradients.
+exponential, the gauge profile f = exp(-i lambda), stands in for the
+potential; because the components are scalars the commutator term of the
+field strength drops and everything reduces to products of the profile
+with the phase gradients G[m, n] = d_n lambda_m.
+
+A LambdaField computes f and G once, on first use, and keeps them as
+`profile` and `gradients`; every quantity here reads those two arrays.
+Second derivatives are formed where they are used, one component at a
+time, and are not kept.
 
 Derivatives of the profile come in two flavours:
 
@@ -22,6 +28,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -91,7 +98,13 @@ def gradient_wave_modes(grid: lattice.Grid4, cycles, amplitude: float, phase: fl
 
 @dataclass(frozen=True)
 class LambdaField:
-    """Real four-component phase field on a Grid4, shaped (4, *dims)."""
+    """Real four-component phase field on a Grid4, shaped (4, *dims).
+
+    profile    f = exp(-i lambda), complex (4, *dims)
+    gradients  G[m-1, n-1] = d_n lambda_m, real (4, 4, *dims)
+
+    Both are computed on first access and kept for the life of the field.
+    """
 
     grid: lattice.Grid4
     values: np.ndarray
@@ -105,6 +118,14 @@ class LambdaField:
         if not np.all(np.isfinite(v)):
             raise ValueError("phase field must be finite")
         object.__setattr__(self, "values", v)
+
+    @cached_property
+    def profile(self) -> np.ndarray:
+        return build_profile(self)
+
+    @cached_property
+    def gradients(self) -> np.ndarray:
+        return phase_gradients(self)
 
     @classmethod
     def zero(cls, grid: lattice.Grid4) -> "LambdaField":
@@ -126,32 +147,14 @@ class LambdaField:
         return LambdaField(self.grid, eps * self.values)
 
 
-@dataclass(frozen=True)
-class GaugeProfile:
-    """Unit-modulus complex profile exp(-i lambda), with its source phases."""
-
-    grid: lattice.Grid4
-    values: np.ndarray
-    lam: LambdaField | None = None
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        if v.shape != (4,) + self.grid.dims:
-            raise lattice.GridMismatchError(
-                f"expected shape {(4,) + self.grid.dims}, got {v.shape}"
-            )
-        object.__setattr__(self, "values", v)
-
-    def unit_modulus_defect(self) -> float:
-        return lattice.max_abs(np.abs(self.values) - 1.0)
-
-
-def build_profile(lam: LambdaField) -> GaugeProfile:
-    return GaugeProfile(lam.grid, np.exp(-1j * lam.values), lam)
+def build_profile(lam: LambdaField) -> np.ndarray:
+    """The unit-modulus profile exp(-i lambda); read it as `lam.profile`."""
+    return np.exp(-1j * lam.values)
 
 
 def phase_gradients(lam: LambdaField) -> np.ndarray:
-    """All first differences G[m-1, n-1] = d_n lambda_m, shaped (4, 4, *dims)."""
+    """All first differences G[m-1, n-1] = d_n lambda_m, shaped (4, 4, *dims);
+    read them as `lam.gradients`."""
     out = np.empty((4, 4) + lam.grid.dims)
     for m in range(4):
         for n in range(4):
@@ -203,8 +206,7 @@ def field_strength_ansatz(lam: LambdaField) -> FieldStrength:
     field strength; it involves only phase gradients, so no derivative of
     the profile itself is taken and no evaluation mode applies.
     """
-    f = build_profile(lam).values
-    G = phase_gradients(lam)
+    f, G = lam.profile, lam.gradients
     F = np.empty((6,) + lam.grid.dims, dtype=complex)
     for k, (mu, nu) in enumerate(PAIRS):
         m, n = mu - 1, nu - 1
@@ -212,37 +214,30 @@ def field_strength_ansatz(lam: LambdaField) -> FieldStrength:
     return FieldStrength(lam.grid, F)
 
 
-def field_strength_direct(obj, g: float, mode: str = ANALYTIC) -> FieldStrength:
-    """d_mu A_nu - d_nu A_mu + i g [A_mu, A_nu] from the potential itself.
+def field_strength_direct(lam: LambdaField, mode: str = ANALYTIC) -> FieldStrength:
+    """d_mu f_nu - d_nu f_mu from the profile itself.
 
-    Accepts a GaugeProfile (scalar components; the commutator vanishes
-    identically and `mode` selects how d f is evaluated) or a matrix
-    potential shaped (4, *dims, 2, 2), where entries are differentiated
-    with the raw stencil and the commutator term is kept.
+    The components are scalars, so the commutator term vanishes
+    identically; `mode` selects how d f is evaluated. Matrix potentials
+    go through field_strength_matrix.
     """
-    g = su2_algebra.check_coupling(g)
-    if isinstance(obj, GaugeProfile):
-        _check_mode(mode)
-        grid = obj.grid
-        f = obj.values
-        if mode == ANALYTIC:
-            if obj.lam is None:
-                raise ValueError("analytic mode needs the profile's source phases")
-            G = phase_gradients(obj.lam)
+    _check_mode(mode)
+    grid = lam.grid
+    f = lam.profile
+    if mode == ANALYTIC:
+        G = lam.gradients
 
-            def d(mu, nu):  # d_mu f_nu
-                return -1j * f[nu - 1] * G[nu - 1, mu - 1]
-        else:
+        def d(mu, nu):  # d_mu f_nu
+            return -1j * f[nu - 1] * G[nu - 1, mu - 1]
+    else:
 
-            def d(mu, nu):
-                return lattice.partial(grid, f[nu - 1], mu)
+        def d(mu, nu):
+            return lattice.partial(grid, f[nu - 1], mu)
 
-        F = np.empty((6,) + grid.dims, dtype=complex)
-        for k, (mu, nu) in enumerate(PAIRS):
-            F[k] = d(mu, nu) - d(nu, mu)
-        return FieldStrength(grid, F)
-
-    raise TypeError("expected a GaugeProfile; matrix potentials go through field_strength_matrix")
+    F = np.empty((6,) + grid.dims, dtype=complex)
+    for k, (mu, nu) in enumerate(PAIRS):
+        F[k] = d(mu, nu) - d(nu, mu)
+    return FieldStrength(grid, F)
 
 
 def field_strength_matrix(grid: lattice.Grid4, A: np.ndarray, g: float) -> FieldStrength:
@@ -257,16 +252,6 @@ def field_strength_matrix(grid: lattice.Grid4, A: np.ndarray, g: float) -> Field
             + 1j * g * su2_algebra.commutator(A[mu - 1], A[nu - 1])
         )
     return FieldStrength(grid, F, matrix_valued=True)
-
-
-def matrix_profile(profile: GaugeProfile, a: int = 3) -> np.ndarray:
-    """Secondary matrix reading A_mu = f_mu sigma_a along one common direction.
-
-    A shared direction keeps the commutator term identically zero, so the
-    matrix field strength is the scalar one tensored with sigma_a.
-    """
-    sig = su2_algebra.pauli(a)
-    return profile.values[..., None, None] * sig
 
 
 @dataclass(frozen=True)
@@ -294,8 +279,7 @@ def lagrangian_density(lam: LambdaField) -> LagrangianDensity:
                       - 2 f_mu f_nu d_nu lam_mu d_mu lam_nu ]
     from_field_strength   -(1/4) sum_{mu,nu} F_mu_nu F_mu_nu
     """
-    f = build_profile(lam).values
-    G = phase_gradients(lam)
+    f, G = lam.profile, lam.gradients
     vals = np.zeros(lam.grid.dims, dtype=complex)
     for m in range(4):
         for n in range(4):
@@ -312,8 +296,7 @@ def lagrangian_density(lam: LambdaField) -> LagrangianDensity:
 
 def noether_current(lam: LambdaField) -> np.ndarray:
     """j_nu = sum_mu f_nu [ (d_mu lam_nu)^2 - d_nu lam_mu d_mu lam_nu ]."""
-    f = build_profile(lam).values
-    G = phase_gradients(lam)
+    f, G = lam.profile, lam.gradients
     out = np.zeros((4,) + lam.grid.dims, dtype=complex)
     for n in range(4):
         for m in range(4):
@@ -328,8 +311,7 @@ def anomalous_current(lam: LambdaField, g: float) -> np.ndarray:
     the ansatz field strength.
     """
     g = su2_algebra.check_coupling(g)
-    f = build_profile(lam).values
-    G = phase_gradients(lam)
+    f, G = lam.profile, lam.gradients
     out = np.zeros((4,) + lam.grid.dims, dtype=complex)
     for n in range(4):
         for m in range(4):
@@ -347,8 +329,7 @@ def anomaly_divergence_closed_form(lam: LambdaField, g: float) -> np.ndarray:
     expected to record the gap between the two rather than assert it away.
     """
     g = su2_algebra.check_coupling(g)
-    f = build_profile(lam).values
-    G = phase_gradients(lam)
+    f, G = lam.profile, lam.gradients
     out = np.zeros(lam.grid.dims, dtype=complex)
     for m in range(4):
         for n in range(4):
@@ -372,15 +353,15 @@ def gauge_condition_check(lam: LambdaField, tol: float = GAUGE_TOL) -> GaugeCond
     The componentwise reading is the one the residual identities rely on;
     the summed scalar is reported alongside for reference.
     """
-    G = phase_gradients(lam)
+    G = lam.gradients
     per = tuple(lattice.max_abs(G[m, m]) for m in range(4))
     summed = lattice.max_abs(G[0, 0] + G[1, 1] + G[2, 2] + G[3, 3])
     return GaugeConditionReport(per, summed, all(p <= tol for p in per))
 
 
-def _box_profile_analytic(lam: LambdaField, f: np.ndarray, n: int) -> np.ndarray:
+def _box_profile_analytic(lam: LambdaField, n: int) -> np.ndarray:
     """Chain-rule wave operator on profile component n (0-based)."""
-    G = phase_gradients(lam)
+    f, G = lam.profile, lam.gradients
     out = np.zeros(lam.grid.dims, dtype=complex)
     for m in range(4):
         d2 = lattice.partial(lam.grid, G[n, m], m + 1)
@@ -407,14 +388,13 @@ def field_equation_residual(lam: LambdaField, g: float, mode: str = ANALYTIC) ->
             "the residual is not the equation of motion for this field",
             stacklevel=2,
         )
-    f = build_profile(lam).values
     j = anomalous_current(lam, g)
     out = np.empty((4,) + lam.grid.dims, dtype=complex)
     for n in range(4):
         if mode == ANALYTIC:
-            boxf = _box_profile_analytic(lam, f, n)
+            boxf = _box_profile_analytic(lam, n)
         else:
-            boxf = lattice.box(lam.grid, f[n])
+            boxf = lattice.box(lam.grid, lam.profile[n])
         out[n] = boxf - j[n]
     return out
 
@@ -429,15 +409,14 @@ def field_equation_residual_full(lam: LambdaField, g: float) -> np.ndarray:
                     - g f_mu (f_mu d_nu lam_mu - f_nu d_mu lam_nu) ]
 
     Term for term this is the contraction sum_mu (d_mu + i g f_mu) F_mu_nu
-    with the chain rule applied, overall factor exactly 1 (established
-    symbolically before this function was written). Under the
-    componentwise gauge condition the first and third terms vanish and
-    the expression collapses to box(f_nu) - j_nu.
+    with the chain rule applied, overall factor exactly 1 (re-derived
+    symbolically in tests/test_symbolic.py). Under the componentwise
+    gauge condition the first and third terms vanish and the expression
+    collapses to box(f_nu) - j_nu.
     """
     g = su2_algebra.check_coupling(g)
     grid = lam.grid
-    f = build_profile(lam).values
-    G = phase_gradients(lam)
+    f, G = lam.profile, lam.gradients
     out = np.zeros((4,) + grid.dims, dtype=complex)
     for n in range(4):
         for m in range(4):
@@ -486,27 +465,6 @@ class VacuumReport:
         " so the Goldstone gap is recorded, not asserted"
     )
 
-    def to_dict(self) -> dict:
-        return {
-            "entries": [
-                {
-                    "eps": e.eps,
-                    "profile_defect": e.profile_defect,
-                    "current_max": e.current_max,
-                    "noether_max": e.noether_max,
-                    "residual_max": e.residual_max,
-                    "box_lambda_max": e.box_lambda_max,
-                    "box_profile_max": e.box_profile_max,
-                    "goldstone_gap": list(e.goldstone_gap),
-                }
-                for e in self.entries
-            ],
-            "slope_current": self.slope_current,
-            "slope_box_profile": self.slope_box_profile,
-            "gauge_mismatch": self.gauge_mismatch,
-            "notes": self.notes,
-        }
-
 
 def vacuum_report(base: LambdaField, eps_seq, g: float) -> VacuumReport:
     """Scan lambda = eps * base over a decreasing amplitude sequence."""
@@ -520,7 +478,6 @@ def vacuum_report(base: LambdaField, eps_seq, g: float) -> VacuumReport:
     entries = []
     for eps in eps_list:
         lam = base.scaled(eps)
-        prof = build_profile(lam)
         j = anomalous_current(lam, g)
         jn = noether_current(lam)
         with warnings.catch_warnings():
@@ -529,7 +486,7 @@ def vacuum_report(base: LambdaField, eps_seq, g: float) -> VacuumReport:
             warnings.simplefilter("ignore")
             R = field_equation_residual(lam, g, mode=ANALYTIC)
         box_lam = max(lattice.max_abs(lattice.box(grid, lam.values[m])) for m in range(4))
-        box_f = max(lattice.max_abs(lattice.box(grid, prof.values[m])) for m in range(4))
+        box_f = max(lattice.max_abs(lattice.box(grid, lam.profile[m])) for m in range(4))
         gold = tuple(
             lattice.max_abs(lattice.laplacian_spatial(grid, lam.values[i]) - np.real(j[i]))
             for i in range(3)
@@ -537,7 +494,7 @@ def vacuum_report(base: LambdaField, eps_seq, g: float) -> VacuumReport:
         entries.append(
             VacuumEntry(
                 eps=eps,
-                profile_defect=lattice.max_abs(prof.values - 1.0),
+                profile_defect=lattice.max_abs(lam.profile - 1.0),
                 current_max=lattice.max_abs(j),
                 noether_max=lattice.max_abs(jn),
                 residual_max=lattice.max_abs(R),

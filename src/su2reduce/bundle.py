@@ -1,13 +1,20 @@
 """Chart collapse of a trivial SU(2) bundle onto a reduced spin operator.
 
-Charts are open balls of radius 1/n around a target point, each carrying
-the matching radial contraction map. As n grows the image of a chart
-shrinks like 1/n^2, so past a computable threshold every chart image fits
-inside any stated tolerance and the base degenerates to the single target
-point. On the singleton the canonical identity section is constant, the
-coordinate one-forms vanish, and what survives of the connection is a set
-of four constant coefficients multiplying one Pauli direction: the
-reduced operator.
+A chart is the open ball of radius 1/n around a target point, and all it
+carries is the matching radial contraction map ContractionMap(center, n).
+As n grows the image of a chart shrinks like 1/n^2, so past a computable
+threshold every chart image fits inside any stated tolerance and the base
+degenerates to the map's fixed point. The rest of the pipeline reads the
+final maps alone:
+
+* constant sections: each final map fixes its own center exactly, so the
+  canonical identity section over the singleton is constant;
+* transition consistency: the charts glue only when they share one
+  center, because a contraction has a unique fixed point;
+* connection: on the singleton the coordinate one-forms vanish, and the
+  pullback coefficients at the fixed point are all that survives;
+* the reduced operator: those four constant coefficients multiplying one
+  Pauli direction.
 """
 
 from __future__ import annotations
@@ -19,53 +26,6 @@ import numpy as np
 
 from . import su2_algebra
 from .contraction import ContractionMap, evaluate, sample_ball
-
-
-class DomainError(ValueError):
-    """A point was used outside the chart it belongs to."""
-
-
-@dataclass(frozen=True)
-class Chart:
-    """Open ball of radius 1/n around `center`, with its contraction map."""
-
-    center: tuple[float, float, float, float]
-    n: int
-
-    def __post_init__(self):
-        c = tuple(float(v) for v in np.asarray(self.center, dtype=float).reshape(4))
-        if not all(math.isfinite(v) for v in c):
-            raise ValueError("center must be a finite 4-vector")
-        object.__setattr__(self, "center", c)
-        if int(self.n) != self.n or self.n < 1:
-            raise ValueError(f"chart scale must be an integer >= 1, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
-
-    @property
-    def radius(self) -> float:
-        return 1.0 / self.n
-
-    @property
-    def center_array(self) -> np.ndarray:
-        return np.array(self.center)
-
-    @property
-    def contraction(self) -> ContractionMap:
-        return ContractionMap(self.center, self.n)
-
-    def contains(self, x) -> bool:
-        x = np.asarray(x, dtype=float).reshape(4)
-        return bool(np.linalg.norm(x - self.center_array) < self.radius)
-
-    def require(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float).reshape(4)
-        if not self.contains(x):
-            raise DomainError(f"point {x.tolist()} is outside the chart ball at {self.center}")
-        return x
-
-
-def make_chart(center, n: int) -> Chart:
-    return Chart(tuple(np.asarray(center, dtype=float).reshape(4)), n)
 
 
 @dataclass(frozen=True)
@@ -88,15 +48,17 @@ class DiameterEstimate:
     seed: int
 
 
-def chart_image_diameter(chart: Chart, samples: int = 2048, seed: int = 0) -> DiameterEstimate:
+def chart_image_diameter(m: ContractionMap, samples: int = 2048, seed: int = 0) -> DiameterEstimate:
+    """Image of the chart ball of radius 1/n around the map's center."""
     if samples < 2:
         raise ValueError("need at least two samples")
     rng = np.random.default_rng(seed)
-    pts = sample_ball(chart.center_array, chart.radius, samples, rng)
-    r = np.linalg.norm(pts - chart.center_array, axis=1)
-    factors = np.exp(-r / chart.n)
-    cn = float(np.linalg.norm(chart.center_array))
-    sup = cn / chart.n**2
+    c = m.center_array
+    pts = sample_ball(c, 1.0 / m.n, samples, rng)
+    r = np.linalg.norm(pts - c, axis=1)
+    factors = np.exp(-r / m.n)
+    cn = m.center_norm
+    sup = cn / m.n**2
     return DiameterEstimate(
         sampled_diameter=cn * float(factors.max() - factors.min()),
         sampled_deviation=cn * float(1.0 - factors.min()),
@@ -144,31 +106,10 @@ class CollapseReport:
     threshold_n: int
     collapsed: bool
 
-    @property
-    def singleton(self) -> tuple[float, float, float, float]:
-        return self.center
 
-    def to_dict(self) -> dict:
-        return {
-            "center": list(self.center),
-            "tol": self.tol,
-            "threshold_n": self.threshold_n,
-            "collapsed": self.collapsed,
-            "rows": [
-                {
-                    "n": r.n,
-                    "sampled_diameter": r.sampled_diameter,
-                    "sup_bound": r.sup_bound,
-                    "collapsed": r.collapsed,
-                }
-                for r in self.rows
-            ],
-        }
-
-
-def collapse_chart(chart: Chart, n_sequence, tol: float = 1e-6, samples: int = 2048,
+def collapse_chart(m: ContractionMap, n_sequence, tol: float = 1e-6, samples: int = 2048,
                    seed: int = 0) -> CollapseReport:
-    """Re-scale the chart along `n_sequence` and record the image shrink."""
+    """Re-scale the map's chart along `n_sequence` and record the image shrink."""
     ns = [int(n) for n in n_sequence]
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])) or ns[0] < 1:
         raise ValueError("need a strictly increasing schedule of scales >= 1")
@@ -176,101 +117,15 @@ def collapse_chart(chart: Chart, n_sequence, tol: float = 1e-6, samples: int = 2
         raise ValueError("tolerance must be positive and finite")
     rows = []
     for n in ns:
-        est = chart_image_diameter(Chart(chart.center, n), samples=samples, seed=seed)
+        est = chart_image_diameter(ContractionMap(m.center, n), samples=samples, seed=seed)
         rows.append(CollapseRow(n, est.sampled_diameter, est.sup_bound, est.sup_bound < tol))
     return CollapseReport(
-        center=chart.center,
+        center=m.center,
         tol=tol,
         rows=tuple(rows),
-        threshold_n=collapse_threshold(chart.center, tol),
+        threshold_n=collapse_threshold(m.center, tol),
         collapsed=rows[-1].collapsed,
     )
-
-
-@dataclass(frozen=True)
-class Section:
-    """Canonical identity section over a chart.
-
-    Pre-collapse the domain is the chart ball; post-collapse it is the
-    singleton center alone. Points outside the domain are a DomainError,
-    not a zero value: the structure group has no zero element, so a
-    section that "vanishes" off the singleton is modeled as undefined
-    there.
-    """
-
-    chart: Chart
-    constant: bool = False
-    canonical: bool = True
-
-    def domain_contains(self, x) -> bool:
-        if self.constant:
-            return bool(np.array_equal(np.asarray(x, dtype=float).reshape(4), self.chart.center_array))
-        return self.chart.contains(x)
-
-    def value(self, x) -> np.ndarray:
-        if not self.domain_contains(x):
-            raise DomainError(f"point outside the section domain at {self.chart.center}")
-        return np.array(su2_algebra.IDENTITY)
-
-    def project(self, x) -> np.ndarray:
-        """Base point of the section value: the identity fibration over x."""
-        if not self.domain_contains(x):
-            raise DomainError(f"point outside the section domain at {self.chart.center}")
-        return np.asarray(x, dtype=float).reshape(4)
-
-
-def canonical_section(chart: Chart, collapsed: bool = False) -> Section:
-    return Section(chart, constant=collapsed)
-
-
-@dataclass(frozen=True)
-class Atlas:
-    """A finite family of charts, optionally in the collapsed state."""
-
-    charts: tuple[Chart, ...]
-    collapsed: bool = False
-
-    def __post_init__(self):
-        if not self.charts:
-            raise ValueError("atlas needs at least one chart")
-        object.__setattr__(self, "charts", tuple(self.charts))
-
-    def overlapping_pairs(self) -> list[tuple[int, int]]:
-        out = []
-        for i in range(len(self.charts)):
-            for j in range(i + 1, len(self.charts)):
-                ci, cj = self.charts[i], self.charts[j]
-                if np.linalg.norm(ci.center_array - cj.center_array) < ci.radius + cj.radius:
-                    out.append((i, j))
-        return out
-
-    def distinct_centers(self) -> list[tuple[float, ...]]:
-        seen: list[tuple[float, ...]] = []
-        for ch in self.charts:
-            if ch.center not in seen:
-                seen.append(ch.center)
-        return seen
-
-
-def transition_function(atlas: Atlas, i: int, j: int, x) -> np.ndarray:
-    """t_ij(x) relating the canonical sections: s_j(x) = s_i(x) t_ij(x).
-
-    With identity sections every transition function is the identity; the
-    point is still required to lie in both chart domains.
-    """
-    si = canonical_section(atlas.charts[i], collapsed=atlas.collapsed)
-    sj = canonical_section(atlas.charts[j], collapsed=atlas.collapsed)
-    if not (si.domain_contains(x) and sj.domain_contains(x)):
-        raise DomainError("transition functions are defined on chart overlaps only")
-    return np.array(su2_algebra.IDENTITY)
-
-
-@dataclass(frozen=True)
-class PairRecord:
-    i: int
-    j: int
-    points_checked: int
-    max_gluing_defect: float
 
 
 @dataclass(frozen=True)
@@ -278,109 +133,35 @@ class ConsistencyReport:
     consistent: bool
     status: str
     reason: str
-    pairs: tuple[PairRecord, ...]
     centers: tuple[tuple[float, ...], ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "consistent": self.consistent,
-            "status": self.status,
-            "reason": self.reason,
-            "pairs": [
-                {"i": p.i, "j": p.j, "points_checked": p.points_checked,
-                 "max_gluing_defect": p.max_gluing_defect}
-                for p in self.pairs
-            ],
-            "centers": [list(c) for c in self.centers],
-        }
 
+def transition_consistency(maps) -> ConsistencyReport:
+    """Gluing of collapsed charts, one contraction map per chart.
 
-def transition_consistency(atlas: Atlas, samples: int = 256, seed: int = 0) -> ConsistencyReport:
-    """Check the gluing relations of the canonical sections.
-
-    Pre-collapse: on sampled overlap points, s_j = s_i t_ij must hold with
-    t_ii the identity and t_ij t_ji the identity; for identity sections
-    these are exact matrix equalities. Post-collapse every chart is a
-    constant section on its center singleton, and two distinct centers are
-    irreconcilable: a contraction map has exactly one fixed point, so a
-    collapsed atlas with two centers reports INCONSISTENT.
+    Every collapsed chart is a constant identity section on its center
+    singleton, so charts sharing one center glue with identity transition
+    functions. Two distinct centers are irreconcilable: a contraction map
+    has exactly one fixed point, so the collapsed base cannot be shared and
+    the report reads INCONSISTENT.
     """
-    centers = tuple(atlas.distinct_centers())
-    if atlas.collapsed:
-        if len(centers) > 1:
-            return ConsistencyReport(
-                False,
-                "INCONSISTENT",
-                "collapsed charts retain distinct centers; each contraction has a"
-                " unique fixed point, so the collapsed base cannot be shared",
-                (),
-                centers,
-            )
+    centers = tuple(dict.fromkeys(m.center for m in maps))
+    if len(centers) > 1:
         return ConsistencyReport(
-            True, "CONSISTENT", "all collapsed charts share one singleton", (), centers
+            False,
+            "INCONSISTENT",
+            "collapsed charts retain distinct centers; each contraction has a"
+            " unique fixed point, so the collapsed base cannot be shared",
+            centers,
         )
-
-    rng = np.random.default_rng(seed)
-    records = []
-    worst = 0.0
-    for i, j in atlas.overlapping_pairs():
-        ci, cj = atlas.charts[i], atlas.charts[j]
-        pts = sample_ball(ci.center_array, ci.radius, samples, rng)
-        inside = [p for p in pts if cj.contains(p)]
-        defect = 0.0
-        for p in inside:
-            si = canonical_section(ci).value(p)
-            sj = canonical_section(cj).value(p)
-            tij = transition_function(atlas, i, j, p)
-            tji = transition_function(atlas, j, i, p)
-            defect = max(
-                defect,
-                float(np.max(np.abs(sj - si @ tij))),
-                float(np.max(np.abs(tij @ tji - su2_algebra.IDENTITY))),
-            )
-        worst = max(worst, defect)
-        records.append(PairRecord(i, j, len(inside), defect))
-    ok = worst == 0.0
-    return ConsistencyReport(
-        ok,
-        "CONSISTENT" if ok else "INCONSISTENT",
-        "identity sections glue with identity transition functions" if ok
-        else f"gluing defect {worst:.3e} on sampled overlaps",
-        tuple(records),
-        centers,
-    )
-
-
-@dataclass(frozen=True)
-class ConnectionCoefficients:
-    """Per-direction pullback coefficients -i g exp(-i lam_mu(x)).
-
-    one_form_vanishes marks the collapsed state: on a singleton base the
-    coordinate differentials are zero, so the coefficients are the only
-    surviving connection data.
-    """
-
-    values: tuple[complex, complex, complex, complex]
-    one_form_vanishes: bool
+    return ConsistencyReport(True, "CONSISTENT", "all collapsed charts share one singleton", centers)
 
 
 def pullback_coefficients(lambda_values, g: float) -> np.ndarray:
+    """Per-direction connection coefficients -i g exp(-i lam_mu)."""
     g = su2_algebra.check_coupling(g)
     lv = np.asarray(lambda_values, dtype=float).reshape(4)
     return -1j * g * np.exp(-1j * lv)
-
-
-def connection_coefficients(chart: Chart, x, g: float, collapsed: bool = False) -> ConnectionCoefficients:
-    """Coefficients at a point of the chart, from the chart's own map."""
-    x = np.asarray(x, dtype=float).reshape(4)
-    if collapsed:
-        if not np.array_equal(x, chart.center_array):
-            raise DomainError("collapsed charts contain only their center")
-    else:
-        chart.require(x)
-    lam_vals = evaluate(chart.contraction, x)
-    vals = pullback_coefficients(lam_vals, g)
-    return ConnectionCoefficients(tuple(complex(v) for v in vals), collapsed)
 
 
 @dataclass(frozen=True)
@@ -408,9 +189,7 @@ class ReducedOperator:
 
 
 def reduced_operator(center, g: float, a: int = 3) -> ReducedOperator:
-    g = su2_algebra.check_coupling(g)
-    c = np.asarray(center, dtype=float).reshape(4)
-    coeffs = -1j * g * np.exp(-1j * c)
+    coeffs = pullback_coefficients(center, g)
     sig = su2_algebra.pauli(a)
     mats = coeffs[:, None, None] * sig
     obs = 0.5 * sig
@@ -456,18 +235,6 @@ class ReductionReport:
     errata: tuple[dict, ...]
     status: str
 
-    def to_dict(self) -> dict:
-        return {
-            "stages": [
-                {"name": s.name, "status": s.status, "details": s.details} for s in self.stages
-            ],
-            "operator": self.operator.to_dict() if self.operator else None,
-            "collapse": [c.to_dict() for c in self.collapse],
-            "consistency": self.consistency.to_dict() if self.consistency else None,
-            "errata": list(self.errata),
-            "status": self.status,
-        }
-
 
 def reduction_pipeline(centers, n_schedule, g: float, a: int = 3, collapse_tol: float = 1e-6,
                        samples: int = 2048, seed: int = 0) -> ReductionReport:
@@ -483,41 +250,31 @@ def reduction_pipeline(centers, n_schedule, g: float, a: int = 3, collapse_tol: 
         cs = cs[None, :]
     if cs.ndim != 2 or cs.shape[1] != 4:
         raise ValueError(f"centers must be one or more 4-vectors, got shape {cs.shape}")
-    charts = [make_chart(c, int(n_schedule[0])) for c in cs]
+    maps = [ContractionMap(c, int(n_schedule[0])) for c in cs]
     stages: list[StageResult] = []
 
     reports = tuple(
-        collapse_chart(ch, n_schedule, tol=collapse_tol, samples=samples, seed=seed)
-        for ch in charts
+        collapse_chart(m, n_schedule, tol=collapse_tol, samples=samples, seed=seed) for m in maps
     )
     all_collapsed = all(r.collapsed for r in reports)
+    final_n = int(n_schedule[-1])
     stages.append(
         StageResult(
             "chart_collapse",
             "PASS" if all_collapsed else "NOT_COLLAPSED",
-            {
-                "threshold_n": [r.threshold_n for r in reports],
-                "final_n": int(n_schedule[-1]) if len(n_schedule) else None,
-            },
+            {"threshold_n": [r.threshold_n for r in reports], "final_n": final_n},
         )
     )
     if not all_collapsed:
         return ReductionReport(tuple(stages), None, reports, None, ERRATA, "NOT_COLLAPSED")
 
-    final_n = int(n_schedule[-1])
-    collapsed_charts = [make_chart(c, final_n) for c in cs]
-    sections = [canonical_section(ch, collapsed=True) for ch in collapsed_charts]
-    section_ok = all(
-        np.array_equal(s.value(ch.center_array), su2_algebra.IDENTITY)
-        and s.constant
-        for s, ch in zip(sections, collapsed_charts)
-    )
+    final = [ContractionMap(m.center, final_n) for m in maps]
+    section_ok = all(np.array_equal(evaluate(m, m.center_array), m.center_array) for m in final)
     stages.append(StageResult("constant_sections", "PASS" if section_ok else "FAIL"))
     if not section_ok:
         return ReductionReport(tuple(stages), None, reports, None, ERRATA, "FAIL")
 
-    atlas = Atlas(tuple(collapsed_charts), collapsed=True)
-    consistency = transition_consistency(atlas, samples=min(samples, 256), seed=seed)
+    consistency = transition_consistency(final)
     details = {"centers": [list(c) for c in consistency.centers]}
     if not consistency.consistent:
         details["reason"] = consistency.reason
@@ -525,19 +282,20 @@ def reduction_pipeline(centers, n_schedule, g: float, a: int = 3, collapse_tol: 
     if not consistency.consistent:
         return ReductionReport(tuple(stages), None, reports, consistency, ERRATA, "INCONSISTENT")
 
-    chart = collapsed_charts[0]
-    conn = connection_coefficients(chart, chart.center_array, g, collapsed=True)
+    m = final[0]
+    coeffs = pullback_coefficients(evaluate(m, m.center_array), g)
     stages.append(
         StageResult(
             "connection",
             "PASS",
             {
-                "one_form_vanishes": conn.one_form_vanishes,
-                "coefficients": [[v.real, v.imag] for v in conn.values],
+                # the coordinate differentials vanish on the singleton base
+                "one_form_vanishes": True,
+                "coefficients": [[v.real, v.imag] for v in map(complex, coeffs)],
             },
         )
     )
 
-    op = reduced_operator(chart.center_array, g, a)
+    op = reduced_operator(m.center_array, g, a)
     stages.append(StageResult("reduced_operator", "PASS", op.to_dict()))
     return ReductionReport(tuple(stages), op, reports, consistency, ERRATA, "PASS")

@@ -71,12 +71,13 @@ def raw_field_strength_order(cfg: config.ScenarioConfig) -> lattice.OrderEstimat
     errs, hs = [], []
     for n in cfg.raw_order_grids:
         grid = lattice.Grid4.cubic(n, cfg.box_length, cfg.metric)
-        prof = ansatz_field.build_profile(phase_field(cfg, grid))
-        fa = ansatz_field.field_strength_direct(prof, cfg.coupling, mode=ansatz_field.ANALYTIC)
-        fr = ansatz_field.field_strength_direct(prof, cfg.coupling, mode=ansatz_field.RAW)
-        errs.append(lattice.max_abs(fa.values - fr.values))
+        lam = phase_field(cfg, grid)
+        fa = ansatz_field.field_strength_direct(lam, mode=ansatz_field.ANALYTIC)
+        fr = ansatz_field.field_strength_direct(lam, mode=ansatz_field.RAW)
+        # one component at a time: lam keeps its gradients alive meanwhile
+        errs.append(max(lattice.max_abs(fa.values[k] - fr.values[k]) for k in range(6)))
         hs.append(grid.h)
-    return lattice.OrderEstimate(lattice.fit_order(hs, errs), False, tuple(hs), tuple(errs))
+    return lattice.OrderEstimate(lattice.fit_order(hs, errs), tuple(hs), tuple(errs))
 
 
 def anomaly_divergence_expansion(lam: ansatz_field.LambdaField, g: float) -> np.ndarray:
@@ -88,13 +89,12 @@ def anomaly_divergence_expansion(lam: ansatz_field.LambdaField, g: float) -> np.
                                 + i f_mu f_nu (d_nu lam_nu)(d_mu lam_nu)
                                 - f_mu f_nu d_nu d_mu lam_nu ]
 
-    Frozen from the pre-build symbolic expansion; f factors are exact and
-    lambda derivatives are composed central stencils, so the gap to the
-    raw lattice divergence of the current is O(h^2).
+    Re-derived symbolically in tests/test_symbolic.py; f factors are exact
+    and lambda derivatives are composed central stencils, so the gap to
+    the raw lattice divergence of the current is O(h^2).
     """
     g = su2_algebra.check_coupling(g)
-    f = ansatz_field.build_profile(lam).values
-    G = ansatz_field.phase_gradients(lam)
+    f, G = lam.profile, lam.gradients
     out = np.zeros(lam.grid.dims, dtype=complex)
     for m in range(4):
         for n in range(4):
@@ -118,8 +118,7 @@ def residual_contraction_route(lam: ansatz_field.LambdaField, g: float) -> np.nd
     """
     g = su2_algebra.check_coupling(g)
     grid = lam.grid
-    f = ansatz_field.build_profile(lam).values
-    G = ansatz_field.phase_gradients(lam)
+    f, G = lam.profile, lam.gradients
     F = ansatz_field.field_strength_ansatz(lam)
     out = np.zeros((4,) + grid.dims, dtype=complex)
     for n in range(4):
@@ -149,7 +148,7 @@ def divergence_accounting_order(cfg: config.ScenarioConfig) -> lattice.OrderEsti
         div = lattice.divergence(grid, j)
         errs.append(lattice.max_abs(div - anomaly_divergence_expansion(lam, cfg.coupling)))
         hs.append(grid.h)
-    return lattice.OrderEstimate(lattice.fit_order(hs, errs), False, tuple(hs), tuple(errs))
+    return lattice.OrderEstimate(lattice.fit_order(hs, errs), tuple(hs), tuple(errs))
 
 
 def covariance_order(cfg: config.ScenarioConfig) -> lattice.OrderEstimate:
@@ -168,7 +167,7 @@ def covariance_order(cfg: config.ScenarioConfig) -> lattice.OrderEstimate:
             lattice.max_abs(Fp.values[k] - su2_algebra.conjugate(U, F.values[k])) for k in range(6)
         ))
         hs.append(grid.h)
-    return lattice.OrderEstimate(lattice.fit_order(hs, errs), False, tuple(hs), tuple(errs))
+    return lattice.OrderEstimate(lattice.fit_order(hs, errs), tuple(hs), tuple(errs))
 
 
 def pure_gauge_order(cfg: config.ScenarioConfig) -> lattice.OrderEstimate:
@@ -182,7 +181,7 @@ def pure_gauge_order(cfg: config.ScenarioConfig) -> lattice.OrderEstimate:
         F = ansatz_field.field_strength_matrix(grid, A, cfg.coupling)
         errs.append(F.max_abs())
         hs.append(grid.h)
-    return lattice.OrderEstimate(lattice.fit_order(hs, errs), False, tuple(hs), tuple(errs))
+    return lattice.OrderEstimate(lattice.fit_order(hs, errs), tuple(hs), tuple(errs))
 
 
 def single_axis_pure_gauge(grid: lattice.Grid4, g: float, a: int = 3):

@@ -58,7 +58,8 @@ class ScenarioConfig:
     raw_order_grids     h-halving ladder for raw-stencil convergence
     divergence_grids    ladder for the current-divergence convergence
     covariance_grids    ladder for the gauge-covariance study
-    pure_gauge_grids    ladder for the pure-gauge field-strength decay
+    pure_gauge_grids    ladder for the pure-gauge field-strength decay;
+                        every rung of the four ladders is >= 4, like grid_n
     smooth_amp          amplitude of the random smooth fields in the
                       covariance and pure-gauge studies
     contraction_center  target point of the radial map
@@ -132,9 +133,10 @@ class ScenarioConfig:
         if any(b >= a for a, b in zip(amps, amps[1:])):
             raise ConfigError("scaling_amplitudes must decrease strictly")
         object.__setattr__(self, "scaling_amplitudes", amps)
-        for name in ("raw_order_grids", "divergence_grids", "covariance_grids", "pure_gauge_grids",
-                     "collapse_schedule"):
-            object.__setattr__(self, name, _check_ladder(getattr(self, name), name))
+        for name in ("raw_order_grids", "divergence_grids", "covariance_grids", "pure_gauge_grids"):
+            object.__setattr__(self, name, _check_ladder(getattr(self, name), name, 4, "grid sizes"))
+        object.__setattr__(self, "collapse_schedule", _check_ladder(
+            self.collapse_schedule, "collapse_schedule", 2, "chart scales"))
         object.__setattr__(self, "contraction_center", _check_center(self.contraction_center))
         if self.contraction_n < 1:
             raise ConfigError(f"contraction_n must be an integer >= 1, got {self.contraction_n}")
@@ -220,10 +222,11 @@ def _check_waves(waves, name):
     return tuple(checked)
 
 
-def _check_ladder(ladder, name):
+def _check_ladder(ladder, name, least, what):
+    """At least two strictly increasing integers, the first >= least."""
     ns = tuple(_integer(n, name) for n in _sequence(ladder, name))
-    if len(ns) < 2 or ns[0] < 2 or any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ConfigError(f"{name} must be >= 2 strictly increasing grid sizes")
+    if len(ns) < 2 or ns[0] < least or any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ConfigError(f"{name} must be >= 2 strictly increasing {what}, each >= {least}")
     return ns
 
 

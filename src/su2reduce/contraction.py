@@ -76,46 +76,6 @@ def evaluate(m: ContractionMap, x) -> np.ndarray:
     return m.center_array * np.exp(-r / m.n)[..., None]
 
 
-def closed_form_jacobian_norm(m: ContractionMap, x) -> float:
-    """Spectral norm (|c|/n) exp(-r/n); the limit value |c|/n at x = c."""
-    x = _check_point(x)
-    r = float(np.linalg.norm(m.center_array - x))
-    return m.lipschitz_bound * math.exp(-r / m.n)
-
-
-@dataclass(frozen=True)
-class JacobianEstimate:
-    """Finite-difference Jacobian summary at one point.
-
-    norm                  spectral norm of the FD Jacobian (or the limiting
-                          bound when at_center is set)
-    second_singular_value rank-1 witness; the map scales a single radial
-                          direction, so this sits at FD noise level
-    at_center             the map is not differentiable at the target; the
-                          norm reported there is the limiting bound |c|/n
-    """
-
-    norm: float
-    second_singular_value: float
-    matrix: np.ndarray | None
-    at_center: bool
-
-
-def jacobian_norm(m: ContractionMap, x, step: float = 1e-5) -> JacobianEstimate:
-    x = _check_point(x).reshape(4)
-    if not (step > 0 and math.isfinite(step)):
-        raise ValueError("step must be positive and finite")
-    if np.array_equal(x, m.center_array):
-        return JacobianEstimate(m.lipschitz_bound, 0.0, None, True)
-    J = np.empty((4, 4))
-    for k in range(4):
-        dx = np.zeros(4)
-        dx[k] = step
-        J[:, k] = (evaluate(m, x + dx) - evaluate(m, x - dx)) / (2.0 * step)
-    svals = np.linalg.svd(J, compute_uv=False)
-    return JacobianEstimate(float(svals[0]), float(svals[1]), J, False)
-
-
 def sample_ball(center, radius: float, count: int, rng) -> np.ndarray:
     """Uniform points in the open 4-ball, shaped (count, 4)."""
     center = _check_point(center).reshape(4)

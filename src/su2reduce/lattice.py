@@ -23,9 +23,6 @@ import numpy as np
 EUCLIDEAN = "euclidean"
 LORENTZIAN = "lorentzian"
 
-# below this max error a convergence study is reported as exact-to-rounding
-EXACT_FLOOR = 1e-13
-
 
 class GridMismatchError(ValueError):
     """A field's leading shape does not match the grid it is used with."""
@@ -161,12 +158,6 @@ def divergence(grid: Grid4, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def grid_integral(grid: Grid4, f: np.ndarray) -> complex:
-    """Trapezoid-free periodic integral: h^4 times the plain sum."""
-    f = check_field(grid, f)
-    return complex(f.sum() * grid.h**4)
-
-
 def max_abs(f: np.ndarray) -> float:
     """Max-norm used for every tolerance in this package."""
     return float(np.max(np.abs(f))) if np.asarray(f).size else 0.0
@@ -176,15 +167,12 @@ def max_abs(f: np.ndarray) -> float:
 class OrderEstimate:
     """Result of a grid-refinement study.
 
-    order     least-squares slope of log(max error) against log(h);
-              None when the study is exact to rounding
-    exact     all errors were below EXACT_FLOOR, no slope is meaningful
+    order     least-squares slope of log(max error) against log(h)
     spacings  the h values visited
     errors    max-norm errors per grid
     """
 
-    order: float | None
-    exact: bool
+    order: float
     spacings: tuple[float, ...]
     errors: tuple[float, ...]
 
@@ -198,29 +186,6 @@ def fit_order(spacings, errors) -> float:
     if np.any(es <= 0):
         raise ValueError("errors must be positive for a log-log fit")
     return float(np.polyfit(np.log(hs), np.log(es), 1)[0])
-
-
-def convergence_order(op, exact_pair, grids) -> OrderEstimate:
-    """Measure the convergence order of a lattice operator.
-
-    op          callable (grid, field) -> field
-    exact_pair  (f, Tf): closed-form callables of the coordinate arrays,
-                the input field and its exactly transformed counterpart
-    grids       at least three Grid4 instances at different spacings
-    """
-    grids = list(grids)
-    if len(grids) < 3:
-        raise ValueError("a convergence study needs at least three resolutions")
-    f_fn, t_fn = exact_pair
-    spacings, errors = [], []
-    for grid in grids:
-        xs = grid.coords()
-        err = max_abs(op(grid, np.broadcast_to(f_fn(*xs), grid.dims).copy()) - t_fn(*xs))
-        spacings.append(grid.h)
-        errors.append(err)
-    if all(e <= EXACT_FLOOR for e in errors):
-        return OrderEstimate(None, True, tuple(spacings), tuple(errors))
-    return OrderEstimate(fit_order(spacings, errors), False, tuple(spacings), tuple(errors))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from su2reduce import ansatz_field, checks, config, lattice
+from su2reduce import ansatz_field, checks, config, lattice, su2_algebra
 
 import oracles
 
@@ -78,8 +78,7 @@ def test_lambda_field_validation_and_scaling():
 def test_zero_field_gives_exact_zeros():
     grid = small_grid(4)
     lam = ansatz_field.LambdaField.zero(grid)
-    prof = ansatz_field.build_profile(lam)
-    assert np.array_equal(prof.values, np.ones((4,) + grid.dims, dtype=complex))
+    assert np.array_equal(lam.profile, np.ones((4,) + grid.dims, dtype=complex))
     assert ansatz_field.field_strength_ansatz(lam).max_abs() == 0.0
     assert lattice.max_abs(ansatz_field.noether_current(lam)) == 0.0
     assert lattice.max_abs(ansatz_field.anomalous_current(lam, 1.0)) == 0.0
@@ -92,9 +91,8 @@ def test_zero_field_gives_exact_zeros():
 def test_profile_is_unit_modulus_phase():
     grid = small_grid()
     lam = scenario_field(grid)
-    prof = ansatz_field.build_profile(lam)
-    assert prof.unit_modulus_defect() < 1e-15
-    assert lattice.max_abs(prof.values - np.exp(-1j * lam.values)) == 0.0
+    assert lattice.max_abs(np.abs(lam.profile) - 1.0) < 1e-15
+    assert lattice.max_abs(lam.profile - np.exp(-1j * lam.values)) == 0.0
 
 
 def test_phase_gradients_match_dispersion_table():
@@ -105,8 +103,7 @@ def test_phase_gradients_match_dispersion_table():
         ansatz_field.Mode(comp, cyc, amp, ph)
         for comp, (cyc, amp, ph) in zip(cfg.phase_components, cfg.phase_waves)
     ]
-    G = ansatz_field.phase_gradients(lam)
-    assert np.max(np.abs(G - oracles.gradient_table(grid, recs))) < 1e-13
+    assert np.max(np.abs(lam.gradients - oracles.gradient_table(grid, recs))) < 1e-13
 
 
 def test_field_strength_matches_oracle():
@@ -142,9 +139,8 @@ def test_component_is_antisymmetric_with_zero_diagonal():
 def test_direct_analytic_route_agrees_with_ansatz_form():
     grid = small_grid()
     lam = scenario_field(grid)
-    prof = ansatz_field.build_profile(lam)
     Fa = ansatz_field.field_strength_ansatz(lam)
-    Fd = ansatz_field.field_strength_direct(prof, 1.0, mode=ansatz_field.ANALYTIC)
+    Fd = ansatz_field.field_strength_direct(lam, mode=ansatz_field.ANALYTIC)
     assert lattice.max_abs(Fa.values - Fd.values) < 1e-13
 
 
@@ -157,26 +153,18 @@ def test_direct_raw_route_converges_at_order_two():
 def test_field_strength_direct_input_guards():
     grid = small_grid(4)
     lam = scenario_field(grid)
-    prof = ansatz_field.build_profile(lam)
-    with pytest.raises(TypeError):
-        ansatz_field.field_strength_direct(prof.values, 1.0)
-    orphan = ansatz_field.GaugeProfile(grid, prof.values)
     with pytest.raises(ValueError):
-        ansatz_field.field_strength_direct(orphan, 1.0, mode=ansatz_field.ANALYTIC)
-    with pytest.raises(ValueError):
-        ansatz_field.field_strength_direct(prof, 1.0, mode="spectral")
-    with pytest.raises(ValueError):
-        ansatz_field.field_strength_direct(prof, 0.0)
+        ansatz_field.field_strength_direct(lam, mode="spectral")
 
 
 def test_matrix_reading_tensors_with_sigma():
     grid = small_grid()
     lam = scenario_field(grid)
-    prof = ansatz_field.build_profile(lam)
     for a in (1, 3):
-        A = ansatz_field.matrix_profile(prof, a=a)
+        # a shared internal direction keeps the commutator term zero
+        A = lam.profile[..., None, None] * su2_algebra.pauli(a)
         Fm = ansatz_field.field_strength_matrix(grid, A, 1.0)
-        Fs = ansatz_field.field_strength_direct(prof, 1.0, mode=ansatz_field.RAW)
+        Fs = ansatz_field.field_strength_direct(lam, mode=ansatz_field.RAW)
         sig = np.zeros((2, 2), dtype=complex)
         sig[:] = [[0, 1], [1, 0]] if a == 1 else [[1, 0], [0, -1]]
         assert Fm.values.shape == (6,) + grid.dims + (2, 2)
@@ -252,8 +240,7 @@ def test_vacuum_report_slopes_and_exact_cancellations():
     for e in rep.entries:
         assert e.noether_max < 1e-12
     assert rep.gauge_mismatch
-    d = rep.to_dict()
-    assert len(d["entries"]) == 4
+    assert len(rep.entries) == 4
 
 
 def test_vacuum_report_validation_and_degenerate_base():
@@ -269,18 +256,60 @@ def test_vacuum_report_validation_and_degenerate_base():
 
 
 def test_random_mode_sets_against_oracles():
-    grid = small_grid(6)
-    rng = np.random.default_rng(2024)
-    for _ in range(6):
-        recs = oracles.random_modes(rng, grid, count=3)
-        modes = [ansatz_field.Mode(r.component, r.cycles, r.amplitude, r.phase) for r in recs]
-        lam = ansatz_field.LambdaField.from_modes(grid, modes)
-        prof = ansatz_field.build_profile(lam)
-        assert prof.unit_modulus_defect() < 1e-14
-        G = ansatz_field.phase_gradients(lam)
-        assert np.max(np.abs(G - oracles.gradient_table(grid, recs))) < 1e-13
-        F = ansatz_field.field_strength_ansatz(lam)
-        assert F.antisymmetry_defect() == 0.0
-        assert np.max(np.abs(dense(F) - oracles.field_strength_oracle(grid, recs))) < 1e-13
-        Fd = ansatz_field.field_strength_direct(prof, 1.0, mode=ansatz_field.ANALYTIC)
-        assert lattice.max_abs(F.values - Fd.values) < 1e-13
+    g = 1.3
+    for metric in (lattice.EUCLIDEAN, lattice.LORENTZIAN):
+        grid = lattice.Grid4.cubic(6, metric=metric)
+        rng = np.random.default_rng(2024)
+        waves = set()  # (component, axis) pairs the recipes exercise
+        for _ in range(12):
+            recs = oracles.random_modes(rng, grid, count=3)
+            waves.update((r.component, 1 + [abs(c) for c in r.cycles].index(1)) for r in recs)
+            modes = [ansatz_field.Mode(r.component, r.cycles, r.amplitude, r.phase) for r in recs]
+            lam = ansatz_field.LambdaField.from_modes(grid, modes)
+            assert lattice.max_abs(np.abs(lam.profile) - 1.0) < 1e-14
+            assert np.max(np.abs(lam.gradients - oracles.gradient_table(grid, recs))) < 1e-13
+            F = ansatz_field.field_strength_ansatz(lam)
+            assert F.antisymmetry_defect() == 0.0
+            assert np.max(np.abs(dense(F) - oracles.field_strength_oracle(grid, recs))) < 1e-13
+            Fd = ansatz_field.field_strength_direct(lam, mode=ansatz_field.ANALYTIC)
+            assert lattice.max_abs(F.values - Fd.values) < 1e-13
+            assert ansatz_field.lagrangian_density(lam).identity_defect() <= 1e-10
+            full = ansatz_field.field_equation_residual_full(lam, g)
+            assert lattice.max_abs(full - checks.residual_contraction_route(lam, g)) <= 1e-10
+            j = ansatz_field.anomalous_current(lam, g)
+            contracted = -1j * g * np.stack([
+                sum(lam.profile[m - 1] * F.component(m, n) for m in range(1, 5)) for n in range(1, 5)
+            ])
+            assert lattice.max_abs(j - contracted) <= 1e-12
+        # the default recipe leaves component 3 empty and obeys the gauge
+        # condition; these recipes give every component a wave along its
+        # own axis, which the gauge-violating residual terms need
+        assert {(c, c) for c in range(1, 5)} <= waves
+
+
+def test_profile_and_gradients_are_computed_once_per_field(monkeypatch):
+    counts = {"build_profile": 0, "phase_gradients": 0}
+    for name in counts:
+        original = getattr(ansatz_field, name)
+
+        def counted(lam, _original=original, _name=name):
+            counts[_name] += 1
+            return _original(lam)
+
+        monkeypatch.setattr(ansatz_field, name, counted)
+    lam = scenario_field(small_grid(6))
+    g = 1.0
+    ansatz_field.field_strength_ansatz(lam)
+    ansatz_field.field_strength_direct(lam, mode=ansatz_field.ANALYTIC)
+    ansatz_field.field_strength_direct(lam, mode=ansatz_field.RAW)
+    ansatz_field.lagrangian_density(lam)
+    ansatz_field.noether_current(lam)
+    ansatz_field.anomalous_current(lam, g)
+    ansatz_field.anomaly_divergence_closed_form(lam, g)
+    ansatz_field.gauge_condition_check(lam)
+    ansatz_field.field_equation_residual(lam, g, mode=ansatz_field.ANALYTIC)
+    ansatz_field.field_equation_residual(lam, g, mode=ansatz_field.RAW)
+    ansatz_field.field_equation_residual_full(lam, g)
+    checks.anomaly_divergence_expansion(lam, g)
+    checks.residual_contraction_route(lam, g)
+    assert counts == {"build_profile": 1, "phase_gradients": 1}

@@ -1,4 +1,4 @@
-"""Chart collapse, sections, transition gluing and the reduced operator."""
+"""Chart collapse, transition consistency, connection and the reduced operator."""
 
 import json
 import math
@@ -7,33 +7,14 @@ import numpy as np
 import pytest
 
 from su2reduce import bundle, su2_algebra
+from su2reduce.contraction import ContractionMap
 
 
 CENTER = (1.0, 0.0, 0.0, 0.0)
 
 
-def test_chart_validation_and_geometry():
-    ch = bundle.Chart(CENTER, 4)
-    assert ch.radius == 0.25
-    assert ch.contraction.n == 4
-    assert ch.contains(np.array([1.1, 0.0, 0.0, 0.0]))
-    # the ball is open: boundary points are outside
-    assert not ch.contains(np.array([1.25, 0.0, 0.0, 0.0]))
-    got = ch.require([1.05, 0.0, 0.0, 0.0])
-    assert got.shape == (4,)
-    with pytest.raises(bundle.DomainError):
-        ch.require([2.0, 0.0, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        bundle.Chart(CENTER, 0)
-    with pytest.raises(ValueError):
-        bundle.Chart(CENTER, 2.5)
-    with pytest.raises(ValueError):
-        bundle.Chart((math.nan, 0.0, 0.0, 0.0), 2)
-    assert bundle.make_chart(np.array(CENTER), 3).center == CENTER
-
-
 def test_image_diameter_bounds():
-    ch = bundle.Chart(CENTER, 8)
+    ch = ContractionMap(CENTER, 8)
     est = bundle.chart_image_diameter(ch, samples=2048, seed=0)
     assert est.sup_bound == 1.0 / 64
     assert est.diameter_bound == 2.0 * est.sup_bound
@@ -66,92 +47,39 @@ def test_collapse_threshold_boundary():
 
 def test_collapse_chart_schedule():
     sched = (4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048)
-    rep = bundle.collapse_chart(bundle.Chart(CENTER, 4), sched, tol=1e-6)
+    rep = bundle.collapse_chart(ContractionMap(CENTER, 4), sched, tol=1e-6)
     assert [r.n for r in rep.rows] == list(sched)
     assert rep.threshold_n == 1001
     assert rep.collapsed
-    assert rep.singleton == CENTER
+    assert rep.center == CENTER
     for r in rep.rows:
         assert r.collapsed == (r.sup_bound < 1e-6)
         assert r.sampled_diameter <= 2.0 * r.sup_bound
     assert [r.collapsed for r in rep.rows] == [False] * 8 + [True, True]
     shrink = [a.sampled_diameter / b.sampled_diameter for a, b in zip(rep.rows, rep.rows[1:])]
     assert all(3.6 < s < 4.4 for s in shrink)
-    d = rep.to_dict()
-    assert d["threshold_n"] == 1001 and len(d["rows"]) == len(sched)
     with pytest.raises(ValueError):
-        bundle.collapse_chart(bundle.Chart(CENTER, 4), (8, 4))
+        bundle.collapse_chart(ContractionMap(CENTER, 4), (8, 4))
     with pytest.raises(ValueError):
-        bundle.collapse_chart(bundle.Chart(CENTER, 4), ())
+        bundle.collapse_chart(ContractionMap(CENTER, 4), ())
     with pytest.raises(ValueError):
-        bundle.collapse_chart(bundle.Chart(CENTER, 4), (4, 8), tol=-1.0)
-
-
-def test_sections_pre_and_post_collapse():
-    ch = bundle.Chart(CENTER, 4)
-    s = bundle.canonical_section(ch)
-    assert not s.constant
-    inside = np.array([1.1, 0.05, 0.0, 0.0])
-    assert np.array_equal(s.value(inside), su2_algebra.IDENTITY)
-    assert np.array_equal(s.project(inside), inside)
-    with pytest.raises(bundle.DomainError):
-        s.value(np.array([2.0, 0.0, 0.0, 0.0]))
-
-    sc = bundle.canonical_section(ch, collapsed=True)
-    assert sc.constant
-    assert np.array_equal(sc.value(ch.center_array), su2_algebra.IDENTITY)
-    for off in (1e-12, 0.1):
-        with pytest.raises(bundle.DomainError):
-            sc.value(ch.center_array + np.array([off, 0.0, 0.0, 0.0]))
-
-
-def test_atlas_overlaps_and_distinct_centers():
-    with pytest.raises(ValueError):
-        bundle.Atlas(())
-    near = bundle.Chart((1.2, 0.0, 0.0, 0.0), 4)
-    far = bundle.Chart((3.0, 0.0, 0.0, 0.0), 4)
-    dup = bundle.Chart(CENTER, 8)
-    atlas = bundle.Atlas((bundle.Chart(CENTER, 4), near, far, dup))
-    pairs = atlas.overlapping_pairs()
-    assert (0, 1) in pairs and (0, 3) in pairs
-    assert (0, 2) not in pairs and (1, 2) not in pairs
-    assert atlas.distinct_centers() == [CENTER, (1.2, 0.0, 0.0, 0.0), (3.0, 0.0, 0.0, 0.0)]
-
-
-def test_transition_functions_identity_and_cocycle():
-    a = bundle.Chart(CENTER, 4)
-    b = bundle.Chart((1.2, 0.0, 0.0, 0.0), 4)
-    atlas = bundle.Atlas((a, b))
-    x = np.array([1.1, 0.0, 0.0, 0.0])
-    tij = bundle.transition_function(atlas, 0, 1, x)
-    tji = bundle.transition_function(atlas, 1, 0, x)
-    assert np.array_equal(tij, su2_algebra.IDENTITY)
-    assert np.array_equal(tij @ tji, su2_algebra.IDENTITY)
-    with pytest.raises(bundle.DomainError):
-        bundle.transition_function(atlas, 0, 1, np.array([0.8, 0.0, 0.0, 0.0]))
-
-
-def test_consistency_pre_collapse_exact():
-    atlas = bundle.Atlas((bundle.Chart(CENTER, 4), bundle.Chart((1.2, 0.0, 0.0, 0.0), 4)))
-    rep = bundle.transition_consistency(atlas, samples=256, seed=0)
-    assert rep.consistent and rep.status == "CONSISTENT"
-    assert rep.pairs[0].points_checked > 0
-    assert rep.pairs[0].max_gluing_defect == 0.0
+        bundle.collapse_chart(ContractionMap(CENTER, 4), (4, 8), tol=-1.0)
 
 
 def test_consistency_collapsed_single_vs_two_centers():
-    single = bundle.Atlas((bundle.Chart(CENTER, 2048), bundle.Chart(CENTER, 2048)), collapsed=True)
+    single = (ContractionMap(CENTER, 2048), ContractionMap(CENTER, 2048))
     rep = bundle.transition_consistency(single)
     assert rep.consistent and rep.status == "CONSISTENT"
+    assert rep.centers == (CENTER,)
 
-    two = bundle.Atlas(
-        (bundle.Chart(CENTER, 2048), bundle.Chart((0.0, 1.0, 0.0, 0.0), 2048)), collapsed=True
-    )
+    other = (0.0, 1.0, 0.0, 0.0)
+    two = (ContractionMap(CENTER, 2048), ContractionMap(other, 2048), ContractionMap(CENTER, 2048))
     rep2 = bundle.transition_consistency(two)
     assert not rep2.consistent
     assert rep2.status == "INCONSISTENT"
     assert "unique fixed point" in rep2.reason
-    assert len(rep2.centers) == 2
+    # distinct centers, in order of first appearance
+    assert rep2.centers == (CENTER, other)
     rep3 = bundle.transition_consistency(two)
     assert rep3.status == rep2.status and rep3.reason == rep2.reason
 
@@ -165,19 +93,13 @@ def test_pullback_and_connection_coefficients():
     assert np.max(np.abs(got - want)) == 0.0
     assert np.max(np.abs(np.abs(got) - g)) < 1e-15
 
-    ch = bundle.Chart(CENTER, 2048)
-    conn = bundle.connection_coefficients(ch, ch.center_array, g, collapsed=True)
-    assert conn.one_form_vanishes
-    want_c = -1j * g * np.exp(-1j * ch.center_array)
-    assert np.max(np.abs(np.array(conn.values) - want_c)) < 1e-15
-    with pytest.raises(bundle.DomainError):
-        bundle.connection_coefficients(ch, ch.center_array + 1e-9, g, collapsed=True)
-
-    open_chart = bundle.Chart(CENTER, 4)
-    inside = bundle.connection_coefficients(open_chart, [1.1, 0.0, 0.0, 0.0], g)
-    assert not inside.one_form_vanishes
-    with pytest.raises(bundle.DomainError):
-        bundle.connection_coefficients(open_chart, [2.0, 0.0, 0.0, 0.0], g)
+    center = (0.3, -0.2, 0.1, 0.4)
+    sched = (4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048)
+    stage = bundle.reduction_pipeline(center, sched, g).stages[3]
+    assert stage.name == "connection"
+    assert stage.details["one_form_vanishes"]
+    got_c = np.array([complex(re, im) for re, im in stage.details["coefficients"]])
+    assert np.max(np.abs(got_c - (-1j * g * np.exp(-1j * np.array(center))))) < 1e-15
 
 
 def test_reduced_operator_spectrum_and_moduli():
@@ -212,7 +134,7 @@ def test_pipeline_happy_path():
     assert rep.operator is not None
     assert rep.consistency.consistent
     assert len(rep.collapse) == 1
-    json.dumps(rep.to_dict())
+    json.dumps([s.details for s in rep.stages])
 
 
 def test_pipeline_stops_when_not_collapsed():

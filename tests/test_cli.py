@@ -161,8 +161,11 @@ def test_error_exits_are_code_two(capsys, tmp_path):
     '{"seed": false}',
     '{"contraction_n": true}',
     '{"phase_waves": [[[0, 1, 0, 0], "0.8", 0.0]], "phase_components": [1]}',
+    '{"divergence_grids": [2, 3]}',
+    '{"raw_order_grids": [3, 8]}',
 ], ids=["string_coupling", "overflowing_grid_n", "bool_reduce_centers", "bool_seed",
-        "bool_contraction_n", "string_amplitude"])
+        "bool_contraction_n", "string_amplitude", "divergence_grid_below_four",
+        "raw_order_grid_below_four"])
 def test_wrongly_typed_config_values_exit_two(capsys, tmp_path, text):
     cfgfile = tmp_path / "typed.json"
     cfgfile.write_text(text)

@@ -60,21 +60,6 @@ def test_lipschitz_bound_and_certificate():
     assert not contraction.contraction_validity(edge).valid
 
 
-def test_jacobian_matches_closed_form():
-    m = contraction.ContractionMap((0.6, -0.3, 0.2, 0.1), 4)
-    x = np.array([0.1, 0.2, -0.4, 0.3])
-    est = contraction.jacobian_norm(m, x)
-    assert abs(est.norm - contraction.closed_form_jacobian_norm(m, x)) < 1e-8
-    # the map moves points along a single ray, so the Jacobian is rank one
-    assert est.second_singular_value < 1e-6
-    at_c = contraction.jacobian_norm(m, m.center_array)
-    assert at_c.at_center
-    assert at_c.norm == m.lipschitz_bound
-    assert at_c.matrix is None
-    with pytest.raises(ValueError):
-        contraction.jacobian_norm(m, x, step=0.0)
-
-
 def test_sample_ball_stays_inside_and_is_seeded():
     center = np.array([1.0, 0.0, 0.0, 0.0])
     a = contraction.sample_ball(center, 0.5, 500, np.random.default_rng(11))

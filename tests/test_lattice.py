@@ -117,7 +117,7 @@ def test_periodic_sum_of_partial_vanishes():
     grid = small_grid(6)
     rng = np.random.default_rng(5)
     f = rng.standard_normal(grid.dims)
-    total = lattice.grid_integral(grid, lattice.partial(grid, f, 2))
+    total = lattice.partial(grid, f, 2).sum()
     assert abs(total) < 1e-12
 
 
@@ -132,31 +132,16 @@ def test_fit_order_recovers_synthetic_slope():
         lattice.fit_order([0.1, 0.05], [0.5, 0.0])
 
 
-def test_convergence_order_exact_study():
-    grids = [small_grid(n) for n in (6, 8, 10)]
-
-    def op(grid, f):
-        return f * 2.0
-
-    est = lattice.convergence_order(op, (lambda x1, x2, x3, x4: np.sin(x1),
-                                         lambda x1, x2, x3, x4: 2.0 * np.sin(x1)), grids)
-    assert est.exact
-    assert est.order is None
-
-
 def test_convergence_order_second_order_stencil():
-    grids = [small_grid(n) for n in (8, 16, 32)]
-
-    def stencil(grid, f):
-        return lattice.partial(grid, f, 1)
-
-    est = lattice.convergence_order(
-        stencil,
-        (lambda x1, x2, x3, x4: np.sin(x1 + 0.0 * x2),
-         lambda x1, x2, x3, x4: np.cos(x1 + 0.0 * x2)),
-        grids,
-    )
-    assert est.order == pytest.approx(2.0, abs=0.05)
+    # h-halving ladder for the central difference of sin(x1) against cos(x1)
+    hs, errs = [], []
+    for n in (8, 16, 32):
+        grid = small_grid(n)
+        xs = grid.coords()
+        f = np.broadcast_to(np.sin(xs[0]), grid.dims).copy()
+        errs.append(lattice.max_abs(lattice.partial(grid, f, 1) - np.cos(xs[0])))
+        hs.append(grid.h)
+    assert lattice.fit_order(hs, errs) == pytest.approx(2.0, abs=0.05)
 
 
 def test_csv_round_trip_real_and_complex(tmp_path):
