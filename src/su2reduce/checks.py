@@ -1,18 +1,27 @@
-"""Scenario builders and refinement studies shared by the CLI and tests.
+"""The judged checks of the four commands, their inputs and their limits.
 
-The field recipes here are deliberately resolution-independent: a recipe
-plus a grid size determines the field, so refinement ladders sample the
-same continuum object at every resolution and the measured orders mean
-what they claim.
+Scenario builders and refinement studies come first. The field recipes
+are deliberately resolution-independent: a recipe plus a grid size
+determines the field, so refinement ladders sample the same continuum
+object at every resolution and the measured orders mean what they claim.
+
+Then the checks. Each is a function of one `Run` that adds one or more
+rows to the run's report; it returns True when the command must end
+after it (an uncertified contraction, a Banach run that did not
+converge). Every tolerance and window sits in `LIMITS`, and `COMMANDS`
+names each command's checks in report order. The CLI and the acceptance
+tests both run these tuples, looking each name up in this module at call
+time, so a wrapper bound over a check's name (a tracer's) sees the call.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
-from . import ansatz_field, config, lattice, su2_algebra
+from . import ansatz_field, bundle, config, contraction, lattice, report, su2_algebra
 
 
 def phase_field(cfg: config.ScenarioConfig, grid: lattice.Grid4,
@@ -40,14 +49,14 @@ def smooth_scalar(grid: lattice.Grid4, rng, amp: float, terms: int = 2) -> np.nd
     stay resolvable on the coarse ends of the refinement ladders.
     """
     xs = grid.coords()
-    out = np.zeros(grid.shape)
+    out = np.zeros(grid.dims)
     for _ in range(terms):
         axis = int(rng.integers(0, 4))
         sign = -1 if rng.random() < 0.5 else 1
         ph = rng.uniform(0.0, 2.0 * math.pi)
         a = amp * rng.uniform(0.3, 1.0)
         k = sign * 2.0 * math.pi / grid.length(axis + 1)
-        out += a * np.sin(np.broadcast_to(k * xs[axis] + ph, grid.shape))
+        out += a * np.sin(np.broadcast_to(k * xs[axis] + ph, grid.dims))
     return out
 
 
@@ -66,18 +75,25 @@ def smooth_matrix_potential(grid: lattice.Grid4, rng, amp: float) -> np.ndarray:
     return A
 
 
+def _refine(cfg: config.ScenarioConfig, ladder, gap) -> lattice.OrderEstimate:
+    """Order of gap(grid) over the cubic grids with n points per axis, n in ladder.
+
+    Each rung's fields are gone before the next rung builds its own.
+    """
+    grids = [lattice.Grid4.cubic(n, cfg.box_length, cfg.metric) for n in ladder]
+    hs, errs = tuple(grid.h for grid in grids), tuple(gap(grid) for grid in grids)
+    return lattice.OrderEstimate(lattice.fit_order(hs, errs), hs, errs)
+
+
 def raw_field_strength_order(cfg: config.ScenarioConfig) -> lattice.OrderEstimate:
     """Raw-stencil vs analytic field strength gap under refinement."""
-    errs, hs = [], []
-    for n in cfg.raw_order_grids:
-        grid = lattice.Grid4.cubic(n, cfg.box_length, cfg.metric)
+    def gap(grid):
         lam = phase_field(cfg, grid)
         fa = ansatz_field.field_strength_direct(lam, mode=ansatz_field.ANALYTIC)
         fr = ansatz_field.field_strength_direct(lam, mode=ansatz_field.RAW)
         # one component at a time: lam keeps its gradients alive meanwhile
-        errs.append(max(lattice.max_abs(fa.values[k] - fr.values[k]) for k in range(6)))
-        hs.append(grid.h)
-    return lattice.OrderEstimate(lattice.fit_order(hs, errs), tuple(hs), tuple(errs))
+        return max(lattice.max_abs(fa.values[k] - fr.values[k]) for k in range(6))
+    return _refine(cfg, cfg.raw_order_grids, gap)
 
 
 def anomaly_divergence_expansion(lam: ansatz_field.LambdaField, g: float) -> np.ndarray:
@@ -140,22 +156,16 @@ def divergence_accounting_order(cfg: config.ScenarioConfig) -> lattice.OrderEsti
     evaluations differ only in where the stencils act (on the assembled
     current vs on its expanded factors), so the gap closes at order 2.
     """
-    errs, hs = [], []
-    for n in cfg.divergence_grids:
-        grid = lattice.Grid4.cubic(n, cfg.box_length, cfg.metric)
+    def gap(grid):
         lam = phase_field(cfg, grid, scale=cfg.anomaly_amplitude)
-        j = ansatz_field.anomalous_current(lam, cfg.coupling)
-        div = lattice.divergence(grid, j)
-        errs.append(lattice.max_abs(div - anomaly_divergence_expansion(lam, cfg.coupling)))
-        hs.append(grid.h)
-    return lattice.OrderEstimate(lattice.fit_order(hs, errs), tuple(hs), tuple(errs))
+        div = lattice.divergence(grid, ansatz_field.anomalous_current(lam, cfg.coupling))
+        return lattice.max_abs(div - anomaly_divergence_expansion(lam, cfg.coupling))
+    return _refine(cfg, cfg.divergence_grids, gap)
 
 
 def covariance_order(cfg: config.ScenarioConfig) -> lattice.OrderEstimate:
     """‖F[A'] - U F[A] U^-1‖ under refinement for a seeded smooth pair."""
-    errs, hs = [], []
-    for n in cfg.covariance_grids:
-        grid = lattice.Grid4.cubic(n, cfg.box_length, cfg.metric)
+    def gap(grid):
         rng = np.random.default_rng(cfg.seed)
         A = smooth_matrix_potential(grid, rng, cfg.smooth_amp)
         U = smooth_group_field(grid, rng, cfg.smooth_amp)
@@ -163,25 +173,18 @@ def covariance_order(cfg: config.ScenarioConfig) -> lattice.OrderEstimate:
         F = ansatz_field.field_strength_matrix(grid, A, cfg.coupling)
         Fp = ansatz_field.field_strength_matrix(grid, Ap, cfg.coupling)
         # one component at a time keeps a single conjugated copy alive
-        errs.append(max(
-            lattice.max_abs(Fp.values[k] - su2_algebra.conjugate(U, F.values[k])) for k in range(6)
-        ))
-        hs.append(grid.h)
-    return lattice.OrderEstimate(lattice.fit_order(hs, errs), tuple(hs), tuple(errs))
+        return max(lattice.max_abs(Fp.values[k] - su2_algebra.conjugate(U, F.values[k]))
+                   for k in range(6))
+    return _refine(cfg, cfg.covariance_grids, gap)
 
 
 def pure_gauge_order(cfg: config.ScenarioConfig) -> lattice.OrderEstimate:
     """‖F‖ of a discretized pure-gauge potential under refinement."""
-    errs, hs = [], []
-    for n in cfg.pure_gauge_grids:
-        grid = lattice.Grid4.cubic(n, cfg.box_length, cfg.metric)
-        rng = np.random.default_rng(cfg.seed + 1)
-        U = smooth_group_field(grid, rng, cfg.smooth_amp)
+    def gap(grid):
+        U = smooth_group_field(grid, np.random.default_rng(cfg.seed + 1), cfg.smooth_amp)
         A = su2_algebra.pure_gauge_field(grid, U, cfg.coupling)
-        F = ansatz_field.field_strength_matrix(grid, A, cfg.coupling)
-        errs.append(F.max_abs())
-        hs.append(grid.h)
-    return lattice.OrderEstimate(lattice.fit_order(hs, errs), tuple(hs), tuple(errs))
+        return ansatz_field.field_strength_matrix(grid, A, cfg.coupling).max_abs()
+    return _refine(cfg, cfg.pure_gauge_grids, gap)
 
 
 def single_axis_pure_gauge(grid: lattice.Grid4, g: float, a: int = 3):
@@ -199,3 +202,398 @@ def single_axis_pure_gauge(grid: lattice.Grid4, g: float, a: int = 3):
     A = su2_algebra.pure_gauge_field(grid, U, g)
     coeff = -math.sin(grid.h) / grid.h / g
     return U, A, coeff
+
+
+# ---------------------------------------------------------------------------
+# limits of the judged checks, by row name: a float bounds a measured gap
+# (for the two sampled-ratio rows, the slack over the certified bound); a
+# pair is (centre, half-width) for the order and slope rows, which pass
+# when |x - centre| <= half-width, and (lo, hi) for the two ratio windows
+
+LIMITS = {
+    "pauli_commutators": 1e-15,
+    "group_exponential_unitarity": 1e-12,
+    "field_strength_identity": 1e-12,
+    "lagrangian_identity": 1e-10,
+    "refinement_order": (2.0, 0.3),  # every row judging a *_order study
+    "pure_gauge_closed_form": 1e-12,
+    "gauge_transform_identity": 1e-15,
+    "residual_contraction_equivalence": 1e-10,
+    "residual_gauge_fixed_equivalence": 1e-10,
+    "anomalous_current_identity": 1e-12,
+    # the current vanishes like eps^2, the wave operator of the profile like eps
+    "vacuum_scaling_slopes": ((2.0, 0.1), (1.0, 0.1)),
+    "noether_gradient_cancellation": 1e-12,
+    "quadratic_divergence_scaling": (3.8, 4.2),
+    "fixed_point_residual": 1e-15,
+    "lipschitz_sampled": 1e-12,
+    "banach_convergence": 1e-9,
+    "chart_shrink_factor": (3.6, 4.4),
+    "operator_coefficient_modulus": 1e-15,
+    "observable_spectrum": 1e-12,
+}
+
+
+def _near(x, limit) -> bool:
+    centre, half_width = limit
+    return x is not None and abs(x - centre) <= half_width
+
+
+def _span(limit) -> list:
+    """The [lo, hi] a (centre, half-width) limit admits, as the report prints it."""
+    centre, half_width = limit
+    return [centre - half_width, centre + half_width]
+
+
+class Run:
+    """One command's scenario, its report, and the inputs its checks share.
+
+    Each shared input is built on first use and kept until the run is
+    dropped, so the checks that read it pay for it once.
+    """
+
+    def __init__(self, command: str, cfg: config.ScenarioConfig):
+        self.cfg = cfg
+        self.grid = cfg.grid()
+        self.report = report.RunReport(command, cfg.to_dict(), errata=list(bundle.ERRATA))
+
+    def judge(self, name: str, ok: bool, **details) -> None:
+        self.report.add(name, report.PASS if ok else report.FAIL, **details)
+
+    def bounded(self, name: str, key: str, value: float, **details) -> None:
+        """Row `name` passes when `value`, reported as `key`, is within its tolerance."""
+        tol = LIMITS[name]
+        self.judge(name, value <= tol, **{key: value}, tolerance=tol, **details)
+
+    def order(self, name: str, est: lattice.OrderEstimate) -> None:
+        limit = LIMITS["refinement_order"]
+        self.judge(name, _near(est.order, limit), order=est.order, spacings=est.spacings,
+                   errors=est.errors, window=_span(limit))
+
+    @cached_property
+    def phase(self) -> ansatz_field.LambdaField:
+        """The scenario phase field on the working grid."""
+        return phase_field(self.cfg, self.grid)
+
+    @cached_property
+    def field_strength(self) -> ansatz_field.FieldStrength:
+        return ansatz_field.field_strength_ansatz(self.phase)
+
+    @cached_property
+    def anomaly_fields(self):
+        """(current, its lattice divergence, the product-rule expansion, the
+        closed form) at the anomaly amplitude; the phase field itself is not
+        kept, so it is gone before the divergence ladder runs."""
+        g = self.cfg.coupling
+        lam = phase_field(self.cfg, self.grid, scale=self.cfg.anomaly_amplitude)
+        j = ansatz_field.anomalous_current(lam, g)
+        return (j, lattice.divergence(self.grid, j), anomaly_divergence_expansion(lam, g),
+                ansatz_field.anomaly_divergence_closed_form(lam, g))
+
+    @cached_property
+    def contraction_map(self) -> contraction.ContractionMap:
+        return contraction.ContractionMap(self.cfg.contraction_center, self.cfg.contraction_n)
+
+    @cached_property
+    def banach_start(self) -> np.ndarray:
+        """The contraction center moved by banach_offset along axis 1."""
+        offset = np.array([self.cfg.banach_offset, 0.0, 0.0, 0.0])
+        return self.contraction_map.center_array + offset
+
+    @cached_property
+    def banach_trace(self) -> contraction.IterationTrace:
+        """Raises contraction.NonConvergenceError when the iteration stalls."""
+        return contraction.banach_iterate(self.contraction_map, self.banach_start,
+                                          tol=self.cfg.banach_tol)
+
+    @cached_property
+    def pipeline(self) -> bundle.ReductionReport:
+        cfg = self.cfg
+        centers = [cfg.contraction_center]
+        if cfg.reduce_centers == 2:
+            centers.append(cfg.second_center)
+        return bundle.reduction_pipeline(centers, cfg.collapse_schedule, cfg.coupling,
+                                         cfg.pauli_index, collapse_tol=cfg.collapse_tol,
+                                         seed=cfg.seed)
+
+
+# ---------------------------------------------------------------------------
+# verify
+
+
+def pauli_commutators(run: Run) -> None:
+    """[s_a, s_b] against 2i eps_abc s_c for all nine pairs at once."""
+    P = su2_algebra.PAULI
+    want = 2j * np.einsum("abc,cij->abij", su2_algebra.EPSILON, P)
+    got = su2_algebra.commutator(P[:, None], P[None, :])
+    run.bounded("pauli_commutators", "max_error", lattice.max_abs(got - want))
+
+
+def group_exponential_unitarity(run: Run) -> None:
+    rho = np.random.default_rng(run.cfg.seed).uniform(-np.pi, np.pi, size=(64, 3))
+    defect = su2_algebra.unitarity_defect(su2_algebra.su2_exp(rho))
+    run.bounded("group_exponential_unitarity", "max_defect", defect, samples=64)
+
+
+def field_strength_routes(run: Run) -> None:
+    """The ansatz form against the analytic route on the working grid, then
+    the order at which the raw-stencil route closes on the analytic one."""
+    F = run.field_strength
+    analytic = ansatz_field.field_strength_direct(run.phase, mode=ansatz_field.ANALYTIC)
+    ident = lattice.max_abs(F.values - analytic.values)
+    anti = F.antisymmetry_defect()
+    tol = LIMITS["field_strength_identity"]
+    run.judge("field_strength_identity", ident <= tol and anti <= tol,
+              max_error=ident, antisymmetry_defect=anti, tolerance=tol)
+    run.order("field_strength_raw_order", raw_field_strength_order(run.cfg))
+
+
+def lagrangian_identity(run: Run) -> None:
+    defect = ansatz_field.lagrangian_density(run.phase).identity_defect()
+    run.bounded("lagrangian_identity", "relative_defect", defect)
+
+
+def covariance_order_window(run: Run) -> None:
+    run.order("gauge_covariance_order", covariance_order(run.cfg))
+
+
+def pure_gauge_order_window(run: Run) -> None:
+    run.order("pure_gauge_order", pure_gauge_order(run.cfg))
+
+
+def pure_gauge_closed_form(run: Run) -> None:
+    """The closed-form pure gauge on 8^4, then the identity transform of it."""
+    g = run.cfg.coupling
+    small = lattice.Grid4.cubic(8, run.cfg.box_length, run.cfg.metric)
+    _, A, coeff = single_axis_pure_gauge(small, g, run.cfg.pauli_index)
+    dev = lattice.max_abs(A[0] - coeff * su2_algebra.pauli(run.cfg.pauli_index))
+    rest = max(lattice.max_abs(A[i]) for i in (1, 2, 3))
+    fdev = ansatz_field.field_strength_matrix(small, A, g).max_abs()
+    tol = LIMITS["pure_gauge_closed_form"]
+    run.judge("pure_gauge_closed_form", max(dev, rest, fdev) <= tol,
+              coefficient=coeff, max_deviation=dev, other_components=rest,
+              field_strength_max=fdev, tolerance=tol)
+    ident_u = np.broadcast_to(su2_algebra.IDENTITY, small.dims + (2, 2)).copy()
+    moved = su2_algebra.gauge_transform(small, A, ident_u, g)
+    run.bounded("gauge_transform_identity", "max_deviation", lattice.max_abs(moved - A))
+
+
+def residual_routes(run: Run) -> None:
+    """The full residual against the contraction route and the gauge-fixed form."""
+    g = run.cfg.coupling
+    full = ansatz_field.field_equation_residual_full(run.phase, g)
+    gap = lattice.max_abs(full - residual_contraction_route(run.phase, g))
+    run.bounded("residual_contraction_equivalence", "max_gap", gap)
+    fixed = ansatz_field.field_equation_residual(run.phase, g, mode=ansatz_field.ANALYTIC)
+    gap = lattice.max_abs(full - fixed)
+    gc = ansatz_field.gauge_condition_check(run.phase)
+    tol = LIMITS["residual_gauge_fixed_equivalence"]
+    run.judge("residual_gauge_fixed_equivalence", gap <= tol and gc.satisfied,
+              max_gap=gap, gauge_violation=max(gc.per_component), tolerance=tol)
+
+
+def anomalous_current_identity(run: Run) -> None:
+    g, f, F = run.cfg.coupling, run.phase.profile, run.field_strength
+    j = ansatz_field.anomalous_current(run.phase, g)
+    contracted = -1j * g * np.stack([
+        sum(f[m - 1] * F.component(m, n) for m in range(1, 5)) for n in range(1, 5)
+    ])
+    run.bounded("anomalous_current_identity", "max_gap", lattice.max_abs(j - contracted))
+
+
+def vacuum_limit(run: Run) -> None:
+    """Exact zeros of the zero field, then the small-amplitude scan: its
+    scaling slopes and the Noether current at its first amplitude."""
+    g = run.cfg.coupling
+    zero = ansatz_field.LambdaField.zero(run.grid)
+    zvals = {
+        "profile_minus_one": lattice.max_abs(zero.profile - 1.0),
+        "field_strength": ansatz_field.field_strength_ansatz(zero).max_abs(),
+        "lagrangian": lattice.max_abs(ansatz_field.lagrangian_density(zero).values),
+        "noether_current": lattice.max_abs(ansatz_field.noether_current(zero)),
+        "anomalous_current": lattice.max_abs(ansatz_field.anomalous_current(zero, g)),
+        "residual": lattice.max_abs(ansatz_field.field_equation_residual(zero, g)),
+    }
+    run.judge("vacuum_exact_zeros", all(v == 0.0 for v in zvals.values()), **zvals)
+    vac = ansatz_field.vacuum_report(gradient_base_field(run.cfg, run.grid),
+                                     run.cfg.scaling_amplitudes, g)
+    quadratic, linear = LIMITS["vacuum_scaling_slopes"]
+    run.judge("vacuum_scaling_slopes",
+              _near(vac.slope_current, quadratic) and _near(vac.slope_box_profile, linear),
+              slope_current=vac.slope_current, slope_box_profile=vac.slope_box_profile,
+              quadratic_window=_span(quadratic), linear_window=_span(linear),
+              gauge_mismatch=vac.gauge_mismatch, notes=vac.notes)
+    run.bounded("noether_gradient_cancellation", "max_norm", vac.entries[0].noether_max,
+                note="symmetric second derivatives cancel the divergence-form"
+                     " current on gradient phase fields")
+
+
+# ---------------------------------------------------------------------------
+# anomaly
+
+
+def divergence_records(run: Run) -> None:
+    """The divergence of the current against its expansion and the closed form."""
+    j, div, expansion, closed = run.anomaly_fields
+    run.report.add("divergence_summary", report.RECORDED,
+                   current_max=lattice.max_abs(j), divergence_max=lattice.max_abs(div),
+                   expansion_gap=lattice.max_abs(div - expansion),
+                   amplitude=run.cfg.anomaly_amplitude)
+    run.report.add("closed_form_divergence_discrepancy", report.RECORDED,
+                   discrepancy=lattice.max_abs(div - closed),
+                   closed_form_max=lattice.max_abs(closed),
+                   note="reported, not asserted; the lattice divergence of the"
+                        " current is the ground truth")
+
+
+def divergence_accounting_order_window(run: Run) -> None:
+    run.order("divergence_accounting_order", divergence_accounting_order(run.cfg))
+
+
+def quadratic_divergence_scaling(run: Run) -> None:
+    cfg, grid = run.cfg, run.grid
+    base = gradient_base_field(cfg, grid)
+    eps = cfg.scaling_amplitudes[-2]  # the config holds at least two
+    j1 = ansatz_field.anomalous_current(base.scaled(eps), cfg.coupling)
+    d1 = lattice.max_abs(lattice.divergence(grid, j1))
+    j2 = ansatz_field.anomalous_current(base.scaled(2 * eps), cfg.coupling)
+    d2 = lattice.max_abs(lattice.divergence(grid, j2))
+    ratio = d2 / d1 if d1 > 0 else float("inf")
+    window = LIMITS["quadratic_divergence_scaling"]
+    run.judge("quadratic_divergence_scaling", window[0] <= ratio <= window[1],
+              eps=eps, ratio=ratio, window=list(window))
+
+
+def vacuum_zero_current(run: Run) -> None:
+    zero = ansatz_field.LambdaField.zero(run.grid)
+    zj = ansatz_field.anomalous_current(zero, run.cfg.coupling)
+    zc = ansatz_field.anomaly_divergence_closed_form(zero, run.cfg.coupling)
+    zd = lattice.divergence(run.grid, zj)
+    maxima = {"current_max": lattice.max_abs(zj), "divergence_max": lattice.max_abs(zd),
+              "closed_form_max": lattice.max_abs(zc)}
+    run.judge("vacuum_zero_current", all(v == 0.0 for v in maxima.values()), **maxima)
+
+
+# ---------------------------------------------------------------------------
+# contract
+
+
+def contraction_validity(run: Run) -> bool | None:
+    """Ends the command when the map is not a certified contraction, so a
+    secondary fixed point is never reported as success."""
+    cert = contraction.contraction_validity(run.contraction_map)
+    if not cert.valid:
+        run.report.add("contraction_validity", report.FAIL, certificate_status="INVALID",
+                       **cert.to_dict())
+        for name in ("fixed_point_residual", "lipschitz_sampled", "banach_convergence",
+                     "large_scale_limit"):
+            run.report.add(name, report.SKIPPED, reason="map is not a certified contraction")
+        return True
+    run.report.add("contraction_validity", report.PASS, certificate_status="VALID",
+                   **cert.to_dict())
+
+
+def fixed_point_residual(run: Run) -> None:
+    m = run.contraction_map
+    resid = float(np.linalg.norm(contraction.evaluate(m, m.center_array) - m.center_array))
+    run.bounded("fixed_point_residual", "residual", resid)
+
+
+def lipschitz_sampled(run: Run) -> None:
+    m = run.contraction_map
+    est = contraction.lipschitz_estimate(m, m.center_array, 1.0 / m.n,
+                                         pairs=run.cfg.lipschitz_pairs, seed=run.cfg.seed)
+    slack = LIMITS["lipschitz_sampled"]
+    run.judge("lipschitz_sampled", est.ratio_max <= est.bound + slack,
+              ratio_max=est.ratio_max, bound=est.bound, pairs=est.pairs, slack=slack)
+
+
+def banach_convergence(run: Run) -> bool | None:
+    """Ends the command when the iteration does not converge."""
+    try:
+        trace = run.banach_trace
+    except contraction.NonConvergenceError as exc:
+        run.report.add("banach_convergence", report.FAIL, error=str(exc))
+        return True
+    bound = run.contraction_map.lipschitz_bound
+    slack = LIMITS["banach_convergence"]
+    ratio_max = float(trace.ratios.max()) if trace.ratios.size else None
+    run.judge("banach_convergence",
+              trace.converged and (ratio_max is None or ratio_max <= bound + slack),
+              steps=trace.steps, ratio_max=ratio_max, measured_ratio=trace.measured_ratio,
+              error_bound=trace.error_bound, bound=bound, slack=slack,
+              tolerance=run.cfg.banach_tol)
+
+
+def large_scale_limit(run: Run) -> None:
+    series = contraction.limit_large_n(run.contraction_map.center, run.banach_start,
+                                       run.cfg.collapse_schedule)
+    run.judge("large_scale_limit", series.decreasing,
+              ns=list(series.ns), deviations=list(series.deviations))
+
+
+# ---------------------------------------------------------------------------
+# reduce
+
+
+def pipeline_stages(run: Run) -> None:
+    """One row per pipeline stage; a failing one keeps the stage's own status."""
+    for stage in run.pipeline.stages:
+        if stage.status in ("PASS", "CONSISTENT"):
+            run.report.add(f"stage_{stage.name}", report.PASS, **stage.details)
+        else:
+            run.report.add(f"stage_{stage.name}", report.FAIL, stage_status=stage.status,
+                           **stage.details)
+
+
+def chart_collapse_per_center(run: Run) -> None:
+    """Diameter bound, shrink factor and threshold rows for each center."""
+    window = LIMITS["chart_shrink_factor"]
+    for idx, col in enumerate(run.pipeline.collapse):
+        rows = col.rows
+        shrink = [
+            rows[i].sampled_diameter / rows[i + 1].sampled_diameter
+            for i in range(len(rows) - 1)
+            if rows[i + 1].sampled_diameter > 0
+        ]
+        run.judge(f"chart_diameter_bound_{idx}",
+                  all(r.sampled_diameter <= 2.0 * r.sup_bound for r in rows),
+                  center=list(col.center), ns=[r.n for r in rows],
+                  sampled=[r.sampled_diameter for r in rows],
+                  bounds=[2.0 * r.sup_bound for r in rows])
+        run.judge(f"chart_shrink_factor_{idx}", all(window[0] <= r <= window[1] for r in shrink),
+                  ratios=shrink, window=list(window))
+        n_t = col.threshold_n
+        cn = float(np.linalg.norm(col.center))
+        crossing = cn / n_t**2 < col.tol and (n_t == 1 or cn / (n_t - 1) ** 2 >= col.tol)
+        run.judge(f"collapse_threshold_{idx}", crossing, threshold_n=n_t, tol=col.tol)
+
+
+def reduced_operator(run: Run) -> None:
+    """Coefficient moduli and observable spectrum of the operator, when one was emitted."""
+    op = run.pipeline.operator
+    if op is None:
+        return
+    dev = max(abs(abs(c) - run.cfg.coupling) for c in op.coefficients)
+    run.bounded("operator_coefficient_modulus", "max_deviation", dev, coupling=run.cfg.coupling)
+    dev = max(abs(op.eigenvalues[0] + 0.5), abs(op.eigenvalues[1] - 0.5))
+    run.bounded("observable_spectrum", "max_deviation", dev, eigenvalues=list(op.eigenvalues))
+
+
+COMMANDS = {
+    "verify": (
+        "pauli_commutators", "group_exponential_unitarity", "field_strength_routes",
+        "lagrangian_identity", "covariance_order_window", "pure_gauge_order_window",
+        "pure_gauge_closed_form", "residual_routes", "anomalous_current_identity",
+        "vacuum_limit",
+    ),
+    "anomaly": (
+        "divergence_records", "divergence_accounting_order_window",
+        "quadratic_divergence_scaling", "vacuum_zero_current",
+    ),
+    "contract": (
+        "contraction_validity", "fixed_point_residual", "lipschitz_sampled",
+        "banach_convergence", "large_scale_limit",
+    ),
+    "reduce": ("pipeline_stages", "chart_collapse_per_center", "reduced_operator"),
+}

@@ -58,14 +58,6 @@ class Grid4:
         """n points per axis spanning `length`; integer-cycle trig modes stay commensurate."""
         return cls((n, n, n, n), length / n, metric)
 
-    @property
-    def shape(self) -> tuple[int, int, int, int]:
-        return self.dims
-
-    @property
-    def npoints(self) -> int:
-        return int(np.prod(self.dims))
-
     def length(self, mu: int) -> float:
         _check_mu(mu)
         return self.dims[mu - 1] * self.h

@@ -4,13 +4,19 @@ Reports are deterministic given (config, seed): keys are sorted, floats
 are emitted by repr through the json module, and the only run-dependent
 material is collected under the single top-level "timings" key, so two
 runs of the same scenario produce byte-identical files once that key is
-dropped.
+dropped. That key carries the environment that produced the run and,
+from the CLI, the wall time of each check.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import platform
+import sys
 from dataclasses import dataclass, field
+
+import numpy as np
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -41,6 +47,16 @@ class CheckResult:
         return f"[{self.status}] {self.name}"
 
 
+def environment() -> dict:
+    """Interpreter, numpy, platform and processor count of this process.
+
+    platform.platform() is left out: it reads the interpreter binary,
+    which costs milliseconds in each process.
+    """
+    return {"python": sys.version, "numpy": np.__version__, "platform": sys.platform,
+            "machine": platform.machine(), "cpu_count": os.cpu_count()}
+
+
 @dataclass
 class RunReport:
     command: str
@@ -48,7 +64,7 @@ class RunReport:
     checks: list = field(default_factory=list)
     errata: list = field(default_factory=list)
     artifacts: list = field(default_factory=list)
-    timings: dict = field(default_factory=dict)
+    timings: dict = field(default_factory=lambda: {"environment": environment()})
 
     def add(self, name: str, status: str, **details) -> CheckResult:
         res = CheckResult(name, status, details)

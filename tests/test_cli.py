@@ -74,6 +74,20 @@ def test_contract_invalid_map_skips_downstream(capsys, tmp_path):
     assert lines[-1] == "overall: FAIL"
 
 
+def test_contract_banach_nonconvergence_ends_the_run(capsys, tmp_path):
+    cfgfile = tmp_path / "far.json"
+    cfgfile.write_text(json.dumps({"contraction_center": [9.9, 0, 0, 0]}))
+    out_dir = tmp_path / "far"
+    code, out, _ = run(["contract", "--json", "--config", str(cfgfile), "--out", str(out_dir)],
+                       capsys)
+    assert code == 1
+    rows = [(c["name"], c["status"]) for c in json.loads(out)["checks"]]
+    assert rows == [("contraction_validity", "PASS"), ("fixed_point_residual", "PASS"),
+                    ("lipschitz_sampled", "PASS"), ("banach_convergence", "FAIL")]
+    assert "error" in json.loads(out)["checks"][-1]["details"]
+    assert sorted(p.name for p in out_dir.iterdir()) == ["report.json"]
+
+
 def test_json_output_is_deterministic(capsys):
     code_a, out_a, _ = run(["contract", "--json"], capsys)
     code_b, out_b, _ = run(["contract", "--json"], capsys)

@@ -27,7 +27,6 @@ def test_grid_validation():
 
 def test_grid_lengths_and_coords():
     grid = small_grid(8)
-    assert grid.npoints == 8**4
     for mu in (1, 2, 3, 4):
         assert grid.length(mu) == pytest.approx(2.0 * math.pi)
     xs = grid.coords()

@@ -72,6 +72,18 @@ def test_strip_timings_makes_runs_comparable():
     assert report.strip_timings(a.to_json()) == report.strip_timings(b.to_json())
 
 
+def test_environment_is_recorded_under_timings_only():
+    rep = report.RunReport("reduce", {"seed": 1})
+    rep.add("x", report.PASS)
+    env = json.loads(rep.to_json())["timings"]["environment"]
+    assert set(env) == {"python", "numpy", "platform", "machine", "cpu_count"}
+    assert env["numpy"] == np.__version__
+    bare = report.RunReport("reduce", {"seed": 1}, timings={})
+    bare.add("x", report.PASS)
+    assert "environment" not in bare.to_json()
+    assert report.strip_timings(rep.to_json()) == report.strip_timings(bare.to_json())
+
+
 def test_save_and_print(tmp_path, capsys):
     rep = report.RunReport("contract", {})
     rep.add("fixed_point", report.PASS, residual=0.0)
