@@ -148,8 +148,15 @@ class LambdaField:
 
 
 def build_profile(lam: LambdaField) -> np.ndarray:
-    """The unit-modulus profile exp(-i lambda); read it as `lam.profile`."""
-    return np.exp(-1j * lam.values)
+    """The unit-modulus profile exp(-i lambda); read it as `lam.profile`.
+
+    cos lambda and -sin lambda go straight into its real and imaginary
+    planes: no complex copy of lambda is made."""
+    out = np.empty(lam.values.shape, dtype=complex)
+    np.cos(lam.values, out=out.real)
+    np.sin(lam.values, out=out.imag)
+    np.negative(out.imag, out=out.imag)
+    return out
 
 
 def phase_gradients(lam: LambdaField) -> np.ndarray:
@@ -308,14 +315,24 @@ def anomalous_current(lam: LambdaField, g: float) -> np.ndarray:
     """j_nu = g sum_mu f_mu (f_mu d_nu lam_mu - f_nu d_mu lam_nu).
 
     Free index nu, summed mu; identical to -i g sum_mu f_mu F_mu_nu with
-    the ansatz field strength.
+    the ansatz field strength. Evaluated as g [ sum_mu f_mu^2 d_nu lam_mu
+    - f_nu sum_mu f_mu d_mu lam_nu ], one square f_mu^2 at a time.
     """
     g = su2_algebra.check_coupling(g)
     f, G = lam.profile, lam.gradients
     out = np.zeros((4,) + lam.grid.dims, dtype=complex)
+    buf = np.empty(lam.grid.dims, dtype=complex)
+    for m in range(4):
+        np.multiply(f[m], f[m], out=buf)
+        for n in range(4):
+            out[n] += buf * G[m, n]
     for n in range(4):
-        for m in range(4):
-            out[n] += g * f[m] * (f[m] * G[m, n] - f[n] * G[n, m])
+        np.multiply(f[0], G[n, 0], out=buf)
+        for m in (1, 2, 3):
+            buf += f[m] * G[n, m]
+        buf *= f[n]
+        out[n] -= buf
+    out *= g
     return out
 
 

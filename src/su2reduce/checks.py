@@ -104,23 +104,35 @@ def anomaly_divergence_expansion(lam: ansatz_field.LambdaField, g: float) -> np.
                                 + i f_mu f_nu (d_nu lam_mu)(d_mu lam_nu)
                                 + i f_mu f_nu (d_nu lam_nu)(d_mu lam_nu)
                                 - f_mu f_nu d_nu d_mu lam_nu ]
+              = g [ sum_mu f_mu^2 (P_mu - 2i Q_mu) + sum_nu f_nu S_nu ]
 
-    Re-derived symbolically in tests/test_symbolic.py; f factors are exact
-    and lambda derivatives are composed central stencils, so the gap to
-    the raw lattice divergence of the current is O(h^2).
+    is evaluated in the grouped form, with the real sums
+    P_mu = sum_nu d_nu d_nu lam_mu and Q_mu = sum_nu (d_nu lam_mu)^2 and
+    S_nu = sum_mu f_mu [ i (d_mu lam_nu)(d_nu lam_mu + d_nu lam_nu) - d_nu d_mu lam_nu ];
+    one complex buffer holds P_mu - 2i Q_mu, then each bracket of S_nu. Re-derived
+    symbolically in tests/test_symbolic.py; f factors are exact and lambda
+    derivatives are composed central stencils, so the gap to the raw
+    lattice divergence of the current is O(h^2).
     """
     g = su2_algebra.check_coupling(g)
-    f, G = lam.profile, lam.gradients
-    out = np.zeros(lam.grid.dims, dtype=complex)
+    grid, f, G = lam.grid, lam.profile, lam.gradients
+    out = np.zeros(grid.dims, dtype=complex)
+    buf = np.empty(grid.dims, dtype=complex)
     for m in range(4):
-        for n in range(4):
-            out += g * (
-                -2j * f[m] ** 2 * G[m, n] ** 2
-                + f[m] ** 2 * lattice.partial(lam.grid, G[m, n], n + 1)
-                + 1j * f[m] * f[n] * G[m, n] * G[n, m]
-                + 1j * f[m] * f[n] * G[n, n] * G[n, m]
-                - f[m] * f[n] * lattice.partial(lam.grid, G[n, m], n + 1)
-            )
+        P, Q = lattice.partial(grid, G[m, 0], 1), G[m, 0] ** 2
+        for n in (1, 2, 3):
+            P += lattice.partial(grid, G[m, n], n + 1)
+            Q += G[m, n] ** 2
+        buf.real, buf.imag = P, -2.0 * Q
+        out += f[m] * f[m] * buf
+    for n in range(4):
+        S = np.zeros(grid.dims, dtype=complex)
+        for m in range(4):
+            buf.real = -lattice.partial(grid, G[n, m], n + 1)
+            buf.imag = G[n, m] * (G[m, n] + G[n, n])
+            S += buf * f[m]
+        out += S * f[n]
+    out *= g
     return out
 
 

@@ -146,7 +146,7 @@ def divergence(grid: Grid4, v: np.ndarray) -> np.ndarray:
         raise GridMismatchError(f"expected a leading component axis of length 4, got shape {v.shape}")
     out = partial(grid, v[0], 1)
     for mu in (2, 3, 4):
-        out = out + partial(grid, v[mu - 1], mu)
+        out += partial(grid, v[mu - 1], mu)
     return out
 
 

@@ -115,6 +115,35 @@ def anomalous_current_oracle(grid, modes, g):
     return -1j * g * np.einsum("m...,mn...->n...", f, F)
 
 
+def anomaly_divergence_oracle(grid, modes, g):
+    """Five-term product-rule divergence of the current from the closed-form tables.
+
+    g sum_{m,n} [ -2i f_m^2 G[m, n]^2 + f_m^2 D2[m, n]
+                  + i f_m f_n G[m, n] G[n, m] + i f_m f_n G[n, n] G[n, m]
+                  - f_m f_n d_n d_m lambda_n ]
+
+    The last term needs the mixed composed difference d_n d_m lambda_n. For
+    the single-axis mode sets that random_modes draws it vanishes exactly
+    when m != n (each wave is constant along every other axis), so only
+    D2[n, n] enters, at m == n.
+    """
+    f = np.exp(-1j * lambda_values(grid, modes))
+    G = gradient_table(grid, modes)
+    D2 = second_table(grid, modes)
+    out = np.zeros(grid.dims, dtype=complex)
+    for m in range(4):
+        for n in range(4):
+            mixed = D2[n, n] if m == n else 0.0
+            out += g * (
+                -2j * f[m] ** 2 * G[m, n] ** 2
+                + f[m] ** 2 * D2[m, n]
+                + 1j * f[m] * f[n] * G[m, n] * G[n, m]
+                + 1j * f[m] * f[n] * G[n, n] * G[n, m]
+                - f[m] * f[n] * mixed
+            )
+    return out
+
+
 def random_modes(rng, grid, count=3, amp=0.7):
     """Seeded well-conditioned mode set: unit |cycles| on a single axis each.
 

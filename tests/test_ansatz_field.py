@@ -267,6 +267,7 @@ def test_random_mode_sets_against_oracles():
             modes = [ansatz_field.Mode(r.component, r.cycles, r.amplitude, r.phase) for r in recs]
             lam = ansatz_field.LambdaField.from_modes(grid, modes)
             assert lattice.max_abs(np.abs(lam.profile) - 1.0) < 1e-14
+            assert lattice.max_abs(lam.profile - np.exp(-1j * oracles.lambda_values(grid, recs))) <= 1e-15
             assert np.max(np.abs(lam.gradients - oracles.gradient_table(grid, recs))) < 1e-13
             F = ansatz_field.field_strength_ansatz(lam)
             assert F.antisymmetry_defect() == 0.0
@@ -281,6 +282,9 @@ def test_random_mode_sets_against_oracles():
                 sum(lam.profile[m - 1] * F.component(m, n) for m in range(1, 5)) for n in range(1, 5)
             ])
             assert lattice.max_abs(j - contracted) <= 1e-12
+            want = oracles.anomaly_divergence_oracle(grid, recs, g)
+            got = checks.anomaly_divergence_expansion(lam, g)
+            assert lattice.max_abs(got - want) <= 1e-12 * lattice.max_abs(want)
         # the default recipe leaves component 3 empty and obeys the gauge
         # condition; these recipes give every component a wave along its
         # own axis, which the gauge-violating residual terms need

@@ -1,5 +1,7 @@
 """Scenario builders and the cross-route study helpers."""
 
+import tracemalloc
+
 import numpy as np
 
 from su2reduce import ansatz_field, checks, config, lattice, su2_algebra
@@ -49,6 +51,24 @@ def test_divergence_expansion_gap_closes_quadratically():
     # one halving of h, so the gap should drop by about 4 (the coarse end
     # still carries some higher-order contamination, hence the wide window)
     assert 3.0 < gaps[0] / gaps[1] < 5.0
+
+
+def test_divergence_study_peak_memory_is_bounded():
+    # One complex field on the 16^4 rung is 16 * 16**4 bytes. The study's
+    # traced peak measured 21.1424 such fields (22,169,384 bytes) before
+    # the divergence expansion and the current were regrouped, 20.39
+    # after: the phase field's values, profile and gradients hold 14 of
+    # them, the current 4. A stack of the four squares f_mu^2 adds 4 more.
+    field = 16 * 16**4
+    cfg = config.ScenarioConfig(divergence_grids=(12, 16))
+    checks.divergence_accounting_order(cfg)  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        checks.divergence_accounting_order(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 21.1424 * field, peak / field
 
 
 def test_covariance_defect_order_on_coarse_ladder():

@@ -97,6 +97,15 @@ def test_slicing_stencils_equal_rolled_reference(dims, trailing):
             assert np.array_equal(lattice.second_diff(grid, f, mu), roll_second_diff(grid, f, mu))
 
 
+def test_divergence_adds_the_four_partials_in_order():
+    grid = small_grid(8)
+    rng = np.random.default_rng(5)
+    for v in (rng.standard_normal((4,) + grid.dims),
+              rng.standard_normal((4,) + grid.dims) + 1j * rng.standard_normal((4,) + grid.dims)):
+        d = [lattice.partial(grid, v[mu - 1], mu) for mu in (1, 2, 3, 4)]
+        assert np.array_equal(lattice.divergence(grid, v), ((d[0] + d[1]) + d[2]) + d[3])
+
+
 def test_divergence_and_shape_guards():
     grid = small_grid(8)
     rng = np.random.default_rng(3)

@@ -55,24 +55,50 @@ def test_full_residual_is_the_field_strength_contraction():
         assert vanishes(code - contraction), n
 
 
+def current(n):
+    """ansatz_field.anomalous_current, as grouped in the code:
+    g [sum_m f_m^2 G[m, n] - f_n sum_m f_m G[n, m]]."""
+    return g * (sum(f[m] ** 2 * G(m, n) for m in range(4)) - f[n] * sum(f[m] * G(n, m) for m in range(4)))
+
+
+def P(m):
+    """sum_n partial(G[m, n], n + 1)."""
+    return sum(partial_G(m, n, n) for n in range(4))
+
+
+def Q(m):
+    """sum_n G[m, n]^2."""
+    return sum(G(m, n) ** 2 for n in range(4))
+
+
+def S(n):
+    """sum_m f_m (i G[n, m] (G[m, n] + G[n, n]) - partial(G[n, m], n + 1))."""
+    return sum(f[m] * (sp.I * G(n, m) * (G(m, n) + G(n, n)) - partial_G(n, m, n)) for m in range(4))
+
+
+def expansion(S=S):
+    """checks.anomaly_divergence_expansion, as grouped in the code."""
+    return g * (sum(f[m] ** 2 * (P(m) - 2 * sp.I * Q(m)) for m in range(4))
+                + sum(f[n] * S(n) for n in range(4)))
+
+
+def divergence_of_current():
+    return sum(sp.diff(current(n), X[n]) for n in range(4))
+
+
 def test_divergence_expansion_is_the_divergence_of_the_current():
-    # ansatz_field.anomalous_current, which is -i g sum_mu f_mu F_mu_nu
-    j = [g * sum(f[m] * (f[m] * G(m, n) - f[n] * G(n, m)) for m in range(4)) for n in range(4)]
+    # the current is -i g sum_mu f_mu F_mu_nu
     for n in range(4):
-        assert vanishes(j[n] + sp.I * g * sum(f[m] * F(m, n) for m in range(4))), n
-    # checks.anomaly_divergence_expansion, term by term
-    code = sum(
-        g * (
-            -2 * sp.I * f[m] ** 2 * G(m, n) ** 2
-            + f[m] ** 2 * partial_G(m, n, n)
-            + sp.I * f[m] * f[n] * G(m, n) * G(n, m)
-            + sp.I * f[m] * f[n] * G(n, n) * G(n, m)
-            - f[m] * f[n] * partial_G(n, m, n)
-        )
-        for m in range(4)
-        for n in range(4)
-    )
-    assert vanishes(code - sum(sp.diff(j[n], X[n]) for n in range(4)))
+        assert vanishes(current(n) + sp.I * g * sum(f[m] * F(m, n) for m in range(4))), n
+    assert vanishes(expansion() - divergence_of_current())
+
+
+def test_grouped_expansion_catches_a_slip():
+    # G[n, n] read as G[m, m] inside S_n is detected
+    def slipped(n):
+        return sum(f[m] * (sp.I * G(n, m) * (G(m, n) + G(m, m)) - partial_G(n, m, n)) for m in range(4))
+
+    assert not vanishes(expansion(S=slipped) - divergence_of_current())
 
 
 def test_transcription_catches_a_slip():
