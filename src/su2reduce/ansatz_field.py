@@ -140,7 +140,7 @@ class LambdaField:
             for d in range(4):
                 if m.cycles[d]:
                     arg = arg + (2.0 * math.pi * m.cycles[d] / grid.length(d + 1)) * xs[d]
-            vals[m.component - 1] += m.amplitude * np.sin(np.broadcast_to(arg, grid.dims))
+            vals[m.component - 1] += m.amplitude * np.sin(arg)
         return cls(grid, vals)
 
     def scaled(self, eps: float) -> "LambdaField":
@@ -179,8 +179,10 @@ class FieldStrength:
 
     Only the six independent components are stored: values[k] holds
     F_mu_nu for (mu, nu) = PAIRS[k], so values has shape (6, *dims), or
-    (6, *dims, 2, 2) when matrix valued. `component` supplies the mirrored
-    entries by sign and the zero diagonal.
+    (6, *dims, 4) when matrix valued: the real coefficients (s, a1, a2, a3)
+    of i s 1 + a.sigma (see su2_algebra). `component` supplies the mirrored
+    entries by sign and the zero diagonal. `max_abs` is the max-norm over
+    the values, or over the matrix entries when matrix valued.
     """
 
     grid: lattice.Grid4
@@ -195,6 +197,8 @@ class FieldStrength:
         return -self.values[PAIRS.index((nu, mu))]
 
     def max_abs(self) -> float:
+        if self.matrix_valued:
+            return su2_algebra.max_norm(self.values)
         return lattice.max_abs(self.values)
 
     def antisymmetry_defect(self) -> float:
@@ -248,16 +252,15 @@ def field_strength_direct(lam: LambdaField, mode: str = ANALYTIC) -> FieldStreng
 
 
 def field_strength_matrix(grid: lattice.Grid4, A: np.ndarray, g: float) -> FieldStrength:
-    """Matrix-valued field strength with the commutator term kept."""
+    """Matrix-valued field strength d_mu A_nu - d_nu A_mu + i g [A_mu, A_nu]
+    of a potential in su2_algebra coefficients; the commutator moves a only."""
     g = su2_algebra.check_coupling(g)
     A = su2_algebra._check_matrix_field(grid, A, components=True)
-    F = su2_algebra.empty_matrices((6,) + grid.dims)
+    F = su2_algebra.empty_coefficients((6,) + grid.dims)
     for k, (mu, nu) in enumerate(PAIRS):
-        F[k] = (
-            lattice.partial(grid, A[nu - 1], mu)
-            - lattice.partial(grid, A[mu - 1], nu)
-            + 1j * g * su2_algebra.commutator(A[mu - 1], A[nu - 1])
-        )
+        np.subtract(lattice.partial(grid, A[nu - 1], mu), lattice.partial(grid, A[mu - 1], nu),
+                    out=F[k])
+        F[k, ..., 1:] += su2_algebra.commutator(A[mu - 1], A[nu - 1], g)
     return FieldStrength(grid, F, matrix_valued=True)
 
 

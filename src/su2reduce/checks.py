@@ -56,22 +56,24 @@ def smooth_scalar(grid: lattice.Grid4, rng, amp: float, terms: int = 2) -> np.nd
         ph = rng.uniform(0.0, 2.0 * math.pi)
         a = amp * rng.uniform(0.3, 1.0)
         k = sign * 2.0 * math.pi / grid.length(axis + 1)
-        out += a * np.sin(np.broadcast_to(k * xs[axis] + ph, grid.dims))
+        out += a * np.sin(k * xs[axis] + ph)
     return out
 
 
 def smooth_group_field(grid: lattice.Grid4, rng, amp: float) -> np.ndarray:
-    """Seeded smooth SU(2) field from three random scalar angles."""
-    rho = np.stack([smooth_scalar(grid, rng, amp) for _ in range(3)], axis=-1)
+    """Seeded smooth SU(2) field from three random scalar angles, as su2_algebra coefficients."""
+    rho = np.moveaxis(np.stack([smooth_scalar(grid, rng, amp) for _ in range(3)]), 0, -1)
     return su2_algebra.su2_exp(rho)
 
 
 def smooth_matrix_potential(grid: lattice.Grid4, rng, amp: float) -> np.ndarray:
-    """Seeded smooth matrix potential spanning all three internal directions."""
-    A = np.zeros((4,) + grid.dims + (2, 2), dtype=complex)
+    """Seeded smooth potential a.sigma spanning all three internal directions
+    (s = 0), as su2_algebra coefficients shaped (4, *dims, 4)."""
+    A = su2_algebra.empty_coefficients((4,) + grid.dims)
+    A[..., 0] = 0.0
     for mu in range(4):
         for a in (1, 2, 3):
-            A[mu] += smooth_scalar(grid, rng, amp)[..., None, None] * su2_algebra.pauli(a)
+            A[mu, ..., a] = smooth_scalar(grid, rng, amp)
     return A
 
 
@@ -184,8 +186,8 @@ def covariance_order(cfg: config.ScenarioConfig) -> lattice.OrderEstimate:
         Ap = su2_algebra.gauge_transform(grid, A, U, cfg.coupling)
         F = ansatz_field.field_strength_matrix(grid, A, cfg.coupling)
         Fp = ansatz_field.field_strength_matrix(grid, Ap, cfg.coupling)
-        # one component at a time keeps a single conjugated copy alive
-        return max(lattice.max_abs(Fp.values[k] - su2_algebra.conjugate(U, F.values[k]))
+        # one component at a time keeps a single rotated copy alive
+        return max(su2_algebra.max_norm(Fp.values[k] - su2_algebra.rotate(U, F.values[k]))
                    for k in range(6))
     return _refine(cfg, cfg.covariance_grids, gap)
 
@@ -202,10 +204,11 @@ def pure_gauge_order(cfg: config.ScenarioConfig) -> lattice.OrderEstimate:
 def single_axis_pure_gauge(grid: lattice.Grid4, g: float, a: int = 3):
     """Closed-form pure-gauge pair: U with winding 2 along axis 1.
 
-    Returns (U, A, expected_A1_coefficient). The group element must wind
-    an even number of half-turns to be periodic on the axis (odd windings
-    flip sign across the boundary seam), and the stencil turns the
-    continuum coefficient -1 into -sin(h)/h exactly.
+    Returns (U, A, expected_A1_coefficient), U and A as su2_algebra
+    coefficients. The group element must wind an even number of
+    half-turns to be periodic on the axis (odd windings flip sign across
+    the boundary seam), and the stencil turns the continuum coefficient
+    -1 into -sin(h)/h exactly.
     """
     xs = grid.coords()
     rho = np.zeros(grid.dims + (3,))
@@ -337,13 +340,13 @@ def pauli_commutators(run: Run) -> None:
     """[s_a, s_b] against 2i eps_abc s_c for all nine pairs at once."""
     P = su2_algebra.PAULI
     want = 2j * np.einsum("abc,cij->abij", su2_algebra.EPSILON, P)
-    got = su2_algebra.commutator(P[:, None], P[None, :])
+    got = P[:, None] @ P[None, :] - P[None, :] @ P[:, None]
     run.bounded("pauli_commutators", "max_error", lattice.max_abs(got - want))
 
 
 def group_exponential_unitarity(run: Run) -> None:
     rho = np.random.default_rng(run.cfg.seed).uniform(-np.pi, np.pi, size=(64, 3))
-    defect = su2_algebra.unitarity_defect(su2_algebra.su2_exp(rho))
+    defect = su2_algebra.unitarity_defect(su2_algebra.group_matrices(su2_algebra.su2_exp(rho)))
     run.bounded("group_exponential_unitarity", "max_defect", defect, samples=64)
 
 
@@ -378,16 +381,16 @@ def pure_gauge_closed_form(run: Run) -> None:
     g = run.cfg.coupling
     small = lattice.Grid4.cubic(8, run.cfg.box_length, run.cfg.metric)
     _, A, coeff = single_axis_pure_gauge(small, g, run.cfg.pauli_index)
-    dev = lattice.max_abs(A[0] - coeff * su2_algebra.pauli(run.cfg.pauli_index))
-    rest = max(lattice.max_abs(A[i]) for i in (1, 2, 3))
+    dev = su2_algebra.max_norm(A[0] - coeff * np.eye(4)[run.cfg.pauli_index])
+    rest = su2_algebra.max_norm(A[1:])
     fdev = ansatz_field.field_strength_matrix(small, A, g).max_abs()
     tol = LIMITS["pure_gauge_closed_form"]
     run.judge("pure_gauge_closed_form", max(dev, rest, fdev) <= tol,
               coefficient=coeff, max_deviation=dev, other_components=rest,
               field_strength_max=fdev, tolerance=tol)
-    ident_u = np.broadcast_to(su2_algebra.IDENTITY, small.dims + (2, 2)).copy()
+    ident_u = np.broadcast_to([1.0, 0.0, 0.0, 0.0], small.dims + (4,))
     moved = su2_algebra.gauge_transform(small, A, ident_u, g)
-    run.bounded("gauge_transform_identity", "max_deviation", lattice.max_abs(moved - A))
+    run.bounded("gauge_transform_identity", "max_deviation", su2_algebra.max_norm(moved - A))
 
 
 def residual_routes(run: Run) -> None:

@@ -1,8 +1,9 @@
 """Periodic 4D lattice geometry and central-difference operators.
 
 Fields are plain numpy arrays whose first four axes match the grid shape.
-Trailing axes (matrix entries and the like) ride along untouched, so the
-same stencils serve scalar, vector and matrix-valued data. All stencils
+Trailing axes (the four u(2) coefficients of an SU(2) field and the like)
+ride along untouched, so the same stencils serve scalar, vector and
+matrix-valued data. All stencils
 wrap periodically; that makes discrete integration by parts exact and
 keeps every operator translation invariant. They are built by slicing
 into one preallocated result, which keeps the input's memory order: the

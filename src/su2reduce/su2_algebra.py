@@ -1,17 +1,24 @@
-"""Exact 2x2 matrix algebra for SU(2)-valued lattice fields.
+"""SU(2) lattice fields as real u(2) coefficients.
 
-Matrices are complex128 numpy arrays with the matrix axes last, so a
-group-element field has shape (*dims, 2, 2) and a four-component matrix
-potential has shape (4, *dims, 2, 2). Everything here broadcasts over the
-leading axes.
+Every matrix field the checks build is X = i s 1 + a.sigma with real s
+and a (a potential, a field strength, i g [A, B]), and every group field
+is U = q0 1 + i q.sigma with real q0 and q. Both are stored as their four
+real coefficients on a trailing axis, (s, a1, a2, a3) and (q0, q1, q2, q3):
+a matrix potential has shape (4, *dims, 4) and a group field (*dims, 4).
+Fields this module allocates keep each coefficient as one contiguous plane
+(`empty_coefficients`), so one `lattice.partial` call covers a whole field
+and the coefficient slices X[..., i] the products read stay contiguous.
+Any memory order is accepted and gives the same numbers.
 
-Products are unrolled over the four matrix entries (as in Creutz's lattice
-SU(2) codes) instead of going through a batched matmul, which is slow for
-millions of 2x2 blocks. Fields this module allocates store each entry as
-one contiguous plane (`empty_matrices`); elementwise numpy results inherit
-that memory order, so the entry slices X[..., i, j] the products read stay
-contiguous along a whole refinement study. Any memory order is accepted
-and gives the same numbers.
+In these coefficients
+  i g [A, B]          = -2g (a x b).sigma: the identity parts commute;
+  U X U^dagger        keeps s and turns a into
+                      (q0^2 - |q|^2) a + 2 q (q.a) - 2 q0 (q x a);
+  -(i/g) U dU^dagger  with p = dq has s = -(q0 p0 + q.p)/g and
+                      a = (p0 q - q0 p + q x p)/g.
+tests/test_symbolic.py re-derives all three on symbolic 2x2 matrices.
+The matrix max-norm of X is max(|a3 + i s|, |a1 + i a2|) (`max_norm`).
+Only `group_matrices` builds 2x2 matrices, for the checks that read them.
 """
 
 from __future__ import annotations
@@ -47,35 +54,51 @@ def pauli(a: int) -> np.ndarray:
     return PAULI[a - 1]
 
 
-def empty_matrices(shape) -> np.ndarray:
-    """Uninitialised complex (*shape, 2, 2) array, each matrix entry one contiguous plane."""
-    planes = np.empty((2, 2) + tuple(shape), dtype=complex)
-    return np.moveaxis(planes, (0, 1), (-2, -1))
+def empty_coefficients(shape, count: int = 4) -> np.ndarray:
+    """Uninitialised real (*shape, count) array, each coefficient one contiguous plane."""
+    return np.moveaxis(np.empty((count,) + tuple(shape)), 0, -1)
 
 
-def _mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Product over the trailing 2x2 axes, formed entry by entry; leading axes broadcast."""
-    A = np.asarray(A)
-    B = np.asarray(B)
-    out = empty_matrices(np.broadcast_shapes(A.shape, B.shape)[:-2])
-    for i in (0, 1):
-        for k in (0, 1):
-            np.multiply(A[..., i, 0], B[..., 0, k], out=out[..., i, k])
-            out[..., i, k] += A[..., i, 1] * B[..., 1, k]
+def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a x b over the trailing axis of length 3, written into out."""
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[..., j], b[..., k], out=out[..., i])
+        out[..., i] -= a[..., k] * b[..., j]
     return out
 
 
-def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return _mul(A, B) - _mul(B, A)
+def commutator(A: np.ndarray, B: np.ndarray, g: float) -> np.ndarray:
+    """The sigma coefficients of i g [A, B] = -2g (a x b).sigma, shaped (..., 3);
+    the identity parts commute, so its s is zero. Leading axes broadcast."""
+    shape = np.broadcast_shapes(A.shape, B.shape)[:-1]
+    out = _cross(A[..., 1:], B[..., 1:], empty_coefficients(shape, 3))
+    out *= -2.0 * g
+    return out
 
 
-def conjugate(U: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """U X U^dagger over the trailing 2x2 axes; U broadcasts against X."""
-    return _mul(_mul(U, X), dagger(U))
+def rotate(q: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """U X U^dagger for U = q0 + i q.sigma: s is kept and a becomes
+    (q0^2 - |q|^2) a + 2 q (q.a) - 2 q0 (q x a). q broadcasts against X."""
+    q0, qv, a = q[..., 0, None], q[..., 1:], X[..., 1:]
+    out = empty_coefficients(np.broadcast_shapes(q.shape, X.shape)[:-1])
+    out[..., 0] = X[..., 0]
+    v = _cross(qv, a, out[..., 1:])
+    v *= -2.0 * q0
+    v += (q0 * q0 - np.sum(qv * qv, axis=-1, keepdims=True)) * a
+    v += qv * (2.0 * np.sum(qv * a, axis=-1, keepdims=True))
+    return out
 
 
-def dagger(U: np.ndarray) -> np.ndarray:
-    return np.conj(np.swapaxes(U, -1, -2))
+def max_norm(X: np.ndarray) -> float:
+    """Max-norm over the matrix entries of i s 1 + a.sigma: max(|a3 + i s|, |a1 + i a2|)."""
+    return float(max(np.max(np.hypot(X[..., 3], X[..., 0])),
+                     np.max(np.hypot(X[..., 1], X[..., 2]))))
+
+
+def group_matrices(q: np.ndarray) -> np.ndarray:
+    """The 2x2 complex matrices q0 1 + i q.sigma, shaped (..., 2, 2)."""
+    q = np.asarray(q)
+    return q[..., 0, None, None] * IDENTITY + 1j * np.tensordot(q[..., 1:], PAULI, axes=(-1, 0))
 
 
 def check_coupling(g: float) -> float:
@@ -88,9 +111,9 @@ def check_coupling(g: float) -> float:
 def su2_exp(rho: np.ndarray) -> np.ndarray:
     """Group element exp(i rho_a sigma_a / 2) for a real 3-vector field rho.
 
-    Closed form: cos(|rho|/2) 1 + i sin(|rho|/2) (rho_hat . sigma).
-    rho has shape (..., 3); the result has shape (..., 2, 2). The zero
-    vector maps to the identity.
+    Closed form: cos(|rho|/2) 1 + i sin(|rho|/2) (rho_hat . sigma), returned
+    as its coefficients (q0, q) with shape (..., 4) for rho of shape
+    (..., 3). The zero vector maps to the identity (1, 0, 0, 0).
     """
     rho = np.asarray(rho, dtype=float)
     if rho.shape[-1] != 3:
@@ -101,55 +124,56 @@ def su2_exp(rho: np.ndarray) -> np.ndarray:
     axis = np.zeros_like(rho)
     np.divide(rho, norm[..., None], out=axis, where=norm[..., None] > 0)
     half = 0.5 * norm
-    c = np.cos(half)
-    x, y, z = np.moveaxis(np.sin(half)[..., None] * axis, -1, 0)
-    U = empty_matrices(rho.shape[:-1])
-    U[..., 0, 0] = c + 1j * z
-    U[..., 0, 1] = y + 1j * x
-    U[..., 1, 0] = -y + 1j * x
-    U[..., 1, 1] = c - 1j * z
-    return U
+    q = empty_coefficients(rho.shape[:-1])
+    np.cos(half, out=q[..., 0])
+    np.multiply(np.sin(half)[..., None], axis, out=q[..., 1:])
+    return q
 
 
 def unitarity_defect(U: np.ndarray) -> float:
-    """max of the unitarity and unit-determinant residuals, in max-norm."""
+    """max of the unitarity and unit-determinant residuals of 2x2 matrices, in max-norm."""
     U = np.asarray(U)
-    gram = _mul(dagger(U), U) - IDENTITY
+    gram = np.conj(np.swapaxes(U, -1, -2)) @ U - IDENTITY
     det = np.linalg.det(U) - 1.0
     return max(lattice.max_abs(gram), lattice.max_abs(det))
 
 
 def _check_matrix_field(grid: lattice.Grid4, A: np.ndarray, components: bool) -> np.ndarray:
-    A = np.asarray(A, dtype=complex)
-    want = (4,) + grid.dims + (2, 2) if components else grid.dims + (2, 2)
+    A = np.asarray(A, dtype=float)
+    want = (4,) + grid.dims + (4,) if components else grid.dims + (4,)
     if A.shape != want:
         raise lattice.GridMismatchError(f"expected shape {want}, got {A.shape}")
     return A
 
 
-def gauge_transform(grid: lattice.Grid4, A: np.ndarray, U: np.ndarray, g: float) -> np.ndarray:
+def gauge_transform(grid: lattice.Grid4, A: np.ndarray, q: np.ndarray, g: float) -> np.ndarray:
     """U A_mu U^-1 - (i/g) U d_mu U^-1 with U^-1 realized as the adjoint.
 
-    A is a matrix potential shaped (4, *dims, 2, 2), U a group-element field
-    shaped (*dims, 2, 2). Derivatives are central stencils on the matrix
-    entries, so the transform of a constant U is exact conjugation.
+    A is a potential shaped (4, *dims, 4), q the group field of U shaped
+    (*dims, 4). Derivatives are central stencils on the coefficients, so
+    the transform of a constant U is exact rotation.
     """
     g = check_coupling(g)
     A = _check_matrix_field(grid, A, components=True)
-    U = _check_matrix_field(grid, U, components=False)
-    Ud = dagger(U)
-    out = conjugate(U, A)
-    for mu in range(1, 5):
-        out[mu - 1] -= (1j / g) * _mul(U, lattice.partial(grid, Ud, mu))
+    out = rotate(_check_matrix_field(grid, q, components=False), A)
+    out += pure_gauge_field(grid, q, g)
     return out
 
 
-def pure_gauge_field(grid: lattice.Grid4, U: np.ndarray, g: float) -> np.ndarray:
-    """Gauge transform of the zero potential: -(i/g) U d_mu U^-1."""
+def pure_gauge_field(grid: lattice.Grid4, q: np.ndarray, g: float) -> np.ndarray:
+    """Gauge transform of the zero potential: -(i/g) U d_mu U^-1, shaped (4, *dims, 4)."""
     g = check_coupling(g)
-    U = _check_matrix_field(grid, U, components=False)
-    Ud = dagger(U)
-    out = empty_matrices((4,) + grid.dims)
+    q = _check_matrix_field(grid, q, components=False)
+    q0, qv = q[..., 0], q[..., 1:]
+    out = empty_coefficients((4,) + grid.dims)
     for mu in range(1, 5):
-        out[mu - 1] = -(1j / g) * _mul(U, lattice.partial(grid, Ud, mu))
+        p = lattice.partial(grid, q, mu)
+        s, a = out[mu - 1, ..., 0], out[mu - 1, ..., 1:]
+        np.multiply(q0, p[..., 0], out=s)
+        for i in (1, 2, 3):
+            s += q[..., i] * p[..., i]
+        _cross(qv, p[..., 1:], a)
+        a += p[..., 0, None] * qv
+        a -= q0[..., None] * p[..., 1:]
+    out *= np.array([-1.0, 1.0, 1.0, 1.0]) / g  # s = -(q0 p0 + q.p)/g, a = (p0 q - q0 p + q x p)/g
     return out

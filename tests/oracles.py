@@ -5,8 +5,10 @@ assembly code: matrix exponentials come from a plain power series, and
 stencil derivatives of trigonometric modes come from the discrete
 dispersion factors (central differences act on a single wave as exact
 multipliers, sin(kh)/h for the first difference and -(2 - 2 cos kh)/h^2
-for the compact second difference). Tests compare the package against
-these at rounding level.
+for the compact second difference), and the SU(2) algebra is the 2x2
+reference: the package's real u(2) coefficients are read as complex
+matrices and multiplied through np.matmul, with derivatives by np.roll.
+Tests compare the package against these at rounding level.
 """
 
 import math
@@ -169,3 +171,73 @@ def random_modes(rng, grid, count=3, amp=0.7):
             _M(comp, tuple(cyc), amp * float(rng.uniform(0.3, 1.0)), float(rng.uniform(0.0, 2.0 * math.pi)))
         )
     return out
+
+
+# ---------------------------------------------------------------------------
+# the 2x2 reference for su2_algebra's coefficient fields
+
+SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+
+
+def algebra_matrices(X):
+    """i s 1 + a.sigma for coefficients (s, a1, a2, a3) on the trailing axis."""
+    X = np.asarray(X)
+    return 1j * X[..., 0, None, None] * np.eye(2) + np.einsum("...a,aij->...ij", X[..., 1:], SIGMA)
+
+
+def group_matrices(q):
+    """q0 1 + i q.sigma for coefficients (q0, q1, q2, q3) on the trailing axis."""
+    q = np.asarray(q)
+    return q[..., 0, None, None] * np.eye(2) + 1j * np.einsum("...a,aij->...ij", q[..., 1:], SIGMA)
+
+
+def dagger(M):
+    return np.conj(np.swapaxes(M, -1, -2))
+
+
+def roll_diff(grid, M, mu):
+    """Periodic central difference along axis mu - 1 of a field shaped (*dims, ...)."""
+    return (np.roll(M, -1, axis=mu - 1) - np.roll(M, 1, axis=mu - 1)) / (2.0 * grid.h)
+
+
+def conjugate(U, X):
+    """U X U^dagger."""
+    return np.matmul(np.matmul(U, X), dagger(U))
+
+
+def commutator(A, B, g):
+    """i g [A, B]."""
+    return 1j * g * (np.matmul(A, B) - np.matmul(B, A))
+
+
+def pure_gauge(grid, U, g):
+    """-(i/g) U d_mu U^dagger for mu = 1..4, stacked."""
+    Ud = dagger(U)
+    return np.stack([-1j / g * np.matmul(U, roll_diff(grid, Ud, mu)) for mu in range(1, 5)])
+
+
+def gauge_transform(grid, A, U, g):
+    """U A_mu U^dagger - (i/g) U d_mu U^dagger."""
+    return conjugate(U, A) + pure_gauge(grid, U, g)
+
+
+def field_strength(grid, A, g):
+    """d_mu A_nu - d_nu A_mu + i g [A_mu, A_nu] over PAIRS."""
+    return np.stack([
+        roll_diff(grid, A[nu - 1], mu) - roll_diff(grid, A[mu - 1], nu)
+        + commutator(A[mu - 1], A[nu - 1], g)
+        for mu, nu in PAIRS
+    ])
+
+
+def covariance_gap(grid, A, U, g):
+    """max |F[A'] - U F[A] U^dagger| over the matrix entries, A' the transform of A."""
+    F = field_strength(grid, A, g)
+    Fp = field_strength(grid, gauge_transform(grid, A, U, g), g)
+    return float(np.max(np.abs(Fp - conjugate(U, F))))
+
+
+def pure_gauge_gap(grid, U, g):
+    """max |F| over the matrix entries of the pure-gauge potential of U."""
+    return float(np.max(np.abs(field_strength(grid, pure_gauge(grid, U, g), g))))

@@ -160,17 +160,32 @@ def test_field_strength_direct_input_guards():
 def test_matrix_reading_tensors_with_sigma():
     grid = small_grid()
     lam = scenario_field(grid)
+    Fs = ansatz_field.field_strength_direct(lam, mode=ansatz_field.RAW)
     for a in (1, 3):
-        # a shared internal direction keeps the commutator term zero
-        A = lam.profile[..., None, None] * su2_algebra.pauli(a)
+        # a real coefficient cos(lambda) along one shared internal direction
+        # keeps the commutator term zero: F is the raw scalar stencil route
+        A = np.zeros((4,) + grid.dims + (4,))
+        A[..., a] = lam.profile.real
         Fm = ansatz_field.field_strength_matrix(grid, A, 1.0)
-        Fs = ansatz_field.field_strength_direct(lam, mode=ansatz_field.RAW)
-        sig = np.zeros((2, 2), dtype=complex)
-        sig[:] = [[0, 1], [1, 0]] if a == 1 else [[1, 0], [0, -1]]
-        assert Fm.values.shape == (6,) + grid.dims + (2, 2)
-        want = dense(Fs)[..., None, None] * sig
-        assert lattice.max_abs(dense(Fm) - want) < 1e-13
+        assert Fm.values.shape == (6,) + grid.dims + (4,)
+        want = np.zeros(Fs.values.shape + (4,))
+        want[..., a] = Fs.values.real
+        assert lattice.max_abs(Fm.values - want) < 1e-13
         assert Fm.matrix_valued
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_matrix_field_strength_matches_the_oracle(seed):
+    rng = np.random.default_rng(seed)
+    grid = small_grid(5)
+    g = float(rng.uniform(0.2, 3.0))
+    A = rng.standard_normal((4,) + grid.dims + (4,)) * rng.uniform(0.1, 2.0)
+    F = ansatz_field.field_strength_matrix(grid, A, g)
+    want = oracles.field_strength(grid, oracles.algebra_matrices(A), g)
+    got = oracles.algebra_matrices(F.values)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert F.max_abs() == su2_algebra.max_norm(F.values)
+    assert abs(F.max_abs() - np.max(np.abs(want))) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_lagrangian_identity_and_complexity():

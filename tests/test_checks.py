@@ -3,8 +3,11 @@
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from su2reduce import ansatz_field, checks, config, lattice, su2_algebra
+
+import oracles
 
 
 def test_phase_field_scale_is_linear():
@@ -27,17 +30,19 @@ def test_smooth_scalar_is_seeded_and_bounded():
 def test_smooth_group_field_is_unitary():
     grid = lattice.Grid4.cubic(6)
     U = checks.smooth_group_field(grid, np.random.default_rng(3), 0.5)
-    assert U.shape == grid.dims + (2, 2)
-    assert su2_algebra.unitarity_defect(U) < 1e-13
+    assert U.shape == grid.dims + (4,)
+    assert lattice.max_abs(np.sum(U**2, axis=-1) - 1.0) < 1e-15
+    assert su2_algebra.unitarity_defect(su2_algebra.group_matrices(U)) < 1e-13
 
 
 def test_smooth_matrix_potential_is_traceless_hermitian():
     grid = lattice.Grid4.cubic(6)
     A = checks.smooth_matrix_potential(grid, np.random.default_rng(4), 0.5)
-    assert A.shape == (4,) + grid.dims + (2, 2)
-    trace = A[..., 0, 0] + A[..., 1, 1]
-    assert lattice.max_abs(trace) == 0.0
-    assert lattice.max_abs(A - su2_algebra.dagger(A)) == 0.0
+    assert A.shape == (4,) + grid.dims + (4,)
+    assert np.all(A[..., 0] == 0.0)
+    M = oracles.algebra_matrices(A)
+    assert lattice.max_abs(M[..., 0, 0] + M[..., 1, 1]) == 0.0
+    assert lattice.max_abs(M - oracles.dagger(M)) == 0.0
 
 
 def test_divergence_expansion_gap_closes_quadratically():
@@ -53,22 +58,46 @@ def test_divergence_expansion_gap_closes_quadratically():
     assert 3.0 < gaps[0] / gaps[1] < 5.0
 
 
-def test_divergence_study_peak_memory_is_bounded():
-    # One complex field on the 16^4 rung is 16 * 16**4 bytes. The study's
-    # traced peak measured 21.1424 such fields (22,169,384 bytes) before
-    # the divergence expansion and the current were regrouped, 20.39
-    # after: the phase field's values, profile and gradients hold 14 of
-    # them, the current 4. A stack of the four squares f_mu^2 adds 4 more.
-    field = 16 * 16**4
-    cfg = config.ScenarioConfig(divergence_grids=(12, 16))
-    checks.divergence_accounting_order(cfg)  # first-call allocations stay out of the peak
+# one complex field on the 16^4 rung
+FIELD_16 = 16 * 16**4
+
+
+def traced_peak(study, cfg) -> float:
+    """tracemalloc peak of study(cfg), in complex 16^4 fields; a first call
+    keeps one-off allocations out of the peak."""
+    study(cfg)
     tracemalloc.start()
     try:
-        checks.divergence_accounting_order(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
+        study(cfg)
+        return tracemalloc.get_traced_memory()[1] / FIELD_16
     finally:
         tracemalloc.stop()
-    assert peak <= 21.1424 * field, peak / field
+
+
+def test_divergence_study_peak_memory_is_bounded():
+    # The study's traced peak measured 21.1424 fields (22,169,384 bytes)
+    # before the divergence expansion and the current were regrouped, 20.39
+    # after: the phase field's values, profile and gradients hold 14 of
+    # them, the current 4. A stack of the four squares f_mu^2 adds 4 more.
+    peak = traced_peak(checks.divergence_accounting_order, config.ScenarioConfig(divergence_grids=(12, 16)))
+    assert peak <= 21.1424, peak
+
+
+def test_covariance_study_peak_memory_is_bounded():
+    # The bound is the peak with the fields stored as 2x2 complex matrices,
+    # 100.0277 fields (104,886,680 bytes). As real u(2) coefficients it
+    # reads 46.52: a potential is 8 fields instead of 16, the group field
+    # 2 instead of 4.
+    peak = traced_peak(checks.covariance_order, config.ScenarioConfig(covariance_grids=(12, 16)))
+    assert peak <= 100.0278, peak
+
+
+def test_pure_gauge_study_peak_memory_is_bounded():
+    # The bound is the peak with the fields stored as 2x2 complex matrices,
+    # 60.0160 fields (62,931,296 bytes); as real u(2) coefficients it
+    # reads 26.20.
+    peak = traced_peak(checks.pure_gauge_order, config.ScenarioConfig(pure_gauge_grids=(12, 16)))
+    assert peak <= 60.0160, peak
 
 
 def test_covariance_defect_order_on_coarse_ladder():
@@ -89,3 +118,22 @@ def test_residual_contraction_route_zero_field():
     grid = lattice.Grid4.cubic(4)
     lam = ansatz_field.LambdaField.zero(grid)
     assert lattice.max_abs(checks.residual_contraction_route(lam, 1.0)) == 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 6, 17])
+def test_matrix_ladders_match_the_oracle_route(seed):
+    # the same seeded fields, then the whole study on 2x2 matrices
+    cfg = config.ScenarioConfig(seed=seed, covariance_grids=(8, 12), pure_gauge_grids=(8, 12))
+    g = cfg.coupling
+    cov, pure = [], []
+    for n in (8, 12):
+        grid = lattice.Grid4.cubic(n, cfg.box_length, cfg.metric)
+        rng = np.random.default_rng(seed)
+        A = oracles.algebra_matrices(checks.smooth_matrix_potential(grid, rng, cfg.smooth_amp))
+        U = oracles.group_matrices(checks.smooth_group_field(grid, rng, cfg.smooth_amp))
+        cov.append(oracles.covariance_gap(grid, A, U, g))
+        U = checks.smooth_group_field(grid, np.random.default_rng(seed + 1), cfg.smooth_amp)
+        pure.append(oracles.pure_gauge_gap(grid, oracles.group_matrices(U), g))
+    for est, want in ((checks.covariance_order(cfg), cov), (checks.pure_gauge_order(cfg), pure)):
+        assert np.allclose(est.errors, want, rtol=1e-12, atol=0.0), (est.errors, want)
+        assert abs(est.order - lattice.fit_order(est.spacings, want)) <= 1e-12 * abs(est.order)

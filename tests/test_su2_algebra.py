@@ -1,4 +1,8 @@
-"""Matrix algebra tests: commutators, the group exponential, transforms."""
+"""Coefficient algebra tests: commutators, the group exponential, transforms.
+
+Fields are su2_algebra coefficients; every routine is read back as 2x2
+matrices and compared with the matmul reference in oracles.py.
+"""
 
 import math
 
@@ -11,13 +15,12 @@ import oracles
 
 
 def test_pauli_commutation_relations():
+    # i g [sigma_a, sigma_b] = -2g eps_abc sigma_c
+    basis = np.eye(4)
     for a in (1, 2, 3):
         for b in (1, 2, 3):
-            got = su2_algebra.commutator(su2_algebra.pauli(a), su2_algebra.pauli(b))
-            want = np.zeros((2, 2), dtype=complex)
-            for c in (1, 2, 3):
-                want += 2j * su2_algebra.EPSILON[a - 1, b - 1, c - 1] * su2_algebra.pauli(c)
-            assert np.max(np.abs(got - want)) <= 1e-15
+            got = su2_algebra.commutator(basis[a], basis[b], 0.5)
+            assert np.array_equal(got, -su2_algebra.EPSILON[a - 1, b - 1])
 
 
 def test_pauli_index_validation():
@@ -29,7 +32,7 @@ def test_pauli_index_validation():
 def test_exponential_matches_power_series():
     rng = np.random.default_rng(101)
     rho = rng.uniform(-math.pi, math.pi, size=(32, 3))
-    got = su2_algebra.su2_exp(rho)
+    got = su2_algebra.group_matrices(su2_algebra.su2_exp(rho))
     arg = 0.5j * np.tensordot(rho, su2_algebra.PAULI, axes=([-1], [0]))
     want = oracles.series_exp(arg)
     assert np.max(np.abs(got - want)) < 1e-13
@@ -37,12 +40,13 @@ def test_exponential_matches_power_series():
 
 def test_exponential_zero_is_identity():
     got = su2_algebra.su2_exp(np.zeros(3))
-    assert np.array_equal(got, su2_algebra.IDENTITY)
+    assert np.array_equal(got, [1.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(su2_algebra.group_matrices(got), su2_algebra.IDENTITY)
 
 
 def test_exponential_unitarity_and_determinant():
     rng = np.random.default_rng(7)
-    U = su2_algebra.su2_exp(rng.uniform(-4.0, 4.0, size=(200, 3)))
+    U = su2_algebra.group_matrices(su2_algebra.su2_exp(rng.uniform(-4.0, 4.0, size=(200, 3))))
     assert su2_algebra.unitarity_defect(U) < 1e-13
     assert np.max(np.abs(np.linalg.det(U) - 1.0)) < 1e-13
 
@@ -61,36 +65,45 @@ def test_coupling_validation():
             su2_algebra.check_coupling(bad)
 
 
+def random_coefficients(rng, shape):
+    return rng.standard_normal(shape + (4,))
+
+
+def random_group(rng, shape, spread=4.0):
+    return su2_algebra.su2_exp(rng.uniform(-spread, spread, size=shape + (3,)))
+
+
+def relative_gap(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
 def test_gauge_transform_constant_u_is_exact_conjugation():
     # the derivative term of a constant group element is exactly zero on
     # the periodic lattice, so the transform reduces to conjugation
     grid = lattice.Grid4.cubic(6)
     rng = np.random.default_rng(19)
-    A = np.zeros((4,) + grid.dims + (2, 2), dtype=complex)
-    for mu in range(4):
-        for a in (1, 2, 3):
-            A[mu] += rng.standard_normal(grid.dims)[..., None, None] * su2_algebra.pauli(a)
-    U0 = su2_algebra.su2_exp(np.array([0.3, -1.2, 0.7]))
-    U = np.broadcast_to(U0, grid.dims + (2, 2)).copy()
-    got = su2_algebra.gauge_transform(grid, A, U, g=1.3)
-    want = np.einsum("ij,mu...jk,kl->mu...il", U0, A, U0.conj().T)
-    assert lattice.max_abs(got - want) < 1e-14
+    A = random_coefficients(rng, (4,) + grid.dims)
+    q0 = su2_algebra.su2_exp(np.array([0.3, -1.2, 0.7]))
+    q = np.broadcast_to(q0, grid.dims + (4,)).copy()
+    got = su2_algebra.gauge_transform(grid, A, q, g=1.3)
+    want = oracles.conjugate(oracles.group_matrices(q0), oracles.algebra_matrices(A))
+    assert np.max(np.abs(oracles.algebra_matrices(got) - want)) < 1e-14
 
 
 def test_gauge_transform_identity_u_is_noop():
     grid = lattice.Grid4.cubic(5)
     rng = np.random.default_rng(29)
-    A = rng.standard_normal((4,) + grid.dims + (2, 2)) + 0j
-    U = np.broadcast_to(su2_algebra.IDENTITY, grid.dims + (2, 2)).copy()
-    got = su2_algebra.gauge_transform(grid, A, U, g=0.7)
-    assert lattice.max_abs(got - A) == 0.0
+    A = random_coefficients(rng, (4,) + grid.dims)
+    q = np.broadcast_to([1.0, 0.0, 0.0, 0.0], grid.dims + (4,))
+    got = su2_algebra.gauge_transform(grid, A, q, g=0.7)
+    assert su2_algebra.max_norm(got - A) == 0.0
 
 
 def test_pure_gauge_of_constant_u_vanishes():
     grid = lattice.Grid4.cubic(5)
-    U = np.broadcast_to(su2_algebra.su2_exp(np.array([1.0, 0.2, -0.4])), grid.dims + (2, 2)).copy()
-    A = su2_algebra.pure_gauge_field(grid, U, g=1.0)
-    assert lattice.max_abs(A) == 0.0
+    q = np.broadcast_to(su2_algebra.su2_exp(np.array([1.0, 0.2, -0.4])), grid.dims + (4,)).copy()
+    A = su2_algebra.pure_gauge_field(grid, q, g=1.0)
+    assert su2_algebra.max_norm(A) == 0.0
 
 
 def test_single_axis_pure_gauge_closed_form():
@@ -99,11 +112,10 @@ def test_single_axis_pure_gauge_closed_form():
     grid = lattice.Grid4.cubic(8)
     g = 1.25
     U, A, coeff = checks.single_axis_pure_gauge(grid, g)
-    assert su2_algebra.unitarity_defect(U) < 1e-13
-    want = coeff * su2_algebra.pauli(3)
-    assert lattice.max_abs(A[0] - want) < 1e-12
+    assert su2_algebra.unitarity_defect(su2_algebra.group_matrices(U)) < 1e-13
+    assert su2_algebra.max_norm(A[0] - [0.0, 0.0, 0.0, coeff]) < 1e-12
     for mu in (1, 2, 3):
-        assert lattice.max_abs(A[mu]) < 1e-13
+        assert su2_algebra.max_norm(A[mu]) < 1e-13
     F = ansatz_field.field_strength_matrix(grid, A, g)
     assert F.max_abs() < 1e-12
 
@@ -119,59 +131,95 @@ def test_odd_winding_breaks_periodicity():
     U = su2_algebra.su2_exp(rho)
     A = su2_algebra.pure_gauge_field(grid, U, 1.0)
     interior = A[0][2:3]
-    assert lattice.max_abs(A[0] - interior) > 0.1
+    assert su2_algebra.max_norm(A[0] - interior) > 0.1
 
 
 def test_matrix_field_shape_guards():
     grid = lattice.Grid4.cubic(4)
-    good_u = np.broadcast_to(su2_algebra.IDENTITY, grid.dims + (2, 2)).copy()
+    good_u = np.broadcast_to([1.0, 0.0, 0.0, 0.0], grid.dims + (4,))
     with pytest.raises(lattice.GridMismatchError):
-        su2_algebra.pure_gauge_field(grid, good_u[..., :1, :], 1.0)
+        su2_algebra.pure_gauge_field(grid, good_u[..., :3], 1.0)
     with pytest.raises(lattice.GridMismatchError):
-        su2_algebra.gauge_transform(grid, np.zeros((3,) + grid.dims + (2, 2)), good_u, 1.0)
+        su2_algebra.gauge_transform(grid, np.zeros((3,) + grid.dims + (4,)), good_u, 1.0)
+    with pytest.raises(lattice.GridMismatchError):
+        # the 2x2 layout is not a coefficient field
+        su2_algebra.gauge_transform(grid, np.zeros((4,) + grid.dims + (2, 2)), good_u, 1.0)
 
 
-def random_matrices(rng, shape):
-    return rng.standard_normal(shape + (2, 2)) + 1j * rng.standard_normal(shape + (2, 2))
-
-
-def test_unrolled_product_matches_matmul():
-    rng = np.random.default_rng(41)
+@pytest.mark.parametrize("seed", [41, 42, 43])
+def test_commutator_matches_the_oracle(seed):
+    rng = np.random.default_rng(seed)
     dims = (3, 4, 5, 2)
+    g = float(rng.uniform(0.2, 3.0))
     cases = [
-        (random_matrices(rng, dims), random_matrices(rng, dims)),
-        # a group field against a six-component tensor, both ways round
-        (random_matrices(rng, dims), random_matrices(rng, (6,) + dims)),
-        (random_matrices(rng, (6,) + dims), random_matrices(rng, dims)),
-        (random_matrices(rng, ()), random_matrices(rng, (7,))),
+        (random_coefficients(rng, dims), random_coefficients(rng, dims)),
+        # a six-component tensor against one field, both ways round
+        (random_coefficients(rng, (6,) + dims), random_coefficients(rng, dims)),
+        (random_coefficients(rng, dims), random_coefficients(rng, (6,) + dims)),
     ]
     for A, B in cases:
-        got = su2_algebra._mul(A, B)
-        want = np.matmul(A, B)
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-14
-        assert np.max(np.abs(su2_algebra.commutator(A, B) - (want - np.matmul(B, A)))) <= 1e-14
+        got = su2_algebra.commutator(A, B, g)
+        want = oracles.commutator(oracles.algebra_matrices(A), oracles.algebra_matrices(B), g)
+        full = np.concatenate([np.zeros(got.shape[:-1] + (1,)), got], axis=-1)
+        assert relative_gap(oracles.algebra_matrices(full), want) <= 1e-13
 
 
-def test_conjugate_matches_einsum():
-    rng = np.random.default_rng(43)
+@pytest.mark.parametrize("seed", [43, 44, 45])
+def test_rotate_matches_the_oracle(seed):
+    rng = np.random.default_rng(seed)
     dims = (4, 3, 2, 5)
-    U = random_matrices(rng, dims)
-    X = random_matrices(rng, (6,) + dims)
-    want = np.einsum("...ij,m...jk,...lk->m...il", U, X, U.conj())
-    got = su2_algebra.conjugate(U, X)
-    assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) <= 1e-14
-    got1 = su2_algebra.conjugate(U, X[2])
-    assert np.max(np.abs(got1 - want[2])) <= 1e-14
+    q = random_group(rng, dims)
+    X = random_coefficients(rng, (6,) + dims)
+    want = oracles.conjugate(oracles.group_matrices(q), oracles.algebra_matrices(X))
+    assert relative_gap(oracles.algebra_matrices(su2_algebra.rotate(q, X)), want) <= 1e-13
+    got1 = oracles.algebra_matrices(su2_algebra.rotate(q, X[2]))
+    assert relative_gap(got1, want[2]) <= 1e-13
+
+
+def smooth_pair(grid, rng, amp):
+    from su2reduce import checks
+
+    return (checks.smooth_matrix_potential(grid, rng, amp),
+            checks.smooth_group_field(grid, rng, amp))
+
+
+@pytest.mark.parametrize("seed", [0, 6, 17])
+def test_gauge_transform_and_pure_gauge_match_the_oracle(seed):
+    rng = np.random.default_rng(seed)
+    grid = lattice.Grid4.cubic(6)
+    g = float(rng.uniform(0.2, 3.0))
+    A, q = smooth_pair(grid, rng, float(rng.uniform(0.3, 2.0)))
+    A[..., 0] = rng.standard_normal(A.shape[:-1])  # an identity part too
+    U = oracles.group_matrices(q)
+    got = su2_algebra.pure_gauge_field(grid, q, g)
+    want = oracles.pure_gauge(grid, U, g)
+    assert relative_gap(oracles.algebra_matrices(got), want) <= 1e-13
+    got = su2_algebra.gauge_transform(grid, A, q, g)
+    want = oracles.gauge_transform(grid, oracles.algebra_matrices(A), U, g)
+    assert relative_gap(oracles.algebra_matrices(got), want) <= 1e-13
+
+
+@pytest.mark.parametrize("seed", [51, 52])
+def test_max_norm_is_the_largest_matrix_entry(seed):
+    rng = np.random.default_rng(seed)
+    X = random_coefficients(rng, (6, 3, 4, 5, 2)) * rng.uniform(0.1, 10.0)
+    want = np.max(np.abs(oracles.algebra_matrices(X)))
+    assert abs(su2_algebra.max_norm(X) - want) <= 1e-13 * want
+    for k in range(4):
+        # each coefficient alone: the norm is its modulus
+        e = np.zeros(4)
+        e[k] = -2.5
+        assert su2_algebra.max_norm(e) == 2.5
 
 
 def test_entry_planes_layout_gives_identical_products():
     # the memory order of the operands must not change a single bit
     rng = np.random.default_rng(47)
-    A = random_matrices(rng, (5, 6))
-    B = random_matrices(rng, (5, 6))
-    planar = su2_algebra.empty_matrices((5, 6))
+    A = random_coefficients(rng, (5, 6))
+    B = random_coefficients(rng, (5, 6))
+    q = random_group(rng, (5, 6))
+    planar = su2_algebra.empty_coefficients((5, 6))
     planar[...] = A
-    assert planar[..., 1, 0].flags.c_contiguous
-    assert np.array_equal(su2_algebra._mul(planar, B), su2_algebra._mul(A, B))
+    assert planar[..., 1].flags.c_contiguous
+    assert np.array_equal(su2_algebra.commutator(planar, B, 1.5), su2_algebra.commutator(A, B, 1.5))
+    assert np.array_equal(su2_algebra.rotate(q, planar), su2_algebra.rotate(np.ascontiguousarray(q), A))

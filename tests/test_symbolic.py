@@ -7,6 +7,9 @@ lattice mixed partials commute exactly, as these do). sympy then shows
 that the transcription equals the defining expression for arbitrary
 smooth lambda_mu(x1..x4) with f_mu = exp(-i lambda_mu).
 
+The last part derives su2_algebra's coefficient forms of i g [A, B],
+U X U^dagger and -(i/g) U dU^dagger on symbolic 2x2 matrices.
+
 The closed-form divergence (ansatz_field.anomaly_divergence_closed_form)
 is not checked here: it is a recorded erratum, never asserted.
 """
@@ -114,3 +117,82 @@ def test_transcription_catches_a_slip():
     )
     contraction = sum(sp.diff(F(m, n), X[m]) + sp.I * g * f[m] * F(m, n) for m in range(4))
     assert not vanishes(slipped - contraction)
+
+
+# ---------------------------------------------------------------------------
+# su2_algebra's coefficient identities, on symbolic 2x2 matrices
+
+ONE = sp.eye(2)
+SIGMA = [sp.Matrix([[0, 1], [1, 0]]), sp.Matrix([[0, -sp.I], [sp.I, 0]]),
+         sp.Matrix([[1, 0], [0, -1]])]
+
+
+def algebra(s, a):
+    """i s 1 + a.sigma."""
+    return sp.I * s * ONE + sum((a[i] * SIGMA[i] for i in range(3)), sp.zeros(2))
+
+
+def group(q):
+    """q0 1 + i q.sigma for q = (q0, q1, q2, q3)."""
+    return q[0] * ONE + sp.I * sum((q[i + 1] * SIGMA[i] for i in range(3)), sp.zeros(2))
+
+
+def cross(a, b):
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
+
+def dot(a, b):
+    return sum(a[i] * b[i] for i in range(3))
+
+
+def zero_matrix(M) -> bool:
+    return all(sp.expand(e) == 0 for e in M)
+
+
+S_A, S_B = sp.symbols("s t", real=True)
+A_VEC = sp.symbols("a1:4", real=True)
+B_VEC = sp.symbols("b1:4", real=True)
+QUAT = sp.symbols("q0:4", real=True)
+
+
+def rotated(q, a, cross_sign=-1):
+    """su2_algebra.rotate's vector part: (q0^2 - |q|^2) a + 2 q (q.a) - 2 q0 (q x a)."""
+    q0, qv = q[0], q[1:]
+    qxa = cross(qv, a)
+    return [(q0**2 - dot(qv, qv)) * a[i] + 2 * qv[i] * dot(qv, a) + cross_sign * 2 * q0 * qxa[i]
+            for i in range(3)]
+
+
+def test_commutator_coefficients():
+    # i g [A, B] = -2g (a x b).sigma: the identity parts drop out
+    A, B = algebra(S_A, A_VEC), algebra(S_B, B_VEC)
+    want = algebra(0, [-2 * g * c for c in cross(A_VEC, B_VEC)])
+    assert zero_matrix(sp.I * g * (A * B - B * A) - want)
+
+
+def test_rotation_coefficients():
+    # U X U^dagger: s picks up |U|^2 = q0^2 + |q|^2, which is 1 for a group
+    # element, and a rotates
+    U = group(QUAT)
+    want = algebra(S_A * (QUAT[0] ** 2 + dot(QUAT[1:], QUAT[1:])), rotated(QUAT, A_VEC))
+    assert zero_matrix(U * algebra(S_A, A_VEC) * U.H - want)
+
+
+def test_rotation_catches_a_sign_slip():
+    # the q x a term with the wrong sign is detected
+    U = group(QUAT)
+    slipped = algebra(S_A * (QUAT[0] ** 2 + dot(QUAT[1:], QUAT[1:])), rotated(QUAT, A_VEC, cross_sign=+1))
+    assert not zero_matrix(U * algebra(S_A, A_VEC) * U.H - slipped)
+
+
+def test_maurer_cartan_coefficients():
+    # -(i/g) U dU^dagger with p = dq: s = -(q0 p0 + q.p)/g, a = (p0 q - q0 p + q x p)/g,
+    # for any real q(x), unit or not
+    x = X[0]
+    q = [sp.Function(f"q{i}", real=True)(x) for i in range(4)]
+    p = [sp.diff(c, x) for c in q]
+    U = group(q)
+    qxp = cross(q[1:], p[1:])
+    want = algebra(-(q[0] * p[0] + dot(q[1:], p[1:])) / g,
+                   [(p[0] * q[i + 1] - q[0] * p[i + 1] + qxp[i]) / g for i in range(3)])
+    assert zero_matrix(-(sp.I / g) * U * sp.diff(U.H, x) - want)
