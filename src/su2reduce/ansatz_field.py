@@ -11,6 +11,10 @@ A LambdaField computes f and G once, on first use, and keeps them as
 Second derivatives are formed where they are used, one component at a
 time, and are not kept.
 
+Only the ansatz form of F_mu_nu is built whole (`FieldStrength`); the
+routes compared with it return one (mu, nu) component per call, and a
+study drops each component before building the next.
+
 Derivatives of the profile come in two flavours:
 
 * "analytic": d_nu f_mu is evaluated as -i f_mu d_nu lambda_mu, which
@@ -175,19 +179,17 @@ PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 
 @dataclass(frozen=True)
 class FieldStrength:
-    """Antisymmetric tensor F_mu_nu, scalar or matrix valued per point.
+    """The ansatz tensor F_mu_nu, antisymmetric and scalar valued per point.
 
     Only the six independent components are stored: values[k] holds
-    F_mu_nu for (mu, nu) = PAIRS[k], so values has shape (6, *dims), or
-    (6, *dims, 4) when matrix valued: the real coefficients (s, a1, a2, a3)
-    of i s 1 + a.sigma (see su2_algebra). `component` supplies the mirrored
-    entries by sign and the zero diagonal. `max_abs` is the max-norm over
-    the values, or over the matrix entries when matrix valued.
+    F_mu_nu for (mu, nu) = PAIRS[k], so values has shape (6, *dims).
+    `component` supplies the mirrored entries by sign and the zero
+    diagonal. The routes it is compared with (field_strength_direct,
+    field_strength_matrix) return one component per call instead.
     """
 
     grid: lattice.Grid4
     values: np.ndarray
-    matrix_valued: bool = False
 
     def component(self, mu: int, nu: int) -> np.ndarray:
         if mu == nu:
@@ -197,8 +199,6 @@ class FieldStrength:
         return -self.values[PAIRS.index((nu, mu))]
 
     def max_abs(self) -> float:
-        if self.matrix_valued:
-            return su2_algebra.max_norm(self.values)
         return lattice.max_abs(self.values)
 
     def antisymmetry_defect(self) -> float:
@@ -225,43 +225,32 @@ def field_strength_ansatz(lam: LambdaField) -> FieldStrength:
     return FieldStrength(lam.grid, F)
 
 
-def field_strength_direct(lam: LambdaField, mode: str = ANALYTIC) -> FieldStrength:
-    """d_mu f_nu - d_nu f_mu from the profile itself.
+def field_strength_direct(lam: LambdaField, mu: int, nu: int, mode: str = ANALYTIC) -> np.ndarray:
+    """The component d_mu f_nu - d_nu f_mu, from the profile itself.
 
     The components are scalars, so the commutator term vanishes
-    identically; `mode` selects how d f is evaluated. Matrix potentials
-    go through field_strength_matrix.
+    identically; `mode` selects how d f is evaluated, "analytic" as
+    d_mu f_nu = -i f_nu d_mu lambda_nu. Matrix potentials go through
+    field_strength_matrix.
     """
     _check_mode(mode)
-    grid = lam.grid
-    f = lam.profile
+    f, m, n = lam.profile, mu - 1, nu - 1
     if mode == ANALYTIC:
         G = lam.gradients
-
-        def d(mu, nu):  # d_mu f_nu
-            return -1j * f[nu - 1] * G[nu - 1, mu - 1]
-    else:
-
-        def d(mu, nu):
-            return lattice.partial(grid, f[nu - 1], mu)
-
-    F = np.empty((6,) + grid.dims, dtype=complex)
-    for k, (mu, nu) in enumerate(PAIRS):
-        F[k] = d(mu, nu) - d(nu, mu)
-    return FieldStrength(grid, F)
+        return -1j * f[n] * G[n, m] - (-1j * f[m] * G[m, n])
+    return lattice.partial(lam.grid, f[n], mu) - lattice.partial(lam.grid, f[m], nu)
 
 
-def field_strength_matrix(grid: lattice.Grid4, A: np.ndarray, g: float) -> FieldStrength:
-    """Matrix-valued field strength d_mu A_nu - d_nu A_mu + i g [A_mu, A_nu]
-    of a potential in su2_algebra coefficients; the commutator moves a only."""
+def field_strength_matrix(grid: lattice.Grid4, A: np.ndarray, g: float, mu: int,
+                          nu: int) -> np.ndarray:
+    """The component d_mu A_nu - d_nu A_mu + i g [A_mu, A_nu] of a potential in
+    su2_algebra coefficients, shaped (*dims, 4); the commutator moves a only."""
     g = su2_algebra.check_coupling(g)
     A = su2_algebra._check_matrix_field(grid, A, components=True)
-    F = su2_algebra.empty_coefficients((6,) + grid.dims)
-    for k, (mu, nu) in enumerate(PAIRS):
-        np.subtract(lattice.partial(grid, A[nu - 1], mu), lattice.partial(grid, A[mu - 1], nu),
-                    out=F[k])
-        F[k, ..., 1:] += su2_algebra.commutator(A[mu - 1], A[nu - 1], g)
-    return FieldStrength(grid, F, matrix_valued=True)
+    F = np.subtract(lattice.partial(grid, A[nu - 1], mu), lattice.partial(grid, A[mu - 1], nu),
+                    out=su2_algebra.empty_coefficients(grid.dims))
+    F[..., 1:] += su2_algebra.commutator(A[mu - 1], A[nu - 1], g)
+    return F
 
 
 @dataclass(frozen=True)

@@ -80,21 +80,23 @@ def smooth_matrix_potential(grid: lattice.Grid4, rng, amp: float) -> np.ndarray:
 def _refine(cfg: config.ScenarioConfig, ladder, gap) -> lattice.OrderEstimate:
     """Order of gap(grid) over the cubic grids with n points per axis, n in ladder.
 
-    Each rung's fields are gone before the next rung builds its own.
+    Each rung's fields are gone before the next rung builds its own. The
+    order is None when an error is zero or not finite: no log-log fit exists.
     """
     grids = [lattice.Grid4.cubic(n, cfg.box_length, cfg.metric) for n in ladder]
     hs, errs = tuple(grid.h for grid in grids), tuple(gap(grid) for grid in grids)
-    return lattice.OrderEstimate(lattice.fit_order(hs, errs), hs, errs)
+    fits = all(math.isfinite(e) and e > 0 for e in errs)
+    return lattice.OrderEstimate(lattice.fit_order(hs, errs) if fits else None, hs, errs)
 
 
 def raw_field_strength_order(cfg: config.ScenarioConfig) -> lattice.OrderEstimate:
-    """Raw-stencil vs analytic field strength gap under refinement."""
+    """Raw-stencil vs analytic field strength gap under refinement, one
+    (mu, nu) component of each route at a time."""
     def gap(grid):
-        lam = phase_field(cfg, grid)
-        fa = ansatz_field.field_strength_direct(lam, mode=ansatz_field.ANALYTIC)
-        fr = ansatz_field.field_strength_direct(lam, mode=ansatz_field.RAW)
-        # one component at a time: lam keeps its gradients alive meanwhile
-        return max(lattice.max_abs(fa.values[k] - fr.values[k]) for k in range(6))
+        lam, F = phase_field(cfg, grid), ansatz_field.field_strength_direct
+        return max(lattice.max_abs(F(lam, mu, nu, ansatz_field.ANALYTIC)
+                                   - F(lam, mu, nu, ansatz_field.RAW))
+                   for mu, nu in ansatz_field.PAIRS)
     return _refine(cfg, cfg.raw_order_grids, gap)
 
 
@@ -178,26 +180,27 @@ def divergence_accounting_order(cfg: config.ScenarioConfig) -> lattice.OrderEsti
 
 
 def covariance_order(cfg: config.ScenarioConfig) -> lattice.OrderEstimate:
-    """‖F[A'] - U F[A] U^-1‖ under refinement for a seeded smooth pair."""
+    """‖F[A'] - U F[A] U^-1‖ under refinement for a seeded smooth pair, one
+    (mu, nu) component of F[A'] and of F[A] at a time."""
     def gap(grid):
-        rng = np.random.default_rng(cfg.seed)
+        F, g, rng = ansatz_field.field_strength_matrix, cfg.coupling, np.random.default_rng(cfg.seed)
         A = smooth_matrix_potential(grid, rng, cfg.smooth_amp)
         U = smooth_group_field(grid, rng, cfg.smooth_amp)
-        Ap = su2_algebra.gauge_transform(grid, A, U, cfg.coupling)
-        F = ansatz_field.field_strength_matrix(grid, A, cfg.coupling)
-        Fp = ansatz_field.field_strength_matrix(grid, Ap, cfg.coupling)
-        # one component at a time keeps a single rotated copy alive
-        return max(su2_algebra.max_norm(Fp.values[k] - su2_algebra.rotate(U, F.values[k]))
-                   for k in range(6))
+        Ap = su2_algebra.gauge_transform(grid, A, U, g)
+        return max(su2_algebra.max_norm(F(grid, Ap, g, mu, nu)
+                                        - su2_algebra.rotate(U, F(grid, A, g, mu, nu)))
+                   for mu, nu in ansatz_field.PAIRS)
     return _refine(cfg, cfg.covariance_grids, gap)
 
 
 def pure_gauge_order(cfg: config.ScenarioConfig) -> lattice.OrderEstimate:
-    """‖F‖ of a discretized pure-gauge potential under refinement."""
+    """‖F‖ of a discretized pure-gauge potential under refinement, one
+    (mu, nu) component of F at a time."""
     def gap(grid):
-        U = smooth_group_field(grid, np.random.default_rng(cfg.seed + 1), cfg.smooth_amp)
-        A = su2_algebra.pure_gauge_field(grid, U, cfg.coupling)
-        return ansatz_field.field_strength_matrix(grid, A, cfg.coupling).max_abs()
+        g, rng = cfg.coupling, np.random.default_rng(cfg.seed + 1)
+        A = su2_algebra.pure_gauge_field(grid, smooth_group_field(grid, rng, cfg.smooth_amp), g)
+        return max(su2_algebra.max_norm(ansatz_field.field_strength_matrix(grid, A, g, mu, nu))
+                   for mu, nu in ansatz_field.PAIRS)
     return _refine(cfg, cfg.pure_gauge_grids, gap)
 
 
@@ -354,8 +357,8 @@ def field_strength_routes(run: Run) -> None:
     """The ansatz form against the analytic route on the working grid, then
     the order at which the raw-stencil route closes on the analytic one."""
     F = run.field_strength
-    analytic = ansatz_field.field_strength_direct(run.phase, mode=ansatz_field.ANALYTIC)
-    ident = lattice.max_abs(F.values - analytic.values)
+    ident = max(lattice.max_abs(F.values[k] - ansatz_field.field_strength_direct(run.phase, mu, nu))
+                for k, (mu, nu) in enumerate(ansatz_field.PAIRS))
     anti = F.antisymmetry_defect()
     tol = LIMITS["field_strength_identity"]
     run.judge("field_strength_identity", ident <= tol and anti <= tol,
@@ -383,7 +386,8 @@ def pure_gauge_closed_form(run: Run) -> None:
     _, A, coeff = single_axis_pure_gauge(small, g, run.cfg.pauli_index)
     dev = su2_algebra.max_norm(A[0] - coeff * np.eye(4)[run.cfg.pauli_index])
     rest = su2_algebra.max_norm(A[1:])
-    fdev = ansatz_field.field_strength_matrix(small, A, g).max_abs()
+    fdev = max(su2_algebra.max_norm(ansatz_field.field_strength_matrix(small, A, g, mu, nu))
+               for mu, nu in ansatz_field.PAIRS)
     tol = LIMITS["pure_gauge_closed_form"]
     run.judge("pure_gauge_closed_form", max(dev, rest, fdev) <= tol,
               coefficient=coeff, max_deviation=dev, other_components=rest,

@@ -108,7 +108,7 @@ def second_diff(grid: Grid4, f: np.ndarray, mu: int) -> np.ndarray:
     np.subtract(f[:1], o[-1:], out=o[-1:])
     np.add(o[1:], f[:-1], out=o[1:])
     np.add(o[:1], f[-1:], out=o[:1])
-    out /= grid.h**2
+    out /= np.float64(grid.h) ** 2  # libm pow as for a float, but inf on overflow
     return out
 
 
@@ -160,12 +160,13 @@ def max_abs(f: np.ndarray) -> float:
 class OrderEstimate:
     """Result of a grid-refinement study.
 
-    order     least-squares slope of log(max error) against log(h)
+    order     least-squares slope of log(max error) against log(h), or
+              None when an error is zero or not finite
     spacings  the h values visited
     errors    max-norm errors per grid
     """
 
-    order: float
+    order: float | None
     spacings: tuple[float, ...]
     errors: tuple[float, ...]
 

@@ -28,6 +28,13 @@ def dense(F):
     return np.stack([np.stack([F.component(m, n) for n in range(1, 5)]) for m in range(1, 5)])
 
 
+def matrix_stack(grid, A, g):
+    """The six matrix components over PAIRS, stacked here: the library
+    builds one (mu, nu) component per call."""
+    return np.stack([ansatz_field.field_strength_matrix(grid, A, g, mu, nu)
+                     for mu, nu in ansatz_field.PAIRS])
+
+
 def test_mode_validation():
     with pytest.raises(ValueError):
         ansatz_field.Mode(0, (0, 1, 0, 0), 1.0)
@@ -125,23 +132,59 @@ def test_component_is_antisymmetric_with_zero_diagonal():
     grid = small_grid(4)
     lam = scenario_field(grid)
     A = checks.smooth_matrix_potential(grid, np.random.default_rng(5), 0.5)
-    for F in (ansatz_field.field_strength_ansatz(lam), ansatz_field.field_strength_matrix(grid, A, 1.0)):
-        assert F.max_abs() > 0.0
+    F = ansatz_field.field_strength_ansatz(lam)
+    assert F.max_abs() > 0.0
+    for m in range(1, 5):
+        assert np.array_equal(F.component(m, m), np.zeros_like(F.values[0]))
+        for n in range(1, 5):
+            assert np.array_equal(F.component(n, m), -F.component(m, n))
+    for k, (m, n) in enumerate(ansatz_field.PAIRS):
+        assert np.array_equal(F.component(m, n), F.values[k])
+    assert F.antisymmetry_defect() == 0.0
+    # the matrix route, one ordered pair per call
+    Fm = {(m, n): ansatz_field.field_strength_matrix(grid, A, 1.0, m, n)
+          for m in range(1, 5) for n in range(1, 5)}
+    assert su2_algebra.max_norm(matrix_stack(grid, A, 1.0)) > 0.0
+    for m in range(1, 5):
+        assert np.array_equal(Fm[m, m], np.zeros_like(Fm[m, m]))
+        for n in range(1, 5):
+            assert np.array_equal(Fm[n, m], -Fm[m, n])
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_per_pair_field_strengths_are_exactly_antisymmetric(seed):
+    # IEEE subtraction is exactly antisymmetric, x - y == -(y - x), and so is
+    # the unrolled cross product a_j b_k - a_k b_j: swapping (mu, nu) negates
+    # every value exactly and the diagonal is exactly zero, on random fields
+    # and couplings
+    rng = np.random.default_rng(seed)
+    grid = small_grid(5)
+    recs = oracles.random_modes(rng, grid, count=6)
+    lam = ansatz_field.LambdaField.from_modes(
+        grid, [ansatz_field.Mode(r.component, r.cycles, r.amplitude, r.phase) for r in recs])
+    g = float(rng.uniform(0.2, 3.0))
+    A = rng.standard_normal((4,) + grid.dims + (4,)) * rng.uniform(0.1, 2.0)
+    routes = [lambda m, n, mode=mode: ansatz_field.field_strength_direct(lam, m, n, mode)
+              for mode in (ansatz_field.ANALYTIC, ansatz_field.RAW)]
+    routes.append(lambda m, n: ansatz_field.field_strength_matrix(grid, A, g, m, n))
+    for route in routes:
+        largest = 0.0
         for m in range(1, 5):
-            assert np.array_equal(F.component(m, m), np.zeros_like(F.values[0]))
-            for n in range(1, 5):
-                assert np.array_equal(F.component(n, m), -F.component(m, n))
-        for k, (m, n) in enumerate(ansatz_field.PAIRS):
-            assert np.array_equal(F.component(m, n), F.values[k])
-        assert F.antisymmetry_defect() == 0.0
+            assert np.all(route(m, m) == 0.0)
+            for n in range(m + 1, 5):
+                F = route(m, n)
+                largest = max(largest, np.max(np.abs(F)))
+                assert np.array_equal(route(n, m), -F)  # exact equality; +0.0 == -0.0
+        assert largest > 0.0
 
 
 def test_direct_analytic_route_agrees_with_ansatz_form():
     grid = small_grid()
     lam = scenario_field(grid)
     Fa = ansatz_field.field_strength_ansatz(lam)
-    Fd = ansatz_field.field_strength_direct(lam, mode=ansatz_field.ANALYTIC)
-    assert lattice.max_abs(Fa.values - Fd.values) < 1e-13
+    for k, (mu, nu) in enumerate(ansatz_field.PAIRS):
+        Fd = ansatz_field.field_strength_direct(lam, mu, nu, ansatz_field.ANALYTIC)
+        assert lattice.max_abs(Fa.values[k] - Fd) < 1e-13
 
 
 def test_direct_raw_route_converges_at_order_two():
@@ -154,24 +197,24 @@ def test_field_strength_direct_input_guards():
     grid = small_grid(4)
     lam = scenario_field(grid)
     with pytest.raises(ValueError):
-        ansatz_field.field_strength_direct(lam, mode="spectral")
+        ansatz_field.field_strength_direct(lam, 1, 2, mode="spectral")
 
 
 def test_matrix_reading_tensors_with_sigma():
     grid = small_grid()
     lam = scenario_field(grid)
-    Fs = ansatz_field.field_strength_direct(lam, mode=ansatz_field.RAW)
     for a in (1, 3):
         # a real coefficient cos(lambda) along one shared internal direction
         # keeps the commutator term zero: F is the raw scalar stencil route
         A = np.zeros((4,) + grid.dims + (4,))
         A[..., a] = lam.profile.real
-        Fm = ansatz_field.field_strength_matrix(grid, A, 1.0)
-        assert Fm.values.shape == (6,) + grid.dims + (4,)
-        want = np.zeros(Fs.values.shape + (4,))
-        want[..., a] = Fs.values.real
-        assert lattice.max_abs(Fm.values - want) < 1e-13
-        assert Fm.matrix_valued
+        for mu, nu in ansatz_field.PAIRS:
+            Fs = ansatz_field.field_strength_direct(lam, mu, nu, ansatz_field.RAW)
+            Fm = ansatz_field.field_strength_matrix(grid, A, 1.0, mu, nu)
+            assert Fm.shape == grid.dims + (4,)
+            want = np.zeros(Fs.shape + (4,))
+            want[..., a] = Fs.real
+            assert lattice.max_abs(Fm - want) < 1e-13
 
 
 @pytest.mark.parametrize("seed", [5, 6, 7])
@@ -180,12 +223,14 @@ def test_matrix_field_strength_matches_the_oracle(seed):
     grid = small_grid(5)
     g = float(rng.uniform(0.2, 3.0))
     A = rng.standard_normal((4,) + grid.dims + (4,)) * rng.uniform(0.1, 2.0)
-    F = ansatz_field.field_strength_matrix(grid, A, g)
+    F = matrix_stack(grid, A, g)
     want = oracles.field_strength(grid, oracles.algebra_matrices(A), g)
-    got = oracles.algebra_matrices(F.values)
+    got = oracles.algebra_matrices(F)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    assert F.max_abs() == su2_algebra.max_norm(F.values)
-    assert abs(F.max_abs() - np.max(np.abs(want))) <= 1e-13 * np.max(np.abs(want))
+    # the studies' max over pairs is the max-norm of the whole tensor
+    per_pair = max(su2_algebra.max_norm(F[k]) for k in range(6))
+    assert per_pair == su2_algebra.max_norm(F)
+    assert abs(per_pair - np.max(np.abs(want))) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_lagrangian_identity_and_complexity():
@@ -287,8 +332,9 @@ def test_random_mode_sets_against_oracles():
             F = ansatz_field.field_strength_ansatz(lam)
             assert F.antisymmetry_defect() == 0.0
             assert np.max(np.abs(dense(F) - oracles.field_strength_oracle(grid, recs))) < 1e-13
-            Fd = ansatz_field.field_strength_direct(lam, mode=ansatz_field.ANALYTIC)
-            assert lattice.max_abs(F.values - Fd.values) < 1e-13
+            for k, (mu, nu) in enumerate(ansatz_field.PAIRS):
+                Fd = ansatz_field.field_strength_direct(lam, mu, nu, ansatz_field.ANALYTIC)
+                assert lattice.max_abs(F.values[k] - Fd) < 1e-13
             assert ansatz_field.lagrangian_density(lam).identity_defect() <= 1e-10
             full = ansatz_field.field_equation_residual_full(lam, g)
             assert lattice.max_abs(full - checks.residual_contraction_route(lam, g)) <= 1e-10
@@ -319,8 +365,9 @@ def test_profile_and_gradients_are_computed_once_per_field(monkeypatch):
     lam = scenario_field(small_grid(6))
     g = 1.0
     ansatz_field.field_strength_ansatz(lam)
-    ansatz_field.field_strength_direct(lam, mode=ansatz_field.ANALYTIC)
-    ansatz_field.field_strength_direct(lam, mode=ansatz_field.RAW)
+    for mu, nu in ansatz_field.PAIRS:
+        ansatz_field.field_strength_direct(lam, mu, nu, ansatz_field.ANALYTIC)
+        ansatz_field.field_strength_direct(lam, mu, nu, ansatz_field.RAW)
     ansatz_field.lagrangian_density(lam)
     ansatz_field.noether_current(lam)
     ansatz_field.anomalous_current(lam, g)
@@ -332,3 +379,9 @@ def test_profile_and_gradients_are_computed_once_per_field(monkeypatch):
     checks.anomaly_divergence_expansion(lam, g)
     checks.residual_contraction_route(lam, g)
     assert counts == {"build_profile": 1, "phase_gradients": 1}
+    # a study builds its phase field once per rung, however many pairs it compares
+    for study, ladder in ((checks.raw_field_strength_order, "raw_order_grids"),
+                          (checks.divergence_accounting_order, "divergence_grids")):
+        before = dict(counts)
+        study(config.ScenarioConfig(**{ladder: (4, 6, 8)}))
+        assert counts == {k: v + 3 for k, v in before.items()}, (study.__name__, counts)

@@ -1,5 +1,6 @@
 """Scenario builders and the cross-route study helpers."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -87,7 +88,8 @@ def test_covariance_study_peak_memory_is_bounded():
     # The bound is the peak with the fields stored as 2x2 complex matrices,
     # 100.0277 fields (104,886,680 bytes). As real u(2) coefficients it
     # reads 46.52: a potential is 8 fields instead of 16, the group field
-    # 2 instead of 4.
+    # 2 instead of 4. Built one (mu, nu) component at a time, F[A] and
+    # F[A'] are 2 fields each instead of 12: it reads 30.21.
     peak = traced_peak(checks.covariance_order, config.ScenarioConfig(covariance_grids=(12, 16)))
     assert peak <= 100.0278, peak
 
@@ -95,9 +97,30 @@ def test_covariance_study_peak_memory_is_bounded():
 def test_pure_gauge_study_peak_memory_is_bounded():
     # The bound is the peak with the fields stored as 2x2 complex matrices,
     # 60.0160 fields (62,931,296 bytes); as real u(2) coefficients it
-    # reads 26.20.
+    # reads 26.20, and 14.20 with F built one (mu, nu) component at a time.
     peak = traced_peak(checks.pure_gauge_order, config.ScenarioConfig(pure_gauge_grids=(12, 16)))
     assert peak <= 60.0160, peak
+
+
+def test_raw_field_strength_study_peak_memory_is_bounded():
+    # The bound is the peak with both routes built as six-component tensors,
+    # 28.3906 fields (29,769,744 bytes): the phase field's values, profile
+    # and gradients hold 14 of them, the two tensors 12. Built one (mu, nu)
+    # component at a time it reads 17.39.
+    peak = traced_peak(checks.raw_field_strength_order, config.ScenarioConfig(raw_order_grids=(8, 16)))
+    assert peak <= 28.3906, peak
+
+
+def test_refine_gives_no_order_when_an_error_is_not_positive_and_finite():
+    cfg = config.ScenarioConfig()
+    for bad in (0.0, math.inf, math.nan):
+        est = checks._refine(cfg, (4, 6, 8), lambda grid, bad=bad: bad if grid.dims[0] == 8 else 1.0)
+        assert est.order is None
+        assert est.spacings == tuple(lattice.Grid4.cubic(n, cfg.box_length).h for n in (4, 6, 8))
+        assert est.errors[:2] == (1.0, 1.0) and est.errors[2] is bad
+    assert checks._refine(cfg, (4, 8), lambda grid: grid.h**2).order == pytest.approx(2.0)
+    with pytest.raises(ValueError):  # the fit itself stays strict
+        lattice.fit_order((0.5, 0.25), (1.0, 0.0))
 
 
 def test_covariance_defect_order_on_coarse_ladder():

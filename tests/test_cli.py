@@ -1,12 +1,13 @@
 """Command-line driver: exit codes, overrides, artifacts, determinism.
 
-Only the fast subcommands (contract, reduce) are driven here; the full
-verify and anomaly runs belong to the acceptance suite where their cost
-is paid once.
+Only the fast subcommands (contract, reduce) are driven here, plus one
+small verify run on a degenerate box; the default verify and anomaly runs
+belong to the acceptance suite where their cost is paid once.
 """
 
 import csv
 import json
+import warnings
 
 import pytest
 
@@ -186,6 +187,25 @@ def test_wrongly_typed_config_values_exit_two(capsys, tmp_path, text):
     code, _, err = run(["reduce", "--config", str(cfgfile)], capsys)
     assert code == 2
     assert "config error" in err
+
+
+def test_refinement_errors_that_underflow_fail_the_row(capsys, tmp_path):
+    # on a box of 1e308 the pure-gauge potential underflows to zero, so its
+    # refinement errors are exact zeros that no log-log fit accepts; short
+    # ladders and an 8^4 working grid keep the run cheap
+    cfgfile = tmp_path / "huge.json"
+    cfgfile.write_text(json.dumps({"box_length": 1e308, "raw_order_grids": [6, 8],
+                                   "covariance_grids": [6, 8], "pure_gauge_grids": [6, 8, 10]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # overflow in the huge spacings
+        code, out, err = run(["verify", "--json", "--grid", "8", "--config", str(cfgfile)], capsys)
+    assert code == 1
+    assert "Traceback" not in err
+    rows = {c["name"]: c for c in json.loads(out)["checks"]}
+    pure = rows["pure_gauge_order"]
+    assert pure["status"] == "FAIL"
+    assert pure["details"]["order"] is None
+    assert pure["details"]["errors"] == [0.0, 0.0, 0.0]
 
 
 def test_help_exits_cleanly(capsys):

@@ -116,8 +116,8 @@ def test_single_axis_pure_gauge_closed_form():
     assert su2_algebra.max_norm(A[0] - [0.0, 0.0, 0.0, coeff]) < 1e-12
     for mu in (1, 2, 3):
         assert su2_algebra.max_norm(A[mu]) < 1e-13
-    F = ansatz_field.field_strength_matrix(grid, A, g)
-    assert F.max_abs() < 1e-12
+    for mu, nu in ansatz_field.PAIRS:
+        assert su2_algebra.max_norm(ansatz_field.field_strength_matrix(grid, A, g, mu, nu)) < 1e-12
 
 
 def test_odd_winding_breaks_periodicity():
