@@ -8,6 +8,9 @@ with the phase gradients G[m, n] = d_n lambda_m.
 
 A LambdaField computes f and G once, on first use, and keeps them as
 `profile` and `gradients`; every quantity here reads those two arrays.
+The field is stored only along the axes its waves vary (length 1 on the
+others), and so is every array derived from it; broadcasting stands in
+for the repeats.
 Second derivatives are formed where they are used, one component at a
 time, and are not kept.
 
@@ -102,10 +105,12 @@ def gradient_wave_modes(grid: lattice.Grid4, cycles, amplitude: float, phase: fl
 
 @dataclass(frozen=True)
 class LambdaField:
-    """Real four-component phase field on a Grid4, shaped (4, *dims).
+    """Real four-component phase field on a Grid4, shaped (4, *shape).
 
-    profile    f = exp(-i lambda), complex (4, *dims)
-    gradients  G[m-1, n-1] = d_n lambda_m, real (4, 4, *dims)
+    shape      per axis, dims[d] where the field varies and 1 where it
+               does not; numpy broadcasting stands in for the repeats
+    profile    f = exp(-i lambda), complex (4, *shape)
+    gradients  G[m-1, n-1] = d_n lambda_m, real (4, 4, *shape)
 
     Both are computed on first access and kept for the life of the field.
     """
@@ -115,13 +120,16 @@ class LambdaField:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.shape != (4,) + self.grid.dims:
-            raise lattice.GridMismatchError(
-                f"expected shape {(4,) + self.grid.dims}, got {v.shape}"
-            )
+        if v.ndim != 5 or v.shape[0] != 4:
+            raise lattice.GridMismatchError(f"expected shape (4, s1, s2, s3, s4), got {v.shape}")
+        lattice.check_field(self.grid, v[0])
         if not np.all(np.isfinite(v)):
             raise ValueError("phase field must be finite")
         object.__setattr__(self, "values", v)
+
+    @property
+    def shape(self) -> tuple[int, int, int, int]:
+        return self.values.shape[1:]
 
     @cached_property
     def profile(self) -> np.ndarray:
@@ -133,11 +141,14 @@ class LambdaField:
 
     @classmethod
     def zero(cls, grid: lattice.Grid4) -> "LambdaField":
-        return cls(grid, np.zeros((4,) + grid.dims))
+        return cls(grid, np.zeros((4, 1, 1, 1, 1)))
 
     @classmethod
     def from_modes(cls, grid: lattice.Grid4, modes) -> "LambdaField":
-        vals = np.zeros((4,) + grid.dims)
+        """The sum of the modes, kept along the axes where any mode has a nonzero cycle."""
+        modes = list(modes)
+        vals = np.zeros((4,) + tuple(n if any(m.cycles[d] for m in modes) else 1
+                                     for d, n in enumerate(grid.dims)))
         xs = grid.coords()
         for m in modes:
             arg = m.phase
@@ -164,9 +175,9 @@ def build_profile(lam: LambdaField) -> np.ndarray:
 
 
 def phase_gradients(lam: LambdaField) -> np.ndarray:
-    """All first differences G[m-1, n-1] = d_n lambda_m, shaped (4, 4, *dims);
+    """All first differences G[m-1, n-1] = d_n lambda_m, shaped (4, 4, *lam.shape);
     read them as `lam.gradients`."""
-    out = np.empty((4, 4) + lam.grid.dims)
+    out = np.empty((4, 4) + lam.shape)
     for m in range(4):
         for n in range(4):
             out[m, n] = lattice.partial(lam.grid, lam.values[m], n + 1)
@@ -182,7 +193,7 @@ class FieldStrength:
     """The ansatz tensor F_mu_nu, antisymmetric and scalar valued per point.
 
     Only the six independent components are stored: values[k] holds
-    F_mu_nu for (mu, nu) = PAIRS[k], so values has shape (6, *dims).
+    F_mu_nu for (mu, nu) = PAIRS[k], so values has shape (6, *lam.shape).
     `component` supplies the mirrored entries by sign and the zero
     diagonal. The routes it is compared with (field_strength_direct,
     field_strength_matrix) return one component per call instead.
@@ -218,7 +229,7 @@ def field_strength_ansatz(lam: LambdaField) -> FieldStrength:
     the profile itself is taken and no evaluation mode applies.
     """
     f, G = lam.profile, lam.gradients
-    F = np.empty((6,) + lam.grid.dims, dtype=complex)
+    F = np.empty((6,) + lam.shape, dtype=complex)
     for k, (mu, nu) in enumerate(PAIRS):
         m, n = mu - 1, nu - 1
         F[k] = 1j * (f[m] * G[m, n] - f[n] * G[n, m])
@@ -279,7 +290,7 @@ def lagrangian_density(lam: LambdaField) -> LagrangianDensity:
     from_field_strength   -(1/4) sum_{mu,nu} F_mu_nu F_mu_nu
     """
     f, G = lam.profile, lam.gradients
-    vals = np.zeros(lam.grid.dims, dtype=complex)
+    vals = np.zeros(lam.shape, dtype=complex)
     for m in range(4):
         for n in range(4):
             vals += (
@@ -296,7 +307,7 @@ def lagrangian_density(lam: LambdaField) -> LagrangianDensity:
 def noether_current(lam: LambdaField) -> np.ndarray:
     """j_nu = sum_mu f_nu [ (d_mu lam_nu)^2 - d_nu lam_mu d_mu lam_nu ]."""
     f, G = lam.profile, lam.gradients
-    out = np.zeros((4,) + lam.grid.dims, dtype=complex)
+    out = np.zeros((4,) + lam.shape, dtype=complex)
     for n in range(4):
         for m in range(4):
             out[n] += f[n] * (G[n, m] ** 2 - G[m, n] * G[n, m])
@@ -312,8 +323,8 @@ def anomalous_current(lam: LambdaField, g: float) -> np.ndarray:
     """
     g = su2_algebra.check_coupling(g)
     f, G = lam.profile, lam.gradients
-    out = np.zeros((4,) + lam.grid.dims, dtype=complex)
-    buf = np.empty(lam.grid.dims, dtype=complex)
+    out = np.zeros((4,) + lam.shape, dtype=complex)
+    buf = np.empty(lam.shape, dtype=complex)
     for m in range(4):
         np.multiply(f[m], f[m], out=buf)
         for n in range(4):
@@ -339,7 +350,7 @@ def anomaly_divergence_closed_form(lam: LambdaField, g: float) -> np.ndarray:
     """
     g = su2_algebra.check_coupling(g)
     f, G = lam.profile, lam.gradients
-    out = np.zeros(lam.grid.dims, dtype=complex)
+    out = np.zeros(lam.shape, dtype=complex)
     for m in range(4):
         for n in range(4):
             d2 = lattice.partial(lam.grid, G[n, m], m + 1)
@@ -371,7 +382,7 @@ def gauge_condition_check(lam: LambdaField, tol: float = GAUGE_TOL) -> GaugeCond
 def _box_profile_analytic(lam: LambdaField, n: int) -> np.ndarray:
     """Chain-rule wave operator on profile component n (0-based)."""
     f, G = lam.profile, lam.gradients
-    out = np.zeros(lam.grid.dims, dtype=complex)
+    out = np.zeros(lam.shape, dtype=complex)
     for m in range(4):
         d2 = lattice.partial(lam.grid, G[n, m], m + 1)
         out += -f[n] * G[n, m] ** 2 - 1j * f[n] * d2
@@ -398,7 +409,7 @@ def field_equation_residual(lam: LambdaField, g: float, mode: str = ANALYTIC) ->
             stacklevel=2,
         )
     j = anomalous_current(lam, g)
-    out = np.empty((4,) + lam.grid.dims, dtype=complex)
+    out = np.empty((4,) + lam.shape, dtype=complex)
     for n in range(4):
         if mode == ANALYTIC:
             boxf = _box_profile_analytic(lam, n)
@@ -426,7 +437,7 @@ def field_equation_residual_full(lam: LambdaField, g: float) -> np.ndarray:
     g = su2_algebra.check_coupling(g)
     grid = lam.grid
     f, G = lam.profile, lam.gradients
-    out = np.zeros((4,) + grid.dims, dtype=complex)
+    out = np.zeros((4,) + lam.shape, dtype=complex)
     for n in range(4):
         for m in range(4):
             out[n] += (

@@ -81,11 +81,12 @@ def _refine(cfg: config.ScenarioConfig, ladder, gap) -> lattice.OrderEstimate:
     """Order of gap(grid) over the cubic grids with n points per axis, n in ladder.
 
     Each rung's fields are gone before the next rung builds its own. The
-    order is None when an error is zero or not finite: no log-log fit exists.
+    order is None when an error is not finite or below the smallest normal
+    float (zero, or subnormal with its precision lost): no fit exists.
     """
     grids = [lattice.Grid4.cubic(n, cfg.box_length, cfg.metric) for n in ladder]
     hs, errs = tuple(grid.h for grid in grids), tuple(gap(grid) for grid in grids)
-    fits = all(math.isfinite(e) and e > 0 for e in errs)
+    fits = all(np.finfo(float).tiny <= e < math.inf for e in errs)
     return lattice.OrderEstimate(lattice.fit_order(hs, errs) if fits else None, hs, errs)
 
 
@@ -120,8 +121,8 @@ def anomaly_divergence_expansion(lam: ansatz_field.LambdaField, g: float) -> np.
     """
     g = su2_algebra.check_coupling(g)
     grid, f, G = lam.grid, lam.profile, lam.gradients
-    out = np.zeros(grid.dims, dtype=complex)
-    buf = np.empty(grid.dims, dtype=complex)
+    out = np.zeros(lam.shape, dtype=complex)
+    buf = np.empty(lam.shape, dtype=complex)
     for m in range(4):
         P, Q = lattice.partial(grid, G[m, 0], 1), G[m, 0] ** 2
         for n in (1, 2, 3):
@@ -130,7 +131,7 @@ def anomaly_divergence_expansion(lam: ansatz_field.LambdaField, g: float) -> np.
         buf.real, buf.imag = P, -2.0 * Q
         out += f[m] * f[m] * buf
     for n in range(4):
-        S = np.zeros(grid.dims, dtype=complex)
+        S = np.zeros(lam.shape, dtype=complex)
         for m in range(4):
             buf.real = -lattice.partial(grid, G[n, m], n + 1)
             buf.imag = G[n, m] * (G[m, n] + G[n, n])
@@ -152,7 +153,7 @@ def residual_contraction_route(lam: ansatz_field.LambdaField, g: float) -> np.nd
     grid = lam.grid
     f, G = lam.profile, lam.gradients
     F = ansatz_field.field_strength_ansatz(lam)
-    out = np.zeros((4,) + grid.dims, dtype=complex)
+    out = np.zeros((4,) + lam.shape, dtype=complex)
     for n in range(4):
         for m in range(4):
             dF = 1j * (
@@ -389,7 +390,7 @@ def pure_gauge_closed_form(run: Run) -> None:
     fdev = max(su2_algebra.max_norm(ansatz_field.field_strength_matrix(small, A, g, mu, nu))
                for mu, nu in ansatz_field.PAIRS)
     tol = LIMITS["pure_gauge_closed_form"]
-    run.judge("pure_gauge_closed_form", max(dev, rest, fdev) <= tol,
+    run.judge("pure_gauge_closed_form", all(v <= tol for v in (dev, rest, fdev)),
               coefficient=coeff, max_deviation=dev, other_components=rest,
               field_strength_max=fdev, tolerance=tol)
     ident_u = np.broadcast_to([1.0, 0.0, 0.0, 0.0], small.dims + (4,))

@@ -1,6 +1,10 @@
 """Periodic 4D lattice geometry and central-difference operators.
 
-Fields are plain numpy arrays whose first four axes match the grid shape.
+Fields are plain numpy arrays whose first four axes match the grid shape,
+each either dims[d] or 1: a length-1 axis holds a field that does not
+vary along it, and numpy broadcasting supplies the repeats. A stencil
+along such an axis sees the point itself as both periodic neighbours,
+so it gives what the repeated dense field would, inf and nan included.
 Trailing axes (the four u(2) coefficients of an SU(2) field and the like)
 ride along untouched, so the same stencils serve scalar, vector and
 matrix-valued data. All stencils
@@ -76,8 +80,8 @@ def _check_mu(mu: int) -> None:
 
 def check_field(grid: Grid4, f: np.ndarray) -> np.ndarray:
     f = np.asarray(f)
-    if f.shape[:4] != grid.dims:
-        raise GridMismatchError(f"field shape {f.shape} does not start with grid dims {grid.dims}")
+    if f.ndim < 4 or any(s not in (1, n) for s, n in zip(f.shape, grid.dims)):
+        raise GridMismatchError(f"field shape {f.shape} does not fit the grid dims {grid.dims}")
     return f
 
 
@@ -93,9 +97,12 @@ def _stencil_views(grid: Grid4, f: np.ndarray, mu: int):
 def partial(grid: Grid4, f: np.ndarray, mu: int) -> np.ndarray:
     """Central first difference along direction mu: (f(x+h e) - f(x-h e)) / 2h."""
     f, out, o = _stencil_views(grid, f, mu)
-    np.subtract(f[2:], f[:-2], out=o[1:-1])
-    np.subtract(f[1:2], f[-1:], out=o[:1])
-    np.subtract(f[:1], f[-2:-1], out=o[-1:])
+    if len(f) == 1:  # both neighbours are the point itself
+        np.subtract(f, f, out=o)
+    else:
+        np.subtract(f[2:], f[:-2], out=o[1:-1])
+        np.subtract(f[1:2], f[-1:], out=o[:1])
+        np.subtract(f[:1], f[-2:-1], out=o[-1:])
     out /= 2.0 * grid.h
     return out
 
@@ -187,22 +194,21 @@ def fit_order(spacings, errors) -> float:
 
 
 def save_field_csv(path, grid: Grid4, f: np.ndarray) -> None:
+    """One row per grid point. Each stored value is formatted once and its
+    row repeated along the field's length-1 axes."""
     f = check_field(grid, f)
-    if f.shape != grid.dims:
-        raise ValueError("csv layout stores scalar fields only (shape == grid.dims)")
+    if f.ndim != 4:
+        raise ValueError("csv layout stores scalar fields only (four axes)")
     complex_kind = np.iscomplexobj(f)
-    flat = np.ravel(f, order="C")
+    vals = f.astype(complex if complex_kind else float).ravel().tolist()
+    rows = [f"{z.real!r},{z.imag!r}\n" if complex_kind else f"{z!r}\n" for z in vals]
+    rows = np.array(rows, dtype=object).reshape(f.shape)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("# dims=" + ",".join(str(n) for n in grid.dims) + "\n")
         fh.write(f"# h={float(grid.h)!r}\n")
         fh.write(f"# metric={grid.metric}\n")
         fh.write(f"# kind={'complex' if complex_kind else 'real'}\n")
-        if complex_kind:
-            for z in flat:
-                fh.write(f"{float(z.real)!r},{float(z.imag)!r}\n")
-        else:
-            for v in flat:
-                fh.write(f"{float(v)!r}\n")
+        fh.writelines(np.broadcast_to(rows, grid.dims).flat)
 
 
 def load_field_csv(path) -> tuple[Grid4, np.ndarray]:
@@ -229,7 +235,9 @@ def load_field_csv(path) -> tuple[Grid4, np.ndarray]:
 
 
 def save_field_npz(path, grid: Grid4, f: np.ndarray) -> None:
+    """Stores the field repeated to the full grid shape."""
     f = check_field(grid, f)
+    f = np.broadcast_to(f, grid.dims + f.shape[4:])
     np.savez(path, values=f, dims=np.array(grid.dims), h=np.array(grid.h), metric=np.array(grid.metric))
 
 

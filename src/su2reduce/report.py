@@ -1,16 +1,18 @@
 """Check results and the JSON run report.
 
 Reports are deterministic given (config, seed): keys are sorted, floats
-are emitted by repr through the json module, and the only run-dependent
-material is collected under the single top-level "timings" key, so two
-runs of the same scenario produce byte-identical files once that key is
-dropped. That key carries the environment that produced the run and,
-from the CLI, the wall time of each check.
+are emitted by repr through the json module (a non-finite one as null),
+and the only run-dependent material is collected under the single
+top-level "timings" key, so two runs of the same scenario produce
+byte-identical files once that key is dropped. That key carries the
+environment that produced the run and, from the CLI, the wall time of
+each check.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
 import sys
@@ -93,7 +95,7 @@ class RunReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -106,13 +108,16 @@ class RunReport:
 
 
 def _jsonable(v):
-    """Map numpy scalars and containers onto plain python values."""
+    """Map numpy scalars and containers onto plain python values, and
+    non-finite floats onto None."""
+    if isinstance(v, float) and not math.isfinite(v):
+        return None
     if isinstance(v, dict):
         return {k: _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
         return [_jsonable(x) for x in v]
     if isinstance(v, complex):
-        return [v.real, v.imag]
+        return _jsonable([v.real, v.imag])
     if hasattr(v, "item") and callable(v.item) and getattr(v, "ndim", None) == 0:
         return _jsonable(v.item())
     if hasattr(v, "tolist") and callable(v.tolist):

@@ -82,10 +82,98 @@ def test_lambda_field_validation_and_scaling():
     assert np.array_equal(lam.scaled(2.0).values, 2.0 * lam.values)
 
 
+def test_phase_field_is_kept_along_the_axes_its_waves_vary():
+    n = 8
+    grid = small_grid(n)
+    Mode = ansatz_field.Mode
+    assert scenario_field(grid).values.shape == (4, n, n, n, 1)  # the default recipe is static
+    assert ansatz_field.LambdaField.zero(grid).shape == (1, 1, 1, 1)
+    assert ansatz_field.LambdaField.from_modes(grid, []).shape == (1, 1, 1, 1)
+    one_axis = ansatz_field.LambdaField.from_modes(grid, [Mode(3, (0, 0, 2, 0), 0.5)])
+    assert one_axis.values.shape == (4, 1, 1, n, 1)
+    timed = ansatz_field.LambdaField.from_modes(grid, [Mode(1, (0, 1, 0, 1), 0.8)])
+    assert timed.values.shape == (4, 1, n, 1, n)
+    waves = ((0, 1, 0, 1), 0.8, 0.0), *config.DEFAULT_PHASE_WAVES[1:]  # a time cycle on the default
+    assert checks.phase_field(config.ScenarioConfig(phase_waves=waves), grid).shape == grid.dims
+    assert gradient_field(grid).shape == grid.dims
+    with pytest.raises(lattice.GridMismatchError):
+        ansatz_field.LambdaField(grid, np.zeros((4, n, n, n, 2)))
+    with pytest.raises(lattice.GridMismatchError):
+        ansatz_field.LambdaField(grid, np.zeros((4, n, n, n)))
+
+
+def recipe_set(rng, count):
+    """Derandomised recipes of one to three waves, each with up to four
+    nonzero cycles in -2..2, after the empty recipe, a time-only wave and a
+    one-axis wave."""
+    Mode = ansatz_field.Mode
+    recipes = [[], [Mode(2, (0, 0, 0, 1), 0.7, 0.3)], [Mode(1, (0, 2, 0, 0), 0.9)]]
+    for _ in range(count):
+        recipes.append([
+            Mode(int(rng.integers(1, 5)),
+                 tuple(int(c) for c in rng.integers(-2, 3, size=4) * (rng.random(4) < 0.4)),
+                 float(rng.uniform(0.2, 1.0)), float(rng.uniform(0.0, 2.0 * math.pi)))
+            for _ in range(int(rng.integers(1, 4)))
+        ])
+    return recipes
+
+
+def _quiet_residual(lam, g, mode):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # most recipes break the gauge condition
+        return ansatz_field.field_equation_residual(lam, g, mode=mode)
+
+
+# every quantity derived from a phase field, as one array
+DERIVED = {
+    "profile": lambda lam, g: lam.profile,
+    "gradients": lambda lam, g: lam.gradients,
+    "field_strength": lambda lam, g: ansatz_field.field_strength_ansatz(lam).values,
+    "direct_analytic": lambda lam, g: np.stack([
+        ansatz_field.field_strength_direct(lam, mu, nu, ansatz_field.ANALYTIC)
+        for mu, nu in ansatz_field.PAIRS]),
+    "direct_raw": lambda lam, g: np.stack([
+        ansatz_field.field_strength_direct(lam, mu, nu, ansatz_field.RAW)
+        for mu, nu in ansatz_field.PAIRS]),
+    "lagrangian": lambda lam, g: ansatz_field.lagrangian_density(lam).values,
+    "lagrangian_reference": lambda lam, g: ansatz_field.lagrangian_density(lam).from_field_strength,
+    "noether_current": lambda lam, g: ansatz_field.noether_current(lam),
+    "anomalous_current": lambda lam, g: ansatz_field.anomalous_current(lam, g),
+    "residual_analytic": lambda lam, g: _quiet_residual(lam, g, ansatz_field.ANALYTIC),
+    "residual_raw": lambda lam, g: _quiet_residual(lam, g, ansatz_field.RAW),
+    "residual_full": lambda lam, g: ansatz_field.field_equation_residual_full(lam, g),
+    "residual_route": lambda lam, g: checks.residual_contraction_route(lam, g),
+    "expansion": lambda lam, g: checks.anomaly_divergence_expansion(lam, g),
+    "closed_form": lambda lam, g: ansatz_field.anomaly_divergence_closed_form(lam, g),
+    "lattice_divergence": lambda lam, g: lattice.divergence(
+        lam.grid, ansatz_field.anomalous_current(lam, g)),
+    "box_profile": lambda lam, g: np.stack([lattice.box(lam.grid, lam.profile[n]) for n in range(4)]),
+}
+
+
+@pytest.mark.parametrize("metric", [lattice.EUCLIDEAN, lattice.LORENTZIAN])
+def test_compact_field_equals_its_dense_copy(metric):
+    grid = lattice.Grid4((6, 5, 4, 6), 0.9, metric)
+    g = 1.3
+    shapes = set()
+    for modes in recipe_set(np.random.default_rng(40), 20):
+        lam = ansatz_field.LambdaField.from_modes(grid, modes)
+        full = ansatz_field.LambdaField(grid, np.broadcast_to(lam.values, (4,) + grid.dims))
+        shapes.add(lam.shape)
+        for name, quantity in DERIVED.items():
+            want = quantity(full, g)
+            assert np.array_equal(np.broadcast_to(quantity(lam, g), want.shape), want), name
+    # the set holds the zero field, a dense field, a time-only field and
+    # fields that vary along one, two and three axes
+    assert {(1, 1, 1, 1), grid.dims, (1, 1, 1, 6), (1, 5, 1, 1)} <= shapes
+    assert {sum(s != 1 for s in shape) for shape in shapes} == {0, 1, 2, 3, 4}
+
+
 def test_zero_field_gives_exact_zeros():
     grid = small_grid(4)
     lam = ansatz_field.LambdaField.zero(grid)
-    assert np.array_equal(lam.profile, np.ones((4,) + grid.dims, dtype=complex))
+    assert np.array_equal(np.broadcast_to(lam.profile, (4,) + grid.dims),
+                          np.ones((4,) + grid.dims, dtype=complex))
     assert ansatz_field.field_strength_ansatz(lam).max_abs() == 0.0
     assert lattice.max_abs(ansatz_field.noether_current(lam)) == 0.0
     assert lattice.max_abs(ansatz_field.anomalous_current(lam, 1.0)) == 0.0
@@ -122,8 +210,9 @@ def test_field_strength_matches_oracle():
         for comp, (cyc, amp, ph) in zip(cfg.phase_components, cfg.phase_waves)
     ]
     F = ansatz_field.field_strength_ansatz(lam)
-    assert F.values.shape == (6,) + grid.dims
-    assert np.max(np.abs(dense(F) - oracles.field_strength_oracle(grid, recs))) < 1e-13
+    assert F.values.shape == (6,) + lam.shape
+    full = np.broadcast_to(dense(F), (4, 4) + grid.dims)
+    assert np.max(np.abs(full - oracles.field_strength_oracle(grid, recs))) < 1e-13
     assert F.antisymmetry_defect() == 0.0
     assert np.array_equal(F.component(1, 2), F.values[ansatz_field.PAIRS.index((1, 2))])
 

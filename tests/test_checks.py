@@ -80,8 +80,18 @@ def test_divergence_study_peak_memory_is_bounded():
     # before the divergence expansion and the current were regrouped, 20.39
     # after: the phase field's values, profile and gradients hold 14 of
     # them, the current 4. A stack of the four squares f_mu^2 adds 4 more.
+    # With every field kept only along the axes its waves vary (the default
+    # recipe has no time dependence) it reads 1.43.
     peak = traced_peak(checks.divergence_accounting_order, config.ScenarioConfig(divergence_grids=(12, 16)))
     assert peak <= 21.1424, peak
+
+
+def test_divergence_study_keeps_no_time_axis():
+    # A structural bound: the default recipe is static, so dropping the time
+    # axis divides every field by 16 on the 16^4 rung, and the peak by about
+    # that. A field stored densely along time again breaks the bound.
+    peak = traced_peak(checks.divergence_accounting_order, config.ScenarioConfig(divergence_grids=(12, 16)))
+    assert peak <= 21.1424 / 8, peak
 
 
 def test_covariance_study_peak_memory_is_bounded():
@@ -106,14 +116,15 @@ def test_raw_field_strength_study_peak_memory_is_bounded():
     # The bound is the peak with both routes built as six-component tensors,
     # 28.3906 fields (29,769,744 bytes): the phase field's values, profile
     # and gradients hold 14 of them, the two tensors 12. Built one (mu, nu)
-    # component at a time it reads 17.39.
+    # component at a time it reads 17.39, and 1.24 without the time axis
+    # the default recipe does not vary along.
     peak = traced_peak(checks.raw_field_strength_order, config.ScenarioConfig(raw_order_grids=(8, 16)))
     assert peak <= 28.3906, peak
 
 
 def test_refine_gives_no_order_when_an_error_is_not_positive_and_finite():
     cfg = config.ScenarioConfig()
-    for bad in (0.0, math.inf, math.nan):
+    for bad in (0.0, 5e-309, math.inf, math.nan):  # 5e-309 is subnormal
         est = checks._refine(cfg, (4, 6, 8), lambda grid, bad=bad: bad if grid.dims[0] == 8 else 1.0)
         assert est.order is None
         assert est.spacings == tuple(lattice.Grid4.cubic(n, cfg.box_length).h for n in (4, 6, 8))
@@ -121,6 +132,17 @@ def test_refine_gives_no_order_when_an_error_is_not_positive_and_finite():
     assert checks._refine(cfg, (4, 8), lambda grid: grid.h**2).order == pytest.approx(2.0)
     with pytest.raises(ValueError):  # the fit itself stays strict
         lattice.fit_order((0.5, 0.25), (1.0, 0.0))
+
+
+def test_closed_form_row_fails_on_a_nan_in_any_position(monkeypatch):
+    # max(0.0, nan) is 0.0: the row must not judge the largest of its norms
+    norms = iter([0.0, math.nan] + [0.0] * 7)  # dev, rest, six pairs, identity
+    monkeypatch.setattr(su2_algebra, "max_norm", lambda x: next(norms))
+    run = checks.Run("verify", config.ScenarioConfig(grid_n=8))
+    checks.pure_gauge_closed_form(run)
+    closed, ident = run.report.checks
+    assert closed.name == "pure_gauge_closed_form" and closed.status == "FAIL"
+    assert ident.status == "PASS"
 
 
 def test_covariance_defect_order_on_coarse_ladder():

@@ -1,7 +1,7 @@
 """Command-line driver: exit codes, overrides, artifacts, determinism.
 
-Only the fast subcommands (contract, reduce) are driven here, plus one
-small verify run on a degenerate box; the default verify and anomaly runs
+Only the fast subcommands (contract, reduce) are driven here, plus small
+verify runs on a degenerate box; the default verify and anomaly runs
 belong to the acceptance suite where their cost is paid once.
 """
 
@@ -9,6 +9,7 @@ import csv
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 from su2reduce import cli, report
@@ -189,16 +190,21 @@ def test_wrongly_typed_config_values_exit_two(capsys, tmp_path, text):
     assert "config error" in err
 
 
-def test_refinement_errors_that_underflow_fail_the_row(capsys, tmp_path):
-    # on a box of 1e308 the pure-gauge potential underflows to zero, so its
-    # refinement errors are exact zeros that no log-log fit accepts; short
-    # ladders and an 8^4 working grid keep the run cheap
+def verify_on_huge_box(capsys, tmp_path):
+    """verify --json on a box of 1e308; short ladders and an 8^4 working
+    grid keep the run cheap."""
     cfgfile = tmp_path / "huge.json"
     cfgfile.write_text(json.dumps({"box_length": 1e308, "raw_order_grids": [6, 8],
                                    "covariance_grids": [6, 8], "pure_gauge_grids": [6, 8, 10]}))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # overflow in the huge spacings
-        code, out, err = run(["verify", "--json", "--grid", "8", "--config", str(cfgfile)], capsys)
+        return run(["verify", "--json", "--grid", "8", "--config", str(cfgfile)], capsys)
+
+
+def test_refinement_errors_that_underflow_fail_the_row(capsys, tmp_path):
+    # on a box of 1e308 the pure-gauge potential underflows to zero, so its
+    # refinement errors are exact zeros that no log-log fit accepts
+    code, out, err = verify_on_huge_box(capsys, tmp_path)
     assert code == 1
     assert "Traceback" not in err
     rows = {c["name"]: c for c in json.loads(out)["checks"]}
@@ -206,6 +212,31 @@ def test_refinement_errors_that_underflow_fail_the_row(capsys, tmp_path):
     assert pure["status"] == "FAIL"
     assert pure["details"]["order"] is None
     assert pure["details"]["errors"] == [0.0, 0.0, 0.0]
+    # the raw route's errors are subnormal (about 1e-309): they have lost
+    # their precision to underflow, so no order is fitted to them either
+    raw = rows["field_strength_raw_order"]
+    assert raw["status"] == "FAIL"
+    assert raw["details"]["order"] is None
+    assert 0.0 < min(raw["details"]["errors"]) < np.finfo(float).tiny
+
+
+def test_non_finite_values_are_reported_as_null(capsys, tmp_path):
+    # the closed-form pure gauge overflows on the same box and its norms are
+    # nan; the report stays strict JSON and both rows fail
+    code, out, _ = verify_on_huge_box(capsys, tmp_path)
+    assert code == 1
+
+    def refuse(token):
+        raise AssertionError(f"non-standard JSON constant {token}")
+
+    rows = {c["name"]: c for c in json.loads(out, parse_constant=refuse)["checks"]}
+    closed = rows["pure_gauge_closed_form"]["details"]
+    assert rows["pure_gauge_closed_form"]["status"] == "FAIL"
+    assert closed["max_deviation"] is None
+    assert closed["other_components"] is None
+    assert closed["field_strength_max"] is None
+    assert rows["gauge_transform_identity"]["status"] == "FAIL"
+    assert rows["gauge_transform_identity"]["details"]["max_deviation"] is None
 
 
 def test_help_exits_cleanly(capsys):

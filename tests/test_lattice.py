@@ -97,6 +97,44 @@ def test_slicing_stencils_equal_rolled_reference(dims, trailing):
             assert np.array_equal(lattice.second_diff(grid, f, mu), roll_second_diff(grid, f, mu))
 
 
+def bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(5, 1, 7, 1), (1, 4, 1, 6), (1, 1, 1, 1)])
+@pytest.mark.parametrize("trailing", [(), (2,)])
+@pytest.mark.parametrize("metric", [lattice.EUCLIDEAN, lattice.LORENTZIAN])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf, on both sides
+def test_stencils_on_length_one_axes_equal_the_dense_field(shape, trailing, metric):
+    # a length-1 axis stands for a field that repeats along it: every
+    # stencil gives the dense field's result bit for bit, inf and nan too
+    grid = lattice.Grid4((5, 4, 7, 6), 0.37, metric)
+    rng = np.random.default_rng(31)
+    full = grid.dims + trailing
+    for f in (rng.standard_normal(shape + trailing),
+              rng.standard_normal(shape + trailing) + 1j * rng.standard_normal(shape + trailing)):
+        f.flat[0], f.flat[-1] = np.inf, np.nan
+        dense = np.broadcast_to(f, full).copy()
+        for mu in (1, 2, 3, 4):
+            assert bits(np.broadcast_to(lattice.partial(grid, f, mu), full)) == bits(
+                lattice.partial(grid, dense, mu))
+            assert bits(np.broadcast_to(lattice.second_diff(grid, f, mu), full)) == bits(
+                lattice.second_diff(grid, dense, mu))
+        assert bits(np.broadcast_to(lattice.box(grid, f), full)) == bits(lattice.box(grid, dense))
+        v = np.stack([f, 2.0 * f, -f, f + 1.0])
+        assert bits(np.broadcast_to(lattice.divergence(grid, v), full)) == bits(
+            lattice.divergence(grid, np.broadcast_to(v, (4,) + full)))
+
+
+def test_an_axis_neither_full_nor_one_is_refused():
+    grid = lattice.Grid4((5, 4, 7, 6), 0.37)
+    for shape in ((5, 2, 7, 6), (5, 4, 7), (1, 1, 1, 5)):
+        with pytest.raises(lattice.GridMismatchError):
+            lattice.check_field(grid, np.zeros(shape))
+    with pytest.raises(lattice.GridMismatchError):
+        lattice.partial(grid, np.zeros((5, 2, 7, 1)), 1)
+
+
 def test_divergence_adds_the_four_partials_in_order():
     grid = small_grid(8)
     rng = np.random.default_rng(5)
@@ -173,6 +211,28 @@ def test_csv_rejects_component_fields(tmp_path):
     grid = small_grid(4)
     with pytest.raises(ValueError):
         lattice.save_field_csv(tmp_path / "bad.csv", grid, np.zeros(grid.dims + (4,)))
+
+
+def test_compact_fields_are_written_as_their_dense_copies(tmp_path):
+    grid = lattice.Grid4((5, 4, 7, 6), 0.37)
+    rng = np.random.default_rng(41)
+    real = rng.standard_normal((5, 1, 7, 1))
+    for f in (real, real + 1j * rng.standard_normal(real.shape)):
+        dense = np.broadcast_to(f, grid.dims).copy()
+        for name, field in (("compact", f), ("dense", dense)):
+            lattice.save_field_csv(tmp_path / f"{name}.csv", grid, field)
+            lattice.save_field_npz(tmp_path / f"{name}.npz", grid, np.stack([field, 2.0 * field], -1))
+        text = (tmp_path / "compact.csv").read_text()
+        assert text == (tmp_path / "dense.csv").read_text()
+        # one row per point in row-major order, each value by float repr
+        if np.iscomplexobj(f):
+            rows = [f"{float(z.real)!r},{float(z.imag)!r}\n" for z in dense.ravel()]
+        else:
+            rows = [f"{float(v)!r}\n" for v in dense.ravel()]
+        assert text.splitlines(keepends=True)[4:] == rows
+        _, back = lattice.load_field_npz(tmp_path / "compact.npz")
+        assert back.shape == grid.dims + (2,)
+        assert np.array_equal(back, lattice.load_field_npz(tmp_path / "dense.npz")[1])
 
 
 def test_npz_round_trip_with_trailing_axes(tmp_path):

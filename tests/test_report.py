@@ -61,6 +61,17 @@ def test_numpy_and_complex_values_become_plain_json():
     assert det["nested"]["inner"] == [1.0, 2]
 
 
+def test_non_finite_values_become_null():
+    rep = report.RunReport("verify", {})
+    rep.add("payload", report.FAIL, nan=float("nan"), inf=np.float64(np.inf),
+            vector=np.array([1.0, -np.inf]), cplx=complex(np.nan, 2.0))
+    text = rep.to_json()
+    for token in ("NaN", "Infinity"):
+        assert token not in text
+    det = json.loads(text)["checks"][0]["details"]
+    assert det == {"nan": None, "inf": None, "vector": [1.0, None], "cplx": [None, 2.0]}
+
+
 def test_strip_timings_makes_runs_comparable():
     a = report.RunReport("anomaly", {"seed": 1})
     b = report.RunReport("anomaly", {"seed": 1})
