@@ -255,11 +255,12 @@ def field_strength_direct(lam: LambdaField, mu: int, nu: int, mode: str = ANALYT
 def field_strength_matrix(grid: lattice.Grid4, A: np.ndarray, g: float, mu: int,
                           nu: int) -> np.ndarray:
     """The component d_mu A_nu - d_nu A_mu + i g [A_mu, A_nu] of a potential in
-    su2_algebra coefficients, shaped (*dims, 4); the commutator moves a only."""
+    su2_algebra coefficients, shaped (*s, 4) for A shaped (4, *s, 4); the commutator
+    moves a only."""
     g = su2_algebra.check_coupling(g)
     A = su2_algebra._check_matrix_field(grid, A, components=True)
     F = np.subtract(lattice.partial(grid, A[nu - 1], mu), lattice.partial(grid, A[mu - 1], nu),
-                    out=su2_algebra.empty_coefficients(grid.dims))
+                    out=su2_algebra.empty_coefficients(A.shape[1:-1]))
     F[..., 1:] += su2_algebra.commutator(A[mu - 1], A[nu - 1], g)
     return F
 

@@ -46,34 +46,37 @@ def smooth_scalar(grid: lattice.Grid4, rng, amp: float, terms: int = 2) -> np.nd
     """Random low-harmonic scalar: `terms` single-axis unit waves.
 
     Content is kept at |cycles| = 1 per term so products of these fields
-    stay resolvable on the coarse ends of the refinement ladders.
+    stay resolvable on the coarse ends of the refinement ladders. The
+    waves are drawn first; the result is stored only along the axes they
+    use (length 1 on the others, as for a LambdaField).
     """
+    waves = [(int(rng.integers(0, 4)), -1 if rng.random() < 0.5 else 1,
+              rng.uniform(0.0, 2.0 * math.pi), amp * rng.uniform(0.3, 1.0)) for _ in range(terms)]
     xs = grid.coords()
-    out = np.zeros(grid.dims)
-    for _ in range(terms):
-        axis = int(rng.integers(0, 4))
-        sign = -1 if rng.random() < 0.5 else 1
-        ph = rng.uniform(0.0, 2.0 * math.pi)
-        a = amp * rng.uniform(0.3, 1.0)
+    out = np.zeros(tuple(n if any(w[0] == d for w in waves) else 1 for d, n in enumerate(grid.dims)))
+    for axis, sign, ph, a in waves:
         k = sign * 2.0 * math.pi / grid.length(axis + 1)
         out += a * np.sin(k * xs[axis] + ph)
     return out
 
 
 def smooth_group_field(grid: lattice.Grid4, rng, amp: float) -> np.ndarray:
-    """Seeded smooth SU(2) field from three random scalar angles, as su2_algebra coefficients."""
-    rho = np.moveaxis(np.stack([smooth_scalar(grid, rng, amp) for _ in range(3)]), 0, -1)
+    """Seeded smooth SU(2) field from three random scalar angles, as su2_algebra
+    coefficients shaped (*s, 4), kept along the union of the angles' axes."""
+    rho = np.moveaxis(np.stack(np.broadcast_arrays(*[smooth_scalar(grid, rng, amp)
+                                                     for _ in range(3)])), 0, -1)
     return su2_algebra.su2_exp(rho)
 
 
 def smooth_matrix_potential(grid: lattice.Grid4, rng, amp: float) -> np.ndarray:
     """Seeded smooth potential a.sigma spanning all three internal directions
-    (s = 0), as su2_algebra coefficients shaped (4, *dims, 4)."""
-    A = su2_algebra.empty_coefficients((4,) + grid.dims)
+    (s = 0), as su2_algebra coefficients shaped (4, *s, 4), kept along the
+    union of its twelve scalars' axes."""
+    scalars = [smooth_scalar(grid, rng, amp) for _ in range(12)]  # (mu, a) in row-major order
+    A = su2_algebra.empty_coefficients((4,) + np.broadcast_shapes(*(x.shape for x in scalars)))
     A[..., 0] = 0.0
-    for mu in range(4):
-        for a in (1, 2, 3):
-            A[mu, ..., a] = smooth_scalar(grid, rng, amp)
+    for k, x in enumerate(scalars):
+        A[k // 3, ..., k % 3 + 1] = x
     return A
 
 
@@ -90,14 +93,19 @@ def _refine(cfg: config.ScenarioConfig, ladder, gap) -> lattice.OrderEstimate:
     return lattice.OrderEstimate(lattice.fit_order(hs, errs) if fits else None, hs, errs)
 
 
+def max_over_pairs(norm) -> float:
+    """The largest norm(mu, nu) over PAIRS, each component dropped before the
+    next is built; np.max keeps a nan in any position."""
+    return float(np.max([norm(mu, nu) for mu, nu in ansatz_field.PAIRS]))
+
+
 def raw_field_strength_order(cfg: config.ScenarioConfig) -> lattice.OrderEstimate:
     """Raw-stencil vs analytic field strength gap under refinement, one
     (mu, nu) component of each route at a time."""
     def gap(grid):
         lam, F = phase_field(cfg, grid), ansatz_field.field_strength_direct
-        return max(lattice.max_abs(F(lam, mu, nu, ansatz_field.ANALYTIC)
-                                   - F(lam, mu, nu, ansatz_field.RAW))
-                   for mu, nu in ansatz_field.PAIRS)
+        return max_over_pairs(lambda mu, nu: lattice.max_abs(
+            F(lam, mu, nu, ansatz_field.ANALYTIC) - F(lam, mu, nu, ansatz_field.RAW)))
     return _refine(cfg, cfg.raw_order_grids, gap)
 
 
@@ -188,9 +196,8 @@ def covariance_order(cfg: config.ScenarioConfig) -> lattice.OrderEstimate:
         A = smooth_matrix_potential(grid, rng, cfg.smooth_amp)
         U = smooth_group_field(grid, rng, cfg.smooth_amp)
         Ap = su2_algebra.gauge_transform(grid, A, U, g)
-        return max(su2_algebra.max_norm(F(grid, Ap, g, mu, nu)
-                                        - su2_algebra.rotate(U, F(grid, A, g, mu, nu)))
-                   for mu, nu in ansatz_field.PAIRS)
+        return max_over_pairs(lambda mu, nu: su2_algebra.max_norm(
+            F(grid, Ap, g, mu, nu) - su2_algebra.rotate(U, F(grid, A, g, mu, nu))))
     return _refine(cfg, cfg.covariance_grids, gap)
 
 
@@ -200,8 +207,8 @@ def pure_gauge_order(cfg: config.ScenarioConfig) -> lattice.OrderEstimate:
     def gap(grid):
         g, rng = cfg.coupling, np.random.default_rng(cfg.seed + 1)
         A = su2_algebra.pure_gauge_field(grid, smooth_group_field(grid, rng, cfg.smooth_amp), g)
-        return max(su2_algebra.max_norm(ansatz_field.field_strength_matrix(grid, A, g, mu, nu))
-                   for mu, nu in ansatz_field.PAIRS)
+        return max_over_pairs(lambda mu, nu: su2_algebra.max_norm(
+            ansatz_field.field_strength_matrix(grid, A, g, mu, nu)))
     return _refine(cfg, cfg.pure_gauge_grids, gap)
 
 
@@ -209,14 +216,14 @@ def single_axis_pure_gauge(grid: lattice.Grid4, g: float, a: int = 3):
     """Closed-form pure-gauge pair: U with winding 2 along axis 1.
 
     Returns (U, A, expected_A1_coefficient), U and A as su2_algebra
-    coefficients. The group element must wind an even number of
-    half-turns to be periodic on the axis (odd windings flip sign across
-    the boundary seam), and the stencil turns the continuum coefficient
-    -1 into -sin(h)/h exactly.
+    coefficients kept along axis 1 only. The group element must wind an
+    even number of half-turns to be periodic on the axis (odd windings
+    flip sign across the boundary seam), and the stencil turns the
+    continuum coefficient -1 into -sin(h)/h exactly.
     """
     xs = grid.coords()
-    rho = np.zeros(grid.dims + (3,))
-    rho[..., a - 1] = np.broadcast_to(2.0 * xs[0], grid.dims)
+    rho = np.zeros((grid.dims[0], 1, 1, 1, 3))
+    rho[..., a - 1] = 2.0 * xs[0]
     U = su2_algebra.su2_exp(rho)
     A = su2_algebra.pure_gauge_field(grid, U, g)
     coeff = -math.sin(grid.h) / grid.h / g
@@ -358,8 +365,8 @@ def field_strength_routes(run: Run) -> None:
     """The ansatz form against the analytic route on the working grid, then
     the order at which the raw-stencil route closes on the analytic one."""
     F = run.field_strength
-    ident = max(lattice.max_abs(F.values[k] - ansatz_field.field_strength_direct(run.phase, mu, nu))
-                for k, (mu, nu) in enumerate(ansatz_field.PAIRS))
+    ident = max_over_pairs(lambda mu, nu: lattice.max_abs(
+        F.component(mu, nu) - ansatz_field.field_strength_direct(run.phase, mu, nu)))
     anti = F.antisymmetry_defect()
     tol = LIMITS["field_strength_identity"]
     run.judge("field_strength_identity", ident <= tol and anti <= tol,
@@ -387,13 +394,13 @@ def pure_gauge_closed_form(run: Run) -> None:
     _, A, coeff = single_axis_pure_gauge(small, g, run.cfg.pauli_index)
     dev = su2_algebra.max_norm(A[0] - coeff * np.eye(4)[run.cfg.pauli_index])
     rest = su2_algebra.max_norm(A[1:])
-    fdev = max(su2_algebra.max_norm(ansatz_field.field_strength_matrix(small, A, g, mu, nu))
-               for mu, nu in ansatz_field.PAIRS)
+    fdev = max_over_pairs(lambda mu, nu: su2_algebra.max_norm(
+        ansatz_field.field_strength_matrix(small, A, g, mu, nu)))
     tol = LIMITS["pure_gauge_closed_form"]
     run.judge("pure_gauge_closed_form", all(v <= tol for v in (dev, rest, fdev)),
               coefficient=coeff, max_deviation=dev, other_components=rest,
               field_strength_max=fdev, tolerance=tol)
-    ident_u = np.broadcast_to([1.0, 0.0, 0.0, 0.0], small.dims + (4,))
+    ident_u = np.array([1.0, 0.0, 0.0, 0.0]).reshape(1, 1, 1, 1, 4)
     moved = su2_algebra.gauge_transform(small, A, ident_u, g)
     run.bounded("gauge_transform_identity", "max_deviation", su2_algebra.max_norm(moved - A))
 
@@ -416,7 +423,7 @@ def anomalous_current_identity(run: Run) -> None:
     g, f, F = run.cfg.coupling, run.phase.profile, run.field_strength
     j = ansatz_field.anomalous_current(run.phase, g)
     contracted = -1j * g * np.stack([
-        sum(f[m - 1] * F.component(m, n) for m in range(1, 5)) for n in range(1, 5)
+        sum(np.multiply(f[m - 1], F.component(m, n)) for m in range(1, 5)) for n in range(1, 5)
     ])
     run.bounded("anomalous_current_identity", "max_gap", lattice.max_abs(j - contracted))
 

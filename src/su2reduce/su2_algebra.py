@@ -4,7 +4,11 @@ Every matrix field the checks build is X = i s 1 + a.sigma with real s
 and a (a potential, a field strength, i g [A, B]), and every group field
 is U = q0 1 + i q.sigma with real q0 and q. Both are stored as their four
 real coefficients on a trailing axis, (s, a1, a2, a3) and (q0, q1, q2, q3):
-a matrix potential has shape (4, *dims, 4) and a group field (*dims, 4).
+a matrix potential has shape (4, *s, 4) and a group field (*s, 4), where
+s[d] is dims[d] on an axis the field varies along and 1 on every other
+axis (the rule of `lattice.check_field`). Broadcasting stands in for the
+repeats, results are kept along the union of their inputs' axes, and a
+compact field gives what its dense copy gives, bit for bit.
 Fields this module allocates keep each coefficient as one contiguous plane
 (`empty_coefficients`), so one `lattice.partial` call covers a whole field
 and the coefficient slices X[..., i] the products read stay contiguous.
@@ -90,9 +94,10 @@ def rotate(q: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def max_norm(X: np.ndarray) -> float:
-    """Max-norm over the matrix entries of i s 1 + a.sigma: max(|a3 + i s|, |a1 + i a2|)."""
-    return float(max(np.max(np.hypot(X[..., 3], X[..., 0])),
-                     np.max(np.hypot(X[..., 1], X[..., 2]))))
+    """Max-norm over the matrix entries of i s 1 + a.sigma: max(|a3 + i s|, |a1 + i a2|);
+    a nan in any coefficient gives nan."""
+    return float(np.max([np.max(np.hypot(X[..., 3], X[..., 0])),
+                         np.max(np.hypot(X[..., 1], X[..., 2]))]))
 
 
 def group_matrices(q: np.ndarray) -> np.ndarray:
@@ -135,23 +140,26 @@ def unitarity_defect(U: np.ndarray) -> float:
     U = np.asarray(U)
     gram = np.conj(np.swapaxes(U, -1, -2)) @ U - IDENTITY
     det = np.linalg.det(U) - 1.0
-    return max(lattice.max_abs(gram), lattice.max_abs(det))
+    return float(np.max([lattice.max_abs(gram), lattice.max_abs(det)]))
 
 
 def _check_matrix_field(grid: lattice.Grid4, A: np.ndarray, components: bool) -> np.ndarray:
+    """A potential (4, *s, 4) or a group field (*s, 4), each s[d] 1 or dims[d]."""
     A = np.asarray(A, dtype=float)
-    want = (4,) + grid.dims + (4,) if components else grid.dims + (4,)
-    if A.shape != want:
-        raise lattice.GridMismatchError(f"expected shape {want}, got {A.shape}")
+    lead = (4,) if components else ()
+    if A.ndim != len(lead) + 5 or A.shape[:len(lead)] != lead or A.shape[-1] != 4:
+        raise lattice.GridMismatchError(f"expected shape {lead} + (s1, s2, s3, s4, 4), got {A.shape}")
+    lattice.check_field(grid, A[0] if components else A)
     return A
 
 
 def gauge_transform(grid: lattice.Grid4, A: np.ndarray, q: np.ndarray, g: float) -> np.ndarray:
     """U A_mu U^-1 - (i/g) U d_mu U^-1 with U^-1 realized as the adjoint.
 
-    A is a potential shaped (4, *dims, 4), q the group field of U shaped
-    (*dims, 4). Derivatives are central stencils on the coefficients, so
-    the transform of a constant U is exact rotation.
+    A is a potential shaped (4, *s, 4), q the group field of U shaped
+    (*s', 4); the result is kept along the union of their axes. Derivatives
+    are central stencils on the coefficients, so the transform of a
+    constant U is exact rotation.
     """
     g = check_coupling(g)
     A = _check_matrix_field(grid, A, components=True)
@@ -161,11 +169,12 @@ def gauge_transform(grid: lattice.Grid4, A: np.ndarray, q: np.ndarray, g: float)
 
 
 def pure_gauge_field(grid: lattice.Grid4, q: np.ndarray, g: float) -> np.ndarray:
-    """Gauge transform of the zero potential: -(i/g) U d_mu U^-1, shaped (4, *dims, 4)."""
+    """Gauge transform of the zero potential: -(i/g) U d_mu U^-1, shaped (4, *s, 4)
+    for q shaped (*s, 4)."""
     g = check_coupling(g)
     q = _check_matrix_field(grid, q, components=False)
     q0, qv = q[..., 0], q[..., 1:]
-    out = empty_coefficients((4,) + grid.dims)
+    out = empty_coefficients((4,) + q.shape[:-1])
     for mu in range(1, 5):
         p = lattice.partial(grid, q, mu)
         s, a = out[mu - 1, ..., 0], out[mu - 1, ..., 1:]

@@ -223,3 +223,85 @@ def test_entry_planes_layout_gives_identical_products():
     assert planar[..., 1].flags.c_contiguous
     assert np.array_equal(su2_algebra.commutator(planar, B, 1.5), su2_algebra.commutator(A, B, 1.5))
     assert np.array_equal(su2_algebra.rotate(q, planar), su2_algebra.rotate(np.ascontiguousarray(q), A))
+
+
+def compact_pair(rng, grid, a_axes, q_axes):
+    """A random potential and group field kept along the given axes only."""
+    def shape(axes):
+        return tuple(n if d in axes else 1 for d, n in enumerate(grid.dims))
+    A = random_coefficients(rng, (4,) + shape(a_axes))
+    return A, random_group(rng, shape(q_axes))
+
+
+# derandomised (potential axes, group field axes): empty, single, disjoint,
+# overlapping, nested and full subsets
+AXIS_SUBSETS = [((), ()), ((0,), (3,)), ((1, 3), (1, 3)), ((0, 2), (1, 3)),
+                ((0, 1, 2), (2,)), ((3,), (0, 1, 2, 3)), ((0, 1, 2, 3), (1, 2))]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf, on both sides
+@pytest.mark.parametrize("special", [None, math.inf, math.nan])
+@pytest.mark.parametrize("a_axes, q_axes", AXIS_SUBSETS)
+def test_compact_matrix_fields_equal_their_dense_copies(a_axes, q_axes, special):
+    from su2reduce import ansatz_field
+
+    grid = lattice.Grid4((4, 5, 6, 4), 0.3)
+    rng = np.random.default_rng(len(a_axes) * 10 + len(q_axes))
+    A, q = compact_pair(rng, grid, a_axes, q_axes)
+    if special is not None:
+        A[(2,) + (0,) * 4 + (1,)] = special
+        q[(0,) * 4 + (0,)] = special
+    Ad = np.broadcast_to(A, (4,) + grid.dims + (4,)).copy()
+    qd = np.broadcast_to(q, grid.dims + (4,)).copy()
+    g = 1.7
+
+    def same(got, want):
+        assert np.array_equal(np.broadcast_to(got, want.shape), want, equal_nan=True)
+
+    same(su2_algebra.rotate(q, A), su2_algebra.rotate(qd, Ad))
+    same(su2_algebra.commutator(A[0], A[2], g), su2_algebra.commutator(Ad[0], Ad[2], g))
+    same(su2_algebra.gauge_transform(grid, A, q, g), su2_algebra.gauge_transform(grid, Ad, qd, g))
+    same(su2_algebra.pure_gauge_field(grid, q, g), su2_algebra.pure_gauge_field(grid, qd, g))
+    for mu, nu in ansatz_field.PAIRS:
+        F = ansatz_field.field_strength_matrix(grid, A, g, mu, nu)
+        assert F.shape == A.shape[1:]
+        same(F, ansatz_field.field_strength_matrix(grid, Ad, g, mu, nu))
+    assert np.array_equal([su2_algebra.max_norm(A)], [su2_algebra.max_norm(Ad)], equal_nan=True)
+    assert su2_algebra.pure_gauge_field(grid, q, g).shape == (4,) + q.shape
+    assert su2_algebra.gauge_transform(grid, A, q, g).shape == \
+        (4,) + np.broadcast_shapes(A.shape[1:], q.shape)
+
+
+def test_a_matrix_axis_neither_full_nor_one_is_refused():
+    from su2reduce import ansatz_field
+
+    grid = lattice.Grid4.cubic(6)
+    A, q = compact_pair(np.random.default_rng(3), grid, (0, 1), (2, 3))
+    bad_a = np.zeros((4, 6, 3, 1, 1, 4))
+    bad_q = np.zeros((1, 1, 2, 6, 4))
+    with pytest.raises(lattice.GridMismatchError):
+        su2_algebra.gauge_transform(grid, bad_a, q, 1.0)
+    with pytest.raises(lattice.GridMismatchError):
+        su2_algebra.gauge_transform(grid, A, bad_q, 1.0)
+    with pytest.raises(lattice.GridMismatchError):
+        su2_algebra.pure_gauge_field(grid, bad_q, 1.0)
+    with pytest.raises(lattice.GridMismatchError):
+        ansatz_field.field_strength_matrix(grid, bad_a, 1.0, 1, 2)
+    with pytest.raises(lattice.GridMismatchError):  # too few axes for a field
+        su2_algebra.pure_gauge_field(grid, np.zeros((6, 6, 6, 4)), 1.0)
+
+
+@pytest.mark.parametrize("plane", range(4))
+def test_max_norm_keeps_a_nan_in_any_coefficient_plane(plane):
+    for where in ((0, 0, 0, 0), (1, 2, 0, 0)):
+        X = np.zeros((2, 3, 1, 1, 4))
+        X[where + (plane,)] = math.nan
+        assert math.isnan(su2_algebra.max_norm(X))
+    X[where + (plane,)] = -3.0
+    assert su2_algebra.max_norm(X) == 3.0
+
+
+def test_unitarity_defect_keeps_a_nan_in_either_residual(monkeypatch):
+    for norms in ((0.0, math.nan), (math.nan, 0.0)):
+        monkeypatch.setattr(lattice, "max_abs", lambda x, it=iter(norms): next(it))
+        assert math.isnan(su2_algebra.unitarity_defect(su2_algebra.group_matrices(np.eye(4)[0])))
