@@ -28,44 +28,37 @@ from . import su2_algebra
 from .contraction import ContractionMap, evaluate, sample_ball
 
 
+# points sampled from each chart ball
+CHART_SAMPLES = 2048
+
+
 @dataclass(frozen=True)
 class DiameterEstimate:
-    """Sampled diameter of a chart image, plus the certified bounds.
+    """Sampled diameter of a chart image, plus the certified bound.
 
     The image of the ball lies on the ray through the center (every value
     is center times a scalar in (0, 1]), so the diameter over a sample is
     the center norm times the spread of the sampled scale factors.
 
-    sup_bound      |center| / n^2, certified sup of |lam(x) - center|
-    diameter_bound 2 * sup_bound, certified diameter bound
+    sup_bound      |center| / n^2, certified sup of |lam(x) - center|;
+                   twice it bounds the diameter
     """
 
     sampled_diameter: float
-    sampled_deviation: float
     sup_bound: float
-    diameter_bound: float
-    samples: int
-    seed: int
 
 
-def chart_image_diameter(m: ContractionMap, samples: int = 2048, seed: int = 0) -> DiameterEstimate:
+def chart_image_diameter(m: ContractionMap, seed: int = 0) -> DiameterEstimate:
     """Image of the chart ball of radius 1/n around the map's center."""
-    if samples < 2:
-        raise ValueError("need at least two samples")
     rng = np.random.default_rng(seed)
     c = m.center_array
-    pts = sample_ball(c, 1.0 / m.n, samples, rng)
+    pts = sample_ball(c, 1.0 / m.n, CHART_SAMPLES, rng)
     r = np.linalg.norm(pts - c, axis=1)
     factors = np.exp(-r / m.n)
     cn = m.center_norm
-    sup = cn / m.n**2
     return DiameterEstimate(
         sampled_diameter=cn * float(factors.max() - factors.min()),
-        sampled_deviation=cn * float(1.0 - factors.min()),
-        sup_bound=sup,
-        diameter_bound=2.0 * sup,
-        samples=samples,
-        seed=seed,
+        sup_bound=cn / m.n**2,
     )
 
 
@@ -107,8 +100,7 @@ class CollapseReport:
     collapsed: bool
 
 
-def collapse_chart(m: ContractionMap, n_sequence, tol: float = 1e-6, samples: int = 2048,
-                   seed: int = 0) -> CollapseReport:
+def collapse_chart(m: ContractionMap, n_sequence, tol: float = 1e-6, seed: int = 0) -> CollapseReport:
     """Re-scale the map's chart along `n_sequence` and record the image shrink."""
     ns = [int(n) for n in n_sequence]
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])) or ns[0] < 1:
@@ -117,7 +109,7 @@ def collapse_chart(m: ContractionMap, n_sequence, tol: float = 1e-6, samples: in
         raise ValueError("tolerance must be positive and finite")
     rows = []
     for n in ns:
-        est = chart_image_diameter(ContractionMap(m.center, n), samples=samples, seed=seed)
+        est = chart_image_diameter(ContractionMap(m.center, n), seed=seed)
         rows.append(CollapseRow(n, est.sampled_diameter, est.sup_bound, est.sup_bound < tol))
     return CollapseReport(
         center=m.center,
@@ -228,16 +220,16 @@ class StageResult:
 
 @dataclass(frozen=True)
 class ReductionReport:
+    """The stages run, in order (the last one's status is the pipeline's), the
+    operator when one was emitted, and one collapse record per center."""
+
     stages: tuple[StageResult, ...]
     operator: ReducedOperator | None
     collapse: tuple[CollapseReport, ...]
-    consistency: ConsistencyReport | None
-    errata: tuple[dict, ...]
-    status: str
 
 
 def reduction_pipeline(centers, n_schedule, g: float, a: int = 3, collapse_tol: float = 1e-6,
-                       samples: int = 2048, seed: int = 0) -> ReductionReport:
+                       seed: int = 0) -> ReductionReport:
     """Run collapse, sections, consistency, connection and operator emission.
 
     `centers` is one 4-vector or a sequence of them; the happy path has a
@@ -254,7 +246,7 @@ def reduction_pipeline(centers, n_schedule, g: float, a: int = 3, collapse_tol: 
     stages: list[StageResult] = []
 
     reports = tuple(
-        collapse_chart(m, n_schedule, tol=collapse_tol, samples=samples, seed=seed) for m in maps
+        collapse_chart(m, n_schedule, tol=collapse_tol, seed=seed) for m in maps
     )
     all_collapsed = all(r.collapsed for r in reports)
     final_n = int(n_schedule[-1])
@@ -266,13 +258,13 @@ def reduction_pipeline(centers, n_schedule, g: float, a: int = 3, collapse_tol: 
         )
     )
     if not all_collapsed:
-        return ReductionReport(tuple(stages), None, reports, None, ERRATA, "NOT_COLLAPSED")
+        return ReductionReport(tuple(stages), None, reports)
 
     final = [ContractionMap(m.center, final_n) for m in maps]
     section_ok = all(np.array_equal(evaluate(m, m.center_array), m.center_array) for m in final)
     stages.append(StageResult("constant_sections", "PASS" if section_ok else "FAIL"))
     if not section_ok:
-        return ReductionReport(tuple(stages), None, reports, None, ERRATA, "FAIL")
+        return ReductionReport(tuple(stages), None, reports)
 
     consistency = transition_consistency(final)
     details = {"centers": [list(c) for c in consistency.centers]}
@@ -280,7 +272,7 @@ def reduction_pipeline(centers, n_schedule, g: float, a: int = 3, collapse_tol: 
         details["reason"] = consistency.reason
     stages.append(StageResult("transition_consistency", consistency.status, details))
     if not consistency.consistent:
-        return ReductionReport(tuple(stages), None, reports, consistency, ERRATA, "INCONSISTENT")
+        return ReductionReport(tuple(stages), None, reports)
 
     m = final[0]
     coeffs = pullback_coefficients(evaluate(m, m.center_array), g)
@@ -298,4 +290,4 @@ def reduction_pipeline(centers, n_schedule, g: float, a: int = 3, collapse_tol: 
 
     op = reduced_operator(m.center_array, g, a)
     stages.append(StageResult("reduced_operator", "PASS", op.to_dict()))
-    return ReductionReport(tuple(stages), op, reports, consistency, ERRATA, "PASS")
+    return ReductionReport(tuple(stages), op, reports)

@@ -527,9 +527,8 @@ def fixed_point_residual(run: Run) -> None:
 
 
 def lipschitz_sampled(run: Run) -> None:
-    m = run.contraction_map
-    est = contraction.lipschitz_estimate(m, m.center_array, 1.0 / m.n,
-                                         pairs=run.cfg.lipschitz_pairs, seed=run.cfg.seed)
+    est = contraction.lipschitz_estimate(run.contraction_map, pairs=run.cfg.lipschitz_pairs,
+                                         seed=run.cfg.seed)
     slack = LIMITS["lipschitz_sampled"]
     run.judge("lipschitz_sampled", est.ratio_max <= est.bound + slack,
               ratio_max=est.ratio_max, bound=est.bound, pairs=est.pairs, slack=slack)

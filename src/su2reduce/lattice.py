@@ -138,15 +138,6 @@ def box(grid: Grid4, f: np.ndarray) -> np.ndarray:
     return out
 
 
-def laplacian_spatial(grid: Grid4, f: np.ndarray) -> np.ndarray:
-    """Compact Laplacian over the spatial axes 1..3 only."""
-    f = check_field(grid, f)
-    out = second_diff(grid, f, 1)
-    for mu in (2, 3):
-        out += second_diff(grid, f, mu)
-    return out
-
-
 def divergence(grid: Grid4, v: np.ndarray) -> np.ndarray:
     """sum_mu d_mu v_mu for a four-component field shaped (4, *dims)."""
     v = np.asarray(v)
@@ -211,37 +202,8 @@ def save_field_csv(path, grid: Grid4, f: np.ndarray) -> None:
         fh.writelines(np.broadcast_to(rows, grid.dims).flat)
 
 
-def load_field_csv(path) -> tuple[Grid4, np.ndarray]:
-    header = {}
-    rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, val = line[1:].strip().partition("=")
-                header[key.strip()] = val.strip()
-            else:
-                rows.append(line)
-    dims = tuple(int(s) for s in header["dims"].split(","))
-    grid = Grid4(dims, float(header["h"]), header.get("metric", EUCLIDEAN))
-    if header.get("kind") == "complex":
-        parts = np.array([[float(a), float(b)] for a, b in (r.split(",") for r in rows)])
-        values = (parts[:, 0] + 1j * parts[:, 1]).reshape(dims)
-    else:
-        values = np.array([float(r) for r in rows]).reshape(dims)
-    return grid, values
-
-
 def save_field_npz(path, grid: Grid4, f: np.ndarray) -> None:
     """Stores the field repeated to the full grid shape."""
     f = check_field(grid, f)
     f = np.broadcast_to(f, grid.dims + f.shape[4:])
     np.savez(path, values=f, dims=np.array(grid.dims), h=np.array(grid.h), metric=np.array(grid.metric))
-
-
-def load_field_npz(path) -> tuple[Grid4, np.ndarray]:
-    data = np.load(path, allow_pickle=False)
-    grid = Grid4(tuple(int(n) for n in data["dims"]), float(data["h"]), str(data["metric"]))
-    return grid, data["values"]

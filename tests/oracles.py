@@ -8,7 +8,8 @@ multipliers, sin(kh)/h for the first difference and -(2 - 2 cos kh)/h^2
 for the compact second difference), and the SU(2) algebra is the 2x2
 reference: the package's real u(2) coefficients are read as complex
 matrices and multiplied through np.matmul, with derivatives by np.roll.
-Tests compare the package against these at rounding level.
+Tests compare the package against these at rounding level. The artifact
+readers parse the package's CSV and npz files without its own code.
 """
 
 import math
@@ -241,3 +242,32 @@ def covariance_gap(grid, A, U, g):
 def pure_gauge_gap(grid, U, g):
     """max |F| over the matrix entries of the pure-gauge potential of U."""
     return float(np.max(np.abs(field_strength(grid, pure_gauge(grid, U, g), g))))
+
+
+# ---------------------------------------------------------------------------
+# readers for the CSV and npz artifacts written by lattice
+
+
+def read_field_csv(path):
+    """(header, values) of a CSV field: the `# key=value` lines as dims, h,
+    metric and kind, and the rows as an array shaped by dims."""
+    header, rows = {}, []
+    with open(path, encoding="ascii") as fh:
+        for line in fh:
+            if line.startswith("#"):
+                key, _, val = line[1:].strip().partition("=")
+                header[key] = val
+            else:
+                rows.append([float(v) for v in line.split(",")])
+    header["dims"] = tuple(int(n) for n in header["dims"].split(","))
+    header["h"] = float(header["h"])
+    vals = np.array(rows)
+    if header["kind"] == "complex":
+        vals = vals[:, 0] + 1j * vals[:, 1]
+    return header, vals.reshape(header["dims"])
+
+
+def read_field_npz(path):
+    """Every array stored in an npz field, by name."""
+    with np.load(path, allow_pickle=False) as data:
+        return {key: data[key] for key in data.files}

@@ -15,16 +15,11 @@ CENTER = (1.0, 0.0, 0.0, 0.0)
 
 def test_image_diameter_bounds():
     ch = ContractionMap(CENTER, 8)
-    est = bundle.chart_image_diameter(ch, samples=2048, seed=0)
+    est = bundle.chart_image_diameter(ch, seed=0)
     assert est.sup_bound == 1.0 / 64
-    assert est.diameter_bound == 2.0 * est.sup_bound
-    assert 0.0 < est.sampled_diameter <= est.diameter_bound
-    # the image sits on a single ray, so even the one-sided bound holds
-    assert est.sampled_deviation <= est.sup_bound
-    again = bundle.chart_image_diameter(ch, samples=2048, seed=0)
+    assert 0.0 < est.sampled_diameter <= 2.0 * est.sup_bound
+    again = bundle.chart_image_diameter(ch, seed=0)
     assert again.sampled_diameter == est.sampled_diameter
-    with pytest.raises(ValueError):
-        bundle.chart_image_diameter(ch, samples=1)
 
 
 def test_collapse_threshold_boundary():
@@ -122,7 +117,7 @@ def test_reduced_operator_spectrum_and_moduli():
 def test_pipeline_happy_path():
     sched = (4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048)
     rep = bundle.reduction_pipeline(CENTER, sched, 1.0)
-    assert rep.status == "PASS"
+    assert rep.stages[-1].status == "PASS"
     assert [s.name for s in rep.stages] == [
         "chart_collapse",
         "constant_sections",
@@ -132,14 +127,14 @@ def test_pipeline_happy_path():
     ]
     assert all(s.status in ("PASS", "CONSISTENT") for s in rep.stages)
     assert rep.operator is not None
-    assert rep.consistency.consistent
+    assert rep.stages[2].status == "CONSISTENT"
     assert len(rep.collapse) == 1
     json.dumps([s.details for s in rep.stages])
 
 
 def test_pipeline_stops_when_not_collapsed():
     rep = bundle.reduction_pipeline(CENTER, (4, 8), 1.0)
-    assert rep.status == "NOT_COLLAPSED"
+    assert rep.stages[-1].status == "NOT_COLLAPSED"
     assert rep.operator is None
     assert len(rep.stages) == 1
     assert rep.stages[0].details["final_n"] == 8
@@ -149,7 +144,6 @@ def test_pipeline_two_centers_is_inconsistent():
     sched = (4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048)
     centers = np.array([CENTER, (0.0, 1.0, 0.0, 0.0)])
     rep = bundle.reduction_pipeline(centers, sched, 1.0)
-    assert rep.status == "INCONSISTENT"
     assert rep.operator is None
     assert rep.stages[-1].name == "transition_consistency"
     assert rep.stages[-1].status == "INCONSISTENT"

@@ -72,13 +72,13 @@ def test_sample_ball_stays_inside_and_is_seeded():
 
 def test_sampled_ratio_respects_and_approaches_bound():
     m = default_map()
-    est = contraction.lipschitz_estimate(m, m.center, 1.0 / m.n, pairs=10_000, seed=2024)
+    est = contraction.lipschitz_estimate(m, pairs=10_000, seed=2024)
     assert est.ratio_max <= est.bound + 1e-12
     assert est.ratio_max > 0.9 * est.bound
-    again = contraction.lipschitz_estimate(m, m.center, 1.0 / m.n, pairs=10_000, seed=2024)
+    again = contraction.lipschitz_estimate(m, pairs=10_000, seed=2024)
     assert again.ratio_max == est.ratio_max
     with pytest.raises(ValueError):
-        contraction.lipschitz_estimate(m, m.center, 0.1, pairs=1)
+        contraction.lipschitz_estimate(m, pairs=1)
 
 
 def test_banach_iteration_contracting_run():

@@ -69,7 +69,6 @@ def test_box_metric_signs():
     parts = [lattice.second_diff(grid_e, f, mu) for mu in (1, 2, 3, 4)]
     assert lattice.max_abs(box_e - sum(parts)) == 0.0
     assert lattice.max_abs(box_l - (parts[3] - parts[0] - parts[1] - parts[2])) == 0.0
-    assert lattice.max_abs(lattice.laplacian_spatial(grid_e, f) - (parts[0] + parts[1] + parts[2])) == 0.0
 
 
 def roll_partial(grid, f, mu):
@@ -196,14 +195,15 @@ def test_csv_round_trip_real_and_complex(tmp_path):
     real = rng.standard_normal(grid.dims)
     path = tmp_path / "real.csv"
     lattice.save_field_csv(path, grid, real)
-    g2, back = lattice.load_field_csv(path)
-    assert g2.dims == grid.dims and g2.h == grid.h and g2.metric == grid.metric
+    header, back = oracles.read_field_csv(path)
+    assert header == {"dims": grid.dims, "h": grid.h, "metric": grid.metric, "kind": "real"}
     assert np.array_equal(back, real)
 
     cplx = rng.standard_normal(grid.dims) + 1j * rng.standard_normal(grid.dims)
     path_c = tmp_path / "cplx.csv"
     lattice.save_field_csv(path_c, grid, cplx)
-    _, back_c = lattice.load_field_csv(path_c)
+    header_c, back_c = oracles.read_field_csv(path_c)
+    assert header_c["kind"] == "complex"
     assert np.array_equal(back_c, cplx)
 
 
@@ -230,9 +230,9 @@ def test_compact_fields_are_written_as_their_dense_copies(tmp_path):
         else:
             rows = [f"{float(v)!r}\n" for v in dense.ravel()]
         assert text.splitlines(keepends=True)[4:] == rows
-        _, back = lattice.load_field_npz(tmp_path / "compact.npz")
+        back = oracles.read_field_npz(tmp_path / "compact.npz")["values"]
         assert back.shape == grid.dims + (2,)
-        assert np.array_equal(back, lattice.load_field_npz(tmp_path / "dense.npz")[1])
+        assert np.array_equal(back, oracles.read_field_npz(tmp_path / "dense.npz")["values"])
 
 
 def test_npz_round_trip_with_trailing_axes(tmp_path):
@@ -241,6 +241,7 @@ def test_npz_round_trip_with_trailing_axes(tmp_path):
     vals = rng.standard_normal(grid.dims + (4,)) + 1j * rng.standard_normal(grid.dims + (4,))
     path = tmp_path / "field.npz"
     lattice.save_field_npz(path, grid, vals)
-    g2, back = lattice.load_field_npz(path)
-    assert g2.dims == grid.dims and g2.h == grid.h
-    assert np.array_equal(back, vals)
+    data = oracles.read_field_npz(path)
+    assert tuple(data["dims"]) == grid.dims and float(data["h"]) == grid.h
+    assert str(data["metric"]) == grid.metric
+    assert np.array_equal(data["values"], vals)
