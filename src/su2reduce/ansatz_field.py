@@ -259,8 +259,8 @@ def field_strength_matrix(grid: lattice.Grid4, A: np.ndarray, g: float, mu: int,
     moves a only."""
     g = su2_algebra.check_coupling(g)
     A = su2_algebra._check_matrix_field(grid, A, components=True)
-    F = np.subtract(lattice.partial(grid, A[nu - 1], mu), lattice.partial(grid, A[mu - 1], nu),
-                    out=su2_algebra.empty_coefficients(A.shape[1:-1]))
+    F = lattice.partial(grid, A[nu - 1], mu)
+    F -= lattice.partial(grid, A[mu - 1], nu)
     F[..., 1:] += su2_algebra.commutator(A[mu - 1], A[nu - 1], g)
     return F
 
@@ -402,7 +402,7 @@ def field_equation_residual(lam: LambdaField, g: float, mode: str = ANALYTIC) ->
     if not rep.satisfied:
         warnings.warn(
             "componentwise gauge condition violated "
-            f"(max |d_mu lam_mu| = {max(rep.per_component):.3e}); "
+            f"(max |d_mu lam_mu| = {np.max(rep.per_component):.3e}); "
             "the residual is not the equation of motion for this field",
             stacklevel=2,
         )

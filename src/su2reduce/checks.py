@@ -190,14 +190,19 @@ def divergence_accounting_order(cfg: config.ScenarioConfig) -> lattice.OrderEsti
 
 def covariance_order(cfg: config.ScenarioConfig) -> lattice.OrderEstimate:
     """‖F[A'] - U F[A] U^-1‖ under refinement for a seeded smooth pair, one
-    (mu, nu) component of F[A'] and of F[A] at a time."""
+    (mu, nu) component of F[A'] and of F[A] at a time; each rung builds U's
+    rotation once for its six rotations of F[A], and each gap in place."""
     def gap(grid):
         F, g, rng = ansatz_field.field_strength_matrix, cfg.coupling, np.random.default_rng(cfg.seed)
         A = smooth_matrix_potential(grid, rng, cfg.smooth_amp)
         U = smooth_group_field(grid, rng, cfg.smooth_amp)
-        Ap = su2_algebra.gauge_transform(grid, A, U, g)
-        return max_over_pairs(lambda mu, nu: su2_algebra.max_norm(
-            F(grid, Ap, g, mu, nu) - su2_algebra.rotate(U, F(grid, A, g, mu, nu))))
+        Ap, R = su2_algebra.gauge_transform(grid, A, U, g), su2_algebra.rotation(U)
+
+        def norm(mu, nu):
+            D = F(grid, Ap, g, mu, nu)
+            D -= su2_algebra.rotate(R, F(grid, A, g, mu, nu))
+            return su2_algebra.max_norm(D)
+        return max_over_pairs(norm)
     return _refine(cfg, cfg.covariance_grids, gap)
 
 
@@ -416,7 +421,7 @@ def residual_routes(run: Run) -> None:
     gc = ansatz_field.gauge_condition_check(run.phase)
     tol = LIMITS["residual_gauge_fixed_equivalence"]
     run.judge("residual_gauge_fixed_equivalence", gap <= tol and gc.satisfied,
-              max_gap=gap, gauge_violation=max(gc.per_component), tolerance=tol)
+              max_gap=gap, gauge_violation=float(np.max(gc.per_component)), tolerance=tol)
 
 
 def anomalous_current_identity(run: Run) -> None:
@@ -600,9 +605,9 @@ def reduced_operator(run: Run) -> None:
     op = run.pipeline.operator
     if op is None:
         return
-    dev = max(abs(abs(c) - run.cfg.coupling) for c in op.coefficients)
+    dev = float(np.max([abs(abs(c) - run.cfg.coupling) for c in op.coefficients]))
     run.bounded("operator_coefficient_modulus", "max_deviation", dev, coupling=run.cfg.coupling)
-    dev = max(abs(op.eigenvalues[0] + 0.5), abs(op.eigenvalues[1] - 0.5))
+    dev = float(np.max([abs(op.eigenvalues[0] + 0.5), abs(op.eigenvalues[1] - 0.5)]))
     run.bounded("observable_spectrum", "max_deviation", dev, eigenvalues=list(op.eigenvalues))
 
 

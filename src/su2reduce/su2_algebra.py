@@ -16,12 +16,15 @@ Any memory order is accepted and gives the same numbers.
 
 In these coefficients
   i g [A, B]          = -2g (a x b).sigma: the identity parts commute;
-  U X U^dagger        keeps s and turns a into
-                      (q0^2 - |q|^2) a + 2 q (q.a) - 2 q0 (q x a);
+  U X U^dagger        keeps s and turns a into R a, R the SO(3) matrix
+                      (q0^2 - |q|^2) 1 + 2 q q^T - 2 q0 [q]x (`rotation`);
   -(i/g) U dU^dagger  with p = dq has s = -(q0 p0 + q.p)/g and
                       a = (p0 q - q0 p + q x p)/g.
-tests/test_symbolic.py re-derives all three on symbolic 2x2 matrices.
-The matrix max-norm of X is max(|a3 + i s|, |a1 + i a2|) (`max_norm`).
+tests/test_symbolic.py re-derives all three on symbolic 2x2 matrices, R
+entry by entry. The matrix max-norm of X is max(|a3 + i s|, |a1 + i a2|)
+(`max_norm`), each modulus max taken by scaling rather than with libm's
+much slower hypot, to within 4 ulp of it. A nan in any coefficient gives
+nan, also at an entry holding inf and nan, where hypot gives inf.
 Only `group_matrices` builds 2x2 matrices, for the checks that read them.
 """
 
@@ -80,24 +83,55 @@ def commutator(A: np.ndarray, B: np.ndarray, g: float) -> np.ndarray:
     return out
 
 
-def rotate(q: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """U X U^dagger for U = q0 + i q.sigma: s is kept and a becomes
-    (q0^2 - |q|^2) a + 2 q (q.a) - 2 q0 (q x a). q broadcasts against X."""
-    q0, qv, a = q[..., 0, None], q[..., 1:], X[..., 1:]
-    out = empty_coefficients(np.broadcast_shapes(q.shape, X.shape)[:-1])
+def rotation(q: np.ndarray) -> np.ndarray:
+    """The SO(3) matrix R = (q0^2 - |q|^2) 1 + 2 q q^T - 2 q0 [q]x of U = q0 + i q.sigma,
+    where [q]x a = q x a, shaped (3, 3, *s) for q shaped (*s, 4): each entry is
+    one contiguous plane, and U X U^dagger turns a into R a (`rotate`)."""
+    q0, qv = q[..., 0], np.moveaxis(q[..., 1:], -1, 0)
+    R = 2.0 * qv[:, None] * qv[None]
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):  # -2 q0 [q]x
+        w = 2.0 * q0 * qv[k]
+        R[i, j] += w
+        R[j, i] -= w
+    R[(0, 1, 2), (0, 1, 2)] += q0 * q0 - qv[0] * qv[0] - qv[1] * qv[1] - qv[2] * qv[2]
+    return R
+
+
+def rotate(R: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """U X U^dagger for R = rotation(q): s is kept and a becomes R a, nine
+    multiply-adds per point. R's trailing axes broadcast against X's leading ones."""
+    a = X[..., 1:]
+    out = empty_coefficients(np.broadcast_shapes(R.shape[2:], X.shape[:-1]))
     out[..., 0] = X[..., 0]
-    v = _cross(qv, a, out[..., 1:])
-    v *= -2.0 * q0
-    v += (q0 * q0 - np.sum(qv * qv, axis=-1, keepdims=True)) * a
-    v += qv * (2.0 * np.sum(qv * a, axis=-1, keepdims=True))
+    term = np.empty(out.shape[:-1])
+    for i in range(3):
+        v = out[..., i + 1]
+        np.multiply(R[i, 0], a[..., 0], out=v)
+        v += np.multiply(R[i, 1], a[..., 1], out=term)
+        v += np.multiply(R[i, 2], a[..., 2], out=term)
     return out
+
+
+def _modulus_max(x: np.ndarray, y: np.ndarray) -> float:
+    """max |x + i y| as m sqrt(max((x/m)^2 + (y/m)^2)), m the largest |x| or |y|, or m
+    itself when that is 0, inf or nan. Each sum is at most 2, and at least 1 where m
+    is attained, so no square overflows and none that underflows moves the max."""
+    t, u = np.abs(x), np.abs(y)
+    m = np.max([np.max(t), np.max(u)])
+    if m == 0.0 or not np.isfinite(m):
+        return float(m)
+    t /= m
+    t *= t
+    u /= m
+    u *= u
+    t += u
+    return float(m * np.sqrt(np.max(t)))
 
 
 def max_norm(X: np.ndarray) -> float:
     """Max-norm over the matrix entries of i s 1 + a.sigma: max(|a3 + i s|, |a1 + i a2|);
     a nan in any coefficient gives nan."""
-    return float(np.max([np.max(np.hypot(X[..., 3], X[..., 0])),
-                         np.max(np.hypot(X[..., 1], X[..., 2]))]))
+    return float(np.max([_modulus_max(X[..., 3], X[..., 0]), _modulus_max(X[..., 1], X[..., 2])]))
 
 
 def group_matrices(q: np.ndarray) -> np.ndarray:
@@ -163,7 +197,7 @@ def gauge_transform(grid: lattice.Grid4, A: np.ndarray, q: np.ndarray, g: float)
     """
     g = check_coupling(g)
     A = _check_matrix_field(grid, A, components=True)
-    out = rotate(_check_matrix_field(grid, q, components=False), A)
+    out = rotate(rotation(_check_matrix_field(grid, q, components=False)), A)
     out += pure_gauge_field(grid, q, g)
     return out
 

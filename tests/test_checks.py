@@ -1,7 +1,9 @@
 """Scenario builders and the cross-route study helpers."""
 
+import dataclasses
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -129,7 +131,10 @@ def test_covariance_study_peak_memory_is_bounded():
     # 2 instead of 4. Built one (mu, nu) component at a time, F[A] and
     # F[A'] are 2 fields each instead of 12: it reads 30.21. With the group
     # field kept only along the axes its angles vary (1, 2 and 4 at this
-    # seed; the potential stays dense) it reads 24.27.
+    # seed; the potential stays dense) it reads 24.27. With U's rotation
+    # matrix built once per rung and each gap F[A'] - R F[A] formed in place
+    # it reads 22.99. At seed 0, whose group field spans all four axes, it
+    # reads 30.20 both before and after that change.
     peak = traced_peak(checks.covariance_order, config.ScenarioConfig(covariance_grids=(12, 16)))
     assert peak <= 100.0278, peak
 
@@ -196,6 +201,37 @@ def test_closed_form_row_fails_on_a_nan_in_any_pair(monkeypatch, k):
     closed, ident = run.report.checks
     assert closed.status == "FAIL" and math.isnan(closed.details["field_strength_max"])
     assert ident.status == "PASS"
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_gauge_fixed_row_reports_a_nan_in_any_component(monkeypatch, k):
+    # Python's max(0.0, nan) is 0.0: the row failed but reported no violation,
+    # and the residual's warning read 0.000e+00
+    per = [0.0] * 4
+    per[k] = math.nan
+    monkeypatch.setattr(ansatz_field, "gauge_condition_check",
+                        lambda lam: ansatz_field.GaugeConditionReport(tuple(per), False))
+    run = checks.Run("verify", config.ScenarioConfig(grid_n=8))
+    with pytest.warns(UserWarning, match=r"\| = nan\)"):
+        checks.residual_routes(run)
+    row = run.report.checks[-1]
+    assert row.name == "residual_gauge_fixed_equivalence" and row.status == "FAIL"
+    assert math.isnan(row.details["gauge_violation"])
+
+
+@pytest.mark.parametrize("field, k", [("coefficients", k) for k in range(4)]
+                         + [("eigenvalues", k) for k in range(2)])
+def test_reduced_operator_rows_report_a_nan_in_any_position(field, k):
+    run = checks.Run("reduce", config.ScenarioConfig())
+    op = run.pipeline.operator
+    values = list(getattr(op, field))
+    values[k] = math.nan
+    run.pipeline = types.SimpleNamespace(operator=dataclasses.replace(op, **{field: tuple(values)}))
+    checks.reduced_operator(run)
+    modulus, spectrum = run.report.checks
+    hit, clean = (modulus, spectrum) if field == "coefficients" else (spectrum, modulus)
+    assert hit.status == "FAIL" and math.isnan(hit.details["max_deviation"])
+    assert clean.status == "PASS" and math.isfinite(clean.details["max_deviation"])
 
 
 def poison(monkeypatch, name, hit, plane=None):
@@ -305,3 +341,26 @@ def test_matrix_ladders_match_the_oracle_route(seed):
     for est, want in ((checks.covariance_order(cfg), cov), (checks.pure_gauge_order(cfg), pure)):
         assert np.allclose(est.errors, want, rtol=1e-12, atol=0.0), (est.errors, want)
         assert abs(est.order - lattice.fit_order(est.spacings, want)) <= 1e-12 * abs(est.order)
+
+
+# (covariance, pure gauge) rung errors of the (8, 12) ladders, frozen from the
+# tree that rotated by U's quaternion on every call and took max-norms with
+# hypot; a faster route must keep them to rounding
+FROZEN_LADDER_ERRORS = {
+    0: ((0.0806981883370776, 0.03974216373929106),
+        (0.005640045874402245, 0.0034471399499358627)),
+    6: ((0.13880098563159082, 0.06953382564319553),
+        (0.002375020787952672, 0.0012367343140456644)),
+    17: ((0.257699177374896, 0.1314899991145353),
+         (0.0013638706413044753, 0.0008277752039962971)),
+    33: ((0.13526331568688818, 0.06360784393688132),
+         (0.0012092496330123926, 0.000702787474908256)),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FROZEN_LADDER_ERRORS))
+def test_matrix_ladders_keep_their_frozen_rung_errors(seed):
+    cfg = config.ScenarioConfig(seed=seed, covariance_grids=(8, 12), pure_gauge_grids=(8, 12))
+    for est, want in zip((checks.covariance_order(cfg), checks.pure_gauge_order(cfg)),
+                         FROZEN_LADDER_ERRORS[seed]):
+        assert np.allclose(est.errors, want, rtol=1e-12, atol=0.0), (est.errors, want)

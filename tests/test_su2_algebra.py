@@ -171,8 +171,9 @@ def test_rotate_matches_the_oracle(seed):
     q = random_group(rng, dims)
     X = random_coefficients(rng, (6,) + dims)
     want = oracles.conjugate(oracles.group_matrices(q), oracles.algebra_matrices(X))
-    assert relative_gap(oracles.algebra_matrices(su2_algebra.rotate(q, X)), want) <= 1e-13
-    got1 = oracles.algebra_matrices(su2_algebra.rotate(q, X[2]))
+    R = su2_algebra.rotation(q)
+    assert relative_gap(oracles.algebra_matrices(su2_algebra.rotate(R, X)), want) <= 1e-13
+    got1 = oracles.algebra_matrices(su2_algebra.rotate(R, X[2]))
     assert relative_gap(got1, want[2]) <= 1e-13
 
 
@@ -222,7 +223,9 @@ def test_entry_planes_layout_gives_identical_products():
     planar[...] = A
     assert planar[..., 1].flags.c_contiguous
     assert np.array_equal(su2_algebra.commutator(planar, B, 1.5), su2_algebra.commutator(A, B, 1.5))
-    assert np.array_equal(su2_algebra.rotate(q, planar), su2_algebra.rotate(np.ascontiguousarray(q), A))
+    R = su2_algebra.rotation(q)
+    assert np.array_equal(su2_algebra.rotate(R, planar), su2_algebra.rotate(R, A))
+    assert np.array_equal(R, su2_algebra.rotation(np.ascontiguousarray(q)))
 
 
 def compact_pair(rng, grid, a_axes, q_axes):
@@ -258,7 +261,7 @@ def test_compact_matrix_fields_equal_their_dense_copies(a_axes, q_axes, special)
     def same(got, want):
         assert np.array_equal(np.broadcast_to(got, want.shape), want, equal_nan=True)
 
-    same(su2_algebra.rotate(q, A), su2_algebra.rotate(qd, Ad))
+    same(su2_algebra.rotate(su2_algebra.rotation(q), A), su2_algebra.rotate(su2_algebra.rotation(qd), Ad))
     same(su2_algebra.commutator(A[0], A[2], g), su2_algebra.commutator(Ad[0], Ad[2], g))
     same(su2_algebra.gauge_transform(grid, A, q, g), su2_algebra.gauge_transform(grid, Ad, qd, g))
     same(su2_algebra.pure_gauge_field(grid, q, g), su2_algebra.pure_gauge_field(grid, qd, g))
@@ -299,6 +302,50 @@ def test_max_norm_keeps_a_nan_in_any_coefficient_plane(plane):
         assert math.isnan(su2_algebra.max_norm(X))
     X[where + (plane,)] = -3.0
     assert su2_algebra.max_norm(X) == 3.0
+
+
+def hypot_max_norm(X):
+    """max_norm through libm's hypot: the reference for the scaled form."""
+    return float(np.max([np.max(np.hypot(X[..., 3], X[..., 0])),
+                         np.max(np.hypot(X[..., 1], X[..., 2]))]))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-300, 5e-324, 1e300, 1e308, "spread"])
+def test_max_norm_agrees_with_hypot_to_four_ulp(scale):
+    rng = np.random.default_rng(61)
+    for _ in range(20):
+        shape = (5, 4, 3, 2, 4)
+        if scale == "spread":  # moduli from 1e-300 to 1e300 in one field
+            X = rng.standard_normal(shape) * 10.0 ** rng.uniform(-300, 300, shape)
+        elif scale == 5e-324:  # subnormal multiples of the smallest float, exact
+            X = rng.integers(-1000, 1001, shape) * scale
+        else:
+            X = rng.uniform(-1.0, 1.0, shape) * scale
+        want = hypot_max_norm(X)
+        assert 0.0 < want < math.inf
+        assert abs(su2_algebra.max_norm(X) - want) <= 4 * np.spacing(want), scale
+
+
+@pytest.mark.parametrize("plane", range(4))
+def test_max_norm_of_zero_and_inf_fields(plane):
+    X = np.zeros((2, 3, 1, 1, 4))
+    got = su2_algebra.max_norm(X)
+    assert got == 0.0 and type(got) is float
+    X[1, 2, 0, 0, plane] = -math.inf
+    assert su2_algebra.max_norm(X) == math.inf
+    X[0, 0, 0, 0, (plane + 1) % 4] = math.nan  # a nan elsewhere still wins
+    assert math.isnan(su2_algebra.max_norm(X))
+
+
+@pytest.mark.parametrize("inf_plane, nan_plane", [(3, 0), (0, 3), (1, 2), (2, 1)])
+def test_max_norm_of_an_entry_holding_inf_and_nan_is_nan(inf_plane, nan_plane):
+    # hypot(inf, nan) is inf, so the hypot form read inf at such an entry; the
+    # scaled form takes the nan-propagating max of |x| and |y| first, so it
+    # reads nan, as it does for a nan anywhere else
+    X = np.zeros((2, 4))
+    X[1, inf_plane], X[1, nan_plane] = math.inf, math.nan
+    assert hypot_max_norm(X) == math.inf
+    assert math.isnan(su2_algebra.max_norm(X))
 
 
 def test_unitarity_defect_keeps_a_nan_in_either_residual(monkeypatch):

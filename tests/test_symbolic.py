@@ -8,13 +8,17 @@ that the transcription equals the defining expression for arbitrary
 smooth lambda_mu(x1..x4) with f_mu = exp(-i lambda_mu).
 
 The last part derives su2_algebra's coefficient forms of i g [A, B],
-U X U^dagger and -(i/g) U dU^dagger on symbolic 2x2 matrices.
+the rotation matrix R(q) of U X U^dagger and -(i/g) U dU^dagger on
+symbolic 2x2 matrices.
 
 The closed-form divergence (ansatz_field.anomaly_divergence_closed_form)
 is not checked here: it is a recorded erratum, never asserted.
 """
 
+import numpy as np
 import pytest
+
+from su2reduce import su2_algebra
 
 sp = pytest.importorskip("sympy")
 
@@ -155,12 +159,17 @@ B_VEC = sp.symbols("b1:4", real=True)
 QUAT = sp.symbols("q0:4", real=True)
 
 
-def rotated(q, a, cross_sign=-1):
-    """su2_algebra.rotate's vector part: (q0^2 - |q|^2) a + 2 q (q.a) - 2 q0 (q x a)."""
-    q0, qv = q[0], q[1:]
-    qxa = cross(qv, a)
-    return [(q0**2 - dot(qv, qv)) * a[i] + 2 * qv[i] * dot(qv, a) + cross_sign * 2 * q0 * qxa[i]
-            for i in range(3)]
+def rotation_matrix(q, cross_sign=-1):
+    """su2_algebra.rotation: (q0^2 - |q|^2) 1 + 2 q q^T - 2 q0 [q]x, where column j
+    of [q]x is q x e_j."""
+    q0, qv = q[0], sp.Matrix(q[1:])
+    qx = sp.Matrix.hstack(*(sp.Matrix(cross(q[1:], sp.eye(3)[:, j])) for j in range(3)))
+    return (q0**2 - qv.dot(qv)) * sp.eye(3) + 2 * qv * qv.T + cross_sign * 2 * q0 * qx
+
+
+def sigma_image(R, j):
+    """sum_i R_ij sigma_i: what R says U sigma_j U^dagger is."""
+    return sum((R[i, j] * SIGMA[i] for i in range(3)), sp.zeros(2))
 
 
 def test_commutator_coefficients():
@@ -170,19 +179,43 @@ def test_commutator_coefficients():
     assert zero_matrix(sp.I * g * (A * B - B * A) - want)
 
 
+def test_rotation_matrix_entries():
+    # U sigma_j U^dagger = sum_i R_ij sigma_i for each j: all nine entries, and
+    # no identity part; for any real q, unit or not
+    U, R = group(QUAT), rotation_matrix(QUAT)
+    for j in range(3):
+        assert zero_matrix(U * SIGMA[j] * U.H - sigma_image(R, j))
+
+
 def test_rotation_coefficients():
     # U X U^dagger: s picks up |U|^2 = q0^2 + |q|^2, which is 1 for a group
-    # element, and a rotates
-    U = group(QUAT)
-    want = algebra(S_A * (QUAT[0] ** 2 + dot(QUAT[1:], QUAT[1:])), rotated(QUAT, A_VEC))
+    # element, and a turns into R a
+    U, R = group(QUAT), rotation_matrix(QUAT)
+    want = algebra(S_A * (QUAT[0] ** 2 + dot(QUAT[1:], QUAT[1:])), list(R * sp.Matrix(A_VEC)))
     assert zero_matrix(U * algebra(S_A, A_VEC) * U.H - want)
 
 
+def test_rotation_matrix_is_a_scaled_rotation():
+    # R^T R = (q0^2 + |q|^2)^2 1 and det R = (q0^2 + |q|^2)^3: for a group
+    # element R is in SO(3)
+    R, norm2 = rotation_matrix(QUAT), QUAT[0] ** 2 + dot(QUAT[1:], QUAT[1:])
+    assert zero_matrix(R.T * R - norm2**2 * sp.eye(3))
+    assert vanishes(R.det() - norm2**3)
+
+
 def test_rotation_catches_a_sign_slip():
-    # the q x a term with the wrong sign is detected
-    U = group(QUAT)
-    slipped = algebra(S_A * (QUAT[0] ** 2 + dot(QUAT[1:], QUAT[1:])), rotated(QUAT, A_VEC, cross_sign=+1))
-    assert not zero_matrix(U * algebra(S_A, A_VEC) * U.H - slipped)
+    # the [q]x term with the wrong sign is detected
+    U, slipped = group(QUAT), rotation_matrix(QUAT, cross_sign=+1)
+    assert not zero_matrix(U * SIGMA[0] * U.H - sigma_image(slipped, 0))
+
+
+def test_rotation_code_evaluates_the_derived_matrix():
+    # su2_algebra.rotation against the derived R at random, non-unit q
+    q = np.random.default_rng(7).standard_normal((5, 4))
+    got, R = su2_algebra.rotation(q), rotation_matrix(QUAT)
+    for k in range(len(q)):
+        want = np.array(R.subs(dict(zip(QUAT, q[k].tolist()))), dtype=float)
+        assert np.allclose(got[..., k], want, rtol=1e-14, atol=1e-14)
 
 
 def test_maurer_cartan_coefficients():
