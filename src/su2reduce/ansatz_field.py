@@ -4,13 +4,14 @@ lambda is a four-component real lattice field. Its componentwise complex
 exponential, the gauge profile f = exp(-i lambda), stands in for the
 potential; because the components are scalars the commutator term of the
 field strength drops and everything reduces to products of the profile
-with the phase gradients G[m, n] = d_n lambda_m.
+with the phase gradients G[m][n] = d_n lambda_m.
 
 A LambdaField computes f and G once, on first use, and keeps them as
-`profile` and `gradients`; every quantity here reads those two arrays.
-The field is stored only along the axes its waves vary (length 1 on the
-others), and so is every array derived from it; broadcasting stands in
-for the repeats.
+`profile` and `gradients`; every quantity here reads those two.
+Each component lambda_m is stored only along the axes its own waves vary
+(length 1 on the others), and so are f_m and every G[m][n]; a quantity
+mixing components is formed on the union of their axes, and broadcasting
+stands in for the repeats.
 Second derivatives are formed where they are used, one component at a
 time, and are not kept.
 
@@ -105,83 +106,90 @@ def gradient_wave_modes(grid: lattice.Grid4, cycles, amplitude: float, phase: fl
 
 @dataclass(frozen=True)
 class LambdaField:
-    """Real four-component phase field on a Grid4, shaped (4, *shape).
+    """Real four-component phase field on a Grid4: four arrays, one per lambda_m.
 
-    shape      per axis, dims[d] where the field varies and 1 where it
-               does not; numpy broadcasting stands in for the repeats
-    profile    f = exp(-i lambda), complex (4, *shape)
-    gradients  G[m-1, n-1] = d_n lambda_m, real (4, 4, *shape)
+    values     per component, dims[d] on an axis where lambda_m varies and
+               1 on the others; numpy broadcasting stands in for the repeats
+    shape      the union of the four components' axes, the shape of every
+               quantity that mixes components
+    profile    f_m = exp(-i lambda_m), complex, one array per component
+    gradients  G[m-1][n-1] = d_n lambda_m, real, on lambda_m's axes
 
     Both are computed on first access and kept for the life of the field.
     """
 
     grid: lattice.Grid4
-    values: np.ndarray
+    values: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 5 or v.shape[0] != 4:
-            raise lattice.GridMismatchError(f"expected shape (4, s1, s2, s3, s4), got {v.shape}")
-        lattice.check_field(self.grid, v[0])
-        if not np.all(np.isfinite(v)):
-            raise ValueError("phase field must be finite")
-        object.__setattr__(self, "values", v)
+        vals = tuple(np.asarray(v, dtype=float) for v in self.values)
+        if len(vals) != 4 or any(v.ndim != 4 for v in vals):
+            raise lattice.GridMismatchError(
+                f"expected four components shaped (s1, s2, s3, s4), got {[v.shape for v in vals]}")
+        for v in vals:
+            lattice.check_field(self.grid, v)
+            if not np.all(np.isfinite(v)):
+                raise ValueError("phase field must be finite")
+        object.__setattr__(self, "values", vals)
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
-        return self.values.shape[1:]
+        return np.broadcast_shapes(*(v.shape for v in self.values))
 
     @cached_property
-    def profile(self) -> np.ndarray:
+    def profile(self) -> tuple[np.ndarray, ...]:
         return build_profile(self)
 
     @cached_property
-    def gradients(self) -> np.ndarray:
+    def gradients(self) -> tuple[tuple[np.ndarray, ...], ...]:
         return phase_gradients(self)
 
     @classmethod
     def zero(cls, grid: lattice.Grid4) -> "LambdaField":
-        return cls(grid, np.zeros((4, 1, 1, 1, 1)))
+        return cls(grid, [np.zeros((1, 1, 1, 1))] * 4)
 
     @classmethod
     def from_modes(cls, grid: lattice.Grid4, modes) -> "LambdaField":
-        """The sum of the modes, kept along the axes where any mode has a nonzero cycle."""
-        modes = list(modes)
-        vals = np.zeros((4,) + tuple(n if any(m.cycles[d] for m in modes) else 1
-                                     for d, n in enumerate(grid.dims)))
-        xs = grid.coords()
-        for m in modes:
-            arg = m.phase
-            for d in range(4):
-                if m.cycles[d]:
-                    arg = arg + (2.0 * math.pi * m.cycles[d] / grid.length(d + 1)) * xs[d]
-            vals[m.component - 1] += m.amplitude * np.sin(arg)
+        """The sum of the modes; lambda_m is kept along the axes where one of its
+        own modes has a nonzero cycle."""
+        modes, xs, vals = list(modes), grid.coords(), []
+        for c in range(1, 5):
+            own = [m for m in modes if m.component == c]
+            v = np.zeros(tuple(n if any(m.cycles[d] for m in own) else 1
+                               for d, n in enumerate(grid.dims)))
+            for m in own:
+                arg = m.phase
+                for d in range(4):
+                    if m.cycles[d]:
+                        arg = arg + (2.0 * math.pi * m.cycles[d] / grid.length(d + 1)) * xs[d]
+                v += m.amplitude * np.sin(arg)
+            vals.append(v)
         return cls(grid, vals)
 
     def scaled(self, eps: float) -> "LambdaField":
-        return LambdaField(self.grid, eps * self.values)
+        return LambdaField(self.grid, [eps * v for v in self.values])
 
 
-def build_profile(lam: LambdaField) -> np.ndarray:
-    """The unit-modulus profile exp(-i lambda); read it as `lam.profile`.
+def build_profile(lam: LambdaField) -> tuple[np.ndarray, ...]:
+    """The unit-modulus profile exp(-i lambda_m) of each component; read it as
+    `lam.profile`.
 
     cos lambda and -sin lambda go straight into its real and imaginary
     planes: no complex copy of lambda is made."""
-    out = np.empty(lam.values.shape, dtype=complex)
-    np.cos(lam.values, out=out.real)
-    np.sin(lam.values, out=out.imag)
-    np.negative(out.imag, out=out.imag)
-    return out
+    profile = []
+    for v in lam.values:
+        out = np.empty(v.shape, dtype=complex)
+        np.cos(v, out=out.real)
+        np.sin(v, out=out.imag)
+        np.negative(out.imag, out=out.imag)
+        profile.append(out)
+    return tuple(profile)
 
 
-def phase_gradients(lam: LambdaField) -> np.ndarray:
-    """All first differences G[m-1, n-1] = d_n lambda_m, shaped (4, 4, *lam.shape);
+def phase_gradients(lam: LambdaField) -> tuple[tuple[np.ndarray, ...], ...]:
+    """All first differences G[m-1][n-1] = d_n lambda_m, each on lambda_m's axes;
     read them as `lam.gradients`."""
-    out = np.empty((4, 4) + lam.shape)
-    for m in range(4):
-        for n in range(4):
-            out[m, n] = lattice.partial(lam.grid, lam.values[m], n + 1)
-    return out
+    return tuple(tuple(lattice.partial(lam.grid, v, n) for n in range(1, 5)) for v in lam.values)
 
 
 # the independent (mu, nu) pairs of an antisymmetric tensor, in storage order
@@ -214,11 +222,8 @@ class FieldStrength:
 
     def antisymmetry_defect(self) -> float:
         """max |F_mu_nu + F_nu_mu| over all ordered pairs; zero by construction of the storage."""
-        return max(
-            lattice.max_abs(self.component(m, n) + self.component(n, m))
-            for m in range(1, 5)
-            for n in range(m, 5)
-        )
+        return float(np.max([lattice.max_abs(self.component(m, n) + self.component(n, m))
+                             for m in range(1, 5) for n in range(m, 5)]))
 
 
 def field_strength_ansatz(lam: LambdaField) -> FieldStrength:
@@ -232,7 +237,7 @@ def field_strength_ansatz(lam: LambdaField) -> FieldStrength:
     F = np.empty((6,) + lam.shape, dtype=complex)
     for k, (mu, nu) in enumerate(PAIRS):
         m, n = mu - 1, nu - 1
-        F[k] = 1j * (f[m] * G[m, n] - f[n] * G[n, m])
+        F[k] = 1j * (f[m] * G[m][n] - f[n] * G[n][m])
     return FieldStrength(lam.grid, F)
 
 
@@ -248,7 +253,7 @@ def field_strength_direct(lam: LambdaField, mu: int, nu: int, mode: str = ANALYT
     f, m, n = lam.profile, mu - 1, nu - 1
     if mode == ANALYTIC:
         G = lam.gradients
-        return -1j * f[n] * G[n, m] - (-1j * f[m] * G[m, n])
+        return -1j * f[n] * G[n][m] - (-1j * f[m] * G[m][n])
     return lattice.partial(lam.grid, f[n], mu) - lattice.partial(lam.grid, f[m], nu)
 
 
@@ -295,9 +300,9 @@ def lagrangian_density(lam: LambdaField) -> LagrangianDensity:
     for m in range(4):
         for n in range(4):
             vals += (
-                f[m] ** 2 * G[m, n] ** 2
-                + f[n] ** 2 * G[n, m] ** 2
-                - 2.0 * f[m] * f[n] * G[m, n] * G[n, m]
+                f[m] ** 2 * G[m][n] ** 2
+                + f[n] ** 2 * G[n][m] ** 2
+                - 2.0 * f[m] * f[n] * G[m][n] * G[n][m]
             )
     vals *= 0.25
     F = field_strength_ansatz(lam)
@@ -311,7 +316,7 @@ def noether_current(lam: LambdaField) -> np.ndarray:
     out = np.zeros((4,) + lam.shape, dtype=complex)
     for n in range(4):
         for m in range(4):
-            out[n] += f[n] * (G[n, m] ** 2 - G[m, n] * G[n, m])
+            out[n] += f[n] * (G[n][m] ** 2 - G[m][n] * G[n][m])
     return out
 
 
@@ -325,15 +330,15 @@ def anomalous_current(lam: LambdaField, g: float) -> np.ndarray:
     g = su2_algebra.check_coupling(g)
     f, G = lam.profile, lam.gradients
     out = np.zeros((4,) + lam.shape, dtype=complex)
-    buf = np.empty(lam.shape, dtype=complex)
     for m in range(4):
-        np.multiply(f[m], f[m], out=buf)
+        sq = f[m] * f[m]
         for n in range(4):
-            out[n] += buf * G[m, n]
+            out[n] += sq * G[m][n]
+    buf = np.empty(lam.shape, dtype=complex)
     for n in range(4):
-        np.multiply(f[0], G[n, 0], out=buf)
+        np.multiply(f[0], G[n][0], out=buf)
         for m in (1, 2, 3):
-            buf += f[m] * G[n, m]
+            buf += f[m] * G[n][m]
         buf *= f[n]
         out[n] -= buf
     out *= g
@@ -354,8 +359,8 @@ def anomaly_divergence_closed_form(lam: LambdaField, g: float) -> np.ndarray:
     out = np.zeros(lam.shape, dtype=complex)
     for m in range(4):
         for n in range(4):
-            d2 = lattice.partial(lam.grid, G[n, m], m + 1)
-            out += g * f[m] * f[n] * (1j * G[n, m] ** 2 - d2)
+            d2 = lattice.partial(lam.grid, G[n][m], m + 1)
+            out += g * f[m] * f[n] * (1j * G[n][m] ** 2 - d2)
     return out
 
 
@@ -373,17 +378,17 @@ def gauge_condition_check(lam: LambdaField, tol: float = GAUGE_TOL) -> GaugeCond
     The componentwise reading is the one the residual identities rely on.
     """
     G = lam.gradients
-    per = tuple(lattice.max_abs(G[m, m]) for m in range(4))
+    per = tuple(lattice.max_abs(G[m][m]) for m in range(4))
     return GaugeConditionReport(per, all(p <= tol for p in per))
 
 
 def _box_profile_analytic(lam: LambdaField, n: int) -> np.ndarray:
-    """Chain-rule wave operator on profile component n (0-based)."""
+    """Chain-rule wave operator on profile component n (0-based), on its axes."""
     f, G = lam.profile, lam.gradients
-    out = np.zeros(lam.shape, dtype=complex)
+    out = np.zeros(f[n].shape, dtype=complex)
     for m in range(4):
-        d2 = lattice.partial(lam.grid, G[n, m], m + 1)
-        out += -f[n] * G[n, m] ** 2 - 1j * f[n] * d2
+        d2 = lattice.partial(lam.grid, G[n][m], m + 1)
+        out += -f[n] * G[n][m] ** 2 - 1j * f[n] * d2
     return out
 
 
@@ -439,11 +444,11 @@ def field_equation_residual_full(lam: LambdaField, g: float) -> np.ndarray:
     for n in range(4):
         for m in range(4):
             out[n] += (
-                f[m] * G[m, m] * G[m, n]
-                - f[n] * G[n, m] ** 2
-                + 1j * f[m] * lattice.partial(grid, G[m, m], n + 1)
-                - 1j * f[n] * lattice.partial(grid, G[n, m], m + 1)
-                - g * f[m] * (f[m] * G[m, n] - f[n] * G[n, m])
+                f[m] * G[m][m] * G[m][n]
+                - f[n] * G[n][m] ** 2
+                + 1j * f[m] * lattice.partial(grid, G[m][m], n + 1)
+                - 1j * f[n] * lattice.partial(grid, G[n][m], m + 1)
+                - g * f[m] * (f[m] * G[m][n] - f[n] * G[n][m])
             )
     return out
 
@@ -490,15 +495,13 @@ def vacuum_report(base: LambdaField, eps_seq, g: float) -> VacuumReport:
     entries = []
     for eps in eps_list:
         lam = base.scaled(eps)
-        j = anomalous_current(lam, g)
-        jn = noether_current(lam)
-        box_f = max(lattice.max_abs(lattice.box(grid, lam.profile[m])) for m in range(4))
         entries.append(
-            VacuumEntry(
+            VacuumEntry(  # each current is dropped before the next is built
                 eps=eps,
-                current_max=lattice.max_abs(j),
-                noether_max=lattice.max_abs(jn),
-                box_profile_max=box_f,
+                current_max=lattice.max_abs(anomalous_current(lam, g)),
+                noether_max=lattice.max_abs(noether_current(lam)),
+                box_profile_max=float(np.max([lattice.max_abs(lattice.box(grid, f))
+                                              for f in lam.profile])),
             )
         )
     pos = [(e.eps, e.current_max, e.box_profile_max) for e in entries if e.eps > 0]

@@ -122,27 +122,29 @@ def anomaly_divergence_expansion(lam: ansatz_field.LambdaField, g: float) -> np.
     is evaluated in the grouped form, with the real sums
     P_mu = sum_nu d_nu d_nu lam_mu and Q_mu = sum_nu (d_nu lam_mu)^2 and
     S_nu = sum_mu f_mu [ i (d_mu lam_nu)(d_nu lam_mu + d_nu lam_nu) - d_nu d_mu lam_nu ];
-    one complex buffer holds P_mu - 2i Q_mu, then each bracket of S_nu. Re-derived
-    symbolically in tests/test_symbolic.py; f factors are exact and lambda
-    derivatives are composed central stencils, so the gap to the raw
-    lattice divergence of the current is O(h^2).
+    a complex buffer on the axes of its factors holds P_mu - 2i Q_mu, then
+    each bracket of S_nu. Re-derived symbolically in tests/test_symbolic.py;
+    f factors are exact and lambda derivatives are composed central
+    stencils, so the gap to the raw lattice divergence of the current is
+    O(h^2).
     """
     g = su2_algebra.check_coupling(g)
     grid, f, G = lam.grid, lam.profile, lam.gradients
     out = np.zeros(lam.shape, dtype=complex)
-    buf = np.empty(lam.shape, dtype=complex)
     for m in range(4):
-        P, Q = lattice.partial(grid, G[m, 0], 1), G[m, 0] ** 2
+        P, Q = lattice.partial(grid, G[m][0], 1), G[m][0] ** 2
         for n in (1, 2, 3):
-            P += lattice.partial(grid, G[m, n], n + 1)
-            Q += G[m, n] ** 2
-        buf.real, buf.imag = P, -2.0 * Q
+            P += lattice.partial(grid, G[m][n], n + 1)
+            Q += G[m][n] ** 2
+        buf = P.astype(complex)
+        buf.imag = -2.0 * Q
         out += f[m] * f[m] * buf
     for n in range(4):
         S = np.zeros(lam.shape, dtype=complex)
         for m in range(4):
-            buf.real = -lattice.partial(grid, G[n, m], n + 1)
-            buf.imag = G[n, m] * (G[m, n] + G[n, n])
+            im = G[n][m] * (G[m][n] + G[n][n])
+            buf = np.empty(im.shape, dtype=complex)
+            buf.real, buf.imag = -lattice.partial(grid, G[n][m], n + 1), im
             S += buf * f[m]
         out += S * f[n]
     out *= g
@@ -165,10 +167,10 @@ def residual_contraction_route(lam: ansatz_field.LambdaField, g: float) -> np.nd
     for n in range(4):
         for m in range(4):
             dF = 1j * (
-                -1j * f[m] * G[m, m] * G[m, n]
-                + f[m] * lattice.partial(grid, G[m, n], m + 1)
-                + 1j * f[n] * G[n, m] ** 2
-                - f[n] * lattice.partial(grid, G[n, m], m + 1)
+                -1j * f[m] * G[m][m] * G[m][n]
+                + f[m] * lattice.partial(grid, G[m][n], m + 1)
+                + 1j * f[n] * G[n][m] ** 2
+                - f[n] * lattice.partial(grid, G[n][m], m + 1)
             )
             out[n] += dF + 1j * g * f[m] * F.component(m + 1, n + 1)
     return out
@@ -439,7 +441,7 @@ def vacuum_limit(run: Run) -> None:
     g = run.cfg.coupling
     zero = ansatz_field.LambdaField.zero(run.grid)
     zvals = {
-        "profile_minus_one": lattice.max_abs(zero.profile - 1.0),
+        "profile_minus_one": float(np.max([lattice.max_abs(f - 1.0) for f in zero.profile])),
         "field_strength": ansatz_field.field_strength_ansatz(zero).max_abs(),
         "lagrangian": lattice.max_abs(ansatz_field.lagrangian_density(zero).values),
         "noether_current": lattice.max_abs(ansatz_field.noether_current(zero)),

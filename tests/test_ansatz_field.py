@@ -28,6 +28,13 @@ def dense(F):
     return np.stack([np.stack([F.component(m, n) for n in range(1, 5)]) for m in range(1, 5)])
 
 
+def on_grid(parts, grid):
+    """A per-component tuple (or a tuple of them, as the gradients are)
+    stacked and repeated to the full grid."""
+    return np.stack([on_grid(p, grid) if isinstance(p, tuple) else np.broadcast_to(p, grid.dims)
+                     for p in parts])
+
+
 def matrix_stack(grid, A, g):
     """The six matrix components over PAIRS, stacked here: the library
     builds one (mu, nu) component per call."""
@@ -67,39 +74,59 @@ def test_from_modes_matches_plain_sine_sum():
     recs = oracles.random_modes(rng, grid, count=4)
     modes = [ansatz_field.Mode(r.component, r.cycles, r.amplitude, r.phase) for r in recs]
     lam = ansatz_field.LambdaField.from_modes(grid, modes)
-    assert np.max(np.abs(lam.values - oracles.lambda_values(grid, recs))) < 1e-15
+    assert np.max(np.abs(on_grid(lam.values, grid) - oracles.lambda_values(grid, recs))) < 1e-15
 
 
 def test_lambda_field_validation_and_scaling():
     grid = small_grid(4)
     with pytest.raises(lattice.GridMismatchError):
         ansatz_field.LambdaField(grid, np.zeros((3,) + grid.dims))
-    bad = np.zeros((4,) + grid.dims)
-    bad[0, 0, 0, 0, 0] = np.nan
-    with pytest.raises(ValueError):
-        ansatz_field.LambdaField(grid, bad)
+    for k in range(4):
+        bad = np.zeros((4,) + grid.dims)
+        bad[k, 0, 0, 0, 0] = np.nan
+        with pytest.raises(ValueError):
+            ansatz_field.LambdaField(grid, bad)
     lam = scenario_field(grid)
-    assert np.array_equal(lam.scaled(2.0).values, 2.0 * lam.values)
+    assert all(np.array_equal(a, 2.0 * b) for a, b in zip(lam.scaled(2.0).values, lam.values))
 
 
 def test_phase_field_is_kept_along_the_axes_its_waves_vary():
     n = 8
     grid = small_grid(n)
     Mode = ansatz_field.Mode
-    assert scenario_field(grid).values.shape == (4, n, n, n, 1)  # the default recipe is static
-    assert ansatz_field.LambdaField.zero(grid).shape == (1, 1, 1, 1)
+    def shapes(lam):
+        return [v.shape for v in lam.values]
+
+    # each component along the axes of its own waves; the default recipe is
+    # static and leaves component 3 empty
+    lam = scenario_field(grid)
+    assert shapes(lam) == [(1, n, 1, 1), (1, 1, n, 1), (1, 1, 1, 1), (n, 1, 1, 1)]
+    assert lam.shape == (n, n, n, 1)
+    assert [f.shape for f in lam.profile] == shapes(lam)
+    assert [[G.shape for G in row] for row in lam.gradients] == [[s] * 4 for s in shapes(lam)]
+    assert shapes(lam.scaled(0.5)) == shapes(lam)
+    assert shapes(ansatz_field.LambdaField.zero(grid)) == [(1, 1, 1, 1)] * 4
     assert ansatz_field.LambdaField.from_modes(grid, []).shape == (1, 1, 1, 1)
     one_axis = ansatz_field.LambdaField.from_modes(grid, [Mode(3, (0, 0, 2, 0), 0.5)])
-    assert one_axis.values.shape == (4, 1, 1, n, 1)
+    assert shapes(one_axis) == [(1, 1, 1, 1)] * 2 + [(1, 1, n, 1), (1, 1, 1, 1)]
     timed = ansatz_field.LambdaField.from_modes(grid, [Mode(1, (0, 1, 0, 1), 0.8)])
-    assert timed.values.shape == (4, 1, n, 1, n)
+    assert shapes(timed) == [(1, n, 1, n)] + [(1, 1, 1, 1)] * 3
     waves = ((0, 1, 0, 1), 0.8, 0.0), *config.DEFAULT_PHASE_WAVES[1:]  # a time cycle on the default
     assert checks.phase_field(config.ScenarioConfig(phase_waves=waves), grid).shape == grid.dims
-    assert gradient_field(grid).shape == grid.dims
+    # the gradient base spans all four axes, but no component does
+    base = checks.gradient_base_field(config.ScenarioConfig(), small_grid(16))
+    assert base.shape == (16,) * 4
+    assert shapes(base) == [(16, 16, 1, 1), (16, 16, 16, 1), (1, 16, 16, 16), (1, 1, 16, 16)]
+    # a stacked (4, *s) array is four components
+    assert shapes(ansatz_field.LambdaField(grid, np.zeros((4, n, 1, n, 1)))) == [(n, 1, n, 1)] * 4
+    for bad in (np.zeros((n, n, n, 2)), np.zeros((n, n, n)), np.zeros((n, n, n, n, 1))):
+        for k in range(4):
+            parts = [np.zeros((1, 1, 1, 1))] * 4
+            parts[k] = bad
+            with pytest.raises(lattice.GridMismatchError):
+                ansatz_field.LambdaField(grid, parts)
     with pytest.raises(lattice.GridMismatchError):
-        ansatz_field.LambdaField(grid, np.zeros((4, n, n, n, 2)))
-    with pytest.raises(lattice.GridMismatchError):
-        ansatz_field.LambdaField(grid, np.zeros((4, n, n, n)))
+        ansatz_field.LambdaField(grid, [np.zeros((1, 1, 1, 1))] * 5)
 
 
 def recipe_set(rng, count):
@@ -126,15 +153,15 @@ def _quiet_residual(lam, g, mode):
 
 # every quantity derived from a phase field, as one array
 DERIVED = {
-    "profile": lambda lam, g: lam.profile,
-    "gradients": lambda lam, g: lam.gradients,
+    "profile": lambda lam, g: on_grid(lam.profile, lam.grid),
+    "gradients": lambda lam, g: on_grid(lam.gradients, lam.grid),
     "field_strength": lambda lam, g: ansatz_field.field_strength_ansatz(lam).values,
-    "direct_analytic": lambda lam, g: np.stack([
+    "direct_analytic": lambda lam, g: on_grid(tuple(
         ansatz_field.field_strength_direct(lam, mu, nu, ansatz_field.ANALYTIC)
-        for mu, nu in ansatz_field.PAIRS]),
-    "direct_raw": lambda lam, g: np.stack([
+        for mu, nu in ansatz_field.PAIRS), lam.grid),
+    "direct_raw": lambda lam, g: on_grid(tuple(
         ansatz_field.field_strength_direct(lam, mu, nu, ansatz_field.RAW)
-        for mu, nu in ansatz_field.PAIRS]),
+        for mu, nu in ansatz_field.PAIRS), lam.grid),
     "lagrangian": lambda lam, g: ansatz_field.lagrangian_density(lam).values,
     "lagrangian_reference": lambda lam, g: ansatz_field.lagrangian_density(lam).from_field_strength,
     "noether_current": lambda lam, g: ansatz_field.noether_current(lam),
@@ -143,11 +170,12 @@ DERIVED = {
     "residual_raw": lambda lam, g: _quiet_residual(lam, g, ansatz_field.RAW),
     "residual_full": lambda lam, g: ansatz_field.field_equation_residual_full(lam, g),
     "residual_route": lambda lam, g: checks.residual_contraction_route(lam, g),
+    "gauge_condition": lambda lam, g: np.array(ansatz_field.gauge_condition_check(lam).per_component),
     "expansion": lambda lam, g: checks.anomaly_divergence_expansion(lam, g),
     "closed_form": lambda lam, g: ansatz_field.anomaly_divergence_closed_form(lam, g),
     "lattice_divergence": lambda lam, g: lattice.divergence(
         lam.grid, ansatz_field.anomalous_current(lam, g)),
-    "box_profile": lambda lam, g: np.stack([lattice.box(lam.grid, lam.profile[n]) for n in range(4)]),
+    "box_profile": lambda lam, g: on_grid(tuple(lattice.box(lam.grid, f) for f in lam.profile), lam.grid),
 }
 
 
@@ -156,15 +184,19 @@ def test_compact_field_equals_its_dense_copy(metric):
     grid = lattice.Grid4((6, 5, 4, 6), 0.9, metric)
     g = 1.3
     shapes = set()
-    for modes in recipe_set(np.random.default_rng(40), 20):
-        lam = ansatz_field.LambdaField.from_modes(grid, modes)
-        full = ansatz_field.LambdaField(grid, np.broadcast_to(lam.values, (4,) + grid.dims))
-        shapes.add(lam.shape)
+    fields = [gradient_field(grid), ansatz_field.LambdaField.zero(grid)]
+    fields += [ansatz_field.LambdaField.from_modes(grid, modes)
+               for modes in recipe_set(np.random.default_rng(40), 20)]
+    for lam in fields:
+        full = ansatz_field.LambdaField(grid, [np.broadcast_to(v, grid.dims) for v in lam.values])
+        shapes.update(v.shape for v in lam.values)
         for name, quantity in DERIVED.items():
             want = quantity(full, g)
             assert np.array_equal(np.broadcast_to(quantity(lam, g), want.shape), want), name
-    # the set holds the zero field, a dense field, a time-only field and
-    # fields that vary along one, two and three axes
+        eps = (1e-1, 1e-2, 1e-3)
+        assert ansatz_field.vacuum_report(lam, eps, g) == ansatz_field.vacuum_report(full, eps, g)
+    # the components include the zero field, dense ones, a time-only one
+    # and ones that vary along one, two and three axes
     assert {(1, 1, 1, 1), grid.dims, (1, 1, 1, 6), (1, 5, 1, 1)} <= shapes
     assert {sum(s != 1 for s in shape) for shape in shapes} == {0, 1, 2, 3, 4}
 
@@ -172,8 +204,7 @@ def test_compact_field_equals_its_dense_copy(metric):
 def test_zero_field_gives_exact_zeros():
     grid = small_grid(4)
     lam = ansatz_field.LambdaField.zero(grid)
-    assert np.array_equal(np.broadcast_to(lam.profile, (4,) + grid.dims),
-                          np.ones((4,) + grid.dims, dtype=complex))
+    assert np.array_equal(on_grid(lam.profile, grid), np.ones((4,) + grid.dims, dtype=complex))
     assert ansatz_field.field_strength_ansatz(lam).max_abs() == 0.0
     assert lattice.max_abs(ansatz_field.noether_current(lam)) == 0.0
     assert lattice.max_abs(ansatz_field.anomalous_current(lam, 1.0)) == 0.0
@@ -186,8 +217,9 @@ def test_zero_field_gives_exact_zeros():
 def test_profile_is_unit_modulus_phase():
     grid = small_grid()
     lam = scenario_field(grid)
-    assert lattice.max_abs(np.abs(lam.profile) - 1.0) < 1e-15
-    assert lattice.max_abs(lam.profile - np.exp(-1j * lam.values)) == 0.0
+    f = on_grid(lam.profile, grid)
+    assert lattice.max_abs(np.abs(f) - 1.0) < 1e-15
+    assert lattice.max_abs(f - np.exp(-1j * on_grid(lam.values, grid))) == 0.0
 
 
 def test_phase_gradients_match_dispersion_table():
@@ -198,7 +230,7 @@ def test_phase_gradients_match_dispersion_table():
         ansatz_field.Mode(comp, cyc, amp, ph)
         for comp, (cyc, amp, ph) in zip(cfg.phase_components, cfg.phase_waves)
     ]
-    assert np.max(np.abs(lam.gradients - oracles.gradient_table(grid, recs))) < 1e-13
+    assert np.max(np.abs(on_grid(lam.gradients, grid) - oracles.gradient_table(grid, recs))) < 1e-13
 
 
 def test_field_strength_matches_oracle():
@@ -296,7 +328,7 @@ def test_matrix_reading_tensors_with_sigma():
         # a real coefficient cos(lambda) along one shared internal direction
         # keeps the commutator term zero: F is the raw scalar stencil route
         A = np.zeros((4,) + grid.dims + (4,))
-        A[..., a] = lam.profile.real
+        A[..., a] = on_grid(lam.profile, grid).real
         for mu, nu in ansatz_field.PAIRS:
             Fs = ansatz_field.field_strength_direct(lam, mu, nu, ansatz_field.RAW)
             Fm = ansatz_field.field_strength_matrix(grid, A, 1.0, mu, nu)
@@ -404,6 +436,30 @@ def test_vacuum_report_validation_and_degenerate_base():
     assert rep.slope_box_profile is None
 
 
+@pytest.mark.parametrize("k", range(4))
+def test_vacuum_report_keeps_a_nan_in_any_component(monkeypatch, k):
+    # Python's max(0.0, nan) is 0.0: only a nan in the first component
+    # reached the wave-operator maximum
+    real = ansatz_field.build_profile
+
+    def planted(lam):
+        f = list(real(lam))
+        f[k] = f[k].copy()
+        f[k][0, 0, 0, 0] = np.nan
+        return tuple(f)
+    monkeypatch.setattr(ansatz_field, "build_profile", planted)
+    rep = ansatz_field.vacuum_report(gradient_field(small_grid()), (1e-1, 1e-2), 1.0)
+    assert all(math.isnan(e.box_profile_max) for e in rep.entries)
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_antisymmetry_defect_keeps_a_nan_in_any_pair(k):
+    F = ansatz_field.field_strength_ansatz(scenario_field(small_grid(4)))
+    assert F.antisymmetry_defect() == 0.0
+    F.values[(k,) + (0,) * 4] = np.nan
+    assert math.isnan(F.antisymmetry_defect())
+
+
 def test_random_mode_sets_against_oracles():
     g = 1.3
     for metric in (lattice.EUCLIDEAN, lattice.LORENTZIAN):
@@ -415,9 +471,10 @@ def test_random_mode_sets_against_oracles():
             waves.update((r.component, 1 + [abs(c) for c in r.cycles].index(1)) for r in recs)
             modes = [ansatz_field.Mode(r.component, r.cycles, r.amplitude, r.phase) for r in recs]
             lam = ansatz_field.LambdaField.from_modes(grid, modes)
-            assert lattice.max_abs(np.abs(lam.profile) - 1.0) < 1e-14
-            assert lattice.max_abs(lam.profile - np.exp(-1j * oracles.lambda_values(grid, recs))) <= 1e-15
-            assert np.max(np.abs(lam.gradients - oracles.gradient_table(grid, recs))) < 1e-13
+            f = on_grid(lam.profile, grid)
+            assert lattice.max_abs(np.abs(f) - 1.0) < 1e-14
+            assert lattice.max_abs(f - np.exp(-1j * oracles.lambda_values(grid, recs))) <= 1e-15
+            assert np.max(np.abs(on_grid(lam.gradients, grid) - oracles.gradient_table(grid, recs))) < 1e-13
             F = ansatz_field.field_strength_ansatz(lam)
             assert F.antisymmetry_defect() == 0.0
             assert np.max(np.abs(dense(F) - oracles.field_strength_oracle(grid, recs))) < 1e-13
