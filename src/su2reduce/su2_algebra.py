@@ -4,11 +4,13 @@ Every matrix field the checks build is X = i s 1 + a.sigma with real s
 and a (a potential, a field strength, i g [A, B]), and every group field
 is U = q0 1 + i q.sigma with real q0 and q. Both are stored as their four
 real coefficients on a trailing axis, (s, a1, a2, a3) and (q0, q1, q2, q3):
-a matrix potential has shape (4, *s, 4) and a group field (*s, 4), where
-s[d] is dims[d] on an axis the field varies along and 1 on every other
-axis (the rule of `lattice.check_field`). Broadcasting stands in for the
-repeats, results are kept along the union of their inputs' axes, and a
-compact field gives what its dense copy gives, bit for bit.
+a group field has shape (*s, 4) and a matrix potential is four components
+A_mu, each (*s_mu, 4) on its own axes (a stacked (4, *s, 4) array is four
+components on shared axes), where s[d] is dims[d] on an axis the field
+varies along and 1 on every other axis (the rule of `lattice.check_field`).
+Broadcasting stands in for the repeats, results are kept along the union
+of their inputs' axes, and a compact field gives what its dense copy
+gives, bit for bit.
 Fields this module allocates keep each coefficient as one contiguous plane
 (`empty_coefficients`), so one `lattice.partial` call covers a whole field
 and the coefficient slices X[..., i] the products read stay contiguous.
@@ -177,28 +179,37 @@ def unitarity_defect(U: np.ndarray) -> float:
     return float(np.max([lattice.max_abs(gram), lattice.max_abs(det)]))
 
 
-def _check_matrix_field(grid: lattice.Grid4, A: np.ndarray, components: bool) -> np.ndarray:
-    """A potential (4, *s, 4) or a group field (*s, 4), each s[d] 1 or dims[d]."""
+def _check_matrix_field(grid: lattice.Grid4, A, components: bool):
+    """A potential as four components (*s_mu, 4), a stacked (4, *s, 4) array
+    among them, or a group field (*s, 4); each s[d] is 1 or dims[d]."""
+    if components:
+        A = tuple(A)
+        if len(A) != 4:
+            raise lattice.GridMismatchError(f"expected four potential components, got {len(A)}")
+        return tuple(_check_matrix_field(grid, a, components=False) for a in A)
     A = np.asarray(A, dtype=float)
-    lead = (4,) if components else ()
-    if A.ndim != len(lead) + 5 or A.shape[:len(lead)] != lead or A.shape[-1] != 4:
-        raise lattice.GridMismatchError(f"expected shape {lead} + (s1, s2, s3, s4, 4), got {A.shape}")
-    lattice.check_field(grid, A[0] if components else A)
+    if A.ndim != 5 or A.shape[-1] != 4:
+        raise lattice.GridMismatchError(f"expected shape (s1, s2, s3, s4, 4), got {A.shape}")
+    lattice.check_field(grid, A)
     return A
 
 
-def gauge_transform(grid: lattice.Grid4, A: np.ndarray, q: np.ndarray, g: float) -> np.ndarray:
+def gauge_transform(grid: lattice.Grid4, A, q: np.ndarray, g: float) -> tuple[np.ndarray, ...]:
     """U A_mu U^-1 - (i/g) U d_mu U^-1 with U^-1 realized as the adjoint.
 
-    A is a potential shaped (4, *s, 4), q the group field of U shaped
-    (*s', 4); the result is kept along the union of their axes. Derivatives
-    are central stencils on the coefficients, so the transform of a
-    constant U is exact rotation.
+    A is a potential of four components A_mu shaped (*s_mu, 4), q the group
+    field of U shaped (*s', 4); A'_mu is kept along the union of A_mu's and
+    U's axes, so every component covers U's. Derivatives are central
+    stencils on the coefficients, so the transform of a constant U is
+    exact rotation.
     """
     g = check_coupling(g)
     A = _check_matrix_field(grid, A, components=True)
-    out = rotate(rotation(_check_matrix_field(grid, q, components=False)), A)
-    out += pure_gauge_field(grid, q, g)
+    R = rotation(_check_matrix_field(grid, q, components=False))
+    out = tuple(rotate(R, a) for a in A)
+    del R  # U's rotation is freed before its pure gauge is built
+    for a, p in zip(out, pure_gauge_field(grid, q, g)):
+        a += p
     return out
 
 

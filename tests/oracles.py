@@ -187,6 +187,12 @@ def algebra_matrices(X):
     return 1j * X[..., 0, None, None] * np.eye(2) + np.einsum("...a,aij->...ij", X[..., 1:], SIGMA)
 
 
+def stacked(A):
+    """A potential's four coefficient components repeated to their common
+    shape and stacked, (4, *s, 4)."""
+    return np.stack(np.broadcast_arrays(*A))
+
+
 def group_matrices(q):
     """q0 1 + i q.sigma for coefficients (q0, q1, q2, q3) on the trailing axis."""
     q = np.asarray(q)

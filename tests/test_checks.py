@@ -56,15 +56,19 @@ def test_smooth_group_field_is_unitary():
 def test_smooth_matrix_potential_is_traceless_hermitian():
     grid = lattice.Grid4.cubic(6)
     A = checks.smooth_matrix_potential(grid, np.random.default_rng(4), 0.5)
-    # the union of its twelve scalars' axes, component (mu, a) from scalar 3 mu + a - 1
+    # four components, A_mu on the union of its own three scalars' axes,
+    # coefficient a of A_mu from scalar 3 (mu - 1) + a - 1
     scalars = replayed_scalars(grid, 4, 12)
-    assert A.shape == (4,) + np.broadcast_shapes(*(x.shape for x in scalars)) + (4,)
-    for k, x in enumerate(scalars):
-        assert np.array_equal(A[k // 3, ..., k % 3 + 1], np.broadcast_to(x, A.shape[1:-1]))
-    assert np.all(A[..., 0] == 0.0)
-    M = oracles.algebra_matrices(A)
-    assert lattice.max_abs(M[..., 0, 0] + M[..., 1, 1]) == 0.0
-    assert lattice.max_abs(M - oracles.dagger(M)) == 0.0
+    assert len(A) == 4
+    for mu, a in enumerate(A):
+        own = scalars[3 * mu:3 * mu + 3]
+        assert a.shape == np.broadcast_shapes(*(x.shape for x in own)) + (4,)
+        for i, x in enumerate(own):
+            assert np.array_equal(a[..., i + 1], np.broadcast_to(x, a.shape[:-1]))
+        assert np.all(a[..., 0] == 0.0)
+        M = oracles.algebra_matrices(a)
+        assert lattice.max_abs(M[..., 0, 0] + M[..., 1, 1]) == 0.0
+        assert lattice.max_abs(M - oracles.dagger(M)) == 0.0
 
 
 def test_default_pure_gauge_field_varies_along_two_axes():
@@ -75,6 +79,30 @@ def test_default_pure_gauge_field_varies_along_two_axes():
         grid = lattice.Grid4.cubic(n, cfg.box_length)
         U = checks.smooth_group_field(grid, np.random.default_rng(cfg.seed + 1), cfg.smooth_amp)
         assert U.shape == (1, n, 1, n, 4)
+
+
+def test_default_covariance_fields_keep_each_component_on_its_own_axes():
+    # at the default seed A_1 varies along axes 1 and 3, A_2..A_4 and U along
+    # 1, 2 and 4; A'_mu covers U's axes and A_mu's, so only A'_1 is dense
+    cfg, n = config.ScenarioConfig(), 24
+    grid = lattice.Grid4.cubic(n, cfg.box_length, cfg.metric)
+    rng = np.random.default_rng(cfg.seed)
+    A = checks.smooth_matrix_potential(grid, rng, cfg.smooth_amp)
+    U = checks.smooth_group_field(grid, rng, cfg.smooth_amp)
+    assert [a.shape for a in A] == [(n, 1, n, 1, 4)] + [(n, n, 1, n, 4)] * 3
+    assert U.shape == (n, n, 1, n, 4)
+    Ap = su2_algebra.gauge_transform(grid, A, U, cfg.coupling)
+    assert [a.shape for a in Ap] == [(n, n, n, n, 4)] + [(n, n, 1, n, 4)] * 3
+
+
+@pytest.mark.parametrize("seed", [0, 6, 17, 2024])
+def test_covariance_study_is_unchanged_by_dense_potentials(monkeypatch, seed):
+    cfg = config.ScenarioConfig(seed=seed, covariance_grids=(12, 16))
+    compact = checks.covariance_order(cfg)
+    real = checks.smooth_matrix_potential
+    monkeypatch.setattr(checks, "smooth_matrix_potential", lambda grid, rng, amp: tuple(
+        np.broadcast_to(a, grid.dims + (4,)).copy() for a in real(grid, rng, amp)))
+    assert checks.covariance_order(cfg).errors == compact.errors
 
 
 def test_divergence_expansion_gap_closes_quadratically():
@@ -147,9 +175,22 @@ def test_covariance_study_peak_memory_is_bounded():
     # seed; the potential stays dense) it reads 24.27. With U's rotation
     # matrix built once per rung and each gap F[A'] - R F[A] formed in place
     # it reads 22.99. At seed 0, whose group field spans all four axes, it
-    # reads 30.20 both before and after that change.
+    # reads 30.20 both before and after that change. With each potential
+    # component kept along its own scalars' axes it reads 9.76 (22.60 at
+    # seed 0).
     peak = traced_peak(checks.covariance_order, config.ScenarioConfig(covariance_grids=(12, 16)))
     assert peak <= 100.0278, peak
+
+
+def test_covariance_potential_keeps_each_component_on_its_own_axes():
+    # A structural bound: at the default seed A_1 varies along two axes and
+    # A_2..A_4 and U along three. Stored as one potential on the union of
+    # all twelve scalars' axes, every field of the study was dense and it
+    # read 22.9952 fields (24,112,206 bytes); with each component on its own
+    # axes only A'_1 is dense and it reads 9.76. A potential stored on the
+    # union again breaks the bound.
+    peak = traced_peak(checks.covariance_order, config.ScenarioConfig(covariance_grids=(12, 16)))
+    assert peak <= 22.9952 / 2, peak
 
 
 def test_pure_gauge_study_peak_memory_is_bounded():
@@ -195,7 +236,7 @@ def test_refine_gives_no_order_when_an_error_is_not_positive_and_finite():
 
 def test_closed_form_row_fails_on_a_nan_in_any_position(monkeypatch):
     # max(0.0, nan) is 0.0: the row must not judge the largest of its norms
-    norms = iter([0.0, math.nan] + [0.0] * 7)  # dev, rest, six pairs, identity
+    norms = iter([0.0, math.nan] + [0.0] * 10)  # dev, rest, six pairs, four identity components
     monkeypatch.setattr(su2_algebra, "max_norm", lambda x: next(norms))
     run = checks.Run("verify", config.ScenarioConfig(grid_n=8))
     checks.pure_gauge_closed_form(run)
@@ -206,7 +247,7 @@ def test_closed_form_row_fails_on_a_nan_in_any_position(monkeypatch):
 
 @pytest.mark.parametrize("k", range(6))
 def test_closed_form_row_fails_on_a_nan_in_any_pair(monkeypatch, k):
-    norms = [0.0] * 9  # dev, rest, six pairs, identity
+    norms = [0.0] * 12  # dev, rest, six pairs, four identity components
     norms[2 + k] = math.nan
     monkeypatch.setattr(su2_algebra, "max_norm", lambda x, it=iter(norms): next(it))
     run = checks.Run("verify", config.ScenarioConfig(grid_n=8))
@@ -214,6 +255,25 @@ def test_closed_form_row_fails_on_a_nan_in_any_pair(monkeypatch, k):
     closed, ident = run.report.checks
     assert closed.status == "FAIL" and math.isnan(closed.details["field_strength_max"])
     assert ident.status == "PASS"
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_identity_row_reports_a_nan_in_any_component(monkeypatch, k):
+    # the identity transform returns four components; a nan in any of them,
+    # also past the first, must reach max_deviation
+    real = su2_algebra.gauge_transform
+
+    def poisoned(*args):
+        out = real(*args)
+        out[k][(0,) * 5] = math.nan
+        return out
+    monkeypatch.setattr(su2_algebra, "gauge_transform", poisoned)
+    run = checks.Run("verify", config.ScenarioConfig(grid_n=8))
+    checks.pure_gauge_closed_form(run)
+    closed, ident = run.report.checks
+    assert closed.status == "PASS"
+    assert ident.name == "gauge_transform_identity" and ident.status == "FAIL"
+    assert math.isnan(ident.details["max_deviation"])
 
 
 @pytest.mark.parametrize("k", range(4))
@@ -353,7 +413,8 @@ def test_matrix_ladders_match_the_oracle_route(seed):
     for n in (8, 12):
         grid = lattice.Grid4.cubic(n, cfg.box_length, cfg.metric)
         rng = np.random.default_rng(seed)
-        A = oracles.algebra_matrices(checks.smooth_matrix_potential(grid, rng, cfg.smooth_amp))
+        A = checks.smooth_matrix_potential(grid, rng, cfg.smooth_amp)
+        A = oracles.algebra_matrices(oracles.stacked(A))
         U = oracles.group_matrices(checks.smooth_group_field(grid, rng, cfg.smooth_amp))
         cov.append(oracles.covariance_gap(grid, A, U, g))
         U = checks.smooth_group_field(grid, np.random.default_rng(seed + 1), cfg.smooth_amp)

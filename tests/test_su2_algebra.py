@@ -190,14 +190,15 @@ def test_gauge_transform_and_pure_gauge_match_the_oracle(seed):
     grid = lattice.Grid4.cubic(6)
     g = float(rng.uniform(0.2, 3.0))
     A, q = smooth_pair(grid, rng, float(rng.uniform(0.3, 2.0)))
-    A[..., 0] = rng.standard_normal(A.shape[:-1])  # an identity part too
+    for a in A:
+        a[..., 0] = rng.standard_normal(a.shape[:-1])  # an identity part too
     U = oracles.group_matrices(q)
     got = su2_algebra.pure_gauge_field(grid, q, g)
     want = oracles.pure_gauge(grid, U, g)
     assert relative_gap(oracles.algebra_matrices(got), want) <= 1e-13
     got = su2_algebra.gauge_transform(grid, A, q, g)
-    want = oracles.gauge_transform(grid, oracles.algebra_matrices(A), U, g)
-    assert relative_gap(oracles.algebra_matrices(got), want) <= 1e-13
+    want = oracles.gauge_transform(grid, oracles.algebra_matrices(oracles.stacked(A)), U, g)
+    assert relative_gap(oracles.algebra_matrices(oracles.stacked(got)), want) <= 1e-13
 
 
 @pytest.mark.parametrize("seed", [51, 52])
@@ -228,12 +229,14 @@ def test_entry_planes_layout_gives_identical_products():
     assert np.array_equal(R, su2_algebra.rotation(np.ascontiguousarray(q)))
 
 
+def axes_shape(grid, axes):
+    return tuple(n if d in axes else 1 for d, n in enumerate(grid.dims))
+
+
 def compact_pair(rng, grid, a_axes, q_axes):
-    """A random potential and group field kept along the given axes only."""
-    def shape(axes):
-        return tuple(n if d in axes else 1 for d, n in enumerate(grid.dims))
-    A = random_coefficients(rng, (4,) + shape(a_axes))
-    return A, random_group(rng, shape(q_axes))
+    """A random stacked potential and group field kept along the given axes only."""
+    return (random_coefficients(rng, (4,) + axes_shape(grid, a_axes)),
+            random_group(rng, axes_shape(grid, q_axes)))
 
 
 # derandomised (potential axes, group field axes): empty, single, disjoint,
@@ -251,28 +254,41 @@ def test_compact_matrix_fields_equal_their_dense_copies(a_axes, q_axes, special)
     grid = lattice.Grid4((4, 5, 6, 4), 0.3)
     rng = np.random.default_rng(len(a_axes) * 10 + len(q_axes))
     A, q = compact_pair(rng, grid, a_axes, q_axes)
+    # and a potential whose four components each keep a different subset
+    i = AXIS_SUBSETS.index((a_axes, q_axes))
+    own = tuple(random_coefficients(rng, axes_shape(grid, AXIS_SUBSETS[(i + mu) % len(AXIS_SUBSETS)][0]))
+                for mu in range(4))
     if special is not None:
         A[(2,) + (0,) * 4 + (1,)] = special
+        own[2][(0,) * 4 + (1,)] = special
         q[(0,) * 4 + (0,)] = special
-    Ad = np.broadcast_to(A, (4,) + grid.dims + (4,)).copy()
     qd = np.broadcast_to(q, grid.dims + (4,)).copy()
+    R, Rd = su2_algebra.rotation(q), su2_algebra.rotation(qd)
     g = 1.7
 
     def same(got, want):
         assert np.array_equal(np.broadcast_to(got, want.shape), want, equal_nan=True)
 
-    same(su2_algebra.rotate(su2_algebra.rotation(q), A), su2_algebra.rotate(su2_algebra.rotation(qd), Ad))
-    same(su2_algebra.commutator(A[0], A[2], g), su2_algebra.commutator(Ad[0], Ad[2], g))
-    same(su2_algebra.gauge_transform(grid, A, q, g), su2_algebra.gauge_transform(grid, Ad, qd, g))
+    for pot in (A, own):
+        Ad = np.stack([np.broadcast_to(a, grid.dims + (4,)) for a in pot])
+        for a, want in zip(pot, su2_algebra.rotate(Rd, Ad)):
+            same(su2_algebra.rotate(R, a), want)
+        for a, ad in zip(pot, Ad):
+            assert np.array_equal([su2_algebra.max_norm(a)], [su2_algebra.max_norm(ad)], equal_nan=True)
+        moved, moved_d = (su2_algebra.gauge_transform(grid, pot, q, g),
+                          su2_algebra.gauge_transform(grid, Ad, qd, g))
+        assert len(moved) == len(moved_d) == 4
+        for a, got, want in zip(pot, moved, moved_d):
+            assert got.shape == np.broadcast_shapes(a.shape, q.shape)
+            same(got, want)
+        for mu, nu in ansatz_field.PAIRS:
+            F = ansatz_field.field_strength_matrix(grid, pot, g, mu, nu)
+            assert F.shape == np.broadcast_shapes(pot[mu - 1].shape, pot[nu - 1].shape)
+            same(F, ansatz_field.field_strength_matrix(grid, Ad, g, mu, nu))
+            same(su2_algebra.commutator(pot[mu - 1], pot[nu - 1], g),
+                 su2_algebra.commutator(Ad[mu - 1], Ad[nu - 1], g))
     same(su2_algebra.pure_gauge_field(grid, q, g), su2_algebra.pure_gauge_field(grid, qd, g))
-    for mu, nu in ansatz_field.PAIRS:
-        F = ansatz_field.field_strength_matrix(grid, A, g, mu, nu)
-        assert F.shape == A.shape[1:]
-        same(F, ansatz_field.field_strength_matrix(grid, Ad, g, mu, nu))
-    assert np.array_equal([su2_algebra.max_norm(A)], [su2_algebra.max_norm(Ad)], equal_nan=True)
     assert su2_algebra.pure_gauge_field(grid, q, g).shape == (4,) + q.shape
-    assert su2_algebra.gauge_transform(grid, A, q, g).shape == \
-        (4,) + np.broadcast_shapes(A.shape[1:], q.shape)
 
 
 def test_a_matrix_axis_neither_full_nor_one_is_refused():
@@ -292,6 +308,17 @@ def test_a_matrix_axis_neither_full_nor_one_is_refused():
         ansatz_field.field_strength_matrix(grid, bad_a, 1.0, 1, 2)
     with pytest.raises(lattice.GridMismatchError):  # too few axes for a field
         su2_algebra.pure_gauge_field(grid, np.zeros((6, 6, 6, 4)), 1.0)
+    # a potential is four components, each on axes of its own
+    parts = list(A)
+    wrong = [parts[:3], parts + [parts[0]]]
+    for k in range(4):
+        for bad in (np.zeros((6, 3, 1, 1, 4)), np.zeros((6, 6, 1, 1)), np.zeros((6, 6, 1, 1, 2, 2))):
+            wrong.append(parts[:k] + [bad] + parts[k + 1:])
+    for bad in wrong:
+        with pytest.raises(lattice.GridMismatchError):
+            su2_algebra.gauge_transform(grid, bad, q, 1.0)
+        with pytest.raises(lattice.GridMismatchError):
+            ansatz_field.field_strength_matrix(grid, bad, 1.0, 1, 2)
 
 
 @pytest.mark.parametrize("plane", range(4))
