@@ -390,17 +390,15 @@ def _box_profile_analytic(lam: LambdaField, n: int) -> np.ndarray:
     return out
 
 
-def field_equation_residual(lam: LambdaField, g: float, mode: str = ANALYTIC) -> np.ndarray:
+def field_equation_residual(lam: LambdaField, g: float) -> np.ndarray:
     """R_nu = box(f_nu) - j_nu, the gauge-fixed equation of motion.
 
     Valid as an equation of motion only under the componentwise gauge
-    condition; a warning is emitted when the input violates it. In
-    analytic mode the wave operator is the exact chain-rule expansion
-    (composed central stencils); in raw mode it is the compact stencil
-    applied to the profile values.
+    condition; a warning is emitted when the input violates it. The wave
+    operator is the "analytic" chain-rule expansion (composed central
+    stencils); the compact stencil on the profile values agrees to O(h^2).
     """
     g = su2_algebra.check_coupling(g)
-    _check_mode(mode)
     rep = gauge_condition_check(lam)
     if not rep.satisfied:
         warnings.warn(
@@ -412,11 +410,7 @@ def field_equation_residual(lam: LambdaField, g: float, mode: str = ANALYTIC) ->
     j = anomalous_current(lam, g)
     out = np.empty((4,) + lam.shape, dtype=complex)
     for n in range(4):
-        if mode == ANALYTIC:
-            boxf = _box_profile_analytic(lam, n)
-        else:
-            boxf = lattice.box(lam.grid, lam.profile[n])
-        out[n] = boxf - j[n]
+        out[n] = _box_profile_analytic(lam, n) - j[n]
     return out
 
 

@@ -161,14 +161,12 @@ class ReducedOperator:
     """Constant reduced potential A_mu = -i g exp(-i c_mu) sigma_a.
 
     coefficients  the four complex prefactors, all of modulus g
-    observable    sigma_a / 2, the surviving spin observable
-    eigenvalues   of the observable, -1/2 and +1/2
+    pauli_index   a, the internal direction of sigma_a
+    eigenvalues   of the surviving spin observable sigma_a / 2, -1/2 and +1/2
     """
 
     coefficients: tuple[complex, complex, complex, complex]
     pauli_index: int
-    matrices: np.ndarray
-    observable: np.ndarray
     eigenvalues: tuple[float, float]
 
     def to_dict(self) -> dict:
@@ -182,13 +180,8 @@ class ReducedOperator:
 
 def reduced_operator(center, g: float, a: int = 3) -> ReducedOperator:
     coeffs = pullback_coefficients(center, g)
-    sig = su2_algebra.pauli(a)
-    mats = coeffs[:, None, None] * sig
-    obs = 0.5 * sig
-    eig = np.linalg.eigvalsh(obs)
-    return ReducedOperator(
-        tuple(complex(v) for v in coeffs), a, mats, obs, (float(eig[0]), float(eig[1]))
-    )
+    eig = np.linalg.eigvalsh(0.5 * su2_algebra.pauli(a))
+    return ReducedOperator(tuple(complex(v) for v in coeffs), a, (float(eig[0]), float(eig[1])))
 
 
 ERRATA = (

@@ -89,7 +89,7 @@ def _refine(cfg: config.ScenarioConfig, ladder, gap) -> lattice.OrderEstimate:
     order is None when an error is not finite or below the smallest normal
     float (zero, or subnormal with its precision lost): no fit exists.
     """
-    grids = [lattice.Grid4.cubic(n, cfg.box_length, cfg.metric) for n in ladder]
+    grids = [lattice.Grid4.cubic(n, cfg.box_length) for n in ladder]
     hs, errs = tuple(grid.h for grid in grids), tuple(gap(grid) for grid in grids)
     fits = all(np.finfo(float).tiny <= e < math.inf for e in errs)
     return lattice.OrderEstimate(lattice.fit_order(hs, errs) if fits else None, hs, errs)
@@ -399,7 +399,7 @@ def pure_gauge_order_window(run: Run) -> None:
 def pure_gauge_closed_form(run: Run) -> None:
     """The closed-form pure gauge on 8^4, then the identity transform of it."""
     g = run.cfg.coupling
-    small = lattice.Grid4.cubic(8, run.cfg.box_length, run.cfg.metric)
+    small = lattice.Grid4.cubic(8, run.cfg.box_length)
     _, A, coeff = single_axis_pure_gauge(small, g, run.cfg.pauli_index)
     dev = su2_algebra.max_norm(A[0] - coeff * np.eye(4)[run.cfg.pauli_index])
     rest = su2_algebra.max_norm(A[1:])
@@ -421,7 +421,7 @@ def residual_routes(run: Run) -> None:
     full = ansatz_field.field_equation_residual_full(run.phase, g)
     gap = lattice.max_abs(full - residual_contraction_route(run.phase, g))
     run.bounded("residual_contraction_equivalence", "max_gap", gap)
-    fixed = ansatz_field.field_equation_residual(run.phase, g, mode=ansatz_field.ANALYTIC)
+    fixed = ansatz_field.field_equation_residual(run.phase, g)
     gap = lattice.max_abs(full - fixed)
     gc = ansatz_field.gauge_condition_check(run.phase)
     tol = LIMITS["residual_gauge_fixed_equivalence"]

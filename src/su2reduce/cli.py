@@ -28,8 +28,6 @@ def _build_config(args) -> config.ScenarioConfig:
         overrides["grid_n"] = args.grid
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.metric is not None:
-        overrides["metric"] = args.metric
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
@@ -118,8 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--config", help="JSON file of ScenarioConfig overrides")
         q.add_argument("--grid", type=int, help="points per axis of the working grid")
         q.add_argument("--seed", type=int, help="base RNG seed")
-        q.add_argument("--metric", choices=[lattice.EUCLIDEAN, lattice.LORENTZIAN],
-                       help="wave-operator signature")
         q.add_argument("--out", help="directory for report.json and CSV artifacts")
         q.add_argument("--json", action="store_true", help="print the JSON report to stdout")
     return p

@@ -45,7 +45,6 @@ class ScenarioConfig:
 
     grid_n            points per axis of the working grid
     box_length        physical extent of every axis
-    metric            lattice.EUCLIDEAN or lattice.LORENTZIAN
     coupling          gauge coupling g > 0
     pauli_index       internal direction for matrix readings (1..3)
     phase_waves       waves for the main phase field, one per entry of
@@ -77,7 +76,6 @@ class ScenarioConfig:
 
     grid_n: int = 16
     box_length: float = 2.0 * math.pi
-    metric: str = lattice.EUCLIDEAN
     coupling: float = 1.0
     pauli_index: int = 3
     phase_waves: tuple = DEFAULT_PHASE_WAVES
@@ -110,8 +108,6 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be positive and finite")
         if self.grid_n < 4:
             raise ConfigError(f"grid_n must be an integer >= 4, got {self.grid_n}")
-        if self.metric not in (lattice.EUCLIDEAN, lattice.LORENTZIAN):
-            raise ConfigError(f"unknown metric {self.metric!r}")
         if self.pauli_index not in (1, 2, 3):
             raise ConfigError(f"pauli_index must be 1..3, got {self.pauli_index}")
         object.__setattr__(self, "phase_waves", _check_waves(self.phase_waves, "phase_waves"))
@@ -149,7 +145,7 @@ class ScenarioConfig:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")
 
     def grid(self) -> lattice.Grid4:
-        return lattice.Grid4.cubic(self.grid_n, self.box_length, self.metric)
+        return lattice.Grid4.cubic(self.grid_n, self.box_length)
 
     def to_dict(self) -> dict:
         out = {}

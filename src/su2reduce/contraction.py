@@ -159,10 +159,6 @@ class IterationTrace:
     def steps(self) -> int:
         return len(self.distances)
 
-    @property
-    def final(self) -> np.ndarray:
-        return self.iterates[-1]
-
     def save_csv(self, path) -> None:
         """Columns: k, x1..x4, d (displacement taken at k), ratio."""
         with open(path, "w", newline="", encoding="ascii") as fh:

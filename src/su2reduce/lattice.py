@@ -15,7 +15,8 @@ interior points read the shifted slices directly and the two seam points
 read the wrapped neighbours.
 
 Index convention: mu runs 1..4 and maps to array axis mu-1. Axis 4 is the
-time axis, axes 1..3 are spatial.
+time axis, axes 1..3 are spatial; the wave operator `box` is Euclidean and
+counts all four alike.
 """
 
 from __future__ import annotations
@@ -24,9 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-EUCLIDEAN = "euclidean"
-LORENTZIAN = "lorentzian"
 
 
 class GridMismatchError(ValueError):
@@ -40,13 +38,10 @@ class Grid4:
     dims    points per axis, each at least 4 so central stencils see
             distinct neighbours
     h       lattice spacing
-    metric  EUCLIDEAN sums all four second derivatives in `box`;
-            LORENTZIAN counts axis 4 positive and axes 1..3 negative
     """
 
     dims: tuple[int, int, int, int]
     h: float
-    metric: str = EUCLIDEAN
 
     def __post_init__(self):
         dims = tuple(int(n) for n in self.dims)
@@ -55,13 +50,11 @@ class Grid4:
             raise ValueError(f"need four axes with at least 4 points each, got {dims}")
         if not (math.isfinite(self.h) and self.h > 0):
             raise ValueError(f"spacing must be finite and positive, got {self.h}")
-        if self.metric not in (EUCLIDEAN, LORENTZIAN):
-            raise ValueError(f"unknown metric {self.metric!r}")
 
     @classmethod
-    def cubic(cls, n: int, length: float = 2.0 * math.pi, metric: str = EUCLIDEAN) -> "Grid4":
+    def cubic(cls, n: int, length: float = 2.0 * math.pi) -> "Grid4":
         """n points per axis spanning `length`; integer-cycle trig modes stay commensurate."""
-        return cls((n, n, n, n), length / n, metric)
+        return cls((n, n, n, n), length / n)
 
     def length(self, mu: int) -> float:
         _check_mu(mu)
@@ -120,21 +113,15 @@ def second_diff(grid: Grid4, f: np.ndarray, mu: int) -> np.ndarray:
 
 
 def box(grid: Grid4, f: np.ndarray) -> np.ndarray:
-    """Wave operator from compact second differences, signed by grid.metric.
+    """Euclidean wave operator: the sum of the four compact second differences.
 
     The compact stencil is used directly rather than composing two first
     differences; the two choices differ at O(h^2) and the compact one has
     the smaller stencil footprint.
     """
-    f = check_field(grid, f)
-    if grid.metric == EUCLIDEAN:
-        out = second_diff(grid, f, 1)
-        for mu in (2, 3, 4):
-            out += second_diff(grid, f, mu)
-        return out
-    out = second_diff(grid, f, 4)
-    for mu in (1, 2, 3):
-        out -= second_diff(grid, f, mu)
+    out = second_diff(grid, f, 1)
+    for mu in (2, 3, 4):
+        out += second_diff(grid, f, mu)
     return out
 
 
@@ -181,7 +168,7 @@ def fit_order(spacings, errors) -> float:
 
 
 # ---------------------------------------------------------------------------
-# serialization: header (dims, h, metric) then values in row-major order
+# serialization: header (dims, h) then values in row-major order
 
 
 def save_field_csv(path, grid: Grid4, f: np.ndarray) -> None:
@@ -197,7 +184,6 @@ def save_field_csv(path, grid: Grid4, f: np.ndarray) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write("# dims=" + ",".join(str(n) for n in grid.dims) + "\n")
         fh.write(f"# h={float(grid.h)!r}\n")
-        fh.write(f"# metric={grid.metric}\n")
         fh.write(f"# kind={'complex' if complex_kind else 'real'}\n")
         fh.writelines(np.broadcast_to(rows, grid.dims).flat)
 
@@ -206,4 +192,4 @@ def save_field_npz(path, grid: Grid4, f: np.ndarray) -> None:
     """Stores the field repeated to the full grid shape."""
     f = check_field(grid, f)
     f = np.broadcast_to(f, grid.dims + f.shape[4:])
-    np.savez(path, values=f, dims=np.array(grid.dims), h=np.array(grid.h), metric=np.array(grid.metric))
+    np.savez(path, values=f, dims=np.array(grid.dims), h=np.array(grid.h))

@@ -8,8 +8,11 @@ multipliers, sin(kh)/h for the first difference and -(2 - 2 cos kh)/h^2
 for the compact second difference), and the SU(2) algebra is the 2x2
 reference: the package's real u(2) coefficients are read as complex
 matrices and multiplied through np.matmul, with derivatives by np.roll.
-Tests compare the package against these at rounding level. The artifact
-readers parse the package's CSV and npz files without its own code.
+Tests compare the package against these at rounding level, except the
+raw-stencil residual: it applies the compact second difference by np.roll
+to the profile values, and the package's chain-rule residual meets it at
+O(h^2). The artifact readers parse the package's CSV and npz files
+without its own code.
 """
 
 import math
@@ -238,6 +241,23 @@ def field_strength(grid, A, g):
     ])
 
 
+def raw_residual(lam, g):
+    """box(f_nu) - j_nu on the full grid, the raw-stencil route to the
+    gauge-fixed residual: the compact second difference, by np.roll, of
+    the profile values, minus j_nu = g sum_mu f_mu (f_mu G[mu][nu] -
+    f_nu G[nu][mu]) contracted from the phase field's profile and gradients."""
+    grid = lam.grid
+    f = [np.broadcast_to(p, grid.dims) for p in lam.profile]
+    G = [[np.broadcast_to(x, grid.dims) for x in row] for row in lam.gradients]
+    out = np.zeros((4,) + grid.dims, dtype=complex)
+    for n in range(4):
+        for ax in range(4):
+            out[n] += (np.roll(f[n], -1, axis=ax) - 2.0 * f[n] + np.roll(f[n], 1, axis=ax)) / grid.h**2
+        for m in range(4):
+            out[n] -= g * f[m] * (f[m] * G[m][n] - f[n] * G[n][m])
+    return out
+
+
 def covariance_gap(grid, A, U, g):
     """max |F[A'] - U F[A] U^dagger| over the matrix entries, A' the transform of A."""
     F = field_strength(grid, A, g)
@@ -255,8 +275,8 @@ def pure_gauge_gap(grid, U, g):
 
 
 def read_field_csv(path):
-    """(header, values) of a CSV field: the `# key=value` lines as dims, h,
-    metric and kind, and the rows as an array shaped by dims."""
+    """(header, values) of a CSV field: the `# key=value` lines as dims, h
+    and kind, and the rows as an array shaped by dims."""
     header, rows = {}, []
     with open(path, encoding="ascii") as fh:
         for line in fh:

@@ -145,10 +145,10 @@ def recipe_set(rng, count):
     return recipes
 
 
-def _quiet_residual(lam, g, mode):
+def _quiet_residual(lam, g):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # most recipes break the gauge condition
-        return ansatz_field.field_equation_residual(lam, g, mode=mode)
+        return ansatz_field.field_equation_residual(lam, g)
 
 
 # every quantity derived from a phase field, as one array
@@ -166,8 +166,8 @@ DERIVED = {
     "lagrangian_reference": lambda lam, g: ansatz_field.lagrangian_density(lam).from_field_strength,
     "noether_current": lambda lam, g: ansatz_field.noether_current(lam),
     "anomalous_current": lambda lam, g: ansatz_field.anomalous_current(lam, g),
-    "residual_analytic": lambda lam, g: _quiet_residual(lam, g, ansatz_field.ANALYTIC),
-    "residual_raw": lambda lam, g: _quiet_residual(lam, g, ansatz_field.RAW),
+    "residual_analytic": _quiet_residual,
+    "residual_raw": oracles.raw_residual,
     "residual_full": lambda lam, g: ansatz_field.field_equation_residual_full(lam, g),
     "residual_route": lambda lam, g: checks.residual_contraction_route(lam, g),
     "gauge_condition": lambda lam, g: np.array(ansatz_field.gauge_condition_check(lam).per_component),
@@ -179,9 +179,8 @@ DERIVED = {
 }
 
 
-@pytest.mark.parametrize("metric", [lattice.EUCLIDEAN, lattice.LORENTZIAN])
-def test_compact_field_equals_its_dense_copy(metric):
-    grid = lattice.Grid4((6, 5, 4, 6), 0.9, metric)
+def test_compact_field_equals_its_dense_copy():
+    grid = lattice.Grid4((6, 5, 4, 6), 0.9)
     g = 1.3
     shapes = set()
     fields = [gradient_field(grid), ansatz_field.LambdaField.zero(grid)]
@@ -406,10 +405,25 @@ def test_residual_routes_agree():
     full = ansatz_field.field_equation_residual_full(lam, g)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        fixed = ansatz_field.field_equation_residual(lam, g, mode=ansatz_field.ANALYTIC)
+        fixed = ansatz_field.field_equation_residual(lam, g)
     assert lattice.max_abs(full - fixed) < 1e-10
     contracted = checks.residual_contraction_route(lam, g)
     assert lattice.max_abs(full - contracted) < 1e-10
+
+
+def test_raw_residual_route_closes_at_second_order():
+    # the chain-rule wave operator and the compact stencil on the profile
+    # values are two discretizations of one box(f): their gap is O(h^2)
+    cfg = config.ScenarioConfig()
+    g, hs, gaps = cfg.coupling, [], []
+    for n in cfg.raw_order_grids:
+        lam = checks.phase_field(cfg, lattice.Grid4.cubic(n, cfg.box_length))
+        hs.append(lam.grid.h)
+        gaps.append(lattice.max_abs(ansatz_field.field_equation_residual(lam, g)
+                                    - oracles.raw_residual(lam, g)))
+    assert cfg.raw_order_grids == (8, 16, 32) and gaps[0] > gaps[1] > gaps[2] > 0
+    centre, half_width = checks.LIMITS["refinement_order"]
+    assert abs(lattice.fit_order(hs, gaps) - centre) <= half_width, gaps
 
 
 def test_vacuum_report_slopes_and_exact_cancellations():
@@ -462,40 +476,39 @@ def test_antisymmetry_defect_keeps_a_nan_in_any_pair(k):
 
 def test_random_mode_sets_against_oracles():
     g = 1.3
-    for metric in (lattice.EUCLIDEAN, lattice.LORENTZIAN):
-        grid = lattice.Grid4.cubic(6, metric=metric)
-        rng = np.random.default_rng(2024)
-        waves = set()  # (component, axis) pairs the recipes exercise
-        for _ in range(12):
-            recs = oracles.random_modes(rng, grid, count=3)
-            waves.update((r.component, 1 + [abs(c) for c in r.cycles].index(1)) for r in recs)
-            modes = [ansatz_field.Mode(r.component, r.cycles, r.amplitude, r.phase) for r in recs]
-            lam = ansatz_field.LambdaField.from_modes(grid, modes)
-            f = on_grid(lam.profile, grid)
-            assert lattice.max_abs(np.abs(f) - 1.0) < 1e-14
-            assert lattice.max_abs(f - np.exp(-1j * oracles.lambda_values(grid, recs))) <= 1e-15
-            assert np.max(np.abs(on_grid(lam.gradients, grid) - oracles.gradient_table(grid, recs))) < 1e-13
-            F = ansatz_field.field_strength_ansatz(lam)
-            assert F.antisymmetry_defect() == 0.0
-            assert np.max(np.abs(dense(F) - oracles.field_strength_oracle(grid, recs))) < 1e-13
-            for k, (mu, nu) in enumerate(ansatz_field.PAIRS):
-                Fd = ansatz_field.field_strength_direct(lam, mu, nu, ansatz_field.ANALYTIC)
-                assert lattice.max_abs(F.values[k] - Fd) < 1e-13
-            assert ansatz_field.lagrangian_density(lam).identity_defect() <= 1e-10
-            full = ansatz_field.field_equation_residual_full(lam, g)
-            assert lattice.max_abs(full - checks.residual_contraction_route(lam, g)) <= 1e-10
-            j = ansatz_field.anomalous_current(lam, g)
-            contracted = -1j * g * np.stack([
-                sum(lam.profile[m - 1] * F.component(m, n) for m in range(1, 5)) for n in range(1, 5)
-            ])
-            assert lattice.max_abs(j - contracted) <= 1e-12
-            want = oracles.anomaly_divergence_oracle(grid, recs, g)
-            got = checks.anomaly_divergence_expansion(lam, g)
-            assert lattice.max_abs(got - want) <= 1e-12 * lattice.max_abs(want)
-        # the default recipe leaves component 3 empty and obeys the gauge
-        # condition; these recipes give every component a wave along its
-        # own axis, which the gauge-violating residual terms need
-        assert {(c, c) for c in range(1, 5)} <= waves
+    grid = lattice.Grid4.cubic(6)
+    rng = np.random.default_rng(2024)
+    waves = set()  # (component, axis) pairs the recipes exercise
+    for _ in range(12):
+        recs = oracles.random_modes(rng, grid, count=3)
+        waves.update((r.component, 1 + [abs(c) for c in r.cycles].index(1)) for r in recs)
+        modes = [ansatz_field.Mode(r.component, r.cycles, r.amplitude, r.phase) for r in recs]
+        lam = ansatz_field.LambdaField.from_modes(grid, modes)
+        f = on_grid(lam.profile, grid)
+        assert lattice.max_abs(np.abs(f) - 1.0) < 1e-14
+        assert lattice.max_abs(f - np.exp(-1j * oracles.lambda_values(grid, recs))) <= 1e-15
+        assert np.max(np.abs(on_grid(lam.gradients, grid) - oracles.gradient_table(grid, recs))) < 1e-13
+        F = ansatz_field.field_strength_ansatz(lam)
+        assert F.antisymmetry_defect() == 0.0
+        assert np.max(np.abs(dense(F) - oracles.field_strength_oracle(grid, recs))) < 1e-13
+        for k, (mu, nu) in enumerate(ansatz_field.PAIRS):
+            Fd = ansatz_field.field_strength_direct(lam, mu, nu, ansatz_field.ANALYTIC)
+            assert lattice.max_abs(F.values[k] - Fd) < 1e-13
+        assert ansatz_field.lagrangian_density(lam).identity_defect() <= 1e-10
+        full = ansatz_field.field_equation_residual_full(lam, g)
+        assert lattice.max_abs(full - checks.residual_contraction_route(lam, g)) <= 1e-10
+        j = ansatz_field.anomalous_current(lam, g)
+        contracted = -1j * g * np.stack([
+            sum(lam.profile[m - 1] * F.component(m, n) for m in range(1, 5)) for n in range(1, 5)
+        ])
+        assert lattice.max_abs(j - contracted) <= 1e-12
+        want = oracles.anomaly_divergence_oracle(grid, recs, g)
+        got = checks.anomaly_divergence_expansion(lam, g)
+        assert lattice.max_abs(got - want) <= 1e-12 * lattice.max_abs(want)
+    # the default recipe leaves component 3 empty and obeys the gauge
+    # condition; these recipes give every component a wave along its
+    # own axis, which the gauge-violating residual terms need
+    assert {(c, c) for c in range(1, 5)} <= waves
 
 
 def test_profile_and_gradients_are_computed_once_per_field(monkeypatch):
@@ -519,8 +532,8 @@ def test_profile_and_gradients_are_computed_once_per_field(monkeypatch):
     ansatz_field.anomalous_current(lam, g)
     ansatz_field.anomaly_divergence_closed_form(lam, g)
     ansatz_field.gauge_condition_check(lam)
-    ansatz_field.field_equation_residual(lam, g, mode=ansatz_field.ANALYTIC)
-    ansatz_field.field_equation_residual(lam, g, mode=ansatz_field.RAW)
+    ansatz_field.field_equation_residual(lam, g)
+    oracles.raw_residual(lam, g)
     ansatz_field.field_equation_residual_full(lam, g)
     checks.anomaly_divergence_expansion(lam, g)
     checks.residual_contraction_route(lam, g)

@@ -103,10 +103,14 @@ def test_reduced_operator_spectrum_and_moduli():
         assert max(abs(abs(v) - 1.0) for v in op.coefficients) <= 1e-15
         assert abs(op.eigenvalues[0] + 0.5) <= 1e-12
         assert abs(op.eigenvalues[1] - 0.5) <= 1e-12
-        assert np.array_equal(op.observable, 0.5 * su2_algebra.pauli(a))
-        assert op.matrices.shape == (4, 2, 2)
-        want = np.array(op.coefficients)[:, None, None] * su2_algebra.pauli(a)
-        assert np.max(np.abs(op.matrices - want)) == 0.0
+        # the observable sigma_a / 2 and the potentials c_mu sigma_a, rebuilt
+        # from what the operator stores
+        sig = su2_algebra.pauli(op.pauli_index)
+        assert op.pauli_index == a
+        assert np.array_equal(np.linalg.eigvalsh(0.5 * sig), op.eigenvalues)
+        mats = np.array(op.coefficients)[:, None, None] * sig
+        assert mats.shape == (4, 2, 2)
+        assert np.array_equal(np.einsum("mij,ji->m", mats, sig) / 2, op.coefficients)
         json.dumps(op.to_dict())
     with pytest.raises(ValueError):
         bundle.reduced_operator(CENTER, 1.0, 4)

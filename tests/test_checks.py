@@ -85,7 +85,7 @@ def test_default_covariance_fields_keep_each_component_on_its_own_axes():
     # at the default seed A_1 varies along axes 1 and 3, A_2..A_4 and U along
     # 1, 2 and 4; A'_mu covers U's axes and A_mu's, so only A'_1 is dense
     cfg, n = config.ScenarioConfig(), 24
-    grid = lattice.Grid4.cubic(n, cfg.box_length, cfg.metric)
+    grid = lattice.Grid4.cubic(n, cfg.box_length)
     rng = np.random.default_rng(cfg.seed)
     A = checks.smooth_matrix_potential(grid, rng, cfg.smooth_amp)
     U = checks.smooth_group_field(grid, rng, cfg.smooth_amp)
@@ -109,7 +109,7 @@ def test_divergence_expansion_gap_closes_quadratically():
     cfg = config.ScenarioConfig()
     gaps = []
     for n in (12, 24):
-        grid = lattice.Grid4.cubic(n, cfg.box_length, cfg.metric)
+        grid = lattice.Grid4.cubic(n, cfg.box_length)
         lam = checks.phase_field(cfg, grid, scale=cfg.anomaly_amplitude)
         div = lattice.divergence(grid, ansatz_field.anomalous_current(lam, cfg.coupling))
         gaps.append(lattice.max_abs(div - checks.anomaly_divergence_expansion(lam, cfg.coupling)))
@@ -411,7 +411,7 @@ def test_matrix_ladders_match_the_oracle_route(seed):
     g = cfg.coupling
     cov, pure = [], []
     for n in (8, 12):
-        grid = lattice.Grid4.cubic(n, cfg.box_length, cfg.metric)
+        grid = lattice.Grid4.cubic(n, cfg.box_length)
         rng = np.random.default_rng(seed)
         A = checks.smooth_matrix_potential(grid, rng, cfg.smooth_amp)
         A = oracles.algebra_matrices(oracles.stacked(A))

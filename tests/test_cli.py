@@ -166,8 +166,18 @@ def test_error_exits_are_code_two(capsys, tmp_path):
     assert code6 == 2
     assert "grid_n" in err6
 
-    code7, _, _ = run(["reduce", "--metric", "hyperbolic"], capsys)
-    assert code7 == 2
+
+@pytest.mark.parametrize("command", ["verify", "anomaly", "contract", "reduce"])
+def test_the_metric_knob_is_gone(capsys, tmp_path, command):
+    # the wave operator has one signature: no flag and no config key selects it
+    code, _, err = run([command, "--metric", "euclidean"], capsys)
+    assert code == 2
+    assert "--metric" in err
+    cfgfile = tmp_path / "metric.json"
+    cfgfile.write_text(json.dumps({"metric": "euclidean"}))
+    code, _, err = run([command, "--config", str(cfgfile)], capsys)
+    assert code == 2
+    assert "unknown config keys: metric" in err
 
 
 @pytest.mark.parametrize("text", [

@@ -4,13 +4,12 @@ import json
 
 import pytest
 
-from su2reduce import config, lattice
+from su2reduce import config
 
 
 def test_defaults_are_self_consistent():
     cfg = config.ScenarioConfig()
     assert cfg.grid_n == 16
-    assert cfg.metric == lattice.EUCLIDEAN
     assert len(cfg.phase_waves) == len(cfg.phase_components)
     grid = cfg.grid()
     assert grid.dims == (16, 16, 16, 16)
@@ -22,8 +21,6 @@ def test_defaults_are_self_consistent():
 def test_field_validation():
     with pytest.raises(config.ConfigError):
         config.ScenarioConfig(grid_n=3)
-    with pytest.raises(config.ConfigError):
-        config.ScenarioConfig(metric="spherical")
     with pytest.raises(config.ConfigError):
         config.ScenarioConfig(coupling=0.0)
     with pytest.raises(config.ConfigError):

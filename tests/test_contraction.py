@@ -89,7 +89,7 @@ def test_banach_iteration_contracting_run():
     assert tr.steps <= 16
     assert np.all(tr.ratios <= m.lipschitz_bound + 1e-9)
     assert 0.05 < tr.measured_ratio <= m.lipschitz_bound + 1e-9
-    err = float(np.linalg.norm(tr.final - m.center_array))
+    err = float(np.linalg.norm(tr.iterates[-1] - m.center_array))
     assert err <= tr.error_bound + 1e-15
     assert tr.residual < 1e-12
     # the stored points really are orbit points of the map
@@ -116,7 +116,7 @@ def test_banach_zero_center_lands_exactly():
     tr = contraction.banach_iterate(m, np.ones(4))
     assert tr.converged
     assert tr.steps == 1
-    assert np.array_equal(tr.final, np.zeros(4))
+    assert np.array_equal(tr.iterates[-1], np.zeros(4))
 
 
 def test_banach_nonconvergence_carries_trace():
@@ -141,9 +141,9 @@ def test_expanding_map_finds_secondary_fixed_point():
     assert not m.is_contraction
     tr = contraction.banach_iterate(m, np.array([1.0, 0.0, 0.0, 0.0]), tol=1e-12, max_iter=200)
     assert tr.converged
-    gap = float(np.linalg.norm(tr.final - m.center_array))
+    gap = float(np.linalg.norm(tr.iterates[-1] - m.center_array))
     assert gap > 0.5
-    res = float(np.linalg.norm(contraction.evaluate(m, tr.final) - tr.final))
+    res = float(np.linalg.norm(contraction.evaluate(m, tr.iterates[-1]) - tr.iterates[-1]))
     assert res < 1e-11
 
 

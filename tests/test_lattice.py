@@ -10,8 +10,8 @@ from su2reduce import lattice
 import oracles
 
 
-def small_grid(n=8, metric=lattice.EUCLIDEAN):
-    return lattice.Grid4.cubic(n, 2.0 * math.pi, metric)
+def small_grid(n=8):
+    return lattice.Grid4.cubic(n, 2.0 * math.pi)
 
 
 def test_grid_validation():
@@ -21,8 +21,6 @@ def test_grid_validation():
         lattice.Grid4((4, 4, 4, 3), 0.1)
     with pytest.raises(ValueError):
         lattice.Grid4((4, 4, 4, 4), -1.0)
-    with pytest.raises(ValueError):
-        lattice.Grid4((4, 4, 4, 4), 0.1, "taxicab")
 
 
 def test_grid_lengths_and_coords():
@@ -58,17 +56,13 @@ def test_second_diff_matches_discrete_dispersion():
     assert lattice.max_abs(got - want) < 1e-12
 
 
-def test_box_metric_signs():
-    grid_e = small_grid(8, lattice.EUCLIDEAN)
-    grid_l = lattice.Grid4(grid_e.dims, grid_e.h, lattice.LORENTZIAN)
+def test_box_is_the_sum_of_the_four_second_differences():
+    grid = small_grid(8)
     rng = np.random.default_rng(11)
-    f = rng.standard_normal(grid_e.dims)
-    box_e = lattice.box(grid_e, f)
-    box_l = lattice.box(grid_l, f)
-    # euclidean sums all four; lorentzian flips the three spatial terms
-    parts = [lattice.second_diff(grid_e, f, mu) for mu in (1, 2, 3, 4)]
-    assert lattice.max_abs(box_e - sum(parts)) == 0.0
-    assert lattice.max_abs(box_l - (parts[3] - parts[0] - parts[1] - parts[2])) == 0.0
+    f = rng.standard_normal(grid.dims)
+    # every axis counts with the same sign, summed in axis order
+    parts = [lattice.second_diff(grid, f, mu) for mu in (1, 2, 3, 4)]
+    assert np.array_equal(lattice.box(grid, f), ((parts[0] + parts[1]) + parts[2]) + parts[3])
 
 
 def roll_partial(grid, f, mu):
@@ -102,12 +96,11 @@ def bits(a):
 
 @pytest.mark.parametrize("shape", [(5, 1, 7, 1), (1, 4, 1, 6), (1, 1, 1, 1)])
 @pytest.mark.parametrize("trailing", [(), (2,)])
-@pytest.mark.parametrize("metric", [lattice.EUCLIDEAN, lattice.LORENTZIAN])
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf, on both sides
-def test_stencils_on_length_one_axes_equal_the_dense_field(shape, trailing, metric):
+def test_stencils_on_length_one_axes_equal_the_dense_field(shape, trailing):
     # a length-1 axis stands for a field that repeats along it: every
     # stencil gives the dense field's result bit for bit, inf and nan too
-    grid = lattice.Grid4((5, 4, 7, 6), 0.37, metric)
+    grid = lattice.Grid4((5, 4, 7, 6), 0.37)
     rng = np.random.default_rng(31)
     full = grid.dims + trailing
     for f in (rng.standard_normal(shape + trailing),
@@ -196,7 +189,7 @@ def test_csv_round_trip_real_and_complex(tmp_path):
     path = tmp_path / "real.csv"
     lattice.save_field_csv(path, grid, real)
     header, back = oracles.read_field_csv(path)
-    assert header == {"dims": grid.dims, "h": grid.h, "metric": grid.metric, "kind": "real"}
+    assert header == {"dims": grid.dims, "h": grid.h, "kind": "real"}
     assert np.array_equal(back, real)
 
     cplx = rng.standard_normal(grid.dims) + 1j * rng.standard_normal(grid.dims)
@@ -229,7 +222,7 @@ def test_compact_fields_are_written_as_their_dense_copies(tmp_path):
             rows = [f"{float(z.real)!r},{float(z.imag)!r}\n" for z in dense.ravel()]
         else:
             rows = [f"{float(v)!r}\n" for v in dense.ravel()]
-        assert text.splitlines(keepends=True)[4:] == rows
+        assert text.splitlines(keepends=True)[3:] == rows
         back = oracles.read_field_npz(tmp_path / "compact.npz")["values"]
         assert back.shape == grid.dims + (2,)
         assert np.array_equal(back, oracles.read_field_npz(tmp_path / "dense.npz")["values"])
@@ -242,6 +235,6 @@ def test_npz_round_trip_with_trailing_axes(tmp_path):
     path = tmp_path / "field.npz"
     lattice.save_field_npz(path, grid, vals)
     data = oracles.read_field_npz(path)
+    assert set(data) == {"dims", "h", "values"}
     assert tuple(data["dims"]) == grid.dims and float(data["h"]) == grid.h
-    assert str(data["metric"]) == grid.metric
     assert np.array_equal(data["values"], vals)

@@ -4,7 +4,9 @@ Every public top-level function and class of `src/su2reduce` must be
 named somewhere in the package or the benchmark harness, as a `Name` or
 as the attribute of an `Attribute`. The check functions listed in
 `checks.COMMANDS` are looked up by name at run time, so they count as
-used.
+used. Every public method, property and dataclass field of a class there
+must be read in the same files, as a loaded attribute or as a string
+(`getattr`, report keys and the like).
 """
 
 import ast
@@ -28,14 +30,52 @@ def used_names(tree):
             for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
 
 
-def test_every_public_definition_is_used_outside_the_tests():
+def public_members(tree):
+    """(class, member) for the public methods, properties and annotated
+    fields of every class in the module."""
+    return {(cls.name, name) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for name in (member_name(node) for node in cls.body)
+            if name and not name.startswith("_")}
+
+
+def member_name(node):
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return node.name
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return node.target.id
+    return None
+
+
+def read_names(tree):
+    return {node.attr if isinstance(node, ast.Attribute) else node.value
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+            or (isinstance(node, ast.Constant) and isinstance(node.value, str))}
+
+
+def parsed():
     assert SOURCES and HARNESS
+    return {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for path in SOURCES + HARNESS}
+
+
+def test_every_public_definition_is_used_outside_the_tests():
     defined, used = {}, set()
-    for path in SOURCES + HARNESS:
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for path, tree in parsed().items():
         used |= used_names(tree)
         if path in SOURCES:
             defined.update(dict.fromkeys(public_definitions(tree), path.name))
     used |= {name for names in checks.COMMANDS.values() for name in names}
     unused = sorted(f"{defined[name]}: {name}" for name in defined.keys() - used)
     assert not unused, "public definitions that only the tests use: " + ", ".join(unused)
+
+
+def test_every_public_class_member_is_read_outside_the_tests():
+    members, read = {}, set()
+    for path, tree in parsed().items():
+        read |= read_names(tree)
+        if path in SOURCES:
+            members.update(dict.fromkeys(public_members(tree), path.name))
+    assert members
+    unread = sorted(f"{members[key]}: {'.'.join(key)}" for key in members if key[1] not in read)
+    assert not unread, "class members that only the tests read: " + ", ".join(unread)
