@@ -79,3 +79,29 @@ def test_every_public_class_member_is_read_outside_the_tests():
     assert members
     unread = sorted(f"{members[key]}: {'.'.join(key)}" for key in members if key[1] not in read)
     assert not unread, "class members that only the tests read: " + ", ".join(unread)
+
+
+def test_member_scan_counts_loads_and_strings_but_not_stores():
+    # the scan behind the check above, on a module small enough to read:
+    # a member counts as read when it is loaded or named by a string, and
+    # an assignment to it, a private member or a plain class constant
+    # does not count
+    tree = ast.parse(
+        "class Trace:\n"
+        "    steps: int\n"
+        "    final: float\n"
+        "    label: str\n"
+        "    _cache: dict\n"
+        "    LIMIT = 3\n"
+        "    def summary(self): return getattr(self, 'label')\n"
+        "    @property\n"
+        "    def last(self): return self.steps\n"
+        "def use(t):\n"
+        "    t.final = 0.0\n"
+        "    return t.summary()\n"
+    )
+    assert public_members(tree) == {("Trace", name)
+                                    for name in ("steps", "final", "label", "summary", "last")}
+    read = read_names(tree)
+    assert {"steps", "label", "summary"} <= read
+    assert not {"final", "last"} & read
