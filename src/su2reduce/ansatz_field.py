@@ -19,13 +19,15 @@ Only the ansatz form of F_mu_nu is built whole (`FieldStrength`); the
 routes compared with it return one (mu, nu) component per call, and a
 study drops each component before building the next.
 
-Derivatives of the profile come in two flavours:
+Derivatives of the profile are taken in one of two ways:
 
-* "analytic": d_nu f_mu is evaluated as -i f_mu d_nu lambda_mu, which
+* analytic: d_nu f_mu is evaluated as -i f_mu d_nu lambda_mu, which
   makes the chain rule an exact lattice identity, so algebraically equal
-  expressions agree to rounding;
-* "raw": the central stencil applied directly to the profile values, an
-  independent discretization that agrees with "analytic" to O(h^2).
+  expressions agree to rounding (field_strength_direct and every other
+  quantity here);
+* raw: the central stencil applied directly to the profile values, an
+  independent discretization that agrees with the analytic one to O(h^2)
+  (field_strength_raw).
 
 Repeated derivatives of lambda are compositions of the central first
 difference, so mixed partials commute exactly.
@@ -42,18 +44,9 @@ import numpy as np
 
 from . import lattice, su2_algebra
 
-ANALYTIC = "analytic"
-RAW = "raw"
-
 # componentwise gauge condition d_mu lambda_mu is treated as satisfied
 # below this max-norm
 GAUGE_TOL = 1e-10
-
-
-def _check_mode(mode: str) -> str:
-    if mode not in (ANALYTIC, RAW):
-        raise ValueError(f"derivative mode must be {ANALYTIC!r} or {RAW!r}, got {mode!r}")
-    return mode
 
 
 @dataclass(frozen=True)
@@ -231,7 +224,7 @@ def field_strength_ansatz(lam: LambdaField) -> FieldStrength:
 
     This is the closed form the phase ansatz gives for the commutator-free
     field strength; it involves only phase gradients, so no derivative of
-    the profile itself is taken and no evaluation mode applies.
+    the profile itself is taken.
     """
     f, G = lam.profile, lam.gradients
     F = np.empty((6,) + lam.shape, dtype=complex)
@@ -241,19 +234,22 @@ def field_strength_ansatz(lam: LambdaField) -> FieldStrength:
     return FieldStrength(lam.grid, F)
 
 
-def field_strength_direct(lam: LambdaField, mu: int, nu: int, mode: str = ANALYTIC) -> np.ndarray:
+def field_strength_direct(lam: LambdaField, mu: int, nu: int) -> np.ndarray:
     """The component d_mu f_nu - d_nu f_mu, from the profile itself.
 
     The components are scalars, so the commutator term vanishes
-    identically; `mode` selects how d f is evaluated, "analytic" as
-    d_mu f_nu = -i f_nu d_mu lambda_nu. Matrix potentials go through
+    identically; d f is evaluated analytically, d_mu f_nu =
+    -i f_nu d_mu lambda_nu. Matrix potentials go through
     field_strength_matrix.
     """
-    _check_mode(mode)
+    f, G, m, n = lam.profile, lam.gradients, mu - 1, nu - 1
+    return -1j * f[n] * G[n][m] - (-1j * f[m] * G[m][n])
+
+
+def field_strength_raw(lam: LambdaField, mu: int, nu: int) -> np.ndarray:
+    """The same component with the central stencil applied to the profile
+    values; it agrees with field_strength_direct to O(h^2)."""
     f, m, n = lam.profile, mu - 1, nu - 1
-    if mode == ANALYTIC:
-        G = lam.gradients
-        return -1j * f[n] * G[n][m] - (-1j * f[m] * G[m][n])
     return lattice.partial(lam.grid, f[n], mu) - lattice.partial(lam.grid, f[m], nu)
 
 
@@ -370,14 +366,14 @@ class GaugeConditionReport:
     satisfied: bool
 
 
-def gauge_condition_check(lam: LambdaField, tol: float = GAUGE_TOL) -> GaugeConditionReport:
+def gauge_condition_check(lam: LambdaField) -> GaugeConditionReport:
     """Max-norms of each d_mu lambda_mu (no sum).
 
     The componentwise reading is the one the residual identities rely on.
     """
     G = lam.gradients
     per = tuple(lattice.max_abs(G[m][m]) for m in range(4))
-    return GaugeConditionReport(per, all(p <= tol for p in per))
+    return GaugeConditionReport(per, all(p <= GAUGE_TOL for p in per))
 
 
 def _box_profile_analytic(lam: LambdaField, n: int) -> np.ndarray:

@@ -32,34 +32,20 @@ from .contraction import ContractionMap, evaluate, sample_ball
 CHART_SAMPLES = 2048
 
 
-@dataclass(frozen=True)
-class DiameterEstimate:
-    """Sampled diameter of a chart image, plus the certified bound.
+def chart_image_diameter(m: ContractionMap, seed: int = 0) -> float:
+    """Sampled diameter of the image of the chart ball of radius 1/n around
+    the map's center.
 
-    The image of the ball lies on the ray through the center (every value
-    is center times a scalar in (0, 1]), so the diameter over a sample is
-    the center norm times the spread of the sampled scale factors.
-
-    sup_bound      |center| / n^2, certified sup of |lam(x) - center|;
-                   twice it bounds the diameter
+    The image lies on the ray through the center (every value is center
+    times a scalar in (0, 1]), so the diameter over a sample is the center
+    norm times the spread of the sampled scale factors. It never exceeds
+    2 |center| / n^2, twice the certified sup of |lam(x) - center|.
     """
-
-    sampled_diameter: float
-    sup_bound: float
-
-
-def chart_image_diameter(m: ContractionMap, seed: int = 0) -> DiameterEstimate:
-    """Image of the chart ball of radius 1/n around the map's center."""
     rng = np.random.default_rng(seed)
     c = m.center_array
     pts = sample_ball(c, 1.0 / m.n, CHART_SAMPLES, rng)
-    r = np.linalg.norm(pts - c, axis=1)
-    factors = np.exp(-r / m.n)
-    cn = m.center_norm
-    return DiameterEstimate(
-        sampled_diameter=cn * float(factors.max() - factors.min()),
-        sup_bound=cn / m.n**2,
-    )
+    factors = np.exp(-np.linalg.norm(pts - c, axis=1) / m.n)
+    return m.center_norm * float(factors.max() - factors.min())
 
 
 def collapse_threshold(center, tol: float) -> int:
@@ -77,10 +63,11 @@ def collapse_threshold(center, tol: float) -> int:
 
 @dataclass(frozen=True)
 class CollapseRow:
+    """sup_bound is |center| / n^2, the certified sup of |lam(x) - center|."""
+
     n: int
     sampled_diameter: float
     sup_bound: float
-    collapsed: bool
 
 
 @dataclass(frozen=True)
@@ -97,7 +84,6 @@ class CollapseReport:
     tol: float
     rows: tuple[CollapseRow, ...]
     threshold_n: int
-    collapsed: bool
 
 
 def collapse_chart(m: ContractionMap, n_sequence, tol: float = 1e-6, seed: int = 0) -> CollapseReport:
@@ -107,46 +93,12 @@ def collapse_chart(m: ContractionMap, n_sequence, tol: float = 1e-6, seed: int =
         raise ValueError("need a strictly increasing schedule of scales >= 1")
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError("tolerance must be positive and finite")
-    rows = []
-    for n in ns:
-        est = chart_image_diameter(ContractionMap(m.center, n), seed=seed)
-        rows.append(CollapseRow(n, est.sampled_diameter, est.sup_bound, est.sup_bound < tol))
-    return CollapseReport(
-        center=m.center,
-        tol=tol,
-        rows=tuple(rows),
-        threshold_n=collapse_threshold(m.center, tol),
-        collapsed=rows[-1].collapsed,
+    rows = tuple(
+        CollapseRow(n, chart_image_diameter(ContractionMap(m.center, n), seed=seed),
+                    m.center_norm / n**2)
+        for n in ns
     )
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    consistent: bool
-    status: str
-    reason: str
-    centers: tuple[tuple[float, ...], ...]
-
-
-def transition_consistency(maps) -> ConsistencyReport:
-    """Gluing of collapsed charts, one contraction map per chart.
-
-    Every collapsed chart is a constant identity section on its center
-    singleton, so charts sharing one center glue with identity transition
-    functions. Two distinct centers are irreconcilable: a contraction map
-    has exactly one fixed point, so the collapsed base cannot be shared and
-    the report reads INCONSISTENT.
-    """
-    centers = tuple(dict.fromkeys(m.center for m in maps))
-    if len(centers) > 1:
-        return ConsistencyReport(
-            False,
-            "INCONSISTENT",
-            "collapsed charts retain distinct centers; each contraction has a"
-            " unique fixed point, so the collapsed base cannot be shared",
-            centers,
-        )
-    return ConsistencyReport(True, "CONSISTENT", "all collapsed charts share one singleton", centers)
+    return CollapseReport(m.center, tol, rows, collapse_threshold(m.center, tol))
 
 
 def pullback_coefficients(lambda_values, g: float) -> np.ndarray:
@@ -225,23 +177,27 @@ def reduction_pipeline(centers, n_schedule, g: float, a: int = 3, collapse_tol: 
                        seed: int = 0) -> ReductionReport:
     """Run collapse, sections, consistency, connection and operator emission.
 
-    `centers` is one 4-vector or a sequence of them; the happy path has a
-    single center and ends with the reduced operator. The pipeline stops
-    at the first failing stage and reports what it saw.
+    `centers` is a sequence of 4-vectors; the happy path has a single
+    center and ends with the reduced operator. The pipeline stops at the
+    first failing stage and reports what it saw.
+
+    Collapsed charts sharing one center glue with identity transition
+    functions, since each is a constant identity section on that singleton.
+    Two distinct centers are irreconcilable: a contraction map has exactly
+    one fixed point, so the collapsed base cannot be shared and the
+    consistency stage reads INCONSISTENT.
     """
     g = su2_algebra.check_coupling(g)
     cs = np.asarray(centers, dtype=float)
-    if cs.ndim == 1:
-        cs = cs[None, :]
     if cs.ndim != 2 or cs.shape[1] != 4:
-        raise ValueError(f"centers must be one or more 4-vectors, got shape {cs.shape}")
+        raise ValueError(f"centers must be a sequence of 4-vectors, got shape {cs.shape}")
     maps = [ContractionMap(c, int(n_schedule[0])) for c in cs]
     stages: list[StageResult] = []
 
     reports = tuple(
         collapse_chart(m, n_schedule, tol=collapse_tol, seed=seed) for m in maps
     )
-    all_collapsed = all(r.collapsed for r in reports)
+    all_collapsed = all(r.rows[-1].sup_bound < collapse_tol for r in reports)
     final_n = int(n_schedule[-1])
     stages.append(
         StageResult(
@@ -259,16 +215,18 @@ def reduction_pipeline(centers, n_schedule, g: float, a: int = 3, collapse_tol: 
     if not section_ok:
         return ReductionReport(tuple(stages), None, reports)
 
-    consistency = transition_consistency(final)
-    details = {"centers": [list(c) for c in consistency.centers]}
-    if not consistency.consistent:
-        details["reason"] = consistency.reason
-    stages.append(StageResult("transition_consistency", consistency.status, details))
-    if not consistency.consistent:
+    distinct = list(dict.fromkeys(m.center for m in final))
+    details = {"centers": [list(c) for c in distinct]}
+    if len(distinct) > 1:
+        details["reason"] = ("collapsed charts retain distinct centers; each contraction has a"
+                             " unique fixed point, so the collapsed base cannot be shared")
+        stages.append(StageResult("transition_consistency", "INCONSISTENT", details))
         return ReductionReport(tuple(stages), None, reports)
+    stages.append(StageResult("transition_consistency", "CONSISTENT", details))
 
-    m = final[0]
-    coeffs = pullback_coefficients(evaluate(m, m.center_array), g)
+    # every final map fixes its center bit for bit (constant_sections), so
+    # the pullback at the fixed point is the operator's own coefficients
+    op = reduced_operator(final[0].center_array, g, a)
     stages.append(
         StageResult(
             "connection",
@@ -276,11 +234,9 @@ def reduction_pipeline(centers, n_schedule, g: float, a: int = 3, collapse_tol: 
             {
                 # the coordinate differentials vanish on the singleton base
                 "one_form_vanishes": True,
-                "coefficients": [[v.real, v.imag] for v in map(complex, coeffs)],
+                "coefficients": [[v.real, v.imag] for v in op.coefficients],
             },
         )
     )
-
-    op = reduced_operator(m.center_array, g, a)
     stages.append(StageResult("reduced_operator", "PASS", op.to_dict()))
     return ReductionReport(tuple(stages), op, reports)

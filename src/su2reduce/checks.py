@@ -105,9 +105,10 @@ def raw_field_strength_order(cfg: config.ScenarioConfig) -> lattice.OrderEstimat
     """Raw-stencil vs analytic field strength gap under refinement, one
     (mu, nu) component of each route at a time."""
     def gap(grid):
-        lam, F = phase_field(cfg, grid), ansatz_field.field_strength_direct
+        lam = phase_field(cfg, grid)
         return max_over_pairs(lambda mu, nu: lattice.max_abs(
-            F(lam, mu, nu, ansatz_field.ANALYTIC) - F(lam, mu, nu, ansatz_field.RAW)))
+            ansatz_field.field_strength_direct(lam, mu, nu)
+            - ansatz_field.field_strength_raw(lam, mu, nu)))
     return _refine(cfg, cfg.raw_order_grids, gap)
 
 
@@ -159,7 +160,7 @@ def residual_contraction_route(lam: ansatz_field.LambdaField, g: float) -> np.nd
     An independent route to the equation-of-motion residual: the ansatz
     field strength is built first and then contracted, with the chain
     rule carrying the derivative onto its factors. Agrees with the
-    expanded five-term residual to rounding in analytic mode.
+    expanded five-term residual to rounding.
     """
     g = su2_algebra.check_coupling(g)
     grid = lam.grid
@@ -516,18 +517,20 @@ def vacuum_zero_current(run: Run) -> None:
 
 
 def contraction_validity(run: Run) -> bool | None:
-    """Ends the command when the map is not a certified contraction, so a
-    secondary fixed point is never reported as success."""
-    cert = contraction.contraction_validity(run.contraction_map)
-    if not cert.valid:
-        run.report.add("contraction_validity", report.FAIL, certificate_status="INVALID",
-                       **cert.to_dict())
+    """The criterion |center|/n < 1 is not automatic, so it is certified
+    here rather than assumed. Ends the command when the map is not a
+    certified contraction, so a secondary fixed point is never reported as
+    success."""
+    m = run.contraction_map
+    valid = m.is_contraction
+    run.report.add("contraction_validity", report.PASS if valid else report.FAIL,
+                   certificate_status="VALID" if valid else "INVALID", valid=valid,
+                   bound=m.lipschitz_bound, center=list(m.center), n=m.n)
+    if not valid:
         for name in ("fixed_point_residual", "lipschitz_sampled", "banach_convergence",
                      "large_scale_limit"):
             run.report.add(name, report.SKIPPED, reason="map is not a certified contraction")
         return True
-    run.report.add("contraction_validity", report.PASS, certificate_status="VALID",
-                   **cert.to_dict())
 
 
 def fixed_point_residual(run: Run) -> None:
@@ -537,11 +540,12 @@ def fixed_point_residual(run: Run) -> None:
 
 
 def lipschitz_sampled(run: Run) -> None:
-    est = contraction.lipschitz_estimate(run.contraction_map, pairs=run.cfg.lipschitz_pairs,
-                                         seed=run.cfg.seed)
-    slack = LIMITS["lipschitz_sampled"]
-    run.judge("lipschitz_sampled", est.ratio_max <= est.bound + slack,
-              ratio_max=est.ratio_max, bound=est.bound, pairs=est.pairs, slack=slack)
+    m = run.contraction_map
+    ratio_max, pairs = contraction.lipschitz_estimate(m, pairs=run.cfg.lipschitz_pairs,
+                                                      seed=run.cfg.seed)
+    bound, slack = m.lipschitz_bound, LIMITS["lipschitz_sampled"]
+    run.judge("lipschitz_sampled", ratio_max <= bound + slack,
+              ratio_max=ratio_max, bound=bound, pairs=pairs, slack=slack)
 
 
 def banach_convergence(run: Run) -> bool | None:
@@ -562,10 +566,10 @@ def banach_convergence(run: Run) -> bool | None:
 
 
 def large_scale_limit(run: Run) -> None:
-    series = contraction.limit_large_n(run.contraction_map.center, run.banach_start,
-                                       run.cfg.collapse_schedule)
-    run.judge("large_scale_limit", series.decreasing,
-              ns=list(series.ns), deviations=list(series.deviations))
+    ns = run.cfg.collapse_schedule
+    devs = contraction.limit_large_n(run.contraction_map.center, run.banach_start, ns)
+    run.judge("large_scale_limit", all(b <= a for a, b in zip(devs, devs[1:])),
+              ns=list(ns), deviations=devs)
 
 
 # ---------------------------------------------------------------------------

@@ -87,16 +87,10 @@ def sample_ball(center, radius: float, count: int, rng) -> np.ndarray:
     return center + d * scale[:, None]
 
 
-@dataclass(frozen=True)
-class LipschitzEstimate:
-    ratio_max: float
-    bound: float
-    pairs: int
-
-
-def lipschitz_estimate(m: ContractionMap, pairs: int = 10_000, seed: int = 0) -> LipschitzEstimate:
+def lipschitz_estimate(m: ContractionMap, pairs: int = 10_000, seed: int = 0) -> tuple[float, int]:
     """Seeded sampled ratio sup d(lam x, lam x') / d(x, x') over the chart
-    ball of radius 1/n around the map's center.
+    ball of radius 1/n around the map's center, and the number of distinct
+    pairs it was taken over.
 
     The sampled value never exceeds the closed-form bound |c|/n and
     approaches it for radially aligned pairs near the target.
@@ -109,30 +103,7 @@ def lipschitz_estimate(m: ContractionMap, pairs: int = 10_000, seed: int = 0) ->
     dist = np.linalg.norm(a - b, axis=1)
     keep = dist > 0
     img = np.linalg.norm(evaluate(m, a[keep]) - evaluate(m, b[keep]), axis=1)
-    ratio = float(np.max(img / dist[keep]))
-    return LipschitzEstimate(ratio, m.lipschitz_bound, int(np.count_nonzero(keep)))
-
-
-@dataclass(frozen=True)
-class ValidityCertificate:
-    """Record of the contraction criterion |center|/n < 1.
-
-    The criterion is not automatic: a target with |center| >= n yields an
-    expansion bound and no fixed-point guarantee, so the certificate is
-    emitted explicitly instead of being silently assumed.
-    """
-
-    valid: bool
-    bound: float
-    center: tuple[float, float, float, float]
-    n: int
-
-    def to_dict(self) -> dict:
-        return {"valid": self.valid, "bound": self.bound, "center": list(self.center), "n": self.n}
-
-
-def contraction_validity(m: ContractionMap) -> ValidityCertificate:
-    return ValidityCertificate(m.is_contraction, m.lipschitz_bound, m.center, m.n)
+    return float(np.max(img / dist[keep])), int(np.count_nonzero(keep))
 
 
 @dataclass(frozen=True)
@@ -142,7 +113,6 @@ class IterationTrace:
     iterates   (k+1, 4) array of visited points, x_0 first
     distances  per-step displacements |x_{k+1} - x_k|
     ratios     consecutive distance ratios d_{k+1} / d_k
-    residual   |lam(x_hat) - x_hat| at the final iterate
     error_bound  a-posteriori bound q/(1-q) * d_last with q the map bound
                (only meaningful when the map is a certified contraction)
     """
@@ -151,7 +121,6 @@ class IterationTrace:
     distances: np.ndarray
     ratios: np.ndarray
     converged: bool
-    residual: float
     measured_ratio: float
     error_bound: float
 
@@ -225,31 +194,21 @@ def banach_iterate(m: ContractionMap, x0, tol: float = 1e-12, max_iter: int = 20
     )
 
 
-def _finish_trace(iterates, distances, converged, residual, q) -> IterationTrace:
+def _finish_trace(iterates, distances, converged, last, q) -> IterationTrace:
+    """`last` is the displacement that ended a converged run."""
     dist = np.array(distances)
     ratios = dist[1:] / dist[:-1] if len(dist) >= 2 else np.array([])
     measured = float(np.median(ratios)) if ratios.size else float("nan")
     if converged and distances and q < 1.0:
         bound = q / (1.0 - q) * distances[-1]
     elif converged:
-        bound = residual  # already at the fixed point or no contraction certificate
+        bound = last  # already at the fixed point or no contraction certificate
     else:
         bound = float("inf")
-    return IterationTrace(
-        np.array(iterates), dist, ratios, converged, residual, measured, bound
-    )
+    return IterationTrace(np.array(iterates), dist, ratios, converged, measured, bound)
 
 
-@dataclass(frozen=True)
-class LimitSeries:
-    """Deviation of the map value from the target along a scale schedule."""
-
-    ns: tuple[int, ...]
-    deviations: tuple[float, ...]
-    decreasing: bool
-
-
-def limit_large_n(center, x, n_seq) -> LimitSeries:
+def limit_large_n(center, x, n_seq) -> list[float]:
     """|lam_n(x) - center| per n: the maps pinch every point onto the target.
 
     The deviation is |center| (1 - exp(-r/n)) <= |center| r / n, so it
@@ -259,9 +218,4 @@ def limit_large_n(center, x, n_seq) -> LimitSeries:
     if len(ns) < 2 or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("need a strictly increasing schedule with at least two entries")
     c = _check_point(center).reshape(4)
-    devs = []
-    for n in ns:
-        m = ContractionMap(tuple(c), n)
-        devs.append(float(np.linalg.norm(evaluate(m, x) - c)))
-    dec = all(b <= a for a, b in zip(devs, devs[1:]))
-    return LimitSeries(tuple(ns), tuple(devs), dec)
+    return [float(np.linalg.norm(evaluate(ContractionMap(tuple(c), n), x) - c)) for n in ns]

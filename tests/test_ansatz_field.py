@@ -157,10 +157,10 @@ DERIVED = {
     "gradients": lambda lam, g: on_grid(lam.gradients, lam.grid),
     "field_strength": lambda lam, g: ansatz_field.field_strength_ansatz(lam).values,
     "direct_analytic": lambda lam, g: on_grid(tuple(
-        ansatz_field.field_strength_direct(lam, mu, nu, ansatz_field.ANALYTIC)
+        ansatz_field.field_strength_direct(lam, mu, nu)
         for mu, nu in ansatz_field.PAIRS), lam.grid),
     "direct_raw": lambda lam, g: on_grid(tuple(
-        ansatz_field.field_strength_direct(lam, mu, nu, ansatz_field.RAW)
+        ansatz_field.field_strength_raw(lam, mu, nu)
         for mu, nu in ansatz_field.PAIRS), lam.grid),
     "lagrangian": lambda lam, g: ansatz_field.lagrangian_density(lam).values,
     "lagrangian_reference": lambda lam, g: ansatz_field.lagrangian_density(lam).from_field_strength,
@@ -284,8 +284,8 @@ def test_per_pair_field_strengths_are_exactly_antisymmetric(seed):
         grid, [ansatz_field.Mode(r.component, r.cycles, r.amplitude, r.phase) for r in recs])
     g = float(rng.uniform(0.2, 3.0))
     A = rng.standard_normal((4,) + grid.dims + (4,)) * rng.uniform(0.1, 2.0)
-    routes = [lambda m, n, mode=mode: ansatz_field.field_strength_direct(lam, m, n, mode)
-              for mode in (ansatz_field.ANALYTIC, ansatz_field.RAW)]
+    routes = [lambda m, n, route=route: route(lam, m, n)
+              for route in (ansatz_field.field_strength_direct, ansatz_field.field_strength_raw)]
     routes.append(lambda m, n: ansatz_field.field_strength_matrix(grid, A, g, m, n))
     for route in routes:
         largest = 0.0
@@ -303,7 +303,7 @@ def test_direct_analytic_route_agrees_with_ansatz_form():
     lam = scenario_field(grid)
     Fa = ansatz_field.field_strength_ansatz(lam)
     for k, (mu, nu) in enumerate(ansatz_field.PAIRS):
-        Fd = ansatz_field.field_strength_direct(lam, mu, nu, ansatz_field.ANALYTIC)
+        Fd = ansatz_field.field_strength_direct(lam, mu, nu)
         assert lattice.max_abs(Fa.values[k] - Fd) < 1e-13
 
 
@@ -311,13 +311,6 @@ def test_direct_raw_route_converges_at_order_two():
     est = checks.raw_field_strength_order(config.ScenarioConfig(raw_order_grids=(8, 16, 32)))
     assert est.order is not None
     assert abs(est.order - 2.0) < 0.3
-
-
-def test_field_strength_direct_input_guards():
-    grid = small_grid(4)
-    lam = scenario_field(grid)
-    with pytest.raises(ValueError):
-        ansatz_field.field_strength_direct(lam, 1, 2, mode="spectral")
 
 
 def test_matrix_reading_tensors_with_sigma():
@@ -329,7 +322,7 @@ def test_matrix_reading_tensors_with_sigma():
         A = np.zeros((4,) + grid.dims + (4,))
         A[..., a] = on_grid(lam.profile, grid).real
         for mu, nu in ansatz_field.PAIRS:
-            Fs = ansatz_field.field_strength_direct(lam, mu, nu, ansatz_field.RAW)
+            Fs = ansatz_field.field_strength_raw(lam, mu, nu)
             Fm = ansatz_field.field_strength_matrix(grid, A, 1.0, mu, nu)
             assert Fm.shape == grid.dims + (4,)
             want = np.zeros(Fs.shape + (4,))
@@ -492,7 +485,7 @@ def test_random_mode_sets_against_oracles():
         assert F.antisymmetry_defect() == 0.0
         assert np.max(np.abs(dense(F) - oracles.field_strength_oracle(grid, recs))) < 1e-13
         for k, (mu, nu) in enumerate(ansatz_field.PAIRS):
-            Fd = ansatz_field.field_strength_direct(lam, mu, nu, ansatz_field.ANALYTIC)
+            Fd = ansatz_field.field_strength_direct(lam, mu, nu)
             assert lattice.max_abs(F.values[k] - Fd) < 1e-13
         assert ansatz_field.lagrangian_density(lam).identity_defect() <= 1e-10
         full = ansatz_field.field_equation_residual_full(lam, g)
@@ -525,8 +518,8 @@ def test_profile_and_gradients_are_computed_once_per_field(monkeypatch):
     g = 1.0
     ansatz_field.field_strength_ansatz(lam)
     for mu, nu in ansatz_field.PAIRS:
-        ansatz_field.field_strength_direct(lam, mu, nu, ansatz_field.ANALYTIC)
-        ansatz_field.field_strength_direct(lam, mu, nu, ansatz_field.RAW)
+        ansatz_field.field_strength_direct(lam, mu, nu)
+        ansatz_field.field_strength_raw(lam, mu, nu)
     ansatz_field.lagrangian_density(lam)
     ansatz_field.noether_current(lam)
     ansatz_field.anomalous_current(lam, g)

@@ -15,11 +15,10 @@ CENTER = (1.0, 0.0, 0.0, 0.0)
 
 def test_image_diameter_bounds():
     ch = ContractionMap(CENTER, 8)
-    est = bundle.chart_image_diameter(ch, seed=0)
-    assert est.sup_bound == 1.0 / 64
-    assert 0.0 < est.sampled_diameter <= 2.0 * est.sup_bound
-    again = bundle.chart_image_diameter(ch, seed=0)
-    assert again.sampled_diameter == est.sampled_diameter
+    (row,) = bundle.collapse_chart(ch, (8,)).rows
+    assert row.sup_bound == 1.0 / 64
+    assert 0.0 < row.sampled_diameter <= 2.0 * row.sup_bound
+    assert bundle.chart_image_diameter(ch, seed=0) == row.sampled_diameter
 
 
 def test_collapse_threshold_boundary():
@@ -45,12 +44,11 @@ def test_collapse_chart_schedule():
     rep = bundle.collapse_chart(ContractionMap(CENTER, 4), sched, tol=1e-6)
     assert [r.n for r in rep.rows] == list(sched)
     assert rep.threshold_n == 1001
-    assert rep.collapsed
     assert rep.center == CENTER
     for r in rep.rows:
-        assert r.collapsed == (r.sup_bound < 1e-6)
+        assert r.sup_bound == 1.0 / r.n**2
         assert r.sampled_diameter <= 2.0 * r.sup_bound
-    assert [r.collapsed for r in rep.rows] == [False] * 8 + [True, True]
+    assert [r.sup_bound < 1e-6 for r in rep.rows] == [False] * 8 + [True, True]
     shrink = [a.sampled_diameter / b.sampled_diameter for a, b in zip(rep.rows, rep.rows[1:])]
     assert all(3.6 < s < 4.4 for s in shrink)
     with pytest.raises(ValueError):
@@ -62,21 +60,20 @@ def test_collapse_chart_schedule():
 
 
 def test_consistency_collapsed_single_vs_two_centers():
-    single = (ContractionMap(CENTER, 2048), ContractionMap(CENTER, 2048))
-    rep = bundle.transition_consistency(single)
-    assert rep.consistent and rep.status == "CONSISTENT"
-    assert rep.centers == (CENTER,)
+    sched = (1024, 2048)
+    stage = bundle.reduction_pipeline([CENTER, CENTER], sched, 1.0).stages[2]
+    assert stage.name == "transition_consistency" and stage.status == "CONSISTENT"
+    assert stage.details == {"centers": [list(CENTER)]}
 
     other = (0.0, 1.0, 0.0, 0.0)
-    two = (ContractionMap(CENTER, 2048), ContractionMap(other, 2048), ContractionMap(CENTER, 2048))
-    rep2 = bundle.transition_consistency(two)
-    assert not rep2.consistent
-    assert rep2.status == "INCONSISTENT"
-    assert "unique fixed point" in rep2.reason
+    stage2 = bundle.reduction_pipeline([CENTER, other, CENTER], sched, 1.0).stages[-1]
+    assert stage2.name == "transition_consistency"
+    assert stage2.status == "INCONSISTENT"
+    assert "unique fixed point" in stage2.details["reason"]
     # distinct centers, in order of first appearance
-    assert rep2.centers == (CENTER, other)
-    rep3 = bundle.transition_consistency(two)
-    assert rep3.status == rep2.status and rep3.reason == rep2.reason
+    assert stage2.details["centers"] == [list(CENTER), list(other)]
+    stage3 = bundle.reduction_pipeline([CENTER, other, CENTER], sched, 1.0).stages[-1]
+    assert stage3 == stage2
 
 
 def test_pullback_and_connection_coefficients():
@@ -90,7 +87,7 @@ def test_pullback_and_connection_coefficients():
 
     center = (0.3, -0.2, 0.1, 0.4)
     sched = (4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048)
-    stage = bundle.reduction_pipeline(center, sched, g).stages[3]
+    stage = bundle.reduction_pipeline([center], sched, g).stages[3]
     assert stage.name == "connection"
     assert stage.details["one_form_vanishes"]
     got_c = np.array([complex(re, im) for re, im in stage.details["coefficients"]])
@@ -120,7 +117,7 @@ def test_reduced_operator_spectrum_and_moduli():
 
 def test_pipeline_happy_path():
     sched = (4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048)
-    rep = bundle.reduction_pipeline(CENTER, sched, 1.0)
+    rep = bundle.reduction_pipeline([CENTER], sched, 1.0)
     assert rep.stages[-1].status == "PASS"
     assert [s.name for s in rep.stages] == [
         "chart_collapse",
@@ -137,7 +134,7 @@ def test_pipeline_happy_path():
 
 
 def test_pipeline_stops_when_not_collapsed():
-    rep = bundle.reduction_pipeline(CENTER, (4, 8), 1.0)
+    rep = bundle.reduction_pipeline([CENTER], (4, 8), 1.0)
     assert rep.stages[-1].status == "NOT_COLLAPSED"
     assert rep.operator is None
     assert len(rep.stages) == 1
@@ -152,7 +149,9 @@ def test_pipeline_two_centers_is_inconsistent():
     assert rep.stages[-1].name == "transition_consistency"
     assert rep.stages[-1].status == "INCONSISTENT"
     with pytest.raises(ValueError):
-        bundle.reduction_pipeline(np.zeros(3), sched, 1.0)
+        bundle.reduction_pipeline([np.zeros(3)], sched, 1.0)
+    with pytest.raises(ValueError):  # one bare 4-vector is not a sequence of them
+        bundle.reduction_pipeline(CENTER, sched, 1.0)
 
 
 def test_errata_catalog_ids():

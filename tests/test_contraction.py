@@ -48,16 +48,12 @@ def test_target_is_exact_fixed_point():
 def test_lipschitz_bound_and_certificate():
     m = default_map()
     assert m.lipschitz_bound == 0.1
-    assert m.is_contraction
-    cert = contraction.contraction_validity(m)
-    assert cert.valid and cert.bound == 0.1 and cert.n == 10
-    d = cert.to_dict()
-    assert d["valid"] is True and d["center"] == [1.0, 0.0, 0.0, 0.0]
+    assert m.is_contraction is True
+    assert m.n == 10 and list(m.center) == [1.0, 0.0, 0.0, 0.0]
 
     edge = contraction.ContractionMap((1.0, 0.0, 0.0, 0.0), 1)
     assert edge.lipschitz_bound == 1.0
     assert not edge.is_contraction
-    assert not contraction.contraction_validity(edge).valid
 
 
 def test_sample_ball_stays_inside_and_is_seeded():
@@ -72,11 +68,11 @@ def test_sample_ball_stays_inside_and_is_seeded():
 
 def test_sampled_ratio_respects_and_approaches_bound():
     m = default_map()
-    est = contraction.lipschitz_estimate(m, pairs=10_000, seed=2024)
-    assert est.ratio_max <= est.bound + 1e-12
-    assert est.ratio_max > 0.9 * est.bound
-    again = contraction.lipschitz_estimate(m, pairs=10_000, seed=2024)
-    assert again.ratio_max == est.ratio_max
+    ratio_max, pairs = contraction.lipschitz_estimate(m, pairs=10_000, seed=2024)
+    assert ratio_max <= m.lipschitz_bound + 1e-12
+    assert ratio_max > 0.9 * m.lipschitz_bound
+    assert pairs == 10_000
+    assert contraction.lipschitz_estimate(m, pairs=10_000, seed=2024) == (ratio_max, pairs)
     with pytest.raises(ValueError):
         contraction.lipschitz_estimate(m, pairs=1)
 
@@ -91,7 +87,8 @@ def test_banach_iteration_contracting_run():
     assert 0.05 < tr.measured_ratio <= m.lipschitz_bound + 1e-9
     err = float(np.linalg.norm(tr.iterates[-1] - m.center_array))
     assert err <= tr.error_bound + 1e-15
-    assert tr.residual < 1e-12
+    x_hat = tr.iterates[-1]
+    assert np.linalg.norm(contraction.evaluate(m, x_hat) - x_hat) < 1e-12
     # the stored points really are orbit points of the map
     for k in range(len(tr.iterates) - 1):
         step = contraction.evaluate(m, tr.iterates[k]) - tr.iterates[k + 1]
@@ -106,7 +103,8 @@ def test_banach_zero_steps_at_fixed_point():
     tr = contraction.banach_iterate(m, m.center_array, tol=1e-12)
     assert tr.converged
     assert tr.steps == 0
-    assert tr.residual == 0.0
+    x_hat = tr.iterates[-1]
+    assert np.linalg.norm(contraction.evaluate(m, x_hat) - x_hat) == 0.0
     assert tr.error_bound == 0.0
     assert len(tr.iterates) == 1
 
@@ -150,11 +148,13 @@ def test_expanding_map_finds_secondary_fixed_point():
 def test_limit_large_n_pinches_to_target():
     c = (1.0, 0.0, 0.0, 0.0)
     x = np.array([0.3, 0.4, 0.0, 0.0])
-    series = contraction.limit_large_n(c, x, (4, 8, 16, 32, 64))
-    assert series.decreasing
-    assert series.deviations[-1] < series.deviations[0] / 10
+    ns = (4, 8, 16, 32, 64)
+    devs = contraction.limit_large_n(c, x, ns)
+    assert len(devs) == len(ns)
+    assert all(b <= a for a, b in zip(devs, devs[1:]))
+    assert devs[-1] < devs[0] / 10
     r = float(np.linalg.norm(np.array(c) - x))
-    for n, dev in zip(series.ns, series.deviations):
+    for n, dev in zip(ns, devs):
         assert abs(dev - 1.0 * -math.expm1(-r / n)) < 1e-15
     with pytest.raises(ValueError):
         contraction.limit_large_n(c, x, (4,))

@@ -8,6 +8,8 @@ across changes to it. A change that means to move them regenerates the
 file with `PYTHONPATH=src python tests/test_frozen_reports.py` and says so.
 """
 
+import contextlib
+import io
 import json
 import sys
 import tempfile
@@ -31,18 +33,19 @@ SCENARIOS = {
 }
 
 
-def outputs(overrides, workdir, read_stdout):
+def outputs(overrides, workdir):
     """{command: {exit_code, report, banach_trace.csv}} for one scenario."""
     cfgfile = workdir / "config.json"
     cfgfile.write_text(json.dumps(overrides), encoding="utf-8")
     got = {}
     for command in ("contract", "reduce"):
-        out = workdir / command
-        code = cli.main([command, "--json", "--config", str(cfgfile), "--out", str(out)])
+        out, stdout = workdir / command, io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main([command, "--json", "--config", str(cfgfile), "--out", str(out)])
         trace = out / "banach_trace.csv"
         got[command] = {
             "exit_code": code,
-            "report": report.strip_timings(read_stdout()),
+            "report": report.strip_timings(stdout.getvalue()),
             # bytes as written: the csv module ends its rows with \r\n
             "banach_trace.csv": trace.read_bytes().decode("ascii") if trace.exists() else None,
         }
@@ -69,8 +72,8 @@ def test_the_frozen_file_covers_every_scenario(frozen):
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
-def test_contract_and_reduce_outputs_match_the_frozen_texts(capsys, tmp_path, frozen, name):
-    got = outputs(SCENARIOS[name], tmp_path, lambda: capsys.readouterr().out)
+def test_contract_and_reduce_outputs_match_the_frozen_texts(tmp_path, frozen, name):
+    got = outputs(SCENARIOS[name], tmp_path)
     for command, texts in frozen[name].items():
         for key, want in texts.items():
             now = got[command][key]
@@ -82,20 +85,9 @@ def test_contract_and_reduce_outputs_match_the_frozen_texts(capsys, tmp_path, fr
 
 
 if __name__ == "__main__":
-    import contextlib
-    import io
-
     texts = {}
     for name, overrides in SCENARIOS.items():
-        buf = io.StringIO()
-
-        def read_stdout():
-            text = buf.getvalue()
-            buf.seek(0)
-            buf.truncate()
-            return text
-
-        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(buf):
-            texts[name] = outputs(overrides, Path(tmp), read_stdout)
+        with tempfile.TemporaryDirectory() as tmp:
+            texts[name] = outputs(overrides, Path(tmp))
     FROZEN.write_text(json.dumps(texts, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {FROZEN}", file=sys.stderr)

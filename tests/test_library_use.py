@@ -5,8 +5,9 @@ named somewhere in the package or the benchmark harness, as a `Name` or
 as the attribute of an `Attribute`. The check functions listed in
 `checks.COMMANDS` are looked up by name at run time, so they count as
 used. Every public method, property and dataclass field of a class there
-must be read in the same files, as a loaded attribute or as a string
-(`getattr`, report keys and the like).
+must be read in the same files, as a loaded attribute or as the
+attribute-name argument of `getattr` or `hasattr`. Any other string, such
+as a report key that happens to spell a member's name, does not count.
 """
 
 import ast
@@ -47,10 +48,18 @@ def member_name(node):
 
 
 def read_names(tree):
-    return {node.attr if isinstance(node, ast.Attribute) else node.value
-            for node in ast.walk(tree)
-            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
-            or (isinstance(node, ast.Constant) and isinstance(node.value, str))}
+    return {name for name in map(read_name, ast.walk(tree)) if name}
+
+
+def read_name(node):
+    """The member a loaded attribute or a getattr/hasattr call reads, if any."""
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        return node.attr
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("getattr", "hasattr") and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant) and isinstance(node.args[1].value, str)):
+        return node.args[1].value
+    return None
 
 
 def parsed():
@@ -83,9 +92,9 @@ def test_every_public_class_member_is_read_outside_the_tests():
 
 def test_member_scan_counts_loads_and_strings_but_not_stores():
     # the scan behind the check above, on a module small enough to read:
-    # a member counts as read when it is loaded or named by a string, and
-    # an assignment to it, a private member or a plain class constant
-    # does not count
+    # a member counts as read when it is loaded or named to getattr or
+    # hasattr; an assignment to it, a string that only spells its name (a
+    # report key), a private member or a plain class constant does not count
     tree = ast.parse(
         "class Trace:\n"
         "    steps: int\n"
@@ -98,7 +107,7 @@ def test_member_scan_counts_loads_and_strings_but_not_stores():
         "    def last(self): return self.steps\n"
         "def use(t):\n"
         "    t.final = 0.0\n"
-        "    return t.summary()\n"
+        "    return {'last': t.summary()}\n"
     )
     assert public_members(tree) == {("Trace", name)
                                     for name in ("steps", "final", "label", "summary", "last")}
