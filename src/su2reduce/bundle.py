@@ -93,9 +93,9 @@ def collapse_chart(m: ContractionMap, n_sequence, tol: float = 1e-6, seed: int =
         raise ValueError("need a strictly increasing schedule of scales >= 1")
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError("tolerance must be positive and finite")
+    cn = m.center_norm
     rows = tuple(
-        CollapseRow(n, chart_image_diameter(ContractionMap(m.center, n), seed=seed),
-                    m.center_norm / n**2)
+        CollapseRow(n, chart_image_diameter(ContractionMap(m.center, n), seed=seed), cn / n**2)
         for n in ns
     )
     return CollapseReport(m.center, tol, rows, collapse_threshold(m.center, tol))
