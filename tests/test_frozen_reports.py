@@ -1,11 +1,20 @@
-"""The outputs of `contract` and `reduce`, held byte-equal to frozen texts.
+"""The outputs of all four commands, held to frozen copies.
 
-`frozen_pipeline.json` holds, for each scenario below and each of the two
-commands, the exit code, the `--json` report without its `timings` key and
-`banach_trace.csv` where one was written. The reproducibility tests only
-compare two runs of the same code; these texts hold the pipeline's outputs
-across changes to it. A change that means to move them regenerates the
-file with `PYTHONPATH=src python tests/test_frozen_reports.py` and says so.
+`frozen_pipeline.json` holds, for each scenario below and each of
+`contract` and `reduce`, the exit code, the `--json` report without its
+`timings` key and `banach_trace.csv` where one was written; these are
+compared byte for byte. `frozen_verify.json` holds the same exit code
+and stripped report for `verify` and `anomaly` at the default seed and
+at each seed in SEEDS, and the `anomaly --out` artifacts of one
+`--grid 4` run as arrays; these are compared by `differences`: every
+non-float exactly, each report float within 1e-12 relative and each
+artifact array within 1e-12 of its own max-norm, which allows
+floating-point reassociation.
+
+The reproducibility tests only compare two runs of the same code; these
+copies hold the outputs across changes to it. A change that means to
+move them regenerates both files with
+`PYTHONPATH=src python tests/test_frozen_reports.py` and says so.
 """
 
 import contextlib
@@ -16,11 +25,15 @@ import tempfile
 from itertools import zip_longest
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from su2reduce import cli, report
+from su2reduce import checks, cli, lattice, report
+
+import oracles
 
 FROZEN = Path(__file__).with_name("frozen_pipeline.json")
+FROZEN_VERIFY = Path(__file__).with_name("frozen_verify.json")
 
 SCENARIOS = {
     "defaults": {},
@@ -31,6 +44,11 @@ SCENARIOS = {
     "inconsistent": {"reduce_centers": 2},
     "coincident_centers": {"reduce_centers": 2, "second_center": [1, 0, 0, 0]},
 }
+
+# verify and anomaly run at the default seed and at each of these
+SEEDS = (0, 6, 17, 33)
+ARTIFACT_ARGV = ["anomaly", "--grid", "4"]
+REL = 1e-12
 
 
 def outputs(overrides, workdir):
@@ -52,6 +70,88 @@ def outputs(overrides, workdir):
     return got
 
 
+def seed_key(seed) -> str:
+    return "default" if seed is None else f"seed {seed}"
+
+
+def run_report(argv):
+    """(exit code, stripped report as parsed JSON) of one CLI run."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(argv + ["--json"])
+    return {"exit_code": code, "report": json.loads(report.strip_timings(stdout.getvalue()))}
+
+
+def seeded_report(command, seed):
+    return run_report([command] + ([] if seed is None else ["--seed", str(seed)]))
+
+
+def encode(a) -> dict:
+    """An array as JSON: dtype, shape and the values flattened (complex
+    values as interleaved real and imaginary parts)."""
+    a = np.asarray(a)
+    flat = a.ravel()
+    return {"dtype": a.dtype.name, "shape": list(a.shape),
+            "values": (flat.view(float) if a.dtype.kind == "c" else flat).tolist()}
+
+
+def decode(rec) -> np.ndarray:
+    dtype = np.dtype(rec["dtype"])
+    base = np.float64 if dtype.kind == "c" else dtype
+    return np.array(rec["values"], dtype=base).view(dtype).reshape(rec["shape"])
+
+
+def artifacts(workdir):
+    """Exit code and {file name: {array name: encoded array}} of the
+    `--grid 4` anomaly run's --out files."""
+    got = run_report(ARTIFACT_ARGV + ["--out", str(workdir)])
+    files = {}
+    for name in got["report"]["artifacts"]:
+        if name.endswith(".csv"):
+            header, values = oracles.read_field_csv(workdir / name)
+            arrays = {"dims": np.array(header["dims"]), "h": np.array(header["h"]),
+                      "values": values}
+        else:
+            arrays = oracles.read_field_npz(workdir / name)
+        files[name] = {key: encode(v) for key, v in arrays.items()}
+    return {"exit_code": got["exit_code"], "files": files}
+
+
+def verify_outputs(workdir):
+    return {
+        "reports": {command: {seed_key(s): seeded_report(command, s) for s in (None,) + SEEDS}
+                    for command in ("verify", "anomaly")},
+        "anomaly_artifacts": artifacts(workdir),
+    }
+
+
+def differences(want, got, where="") -> list[str]:
+    """Where `got` leaves the frozen `want`. Every non-float must be equal,
+    type included; a float may move by 1e-12 of itself; an encoded array
+    keeps its dtype and shape and may move by 1e-12 of its max-norm."""
+    if isinstance(want, dict) and set(want) == {"dtype", "shape", "values"}:
+        head = {k: want[k] for k in ("dtype", "shape")}
+        now = {k: got.get(k) for k in head} if isinstance(got, dict) else got
+        if now != head:
+            return [f"{where}: frozen {head}, now {now}"]
+        gap, scale = lattice.max_abs(decode(got) - decode(want)), lattice.max_abs(decode(want))
+        return [] if gap <= REL * scale else [f"{where}: moved by {gap!r}, max-norm {scale!r}"]
+    if isinstance(want, dict) and isinstance(got, dict):
+        if sorted(want) != sorted(got):
+            return [f"{where}: frozen keys {sorted(want)}, now {sorted(got)}"]
+        return [d for k in want for d in differences(want[k], got[k], f"{where}/{k}")]
+    if isinstance(want, list) and isinstance(got, list):
+        if len(want) != len(got):
+            return [f"{where}: frozen length {len(want)}, now {len(got)}"]
+        return [d for i, (a, b) in enumerate(zip(want, got))
+                for d in differences(a, b, f"{where}[{i}]")]
+    if type(want) is float and type(got) is float:
+        same = abs(got - want) <= REL * abs(want)
+    else:
+        same = type(want) is type(got) and want == got
+    return [] if same else [f"{where}: frozen {want!r}, now {got!r}"]
+
+
 def first_difference(want, got) -> str:
     if want is None or got is None:
         return f"frozen {want!r}, now {got!r}"
@@ -66,9 +166,23 @@ def frozen():
     return json.loads(FROZEN.read_text(encoding="utf-8"))
 
 
+@pytest.fixture(scope="module")
+def frozen_verify():
+    return json.loads(FROZEN_VERIFY.read_text(encoding="utf-8"))
+
+
 def test_the_frozen_file_covers_every_scenario(frozen):
     assert list(frozen) == list(SCENARIOS)
     assert frozen["invalid_certificate"]["contract"]["report"].count('"SKIPPED"') == 4
+
+
+def test_the_frozen_files_cover_every_command(frozen, frozen_verify):
+    pipeline = {command for texts in frozen.values() for command in texts}
+    assert pipeline | set(frozen_verify["reports"]) == set(checks.COMMANDS)
+    for runs in frozen_verify["reports"].values():
+        assert list(runs) == [seed_key(s) for s in (None,) + SEEDS]
+    # frozen as it stands: a seed whose verify fails
+    assert frozen_verify["reports"]["verify"]["seed 17"]["exit_code"] == 1
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
@@ -84,10 +198,51 @@ def test_contract_and_reduce_outputs_match_the_frozen_texts(tmp_path, frozen, na
                 assert now == want, f"{where}: {first_difference(want, now)}"
 
 
+@pytest.mark.parametrize("command", ("verify", "anomaly"))
+@pytest.mark.parametrize("seed", (None,) + SEEDS)
+def test_verify_and_anomaly_reports_match_the_frozen_values(frozen_verify, command, seed):
+    want = frozen_verify["reports"][command][seed_key(seed)]
+    assert differences(want, seeded_report(command, seed), f"{command} {seed_key(seed)}") == []
+
+
+def test_anomaly_artifacts_match_the_frozen_arrays(tmp_path, frozen_verify):
+    want = frozen_verify["anomaly_artifacts"]
+    assert list(want["files"]) == ["anomaly_divergence.csv", "anomaly_expansion.csv",
+                                   "anomaly_closed_form.csv", "anomalous_current.npz"]
+    assert differences(want, artifacts(tmp_path), "anomaly --grid 4 --out") == []
+
+
+def test_differences_holds_each_rule():
+    # the comparator behind the two tests above, on a record small enough to read
+    want = {"exit_code": 0, "report": {"checks": [{"name": "a", "value": 2.5, "n": 3}]},
+            "files": {"f.npz": {"values": encode(np.array([[1.0 + 2.0j, -4.0]]))}}}
+
+    def after(edit):
+        got = json.loads(json.dumps(want))
+        edit(got, got["report"]["checks"][0], got["files"]["f.npz"]["values"])
+        return differences(want, got)
+
+    assert after(lambda got, row, arr: None) == []
+    assert after(lambda got, row, arr: row.update(value=2.5 * (1 + 1e-13))) == []
+    assert after(lambda got, row, arr: row.update(value=2.5 * (1 + 1e-11))) != []
+    assert after(lambda got, row, arr: row.update(n=3.0)) != []  # a float where an int was
+    assert after(lambda got, row, arr: row.update(m=row.pop("n"))) != []
+    assert after(lambda got, row, arr: row.update(name="b")) != []
+    assert after(lambda got, row, arr: got.update(exit_code=1)) != []
+    assert after(lambda got, row, arr: arr.update(shape=[2, 1])) != []
+    assert after(lambda got, row, arr: arr.update(dtype="float64")) != []
+    # an array may move by 1e-12 of its own max-norm, here |-4| = 4
+    assert after(lambda got, row, arr: arr["values"].__setitem__(2, -4.0 + 3e-12)) == []
+    assert after(lambda got, row, arr: arr["values"].__setitem__(2, -4.0 + 5e-12)) != []
+
+
 if __name__ == "__main__":
     texts = {}
     for name, overrides in SCENARIOS.items():
         with tempfile.TemporaryDirectory() as tmp:
             texts[name] = outputs(overrides, Path(tmp))
     FROZEN.write_text(json.dumps(texts, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {FROZEN}", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as tmp:
+        values = verify_outputs(Path(tmp))
+    FROZEN_VERIFY.write_text(json.dumps(values, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {FROZEN} and {FROZEN_VERIFY}", file=sys.stderr)
