@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -197,7 +197,7 @@ class FieldStrength:
     F_mu_nu for (mu, nu) = PAIRS[k], so values has shape (6, *lam.shape).
     `component` supplies the mirrored entries by sign and the zero
     diagonal. The routes it is compared with (field_strength_direct,
-    field_strength_matrix) return one component per call instead.
+    field_strength_raw) return one component per call instead.
     """
 
     grid: lattice.Grid4
@@ -209,9 +209,6 @@ class FieldStrength:
         if mu < nu:
             return self.values[PAIRS.index((mu, nu))]
         return -self.values[PAIRS.index((nu, mu))]
-
-    def max_abs(self) -> float:
-        return lattice.max_abs(self.values)
 
     def antisymmetry_defect(self) -> float:
         """max |F_mu_nu + F_nu_mu| over all ordered pairs; zero by construction of the storage."""
@@ -264,30 +261,17 @@ def field_strength_matrix(grid: lattice.Grid4, A, g: float, mu: int, nu: int) ->
     return F
 
 
-@dataclass(frozen=True)
-class LagrangianDensity:
-    """Expanded quadratic form and its field-strength reference, per point.
+def lagrangian_density(lam: LambdaField) -> tuple[np.ndarray, np.ndarray]:
+    """Quarter-sum over ordered pairs of the expanded field-strength square,
+    and its field-strength reference, per point: (expanded, reference).
+
+    expanded    (1/4) sum_{mu,nu} [ f_mu^2 (d_nu lam_mu)^2
+                + f_nu^2 (d_mu lam_nu)^2
+                - 2 f_mu f_nu d_nu lam_mu d_mu lam_nu ]
+    reference   -(1/4) sum_{mu,nu} F_mu_nu F_mu_nu
 
     Both are complex: the profile squares are unit-modulus phases, not
     positive weights.
-    """
-
-    grid: lattice.Grid4
-    values: np.ndarray
-    from_field_strength: np.ndarray
-
-    def identity_defect(self) -> float:
-        scale = max(1.0, lattice.max_abs(self.from_field_strength))
-        return lattice.max_abs(self.values - self.from_field_strength) / scale
-
-
-def lagrangian_density(lam: LambdaField) -> LagrangianDensity:
-    """Quarter-sum over ordered pairs of the expanded field-strength square.
-
-    values            (1/4) sum_{mu,nu} [ f_mu^2 (d_nu lam_mu)^2
-                      + f_nu^2 (d_mu lam_nu)^2
-                      - 2 f_mu f_nu d_nu lam_mu d_mu lam_nu ]
-    from_field_strength   -(1/4) sum_{mu,nu} F_mu_nu F_mu_nu
     """
     f, G = lam.profile, lam.gradients
     vals = np.zeros(lam.shape, dtype=complex)
@@ -301,7 +285,7 @@ def lagrangian_density(lam: LambdaField) -> LagrangianDensity:
     vals *= 0.25
     F = field_strength_ansatz(lam)
     ref = -0.25 * sum(F.component(m, n) ** 2 for m in range(1, 5) for n in range(1, 5))
-    return LagrangianDensity(lam.grid, vals, ref)
+    return vals, ref
 
 
 def noether_current(lam: LambdaField) -> np.ndarray:
@@ -358,22 +342,14 @@ def anomaly_divergence_closed_form(lam: LambdaField, g: float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class GaugeConditionReport:
-    """Componentwise diagnostics for d_mu lambda_mu."""
-
-    per_component: tuple[float, float, float, float]
-    satisfied: bool
-
-
-def gauge_condition_check(lam: LambdaField) -> GaugeConditionReport:
-    """Max-norms of each d_mu lambda_mu (no sum).
+def gauge_condition_check(lam: LambdaField) -> tuple[float, float, float, float]:
+    """Max-norms of each d_mu lambda_mu (no sum); the condition holds when
+    each is at most GAUGE_TOL.
 
     The componentwise reading is the one the residual identities rely on.
     """
     G = lam.gradients
-    per = tuple(lattice.max_abs(G[m][m]) for m in range(4))
-    return GaugeConditionReport(per, all(p <= GAUGE_TOL for p in per))
+    return tuple(lattice.max_abs(G[m][m]) for m in range(4))
 
 
 def _box_profile_analytic(lam: LambdaField, n: int) -> np.ndarray:
@@ -395,11 +371,11 @@ def field_equation_residual(lam: LambdaField, g: float) -> np.ndarray:
     stencils); the compact stencil on the profile values agrees to O(h^2).
     """
     g = su2_algebra.check_coupling(g)
-    rep = gauge_condition_check(lam)
-    if not rep.satisfied:
+    per = gauge_condition_check(lam)
+    if not all(p <= GAUGE_TOL for p in per):
         warnings.warn(
             "componentwise gauge condition violated "
-            f"(max |d_mu lam_mu| = {np.max(rep.per_component):.3e}); "
+            f"(max |d_mu lam_mu| = {np.max(per):.3e}); "
             "the residual is not the equation of motion for this field",
             stacklevel=2,
         )
@@ -441,38 +417,17 @@ def field_equation_residual_full(lam: LambdaField, g: float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class VacuumEntry:
-    eps: float
-    current_max: float
-    noether_max: float
-    box_profile_max: float
-
-
-@dataclass(frozen=True)
-class VacuumReport:
-    """Small-amplitude decoupling study for a base phase field.
+def vacuum_report(base: LambdaField, eps_seq, g: float) -> tuple[float | None, float | None, float]:
+    """Scan lambda = eps * base over a decreasing amplitude sequence:
+    (slope_current, slope_box_profile, noether_max at the first amplitude).
 
     The current must vanish quadratically in the amplitude while the wave
     operator of the profile vanishes only linearly: the self-interaction
-    switches off faster than the free dynamics. No free-field equation
-    for the phase components is evaluated, because the time component
-    of the profile is not gauged away here (see gauge_mismatch).
+    switches off faster than the free dynamics. The slopes are None unless
+    at least two positive amplitudes give positive maxima. No free-field
+    equation for the phase components is evaluated, because the time
+    component of the profile is not gauged away here.
     """
-
-    entries: tuple[VacuumEntry, ...]
-    slope_current: float | None
-    slope_box_profile: float | None
-    gauge_mismatch: bool = True
-    notes: str = field(
-        default="the identification of phase components with free fields assumes a"
-        " gauged-away time component; the ansatz keeps it at unit modulus,"
-        " so no free-field equation is evaluated, only the two scaling slopes"
-    )
-
-
-def vacuum_report(base: LambdaField, eps_seq, g: float) -> VacuumReport:
-    """Scan lambda = eps * base over a decreasing amplitude sequence."""
     g = su2_algebra.check_coupling(g)
     eps_list = [float(e) for e in eps_seq]
     if not eps_list:
@@ -480,22 +435,13 @@ def vacuum_report(base: LambdaField, eps_seq, g: float) -> VacuumReport:
     if any(e < 0 for e in eps_list):
         raise ValueError("amplitudes must be nonnegative")
     grid = base.grid
-    entries = []
-    for eps in eps_list:
-        lam = base.scaled(eps)
-        entries.append(
-            VacuumEntry(  # each current is dropped before the next is built
-                eps=eps,
-                current_max=lattice.max_abs(anomalous_current(lam, g)),
-                noether_max=lattice.max_abs(noether_current(lam)),
-                box_profile_max=float(np.max([lattice.max_abs(lattice.box(grid, f))
-                                              for f in lam.profile])),
-            )
-        )
-    pos = [(e.eps, e.current_max, e.box_profile_max) for e in entries if e.eps > 0]
-    slope_j = slope_bf = None
-    if len(pos) >= 2 and all(c > 0 and b > 0 for _, c, b in pos):
-        eps_arr = [p[0] for p in pos]
-        slope_j = lattice.fit_order(eps_arr, [p[1] for p in pos])
-        slope_bf = lattice.fit_order(eps_arr, [p[2] for p in pos])
-    return VacuumReport(tuple(entries), slope_j, slope_bf)
+    first = base.scaled(eps_list[0])
+    noether_max = lattice.max_abs(noether_current(first))
+    pos, current, box_profile = [e for e in eps_list if e > 0], [], []
+    for eps in pos:  # each current is dropped before the next is built
+        lam = first if eps == eps_list[0] else base.scaled(eps)
+        current.append(lattice.max_abs(anomalous_current(lam, g)))
+        box_profile.append(float(np.max([lattice.max_abs(lattice.box(grid, f)) for f in lam.profile])))
+    if len(pos) < 2 or not all(c > 0 and b > 0 for c, b in zip(current, box_profile)):
+        return None, None, noether_max
+    return lattice.fit_order(pos, current), lattice.fit_order(pos, box_profile), noether_max

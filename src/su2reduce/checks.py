@@ -385,7 +385,8 @@ def field_strength_routes(run: Run) -> None:
 
 
 def lagrangian_identity(run: Run) -> None:
-    defect = ansatz_field.lagrangian_density(run.phase).identity_defect()
+    expanded, reference = ansatz_field.lagrangian_density(run.phase)
+    defect = lattice.max_abs(expanded - reference) / max(1.0, lattice.max_abs(reference))
     run.bounded("lagrangian_identity", "relative_defect", defect)
 
 
@@ -424,10 +425,11 @@ def residual_routes(run: Run) -> None:
     run.bounded("residual_contraction_equivalence", "max_gap", gap)
     fixed = ansatz_field.field_equation_residual(run.phase, g)
     gap = lattice.max_abs(full - fixed)
-    gc = ansatz_field.gauge_condition_check(run.phase)
+    per = ansatz_field.gauge_condition_check(run.phase)
     tol = LIMITS["residual_gauge_fixed_equivalence"]
-    run.judge("residual_gauge_fixed_equivalence", gap <= tol and gc.satisfied,
-              max_gap=gap, gauge_violation=float(np.max(gc.per_component)), tolerance=tol)
+    run.judge("residual_gauge_fixed_equivalence",
+              gap <= tol and all(p <= ansatz_field.GAUGE_TOL for p in per),
+              max_gap=gap, gauge_violation=float(np.max(per)), tolerance=tol)
 
 
 def anomalous_current_identity(run: Run) -> None:
@@ -446,22 +448,24 @@ def vacuum_limit(run: Run) -> None:
     zero = ansatz_field.LambdaField.zero(run.grid)
     zvals = {
         "profile_minus_one": float(np.max([lattice.max_abs(f - 1.0) for f in zero.profile])),
-        "field_strength": ansatz_field.field_strength_ansatz(zero).max_abs(),
-        "lagrangian": lattice.max_abs(ansatz_field.lagrangian_density(zero).values),
+        "field_strength": lattice.max_abs(ansatz_field.field_strength_ansatz(zero).values),
+        "lagrangian": lattice.max_abs(ansatz_field.lagrangian_density(zero)[0]),
         "noether_current": lattice.max_abs(ansatz_field.noether_current(zero)),
         "anomalous_current": lattice.max_abs(ansatz_field.anomalous_current(zero, g)),
         "residual": lattice.max_abs(ansatz_field.field_equation_residual(zero, g)),
     }
     run.judge("vacuum_exact_zeros", all(v == 0.0 for v in zvals.values()), **zvals)
-    vac = ansatz_field.vacuum_report(gradient_base_field(run.cfg, run.grid),
-                                     run.cfg.scaling_amplitudes, g)
+    slope_j, slope_bf, noether_max = ansatz_field.vacuum_report(
+        gradient_base_field(run.cfg, run.grid), run.cfg.scaling_amplitudes, g)
     quadratic, linear = LIMITS["vacuum_scaling_slopes"]
-    run.judge("vacuum_scaling_slopes",
-              _near(vac.slope_current, quadratic) and _near(vac.slope_box_profile, linear),
-              slope_current=vac.slope_current, slope_box_profile=vac.slope_box_profile,
+    run.judge("vacuum_scaling_slopes", _near(slope_j, quadratic) and _near(slope_bf, linear),
+              slope_current=slope_j, slope_box_profile=slope_bf,
               quadratic_window=_span(quadratic), linear_window=_span(linear),
-              gauge_mismatch=vac.gauge_mismatch, notes=vac.notes)
-    run.bounded("noether_gradient_cancellation", "max_norm", vac.entries[0].noether_max,
+              gauge_mismatch=True,
+              notes="the identification of phase components with free fields assumes a"
+                    " gauged-away time component; the ansatz keeps it at unit modulus,"
+                    " so no free-field equation is evaluated, only the two scaling slopes")
+    run.bounded("noether_gradient_cancellation", "max_norm", noether_max,
                 note="symmetric second derivatives cancel the divergence-form"
                      " current on gradient phase fields")
 

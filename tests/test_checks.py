@@ -283,7 +283,7 @@ def test_gauge_fixed_row_reports_a_nan_in_any_component(monkeypatch, k):
     per = [0.0] * 4
     per[k] = math.nan
     monkeypatch.setattr(ansatz_field, "gauge_condition_check",
-                        lambda lam: ansatz_field.GaugeConditionReport(tuple(per), False))
+                        lambda lam: tuple(per))
     run = checks.Run("verify", config.ScenarioConfig(grid_n=8))
     with pytest.warns(UserWarning, match=r"\| = nan\)"):
         checks.residual_routes(run)
