@@ -125,7 +125,7 @@ def verify_outputs(workdir):
     }
 
 
-def differences(want, got, where="") -> list[str]:
+def differences(want, got, where) -> list[str]:
     """Where `got` leaves the frozen `want`. Every non-float must be equal,
     type included; a float may move by 1e-12 of itself; an encoded array
     keeps its dtype and shape and may move by 1e-12 of its max-norm."""
@@ -220,7 +220,7 @@ def test_differences_holds_each_rule():
     def after(edit):
         got = json.loads(json.dumps(want))
         edit(got, got["report"]["checks"][0], got["files"]["f.npz"]["values"])
-        return differences(want, got)
+        return differences(want, got, "record")
 
     assert after(lambda got, row, arr: None) == []
     assert after(lambda got, row, arr: row.update(value=2.5 * (1 + 1e-13))) == []
