@@ -196,7 +196,16 @@ def divergence_accounting_order(cfg: config.ScenarioConfig) -> lattice.OrderEsti
 def covariance_order(cfg: config.ScenarioConfig) -> lattice.OrderEstimate:
     """‖F[A'] - U F[A] U^-1‖ under refinement for a seeded smooth pair, one
     (mu, nu) component of F[A'] and of F[A] at a time; each rung builds U's
-    rotation once for its six rotations of F[A], and each gap in place."""
+    rotation once for its six rotations of F[A], and each gap in place.
+
+    A gap whose planes along d, the first axis other than mu and nu, hold at
+    least 2^13 points is taken one such plane at a time: A, A' and R are
+    sliced at each index along d (a field of length 1 there passes whole)
+    and np.max combines the planes' norms, so a nan in any plane reaches
+    the row. F_mu_nu differentiates only along mu and nu, so every point's
+    arithmetic is unchanged; only max_norm's scale is per plane, which
+    moves a norm by rounding. A smaller gap is one plane covering the field.
+    """
     def gap(grid):
         F, g, rng = ansatz_field.field_strength_matrix, cfg.coupling, np.random.default_rng(cfg.seed)
         A = smooth_matrix_potential(grid, rng, cfg.smooth_amp)
@@ -204,9 +213,21 @@ def covariance_order(cfg: config.ScenarioConfig) -> lattice.OrderEstimate:
         Ap, R = su2_algebra.gauge_transform(grid, A, U, g), su2_algebra.rotation(U)
 
         def norm(mu, nu):
-            D = F(grid, Ap, g, mu, nu)
-            D -= su2_algebra.rotate(R, F(grid, A, g, mu, nu))
-            return su2_algebra.max_norm(D)
+            d = min({0, 1, 2, 3} - {mu - 1, nu - 1})  # first axis: each plane is contiguous
+            shape = np.broadcast_shapes(Ap[mu - 1].shape, Ap[nu - 1].shape)[:-1]
+            n = shape[d]
+            # Below 2^13 points a plane's temporaries do not set the peak, and
+            # the per-plane calls would cost more time than they save memory.
+            step = 1 if math.prod(shape) >= 2**13 * n else n
+
+            def cut(x, lead, k):
+                return x if x.shape[lead + d] == 1 else x[(slice(None),) * (lead + d) + (slice(k, k + step),)]
+
+            def plane(k):
+                D = F(grid, tuple(cut(a, 0, k) for a in Ap), g, mu, nu)
+                D -= su2_algebra.rotate(cut(R, 2, k), F(grid, tuple(cut(a, 0, k) for a in A), g, mu, nu))
+                return su2_algebra.max_norm(D)
+            return np.max([plane(k) for k in range(0, n, step)])
         return max_over_pairs(norm)
     return _refine(cfg, cfg.covariance_grids, gap)
 

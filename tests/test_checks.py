@@ -193,6 +193,16 @@ def test_covariance_potential_keeps_each_component_on_its_own_axes():
     assert peak <= 22.9952 / 2, peak
 
 
+def test_covariance_study_takes_a_large_dense_gap_one_plane_at_a_time():
+    # A structural bound: at the default seed A'_1 is dense, so the three
+    # (1, nu) gaps on the 21^4 rung span all four axes and their planes hold
+    # 21^3 points, above the 2^13 at which a gap is split. Each gap formed
+    # whole read 27.94 fields; one plane at a time it reads 9.83. A dense
+    # gap taken whole again breaks the bound.
+    peak = traced_peak(checks.covariance_order, config.ScenarioConfig(covariance_grids=(8, 21)))
+    assert peak <= 27.94 / 2, peak
+
+
 def test_pure_gauge_study_peak_memory_is_bounded():
     # The bound is the peak with the fields stored as 2x2 complex matrices,
     # 60.0160 fields (62,931,296 bytes); as real u(2) coefficients it
@@ -336,6 +346,24 @@ def test_a_nan_in_one_coefficient_of_one_pair_fails_the_matrix_studies(monkeypat
         assert result.details["order"] is None
         assert math.isfinite(result.details["errors"][0]) and math.isnan(result.details["errors"][1])
         assert '"order": null' in run.report.to_json()
+
+
+def test_a_nan_in_the_last_plane_of_a_dense_gap_fails_the_covariance_row(monkeypatch):
+    # At the default seed the (1, 2) gap on the 21^4 rung is taken over 21
+    # planes along axis 3, two field strengths each (F[A'] first). Only the
+    # last call, F[A] on the last plane, gets the nan; Python's max over
+    # the planes' norms would drop it.
+    calls = iter(range(2 * 21))
+    poison(monkeypatch, "field_strength_matrix",
+           lambda grid, A, g, mu, nu: (mu, nu) == (1, 2) and grid.dims[0] == 21 and next(calls) == 2 * 21 - 1)
+    run = checks.Run("verify", config.ScenarioConfig(covariance_grids=(8, 21)))
+    checks.covariance_order_window(run)
+    assert next(calls, None) is None  # every plane of the pair was called
+    (row,) = run.report.checks
+    assert row.name == "gauge_covariance_order" and row.status == "FAIL"
+    assert row.details["order"] is None
+    assert math.isfinite(row.details["errors"][0]) and math.isnan(row.details["errors"][1])
+    assert '"order": null' in run.report.to_json()
 
 
 @pytest.mark.parametrize("pair", ansatz_field.PAIRS)
