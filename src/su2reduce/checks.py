@@ -198,13 +198,12 @@ def covariance_order(cfg: config.ScenarioConfig) -> lattice.OrderEstimate:
     (mu, nu) component of F[A'] and of F[A] at a time; each rung builds U's
     rotation once for its six rotations of F[A], and each gap in place.
 
-    A gap whose planes along d, the first axis other than mu and nu, hold at
-    least 2^13 points is taken one such plane at a time: A, A' and R are
-    sliced at each index along d (a field of length 1 there passes whole)
-    and np.max combines the planes' norms, so a nan in any plane reaches
-    the row. F_mu_nu differentiates only along mu and nu, so every point's
-    arithmetic is unchanged; only max_norm's scale is per plane, which
-    moves a norm by rounding. A smaller gap is one plane covering the field.
+    A gap whose planes along d, the first axis other than mu and nu, hold
+    at least 2^13 points is taken one plane at a time: A, A' and R are
+    sliced at each index along d (a field of length 1 there passes whole),
+    and np.max keeps a nan from any plane. F_mu_nu differentiates only
+    along mu and nu, so each point's arithmetic is unchanged; only
+    max_norm's scale is per plane. A smaller gap is one plane, the whole field.
     """
     def gap(grid):
         F, g, rng = ansatz_field.field_strength_matrix, cfg.coupling, np.random.default_rng(cfg.seed)
@@ -223,9 +222,13 @@ def covariance_order(cfg: config.ScenarioConfig) -> lattice.OrderEstimate:
             def cut(x, lead, k):
                 return x if x.shape[lead + d] == 1 else x[(slice(None),) * (lead + d) + (slice(k, k + step),)]
 
+            # An F[A] that misses an axis holds at most a plane's points: built once.
+            FA = F(grid, A, g, mu, nu) if 1 in np.broadcast_shapes(A[mu - 1].shape, A[nu - 1].shape) else None
+
             def plane(k):
                 D = F(grid, tuple(cut(a, 0, k) for a in Ap), g, mu, nu)
-                D -= su2_algebra.rotate(cut(R, 2, k), F(grid, tuple(cut(a, 0, k) for a in A), g, mu, nu))
+                FAk = F(grid, tuple(cut(a, 0, k) for a in A), g, mu, nu) if FA is None else cut(FA, 0, k)
+                D -= su2_algebra.rotate(cut(R, 2, k), FAk)
                 return su2_algebra.max_norm(D)
             return np.max([plane(k) for k in range(0, n, step)])
         return max_over_pairs(norm)

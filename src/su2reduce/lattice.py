@@ -84,7 +84,7 @@ def _stencil_views(grid: Grid4, f: np.ndarray, mu: int):
     _check_mu(mu)
     f = check_field(grid, f)
     out = np.empty_like(f, dtype=np.result_type(f, 1.0))
-    return np.moveaxis(f, mu - 1, 0), out, np.moveaxis(out, mu - 1, 0)
+    return np.swapaxes(f, mu - 1, 0), out, np.swapaxes(out, mu - 1, 0)
 
 
 def partial(grid: Grid4, f: np.ndarray, mu: int) -> np.ndarray:

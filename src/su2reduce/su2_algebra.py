@@ -65,7 +65,7 @@ def pauli(a: int) -> np.ndarray:
 
 def empty_coefficients(shape, count: int = 4) -> np.ndarray:
     """Uninitialised real (*shape, count) array, each coefficient one contiguous plane."""
-    return np.moveaxis(np.empty((count,) + tuple(shape)), 0, -1)
+    return np.empty((count,) + tuple(shape)).transpose(*range(1, len(shape) + 1), 0)
 
 
 def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -119,7 +119,7 @@ def _modulus_max(x: np.ndarray, y: np.ndarray) -> float:
     itself when that is 0, inf or nan. Each sum is at most 2, and at least 1 where m
     is attained, so no square overflows and none that underflows moves the max."""
     t, u = np.abs(x), np.abs(y)
-    m = np.max([np.max(t), np.max(u)])
+    m = np.maximum(t.max(), u.max())
     if m == 0.0 or not np.isfinite(m):
         return float(m)
     t /= m
@@ -127,13 +127,13 @@ def _modulus_max(x: np.ndarray, y: np.ndarray) -> float:
     u /= m
     u *= u
     t += u
-    return float(m * np.sqrt(np.max(t)))
+    return float(m * np.sqrt(t.max()))
 
 
 def max_norm(X: np.ndarray) -> float:
     """Max-norm over the matrix entries of i s 1 + a.sigma: max(|a3 + i s|, |a1 + i a2|);
     a nan in any coefficient gives nan."""
-    return float(np.max([_modulus_max(X[..., 3], X[..., 0]), _modulus_max(X[..., 1], X[..., 2])]))
+    return float(np.maximum(_modulus_max(X[..., 3], X[..., 0]), _modulus_max(X[..., 1], X[..., 2])))
 
 
 def group_matrices(q: np.ndarray) -> np.ndarray:
