@@ -212,7 +212,7 @@ def covariance_order(cfg: config.ScenarioConfig) -> lattice.OrderEstimate:
         Ap, R = su2_algebra.gauge_transform(grid, A, U, g), su2_algebra.rotation(U)
 
         def norm(mu, nu):
-            d = min({0, 1, 2, 3} - {mu - 1, nu - 1})  # first axis: each plane is contiguous
+            d = min({0, 1, 2, 3} - {mu - 1, nu - 1})  # the free axis whose planes have the longest runs
             shape = np.broadcast_shapes(Ap[mu - 1].shape, Ap[nu - 1].shape)[:-1]
             n = shape[d]
             # Below 2^13 points a plane's temporaries do not set the peak, and
