@@ -25,27 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import su2_algebra
-from .contraction import ContractionMap, evaluate, sample_ball
+from .contraction import ContractionMap, ball_draw, evaluate
 
 
 # points sampled from each chart ball
 CHART_SAMPLES = 2048
-
-
-def chart_image_diameter(m: ContractionMap, seed: int = 0) -> float:
-    """Sampled diameter of the image of the chart ball of radius 1/n around
-    the map's center.
-
-    The image lies on the ray through the center (every value is center
-    times a scalar in (0, 1]), so the diameter over a sample is the center
-    norm times the spread of the sampled scale factors. It never exceeds
-    2 |center| / n^2, twice the certified sup of |lam(x) - center|.
-    """
-    rng = np.random.default_rng(seed)
-    c = m.center_array
-    pts = sample_ball(c, 1.0 / m.n, CHART_SAMPLES, rng)
-    factors = np.exp(-np.linalg.norm(pts - c, axis=1) / m.n)
-    return m.center_norm * float(factors.max() - factors.min())
 
 
 def collapse_threshold(center, tol: float) -> int:
@@ -55,10 +39,15 @@ def collapse_threshold(center, tol: float) -> int:
     cn = float(np.linalg.norm(np.asarray(center, dtype=float).reshape(4)))
     if cn == 0.0:
         return 1
-    n = max(1, math.floor(math.sqrt(cn / tol)))
-    while cn / n**2 >= tol:
-        n += 1
-    return n
+    # the first n from the floor on that passes: cn / n^2 never rises with n,
+    # so double past it, then bisect (stepping by one stalls past 2^53)
+    lo = hi = max(1, math.floor(math.sqrt(cn / tol)))
+    while cn / hi**2 >= tol:
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if cn / mid**2 < tol else (mid + 1, hi)
+    return hi
 
 
 @dataclass(frozen=True)
@@ -87,18 +76,32 @@ class CollapseReport:
 
 
 def collapse_chart(m: ContractionMap, n_sequence, tol: float = 1e-6, seed: int = 0) -> CollapseReport:
-    """Re-scale the map's chart along `n_sequence` and record the image shrink."""
+    """Re-scale the map's chart along `n_sequence` and record the image shrink.
+
+    A row's sampled diameter is that of the image of the chart ball of
+    radius 1/n around the map's center. The image lies on the ray through
+    the center (every value is center times a scalar in (0, 1]), so the
+    diameter over a sample is the center norm times the spread of the
+    sampled scale factors. It never exceeds 2 |center| / n^2, twice the
+    certified sup of |lam(x) - center|.
+
+    One unit-ball draw, the points a fresh default_rng(seed) would give, is
+    scaled to each 1/n in a loop; a batch over the scales was slower and
+    grows with the schedule.
+    """
     ns = [int(n) for n in n_sequence]
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])) or ns[0] < 1:
         raise ValueError("need a strictly increasing schedule of scales >= 1")
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError("tolerance must be positive and finite")
-    cn = m.center_norm
-    rows = tuple(
-        CollapseRow(n, chart_image_diameter(ContractionMap(m.center, n), seed=seed), cn / n**2)
-        for n in ns
-    )
-    return CollapseReport(m.center, tol, rows, collapse_threshold(m.center, tol))
+    c, cn = m.center_array, m.center_norm
+    d, u = ball_draw(CHART_SAMPLES, np.random.default_rng(seed))
+    rows = []
+    for n in ns:
+        pts = c + d * ((1.0 / n) * u)[:, None]
+        factors = np.exp(-np.linalg.norm(pts - c, axis=1) / n)
+        rows.append(CollapseRow(n, cn * float(factors.max() - factors.min()), cn / n**2))
+    return CollapseReport(m.center, tol, tuple(rows), collapse_threshold(m.center, tol))
 
 
 def pullback_coefficients(lambda_values, g: float) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 import time
@@ -100,6 +101,7 @@ def _run(cfg: config.ScenarioConfig, args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # one parser for every main call, built on first use
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="su2reduce",

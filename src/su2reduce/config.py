@@ -12,7 +12,7 @@ import math
 import numbers
 from dataclasses import dataclass, fields
 
-from . import lattice
+from . import bundle, lattice
 
 
 class ConfigError(ValueError):
@@ -67,7 +67,8 @@ class ScenarioConfig:
     banach_tol          displacement convergence tolerance
     lipschitz_pairs     sampled pairs for the ratio estimate
     collapse_schedule   strictly increasing chart scales
-    collapse_tol        image-size tolerance declaring collapse
+    collapse_tol        image-size tolerance declaring collapse; every command
+                        exits 2 if either center's sqrt(|c| / collapse_tol) overflows
     second_center       extra target for the two-chart consistency probe
     reduce_centers      1 for the happy-path reduction, 2 to include the
                         second center and exercise the inconsistency path
@@ -133,12 +134,17 @@ class ScenarioConfig:
             object.__setattr__(self, name, _check_ladder(getattr(self, name), name, 4, "grid sizes"))
         object.__setattr__(self, "collapse_schedule", _check_ladder(
             self.collapse_schedule, "collapse_schedule", 2, "chart scales"))
-        object.__setattr__(self, "contraction_center", _check_center(self.contraction_center))
         if self.contraction_n < 1:
             raise ConfigError(f"contraction_n must be an integer >= 1, got {self.contraction_n}")
         if self.lipschitz_pairs < 2:
             raise ConfigError("lipschitz_pairs must be an integer >= 2")
-        object.__setattr__(self, "second_center", _check_center(self.second_center))
+        for name in ("contraction_center", "second_center"):
+            c = _check_center(getattr(self, name))
+            try:  # the collapse floors sqrt(|c| / collapse_tol) to a scale
+                bundle.collapse_threshold(c, self.collapse_tol)
+            except OverflowError:
+                raise ConfigError(f"{name}: sqrt(|c| / collapse_tol) overflows") from None
+            object.__setattr__(self, name, c)
         if self.reduce_centers not in (1, 2):
             raise ConfigError(f"reduce_centers must be 1 or 2, got {self.reduce_centers}")
         if self.seed < 0:

@@ -76,15 +76,21 @@ def evaluate(m: ContractionMap, x) -> np.ndarray:
     return m.center_array * np.exp(-r / m.n)[..., None]
 
 
+def ball_draw(count: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Directions d (count, 4) and radial fractions u of uniform points d * u
+    in the unit 4-ball; `sample_ball` and the chart collapse draw only here."""
+    d = rng.standard_normal((count, 4))
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    return d, rng.random(count) ** 0.25
+
+
 def sample_ball(center, radius: float, count: int, rng) -> np.ndarray:
     """Uniform points in the open 4-ball, shaped (count, 4)."""
     center = _check_point(center).reshape(4)
     if radius <= 0:
         raise ValueError("radius must be positive")
-    d = rng.standard_normal((count, 4))
-    d /= np.linalg.norm(d, axis=1, keepdims=True)
-    scale = radius * rng.random(count) ** 0.25
-    return center + d * scale[:, None]
+    d, u = ball_draw(count, rng)
+    return center + d * (radius * u)[:, None]
 
 
 def lipschitz_estimate(m: ContractionMap, pairs: int = 10_000, seed: int = 0) -> tuple[float, int]:
@@ -102,8 +108,10 @@ def lipschitz_estimate(m: ContractionMap, pairs: int = 10_000, seed: int = 0) ->
     b = sample_ball(m.center_array, 1.0 / m.n, pairs, rng)
     dist = np.linalg.norm(a - b, axis=1)
     keep = dist > 0
-    img = np.linalg.norm(evaluate(m, a[keep]) - evaluate(m, b[keep]), axis=1)
-    return float(np.max(img / dist[keep])), int(np.count_nonzero(keep))
+    if not keep.all():
+        a, b, dist = a[keep], b[keep], dist[keep]
+    img = np.linalg.norm(evaluate(m, a) - evaluate(m, b), axis=1)
+    return float(np.max(img / dist)), len(dist)
 
 
 @dataclass(frozen=True)

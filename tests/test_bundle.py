@@ -2,15 +2,17 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from su2reduce import bundle, su2_algebra
+from su2reduce import bundle, contraction, su2_algebra
 from su2reduce.contraction import ContractionMap
 
 
 CENTER = (1.0, 0.0, 0.0, 0.0)
+SCHEDULE = (4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048)
 
 
 def test_image_diameter_bounds():
@@ -18,7 +20,50 @@ def test_image_diameter_bounds():
     (row,) = bundle.collapse_chart(ch, (8,)).rows
     assert row.sup_bound == 1.0 / 64
     assert 0.0 < row.sampled_diameter <= 2.0 * row.sup_bound
-    assert bundle.chart_image_diameter(ch, seed=0) == row.sampled_diameter
+
+
+def fresh_sample(center, radius, count, seed):
+    """The chart sample as drawn before one draw served every scale: a fresh
+    generator per ball, directions first, then the radial fractions."""
+    rng = np.random.default_rng(seed)
+    d = rng.standard_normal((count, 4))
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    return center + d * (radius * rng.random(count) ** 0.25)[:, None]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_one_draw_serves_every_scale(seed):
+    for center in (CENTER, (0.3, -0.2, 0.1, 0.4), (-2.5, 1.0, 0.7, 3.1)):
+        c = np.array(center)
+        want = []
+        for n in SCHEDULE:
+            pts = fresh_sample(c, 1.0 / n, bundle.CHART_SAMPLES, seed)
+            assert np.array_equal(
+                contraction.sample_ball(c, 1.0 / n, bundle.CHART_SAMPLES, np.random.default_rng(seed)), pts)
+            factors = np.exp(-np.linalg.norm(pts - c, axis=1) / n)
+            want.append(float(np.linalg.norm(c)) * float(factors.max() - factors.min()))
+        rows = bundle.collapse_chart(ContractionMap(center, SCHEDULE[0]), SCHEDULE, seed=seed).rows
+        assert [r.sampled_diameter for r in rows] == want
+
+
+def collapse_peak(schedule) -> int:
+    """Warm tracemalloc peak, in bytes, of one collapse along `schedule`."""
+    m = ContractionMap((0.3, -0.2, 0.1, 0.4), schedule[0])
+    bundle.collapse_chart(m, schedule)
+    tracemalloc.start()
+    try:
+        bundle.collapse_chart(m, schedule)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_collapse_memory_does_not_grow_with_the_schedule():
+    # one sample of CHART_SAMPLES points serves every scale in turn; a
+    # (len(schedule), CHART_SAMPLES, 4) batch would take 16.8 MB here
+    long = collapse_peak(tuple(range(4, 4 + 8 * 256, 8)))
+    short = collapse_peak((4, 12))
+    assert long <= 1.5 * short, (long, short)
 
 
 def test_collapse_threshold_boundary():
@@ -39,8 +84,17 @@ def test_collapse_threshold_boundary():
             assert cn / (n - 1) ** 2 >= tol
 
 
+def test_collapse_threshold_past_float_precision():
+    # past sqrt(|c| / tol) = 2^53 a step of one no longer moves |c| / n^2,
+    # and a loop of such steps ran for ever on these centers
+    for cn in (1e38, 1e39, 1e150):
+        n = bundle.collapse_threshold((cn, 0.0, 0.0, 0.0), 1e-6)
+        assert cn / n**2 < 1e-6 <= cn / (n - 1) ** 2
+        assert n > math.floor(math.sqrt(cn / 1e-6))
+
+
 def test_collapse_chart_schedule():
-    sched = (4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048)
+    sched = SCHEDULE
     rep = bundle.collapse_chart(ContractionMap(CENTER, 4), sched, tol=1e-6)
     assert [r.n for r in rep.rows] == list(sched)
     assert rep.threshold_n == 1001

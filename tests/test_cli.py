@@ -200,6 +200,41 @@ def test_wrongly_typed_config_values_exit_two(capsys, tmp_path, text):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("text", [
+    '{"contraction_center": [1e308, 0, 0, 0]}',
+    '{"contraction_center": [1e200, 1e200, 0, 0]}',
+    '{"collapse_tol": 1e-320}',
+], ids=["huge_center", "center_norm_overflows", "subnormal_collapse_tol"])
+def test_collapse_thresholds_that_overflow_exit_two(capsys, tmp_path, text):
+    # the collapse floors sqrt(|c| / collapse_tol) to a scale; where that
+    # root is not finite the config is refused, on contract as on reduce
+    cfgfile = tmp_path / "collapse.json"
+    cfgfile.write_text(text)
+    for command in ("contract", "reduce"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # overflow in |c|
+            code, _, err = run([command, "--config", str(cfgfile)], capsys)
+        assert code == 2
+        assert "config error" in err and "collapse_tol" in err
+
+
+def test_one_parser_serves_every_call(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    code, out, _ = run(["contract", "--json", "--seed", "11"], capsys)
+    assert code == 0
+    assert json.loads(out)["scenario"]["seed"] == 11
+    code, out, _ = run(["contract", "--json"], capsys)
+    before = report.strip_timings(out)
+    assert code == 0
+    assert json.loads(out)["scenario"]["seed"] == 2024
+    code, _, err = run(["contract", "--seed", "x"], capsys)
+    assert code == 2
+    assert "invalid int value" in err
+    code, out, _ = run(["contract", "--json"], capsys)
+    assert code == 0
+    assert report.strip_timings(out) == before
+
+
 def verify_on_huge_box(capsys, tmp_path):
     """verify --json on a box of 1e308; short ladders and an 8^4 working
     grid keep the run cheap."""

@@ -1,6 +1,7 @@
 """Scenario configuration: defaults, validation, JSON loading."""
 
 import json
+import warnings
 
 import pytest
 
@@ -126,3 +127,22 @@ def test_wrong_types_are_config_errors():
     for kw in bad:
         with pytest.raises(config.ConfigError):
             config.ScenarioConfig(**kw)
+
+
+def test_centers_whose_collapse_threshold_overflows_are_refused():
+    # sqrt(|c| / collapse_tol) must be finite for both centers, whichever
+    # command reads them; |(1e200, 1e200, 0, 0)| itself overflows to inf
+    bad = [
+        {"contraction_center": (1e308, 0.0, 0.0, 0.0)},
+        {"contraction_center": (1e200, 1e200, 0.0, 0.0)},
+        {"collapse_tol": 1e-320},
+        {"second_center": (0.0, 1e308, 0.0, 0.0)},
+    ]
+    for kw in bad:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(config.ConfigError, match="collapse_tol"):
+                config.ScenarioConfig(**kw)
+    # a finite root passes, also one far past 2^53
+    cfg = config.ScenarioConfig(contraction_center=(1e150, 0.0, 0.0, 0.0), collapse_tol=1e-6)
+    assert cfg.contraction_center == (1e150, 0.0, 0.0, 0.0)

@@ -77,6 +77,26 @@ def test_sampled_ratio_respects_and_approaches_bound():
         contraction.lipschitz_estimate(m, pairs=1)
 
 
+def test_sampled_ratio_drops_pairs_at_distance_zero(monkeypatch):
+    m = default_map()
+    sample_ball, drawn = contraction.sample_ball, []
+
+    def sample_with_shared_rows(center, radius, count, rng):
+        pts = sample_ball(center, radius, count, rng)
+        if drawn:  # the second sample repeats the first one's rows 3, 10 and 11
+            pts[[3, 10, 11]] = drawn[0][[3, 10, 11]]
+        drawn.append(pts)
+        return pts
+
+    monkeypatch.setattr(contraction, "sample_ball", sample_with_shared_rows)
+    ratio, pairs = contraction.lipschitz_estimate(m, pairs=500, seed=5)
+    assert pairs == 497
+    rest = np.setdiff1d(np.arange(500), [3, 10, 11])
+    a, b = drawn[0][rest], drawn[1][rest]
+    img = np.linalg.norm(contraction.evaluate(m, a) - contraction.evaluate(m, b), axis=1)
+    assert ratio == float(np.max(img / np.linalg.norm(a - b, axis=1)))
+
+
 def test_banach_iteration_contracting_run():
     m = default_map()
     x0 = m.center_array + np.array([0.09, 0.0, 0.0, 0.0])
