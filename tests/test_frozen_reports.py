@@ -43,6 +43,13 @@ SCENARIOS = {
     "not_collapsed": {"collapse_schedule": [4, 8]},
     "inconsistent": {"reduce_centers": 2},
     "coincident_centers": {"reduce_centers": 2, "second_center": [1, 0, 0, 0]},
+    # the sampling path off its defaults: batch sizes, a slow contraction,
+    # another seed and a second chart of its own
+    "odd_pairs": {"lipschitz_pairs": 9999},
+    "tiny_pairs": {"lipschitz_pairs": 3},
+    "slow_contraction": {"contraction_n": 3, "contraction_center": [1.3, -1.5, 0.6, 0.4]},
+    "other_seed": {"seed": 7},
+    "own_second_center": {"reduce_centers": 2, "second_center": [0.3, -0.2, 0.1, 0.4]},
 }
 
 # verify and anomaly run at the default seed and at each of these
