@@ -66,7 +66,8 @@ class ScenarioConfig:
     banach_offset       starting displacement for the fixed-point run
     banach_tol          displacement convergence tolerance
     lipschitz_pairs     sampled pairs for the ratio estimate
-    collapse_schedule   strictly increasing chart scales
+    collapse_schedule   strictly increasing chart scales; every command exits 2
+                        if a scale's square n^2 overflows a float
     collapse_tol        image-size tolerance declaring collapse; every command
                         exits 2 if either center's sqrt(|c| / collapse_tol) overflows
     second_center       extra target for the two-chart consistency probe
@@ -134,6 +135,10 @@ class ScenarioConfig:
             object.__setattr__(self, name, _check_ladder(getattr(self, name), name, 4, "grid sizes"))
         object.__setattr__(self, "collapse_schedule", _check_ladder(
             self.collapse_schedule, "collapse_schedule", 2, "chart scales"))
+        try:  # the collapse bounds each chart image by |c| / n^2
+            float(self.collapse_schedule[-1] ** 2)
+        except OverflowError:
+            raise ConfigError("collapse_schedule: a scale's square n^2 overflows a float") from None
         if self.contraction_n < 1:
             raise ConfigError(f"contraction_n must be an integer >= 1, got {self.contraction_n}")
         if self.lipschitz_pairs < 2:

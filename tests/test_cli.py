@@ -218,6 +218,17 @@ def test_collapse_thresholds_that_overflow_exit_two(capsys, tmp_path, text):
         assert "config error" in err and "collapse_tol" in err
 
 
+@pytest.mark.parametrize("schedule", ["[4, 1e200]", "[4, 8, 1e155]"])
+def test_collapse_scales_whose_square_overflows_exit_two(capsys, tmp_path, schedule):
+    # the collapse bounds each chart image by |c| / n^2, which needs n^2 as a float
+    cfgfile = tmp_path / "schedule.json"
+    cfgfile.write_text(f'{{"collapse_schedule": {schedule}}}')
+    for command in ("contract", "reduce"):
+        code, _, err = run([command, "--config", str(cfgfile)], capsys)
+        assert code == 2
+        assert "config error" in err and "collapse_schedule" in err
+
+
 def test_one_parser_serves_every_call(capsys):
     assert cli.build_parser() is cli.build_parser()
     code, out, _ = run(["contract", "--json", "--seed", "11"], capsys)

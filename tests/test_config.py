@@ -146,3 +146,12 @@ def test_centers_whose_collapse_threshold_overflows_are_refused():
     # a finite root passes, also one far past 2^53
     cfg = config.ScenarioConfig(contraction_center=(1e150, 0.0, 0.0, 0.0), collapse_tol=1e-6)
     assert cfg.contraction_center == (1e150, 0.0, 0.0, 0.0)
+
+
+def test_scales_whose_square_overflows_are_refused():
+    for top in (1e155, 2**512):
+        with pytest.raises(config.ConfigError, match="collapse_schedule"):
+            config.ScenarioConfig(collapse_schedule=(4, top))
+    # the largest scales whose square stays finite pass
+    assert config.ScenarioConfig(collapse_schedule=(4, 1e154)).collapse_schedule == (4, int(1e154))
+    assert config.ScenarioConfig(collapse_schedule=(4, 2**511)).collapse_schedule[-1] == 2**511
