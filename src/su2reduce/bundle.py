@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import su2_algebra
-from .contraction import ContractionMap, ball_draw, evaluate
+from .contraction import ContractionMap, ball_draw, evaluate, point_norms
 
 
 # points sampled from each chart ball
@@ -98,8 +98,10 @@ def collapse_chart(m: ContractionMap, n_sequence, tol: float = 1e-6, seed: int =
     d, u = ball_draw(CHART_SAMPLES, np.random.default_rng(seed))
     rows = []
     for n in ns:
-        pts = c + d * ((1.0 / n) * u)[:, None]
-        factors = np.exp(-np.linalg.norm(pts - c, axis=1) / n)
+        pts = d * ((1.0 / n) * u)[:, None]
+        pts += c  # placed at c and read back as pts - c, as sample_ball places them
+        pts -= c
+        factors = np.exp(-point_norms(pts) / n)
         rows.append(CollapseRow(n, cn * float(factors.max() - factors.min()), cn / n**2))
     return CollapseReport(m.center, tol, tuple(rows), collapse_threshold(m.center, tol))
 

@@ -38,8 +38,10 @@ def test_one_draw_serves_every_scale(seed):
         want = []
         for n in SCHEDULE:
             pts = fresh_sample(c, 1.0 / n, bundle.CHART_SAMPLES, seed)
-            assert np.array_equal(
-                contraction.sample_ball(c, 1.0 / n, bundle.CHART_SAMPLES, np.random.default_rng(seed)), pts)
+            got = contraction.sample_ball(c, 1.0 / n, bundle.CHART_SAMPLES, np.random.default_rng(seed))
+            # coordinate-major, and the row-major sample's values bit for bit
+            assert got.shape == (bundle.CHART_SAMPLES, 4) and got.flags.f_contiguous
+            assert got.tobytes(order="C") == pts.tobytes(order="C")
             factors = np.exp(-np.linalg.norm(pts - c, axis=1) / n)
             want.append(float(np.linalg.norm(c)) * float(factors.max() - factors.min()))
         rows = bundle.collapse_chart(ContractionMap(center, SCHEDULE[0]), SCHEDULE, seed=seed).rows

@@ -77,6 +77,39 @@ def test_sampled_ratio_respects_and_approaches_bound():
         contraction.lipschitz_estimate(m, pairs=1)
 
 
+def row_major_sample(center, radius, count, rng):
+    """sample_ball as it was written for row-major points: the same draws,
+    normalised by np.linalg.norm and placed row by row."""
+    d = rng.standard_normal((count, 4))
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    return center + d * (radius * rng.random(count) ** 0.25)[:, None]
+
+
+def bits(a) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_point_norms_are_numpys_norms_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    special = np.array([[0.0, 0.0, 0.0, 0.0], [-0.0, 0.0, -0.0, 0.0], [math.inf, 1.0, 0.0, 0.0],
+                        [0.0, 0.0, 0.0, -math.inf], [math.nan, 0.0, 0.0, 0.0],
+                        [1.0, math.inf, math.nan, 2.0], [1e300, 1e300, 0.0, 0.0]])
+    batches = [special]
+    with np.errstate(over="ignore"):  # past 1e154 the squares overflow, in both routes
+        for scale in (1e-300, 1e-160, 1e-20, 1.0, 1e20, 1e160, 1e300):
+            x = scale * rng.standard_normal((257, 4))
+            # one coordinate per row far larger than the rest, so the order of the sum shows
+            x[np.arange(257), rng.integers(0, 4, 257)] *= 1e8
+            batches.append(x)
+        for x in batches:
+            want = np.linalg.norm(x, axis=-1)
+            for batch in (x, np.asfortranarray(x)):
+                assert bits(contraction.point_norms(batch)) == bits(want)
+            for row in x[:16]:
+                assert bits(contraction.point_norms(row)) == bits(np.linalg.norm(row, axis=-1))
+
+
 def test_sampled_ratio_drops_pairs_at_distance_zero(monkeypatch):
     m = default_map()
     sample_ball, drawn = contraction.sample_ball, []
@@ -91,8 +124,22 @@ def test_sampled_ratio_drops_pairs_at_distance_zero(monkeypatch):
     monkeypatch.setattr(contraction, "sample_ball", sample_with_shared_rows)
     ratio, pairs = contraction.lipschitz_estimate(m, pairs=500, seed=5)
     assert pairs == 497
+    # the batches are coordinate-major and hold the row-major draws' values
+    rng = np.random.default_rng(5)
+    want = [row_major_sample(m.center_array, 0.1, 500, rng) for _ in drawn]
+    want[1][[3, 10, 11]] = want[0][[3, 10, 11]]
+    for pts, ref in zip(drawn, want):
+        assert pts.shape == (500, 4) and pts.flags.f_contiguous
+        assert bits(pts) == bits(ref)
+        img = contraction.evaluate(m, pts)
+        assert img.shape == (500, 4) and img.flags.f_contiguous
+        c = m.center_array
+        assert bits(img) == bits(c * np.exp(-np.linalg.norm(c - ref, axis=1) / m.n)[:, None])
+        assert contraction.evaluate(m, ref).flags.c_contiguous  # the input's order, either way
+    d, u = contraction.ball_draw(500, np.random.default_rng(5))
+    assert d.shape == (500, 4) and d.flags.f_contiguous and u.shape == (500,)
     rest = np.setdiff1d(np.arange(500), [3, 10, 11])
-    a, b = drawn[0][rest], drawn[1][rest]
+    a, b = want[0][rest], want[1][rest]
     img = np.linalg.norm(contraction.evaluate(m, a) - contraction.evaluate(m, b), axis=1)
     assert ratio == float(np.max(img / np.linalg.norm(a - b, axis=1)))
 
