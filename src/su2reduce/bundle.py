@@ -99,7 +99,7 @@ def collapse_chart(m: ContractionMap, n_sequence, tol: float = 1e-6, seed: int =
     rows = []
     for n in ns:
         pts = d * ((1.0 / n) * u)[:, None]
-        pts += c  # placed at c and read back as pts - c, as sample_ball places them
+        pts += c  # placed as sample_ball places them; the round trip to c rounds
         pts -= c
         factors = np.exp(-point_norms(pts) / n)
         rows.append(CollapseRow(n, cn * float(factors.max() - factors.min()), cn / n**2))
