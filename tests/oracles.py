@@ -12,7 +12,9 @@ Tests compare the package against these at rounding level, except the
 raw-stencil residual: it applies the compact second difference by np.roll
 to the profile values, and the package's chain-rule residual meets it at
 O(h^2). The artifact readers parse the package's CSV and npz files
-without its own code.
+without its own code, and the ball sampler draws and places points row by
+row with np.linalg.norm, as the package did before its batches were
+stored coordinate-major.
 """
 
 import math
@@ -297,3 +299,11 @@ def read_field_npz(path):
     """Every array stored in an npz field, by name."""
     with np.load(path, allow_pickle=False) as data:
         return {key: data[key] for key in data.files}
+
+
+def row_major_sample(center, radius, count, rng):
+    """Uniform points in the 4-ball from rng's draws in `sample_ball`'s order
+    (directions, then radial fractions), as a row-major (count, 4) array."""
+    d = rng.standard_normal((count, 4))
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    return center + d * (radius * rng.random(count) ** 0.25)[:, None]

@@ -10,6 +10,8 @@ import pytest
 from su2reduce import bundle, contraction, su2_algebra
 from su2reduce.contraction import ContractionMap
 
+import oracles
+
 
 CENTER = (1.0, 0.0, 0.0, 0.0)
 SCHEDULE = (4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048)
@@ -22,22 +24,15 @@ def test_image_diameter_bounds():
     assert 0.0 < row.sampled_diameter <= 2.0 * row.sup_bound
 
 
-def fresh_sample(center, radius, count, seed):
-    """The chart sample as drawn before one draw served every scale: a fresh
-    generator per ball, directions first, then the radial fractions."""
-    rng = np.random.default_rng(seed)
-    d = rng.standard_normal((count, 4))
-    d /= np.linalg.norm(d, axis=1, keepdims=True)
-    return center + d * (radius * rng.random(count) ** 0.25)[:, None]
-
-
 @pytest.mark.parametrize("seed", [0, 7, 2024])
 def test_one_draw_serves_every_scale(seed):
     for center in (CENTER, (0.3, -0.2, 0.1, 0.4), (-2.5, 1.0, 0.7, 3.1)):
         c = np.array(center)
         want = []
         for n in SCHEDULE:
-            pts = fresh_sample(c, 1.0 / n, bundle.CHART_SAMPLES, seed)
+            # the chart sample as drawn before one draw served every scale:
+            # a fresh generator per ball
+            pts = oracles.row_major_sample(c, 1.0 / n, bundle.CHART_SAMPLES, np.random.default_rng(seed))
             got = contraction.sample_ball(c, 1.0 / n, bundle.CHART_SAMPLES, np.random.default_rng(seed))
             # coordinate-major, and the row-major sample's values bit for bit
             assert got.shape == (bundle.CHART_SAMPLES, 4) and got.flags.f_contiguous

@@ -8,6 +8,8 @@ import pytest
 
 from su2reduce import contraction
 
+import oracles
+
 
 def default_map():
     return contraction.ContractionMap((1.0, 0.0, 0.0, 0.0), 10)
@@ -77,14 +79,6 @@ def test_sampled_ratio_respects_and_approaches_bound():
         contraction.lipschitz_estimate(m, pairs=1)
 
 
-def row_major_sample(center, radius, count, rng):
-    """sample_ball as it was written for row-major points: the same draws,
-    normalised by np.linalg.norm and placed row by row."""
-    d = rng.standard_normal((count, 4))
-    d /= np.linalg.norm(d, axis=1, keepdims=True)
-    return center + d * (radius * rng.random(count) ** 0.25)[:, None]
-
-
 def bits(a) -> bytes:
     return np.ascontiguousarray(a).tobytes()
 
@@ -126,7 +120,7 @@ def test_sampled_ratio_drops_pairs_at_distance_zero(monkeypatch):
     assert pairs == 497
     # the batches are coordinate-major and hold the row-major draws' values
     rng = np.random.default_rng(5)
-    want = [row_major_sample(m.center_array, 0.1, 500, rng) for _ in drawn]
+    want = [oracles.row_major_sample(m.center_array, 0.1, 500, rng) for _ in drawn]
     want[1][[3, 10, 11]] = want[0][[3, 10, 11]]
     for pts, ref in zip(drawn, want):
         assert pts.shape == (500, 4) and pts.flags.f_contiguous
