@@ -196,24 +196,30 @@ def divergence_accounting_order(cfg: config.ScenarioConfig) -> lattice.OrderEsti
 def covariance_order(cfg: config.ScenarioConfig) -> lattice.OrderEstimate:
     """‖F[A'] - U F[A] U^-1‖ under refinement for a seeded smooth pair, one
     (mu, nu) component of F[A'] and of F[A] at a time; each rung builds U's
-    rotation once for its six rotations of F[A], and each gap in place.
+    rotation R and pure gauge P once, and each gap in place.
 
-    A gap whose planes along d, the first axis other than mu and nu, hold
-    at least 2^13 points is taken one plane at a time: A, A' and R are
-    sliced at each index along d (a field of length 1 there passes whole),
-    and np.max keeps a nan from any plane. F_mu_nu differentiates only
-    along mu and nu, so each point's arithmetic is unchanged; only
-    max_norm's scale is per plane. A smaller gap is one plane, the whole field.
+    A gap whose planes along d, the first axis other than mu and nu, hold at least
+    2^13 points is taken one plane at a time: A, A' and R are sliced at each index
+    along d (a field of length 1 there passes whole), and np.max keeps a nan from any
+    plane. F_mu_nu differentiates only along mu and nu, so each point's arithmetic is
+    unchanged; only max_norm's scale is per plane. A smaller gap is one plane, the
+    whole field. Each A'_mu = R A_mu + P_mu is formed once per rung, but one that
+    fills a split rung only in its gaps, on each plane, from R's, A_mu's and P_mu's.
     """
     def gap(grid):
         F, g, rng = ansatz_field.field_strength_matrix, cfg.coupling, np.random.default_rng(cfg.seed)
         A = smooth_matrix_potential(grid, rng, cfg.smooth_amp)
         U = smooth_group_field(grid, rng, cfg.smooth_amp)
-        Ap, R = su2_algebra.gauge_transform(grid, A, U, g), su2_algebra.rotation(U)
+        P, R = su2_algebra.pure_gauge_field(grid, U, g), su2_algebra.rotation(U)
+        del U
+        shapes = [np.broadcast_shapes(R.shape[2:], a.shape[:-1]) for a in A]  # A'_mu's axes
+        Ap = [None if s == grid.dims and math.prod(s[1:]) >= 2**13 else  # None: formed on each plane
+              su2_algebra.transform_component(R, a, p) for s, a, p in zip(shapes, A, P)]
+        P = P if any(a is None for a in Ap) else None
 
         def norm(mu, nu):
             d = min({0, 1, 2, 3} - {mu - 1, nu - 1})  # the free axis whose planes have the longest runs
-            shape = np.broadcast_shapes(Ap[mu - 1].shape, Ap[nu - 1].shape)[:-1]
+            shape = np.broadcast_shapes(shapes[mu - 1], shapes[nu - 1])
             n = shape[d]
             # Below 2^13 points a plane's temporaries do not set the peak, and
             # the per-plane calls would cost more time than they save memory.
@@ -225,8 +231,13 @@ def covariance_order(cfg: config.ScenarioConfig) -> lattice.OrderEstimate:
             # An F[A] that misses an axis holds at most a plane's points: built once.
             FA = F(grid, A, g, mu, nu) if 1 in np.broadcast_shapes(A[mu - 1].shape, A[nu - 1].shape) else None
 
-            def plane(k):
-                D = F(grid, tuple(cut(a, 0, k) for a in Ap), g, mu, nu)
+            def prime(i, k):  # plane k of A'_mu, i = mu - 1, formed here if the rung does not hold it
+                return cut(Ap[i], 0, k) if Ap[i] is not None else su2_algebra.transform_component(
+                    cut(R, 2, k), cut(A[i], 0, k), cut(P[i], 0, k))
+
+            def plane(k):  # F reads only A'_mu and A'_nu: A's planes fill the two other slots
+                D = F(grid, [prime(i, k) if i in (mu - 1, nu - 1) else cut(A[i], 0, k)
+                             for i in range(4)], g, mu, nu)
                 FAk = F(grid, tuple(cut(a, 0, k) for a in A), g, mu, nu) if FA is None else cut(FA, 0, k)
                 D -= su2_algebra.rotate(cut(R, 2, k), FAk)
                 return su2_algebra.max_norm(D)

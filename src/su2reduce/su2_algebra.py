@@ -22,10 +22,11 @@ In these coefficients
                       (q0^2 - |q|^2) 1 + 2 q q^T - 2 q0 [q]x (`rotation`);
   -(i/g) U dU^dagger  with p = dq has s = -(q0 p0 + q.p)/g and
                       a = (p0 q - q0 p + q x p)/g.
-tests/test_symbolic.py re-derives all three on symbolic 2x2 matrices, R
-entry by entry. The matrix max-norm of X is max(|a3 + i s|, |a1 + i a2|)
-(`max_norm`), each modulus max taken by scaling rather than with libm's
-much slower hypot, to within 4 ulp of it. A nan in any coefficient gives
+tests/test_symbolic.py re-derives all three on symbolic 2x2 matrices, R entry
+by entry; `transform_component` forms a transformed R a + p, for `gauge_transform`
+and the covariance study alike. The matrix max-norm of X is max(|a3 + i s|,
+|a1 + i a2|) (`max_norm`), each modulus max taken by scaling rather than with
+libm's much slower hypot, to within 4 ulp of it. A nan in any coefficient gives
 nan, also at an entry holding inf and nan, where hypot gives inf.
 Only `group_matrices` builds 2x2 matrices, for the checks that read them.
 """
@@ -194,23 +195,27 @@ def _check_matrix_field(grid: lattice.Grid4, A, components: bool):
     return A
 
 
+def transform_component(R: np.ndarray, X: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """R X + P: U X U^dagger (`rotate`) plus a component P of U's pure gauge. R's and
+    P's trailing axes broadcast against X's leading ones: slices of the three give a slice."""
+    out = rotate(R, X)
+    out += P
+    return out
+
+
 def gauge_transform(grid: lattice.Grid4, A, q: np.ndarray, g: float) -> tuple[np.ndarray, ...]:
     """U A_mu U^-1 - (i/g) U d_mu U^-1 with U^-1 realized as the adjoint.
 
     A is a potential of four components A_mu shaped (*s_mu, 4), q the group
     field of U shaped (*s', 4); A'_mu is kept along the union of A_mu's and
-    U's axes, so every component covers U's. Derivatives are central
-    stencils on the coefficients, so the transform of a constant U is
-    exact rotation.
+    U's axes, so every component covers U's, and is formed by
+    `transform_component`. Derivatives are central stencils on the
+    coefficients, so the transform of a constant U is exact rotation.
     """
     g = check_coupling(g)
     A = _check_matrix_field(grid, A, components=True)
     R = rotation(_check_matrix_field(grid, q, components=False))
-    out = tuple(rotate(R, a) for a in A)
-    del R  # U's rotation is freed before its pure gauge is built
-    for a, p in zip(out, pure_gauge_field(grid, q, g)):
-        a += p
-    return out
+    return tuple(transform_component(R, a, p) for a, p in zip(A, pure_gauge_field(grid, q, g)))
 
 
 def pure_gauge_field(grid: lattice.Grid4, q: np.ndarray, g: float) -> np.ndarray:

@@ -203,6 +203,15 @@ def test_covariance_study_takes_a_large_dense_gap_one_plane_at_a_time():
     assert peak <= 27.94 / 2, peak
 
 
+def test_covariance_study_forms_a_grid_filling_a_prime_one_plane_at_a_time():
+    # A structural bound: on the 21^4 rung A'_1 fills the grid. Formed whole
+    # once per rung it read 9.83 fields; formed by each (1, nu) gap on each
+    # plane, from U's rotation R and pure gauge P, it reads 4.64. An A'_1
+    # held whole again breaks the bound.
+    peak = traced_peak(checks.covariance_order, config.ScenarioConfig(covariance_grids=(8, 21)))
+    assert peak <= 6.5, peak
+
+
 def test_pure_gauge_study_peak_memory_is_bounded():
     # The bound is the peak with the fields stored as 2x2 complex matrices,
     # 60.0160 fields (62,931,296 bytes); as real u(2) coefficients it
@@ -359,6 +368,29 @@ def test_a_nan_in_the_last_plane_of_a_dense_gap_fails_the_covariance_row(monkeyp
     run = checks.Run("verify", config.ScenarioConfig(covariance_grids=(8, 21)))
     checks.covariance_order_window(run)
     assert next(calls, None) is None  # every plane of the pair was called
+    (row,) = run.report.checks
+    assert row.name == "gauge_covariance_order" and row.status == "FAIL"
+    assert row.details["order"] is None
+    assert math.isfinite(row.details["errors"][0]) and math.isnan(row.details["errors"][1])
+    assert '"order": null' in run.report.to_json()
+
+
+def test_a_nan_in_the_last_plane_of_a_grid_filling_a_prime_fails_the_covariance_row(monkeypatch):
+    # At the default seed A'_1 fills the 21^4 rung, so its (1, 2) gap forms it
+    # on each of 21 planes along axis 3, where A_1 = (21, 1, 21, 1) is cut to
+    # (21, 1, 1, 1); no other call sees that shape. Only the last plane's A'_1
+    # gets the nan; Python's max over the planes' norms would drop it.
+    calls, real = iter(range(21)), su2_algebra.transform_component
+
+    def poisoned(R, X, P):
+        out = real(R, X, P)
+        if X.shape == (21, 1, 1, 1, 4) and next(calls) == 20:
+            out[(0,) * 5] = math.nan
+        return out
+    monkeypatch.setattr(su2_algebra, "transform_component", poisoned)
+    run = checks.Run("verify", config.ScenarioConfig(covariance_grids=(8, 21)))
+    checks.covariance_order_window(run)
+    assert next(calls, None) is None  # every plane of the pair was formed
     (row,) = run.report.checks
     assert row.name == "gauge_covariance_order" and row.status == "FAIL"
     assert row.details["order"] is None

@@ -201,6 +201,27 @@ def test_gauge_transform_and_pure_gauge_match_the_oracle(seed):
     assert relative_gap(oracles.algebra_matrices(oracles.stacked(got)), want) <= 1e-13
 
 
+@pytest.mark.parametrize("seed", [0, 6, 17])
+def test_transform_component_on_planes_is_the_plane_of_the_transform(seed):
+    # the covariance study forms a grid-filling A'_mu plane by plane from
+    # slices of R, A_mu and P_mu: each plane equals that plane of
+    # gauge_transform's component bit for bit, along every axis
+    rng = np.random.default_rng(seed)
+    grid = lattice.Grid4.cubic(6)
+    g = float(rng.uniform(0.2, 3.0))
+    A, q = smooth_pair(grid, rng, float(rng.uniform(0.3, 2.0)))
+    whole = su2_algebra.gauge_transform(grid, A, q, g)
+    R, P = su2_algebra.rotation(q), su2_algebra.pure_gauge_field(grid, q, g)
+    for a, p, w in zip(A, P, whole):
+        assert np.array_equal(su2_algebra.transform_component(R, a, p), w)
+        for d in range(4):
+            for k in range(6):
+                def cut(x, lead):
+                    return x if x.shape[lead + d] == 1 else x[(slice(None),) * (lead + d) + (slice(k, k + 1),)]
+                got = su2_algebra.transform_component(cut(R, 2), cut(a, 0), cut(p, 0))
+                assert np.array_equal(np.broadcast_to(got, cut(w, 0).shape), cut(w, 0))
+
+
 @pytest.mark.parametrize("seed", [51, 52])
 def test_max_norm_is_the_largest_matrix_entry(seed):
     rng = np.random.default_rng(seed)
