@@ -223,7 +223,8 @@ def _finish_trace(iterates, distances, converged, last, q) -> IterationTrace:
     """`last` is the displacement that ended a converged run."""
     dist = np.array(distances)
     ratios = dist[1:] / dist[:-1] if len(dist) >= 2 else np.array([])
-    measured = float(np.median(ratios)) if ratios.size else float("nan")
+    s, h = np.sort(ratios), ratios.size // 2  # np.median without its numpy.ma import; a nan sorts last
+    measured = float(np.mean(s[h - 1 + s.size % 2:h + 1])) if s.size and not np.isnan(s[-1]) else math.nan
     if converged and distances and q < 1.0:
         bound = q / (1.0 - q) * distances[-1]
     elif converged:

@@ -2,6 +2,10 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,6 +161,35 @@ def test_banach_iteration_contracting_run():
     # displacements match the recorded points at rounding level
     diffs = np.linalg.norm(np.diff(tr.iterates, axis=0), axis=1)
     assert np.max(np.abs(diffs - tr.distances)) < 1e-9
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_measured_ratio_is_numpys_median_bit_for_bit(seed):
+    # odd and even counts of ratios, ties, and a nan anywhere
+    rng = np.random.default_rng(seed)
+    for size in (0, 1, 2, 3, 4, 9, 10, 27, 40):
+        distances = list(rng.uniform(1e-9, 1.0, size) * rng.choice([1.0, 1e-6, 1e6], size))
+        if size > 6:
+            distances[3] = distances[5]
+        for planted in (False, True):
+            if planted and size > 2:
+                distances[int(rng.integers(0, size))] = math.nan
+            tr = contraction._finish_trace([], distances, True, 0.0, 0.5)
+            want = float(np.median(tr.ratios)) if tr.ratios.size else math.nan
+            assert bits(tr.measured_ratio) == bits(want), (size, planted)
+
+
+def test_contract_does_not_import_numpy_ma():
+    # np.median imports numpy.ma on its first call, 9.9 ms and 1.3 MB a process
+    code = ("import contextlib, io, sys\n"
+            "from su2reduce import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['contract', '--json']) == 0\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+    src = str(Path(contraction.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_banach_zero_steps_at_fixed_point():
