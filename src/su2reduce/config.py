@@ -44,7 +44,9 @@ class ScenarioConfig:
     """All knobs for the verification scenarios.
 
     grid_n            points per axis of the working grid
-    box_length        physical extent of every axis
+    box_length        physical extent of every axis; every command exits 2 if a wave number
+                      2 pi c / (n h) of a grid (c = 1 for the matrix ladders' unit waves) or a
+                      gradient wave's amplitude times one is not finite
     coupling          gauge coupling g > 0
     pauli_index       internal direction for matrix readings (1..3)
     phase_waves       waves for the main phase field, one per entry of
@@ -131,8 +133,14 @@ class ScenarioConfig:
         if any(b >= a for a, b in zip(amps, amps[1:])):
             raise ConfigError("scaling_amplitudes must decrease strictly")
         object.__setattr__(self, "scaling_amplitudes", amps)
+        L = self.grid_n * (self.box_length / self.grid_n)  # the shortest grid length n h, as lattice takes it
         for name in ("raw_order_grids", "divergence_grids", "covariance_grids", "pure_gauge_grids"):
             object.__setattr__(self, name, _check_ladder(getattr(self, name), name, 4, "grid sizes"))
+            L = min([L] + [n * (self.box_length / n) for n in getattr(self, name)])
+        waves = [(1.0, c) for c, _, _ in self.phase_waves] + [(abs(a), c) for c, a, _ in self.gradient_waves]
+        if not (L and all(math.isfinite(max(1.0, a) * (2.0 * math.pi * max(1, *map(abs, c)) / L))
+                          for a, c in waves)):
+            raise ConfigError("a wave number 2 pi c / (n h), or a gradient amplitude times one, overflows")
         object.__setattr__(self, "collapse_schedule", _check_ladder(
             self.collapse_schedule, "collapse_schedule", 2, "chart scales"))
         try:  # the collapse bounds each chart image by |c| / n^2

@@ -229,6 +229,40 @@ def test_collapse_scales_whose_square_overflows_exit_two(capsys, tmp_path, sched
         assert "config error" in err and "collapse_schedule" in err
 
 
+@pytest.mark.parametrize("text", [
+    '{"box_length": 1e-308}',
+    '{"box_length": 1e-310}',
+    '{"box_length": 1e-320}',
+    '{"box_length": 1e-307, "phase_waves": [[[9, 0, 0, 0], 0.5, 0.0]], "phase_components": [1]}',
+    '{"box_length": 1.0, "gradient_waves": [[[1, 1, 0, 0], 1e308, 0.0]]}',
+], ids=["box_1e-308", "box_1e-310", "box_1e-320", "cycle_count_9", "huge_gradient_amplitude"])
+def test_wave_numbers_that_overflow_exit_two(capsys, tmp_path, text):
+    # verify and anomaly ended in "phase field must be finite" or "amplitude
+    # and phase must be finite" tracebacks here, while contract and reduce ran
+    cfgfile = tmp_path / "waves.json"
+    cfgfile.write_text(text)
+    for command in ("verify", "anomaly", "contract", "reduce"):
+        code, _, err = run([command, "--config", str(cfgfile)], capsys)
+        assert code == 2
+        assert "config error" in err and "wave number" in err
+
+
+def test_a_tiny_box_with_finite_wave_numbers_still_runs(capsys, tmp_path):
+    # 2 pi / 1e-307 is finite: verify and anomaly run, and their stencils'
+    # overflows end in FAIL rows, not in a traceback; short ladders and an
+    # 8^4 working grid keep the runs cheap
+    cfgfile = tmp_path / "tiny.json"
+    cfgfile.write_text(json.dumps({"box_length": 1e-307, "raw_order_grids": [6, 8], "divergence_grids": [6, 8],
+                                   "covariance_grids": [6, 8], "pure_gauge_grids": [6, 8, 10]}))
+    for command, want in (("verify", 1), ("anomaly", 1), ("contract", 0), ("reduce", 0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, out, err = run([command, "--json", "--grid", "8", "--config", str(cfgfile)], capsys)
+        assert code == want and "Traceback" not in err
+        statuses = [c["status"] for c in json.loads(out)["checks"]]
+        assert ("FAIL" in statuses) == (want == 1)
+
+
 def test_one_parser_serves_every_call(capsys):
     assert cli.build_parser() is cli.build_parser()
     code, out, _ = run(["contract", "--json", "--seed", "11"], capsys)

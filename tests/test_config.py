@@ -1,11 +1,12 @@
 """Scenario configuration: defaults, validation, JSON loading."""
 
 import json
+import math
 import warnings
 
 import pytest
 
-from su2reduce import config
+from su2reduce import config, lattice
 
 
 def test_defaults_are_self_consistent():
@@ -155,3 +156,35 @@ def test_scales_whose_square_overflows_are_refused():
     # the largest scales whose square stays finite pass
     assert config.ScenarioConfig(collapse_schedule=(4, 1e154)).collapse_schedule == (4, int(1e154))
     assert config.ScenarioConfig(collapse_schedule=(4, 2**511)).collapse_schedule[-1] == 2**511
+
+
+def test_wave_numbers_that_overflow_are_refused():
+    # each phase field's wave number 2 pi c / (n h), the matrix ladders' unit
+    # waves (c = 1) among them, and each gradient wave's amplitude times its
+    # own must be finite; otherwise no phase field of the run is
+    bad = [
+        {"box_length": 1e-308},
+        {"box_length": 1e-320},
+        {"box_length": 1e-307, "phase_waves": (((9, 0, 0, 0), 0.5, 0.0),), "phase_components": (1,)},
+        {"box_length": 1.0, "gradient_waves": (((1, 1, 0, 0), 1e308, 0.0),)},
+        {"box_length": 1e-307, "grid_n": 10**300},  # n (box_length / n) is 0
+    ]
+    for kw in bad:
+        with pytest.raises(config.ConfigError, match="wave number"):
+            config.ScenarioConfig(**kw)
+    # the default waves on a box of 1e-307 keep every wave number finite
+    assert config.ScenarioConfig(box_length=1e-307).box_length == 1e-307
+    assert config.ScenarioConfig(gradient_waves=(((1, 1, 0, 0), 1e307, 0.0),)).box_length == 2 * math.pi
+
+
+def test_wave_numbers_are_taken_on_each_grid_s_own_length():
+    # On this box 2 pi / box_length is finite, but n (box_length / n) with a
+    # subnormal spacing rounds below box_length for n = 20 and 2 pi over it
+    # overflows: a pure-gauge rung of 20 is refused, one of 16 is not.
+    box = 3.4951378437904613e-308
+    assert math.isfinite(2 * math.pi / box)
+    assert not math.isfinite(2 * math.pi / lattice.Grid4.cubic(20, box).length(1))
+    short = dict(box_length=box, raw_order_grids=(8, 16), divergence_grids=(12, 16), covariance_grids=(12, 16))
+    assert config.ScenarioConfig(**short, pure_gauge_grids=(12, 16)).box_length == box
+    with pytest.raises(config.ConfigError, match="wave number"):
+        config.ScenarioConfig(**short, pure_gauge_grids=(16, 20))
