@@ -13,8 +13,10 @@ floating-point reassociation.
 
 The reproducibility tests only compare two runs of the same code; these
 copies hold the outputs across changes to it. A change that means to
-move them regenerates both files with
-`PYTHONPATH=src python tests/test_frozen_reports.py` and says so.
+move them regenerates the files it moves, and says so, with
+`PYTHONPATH=src python tests/test_frozen_reports.py frozen_verify.json`
+(or `frozen_pipeline.json`, or both names); a file not named is not
+touched.
 """
 
 import contextlib
@@ -243,13 +245,43 @@ def test_differences_holds_each_rule():
     assert after(lambda got, row, arr: arr["values"].__setitem__(2, -4.0 + 5e-12)) != []
 
 
-if __name__ == "__main__":
+def pipeline_outputs():
     texts = {}
     for name, overrides in SCENARIOS.items():
         with tempfile.TemporaryDirectory() as tmp:
             texts[name] = outputs(overrides, Path(tmp))
-    FROZEN.write_text(json.dumps(texts, indent=1) + "\n", encoding="utf-8")
+    return texts
+
+
+def verify_file_outputs():
     with tempfile.TemporaryDirectory() as tmp:
-        values = verify_outputs(Path(tmp))
-    FROZEN_VERIFY.write_text(json.dumps(values, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {FROZEN} and {FROZEN_VERIFY}", file=sys.stderr)
+        return verify_outputs(Path(tmp))
+
+
+# each frozen file the script can write, by name: its path and what it holds
+FILES = {FROZEN.name: (FROZEN, pipeline_outputs), FROZEN_VERIFY.name: (FROZEN_VERIFY, verify_file_outputs)}
+
+
+def regenerate(names, files=FILES) -> None:
+    """Rewrite each named frozen file from the outputs of the code as it is."""
+    if not names or any(name not in files for name in names):
+        raise SystemExit(f"usage: test_frozen_reports.py {' | '.join(files)} ...: the frozen files to rewrite")
+    for name in names:
+        path, make = files[name]
+        path.write_text(json.dumps(make(), indent=1) + "\n", encoding="utf-8")
+        print(f"wrote {path}", file=sys.stderr)
+
+
+def test_the_freeze_script_writes_only_the_files_it_names(tmp_path):
+    files = {name: (tmp_path / name, lambda name=name: {"made": name}) for name in FILES}
+    regenerate([FROZEN_VERIFY.name], files)
+    assert [p.name for p in tmp_path.iterdir()] == [FROZEN_VERIFY.name]
+    assert json.loads((tmp_path / FROZEN_VERIFY.name).read_text()) == {"made": FROZEN_VERIFY.name}
+    for names in ([], ["frozen_verify"], [FROZEN.name, "other.json"]):
+        with pytest.raises(SystemExit, match="usage"):
+            regenerate(names, files)
+    assert [p.name for p in tmp_path.iterdir()] == [FROZEN_VERIFY.name]
+
+
+if __name__ == "__main__":
+    regenerate(sys.argv[1:])
