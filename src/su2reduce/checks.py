@@ -203,8 +203,8 @@ def covariance_order(cfg: config.ScenarioConfig) -> lattice.OrderEstimate:
     along d (a field of length 1 there passes whole), and np.max keeps a nan from any
     plane. F_mu_nu differentiates only along mu and nu, so each point's arithmetic is
     unchanged; only max_norm's scale is per plane. A smaller gap is one plane, the
-    whole field. Each A'_mu = R A_mu + P_mu is formed once per rung, but one that
-    fills a split rung only in its gaps, on each plane, from R's, A_mu's and P_mu's.
+    whole field. Each A'_mu = R A_mu + P_mu is formed once per rung, except one that
+    fills a split rung: its gaps form it on each plane, so no grid-sized A' is held.
     """
     def gap(grid):
         F, g, rng = ansatz_field.field_strength_matrix, cfg.coupling, np.random.default_rng(cfg.seed)
@@ -215,7 +215,7 @@ def covariance_order(cfg: config.ScenarioConfig) -> lattice.OrderEstimate:
         shapes = [np.broadcast_shapes(R.shape[2:], a.shape[:-1]) for a in A]  # A'_mu's axes
         Ap = [None if s == grid.dims and math.prod(s[1:]) >= 2**13 else  # None: formed on each plane
               su2_algebra.transform_component(R, a, p) for s, a, p in zip(shapes, A, P)]
-        P = P if any(a is None for a in Ap) else None
+        P = P if any(a is None for a in Ap) else None  # only a per-plane A'_mu reads it again
 
         def norm(mu, nu):
             d = min({0, 1, 2, 3} - {mu - 1, nu - 1})  # the free axis whose planes have the longest runs

@@ -212,14 +212,15 @@ def test_transform_component_on_planes_is_the_plane_of_the_transform(seed):
     A, q = smooth_pair(grid, rng, float(rng.uniform(0.3, 2.0)))
     whole = su2_algebra.gauge_transform(grid, A, q, g)
     R, P = su2_algebra.rotation(q), su2_algebra.pure_gauge_field(grid, q, g)
+
+    def cut(x, lead, d, k):  # plane k along axis d; a field of length 1 there passes whole
+        return x if x.shape[lead + d] == 1 else x[(slice(None),) * (lead + d) + (slice(k, k + 1),)]
     for a, p, w in zip(A, P, whole):
         assert np.array_equal(su2_algebra.transform_component(R, a, p), w)
         for d in range(4):
             for k in range(6):
-                def cut(x, lead):
-                    return x if x.shape[lead + d] == 1 else x[(slice(None),) * (lead + d) + (slice(k, k + 1),)]
-                got = su2_algebra.transform_component(cut(R, 2), cut(a, 0), cut(p, 0))
-                assert np.array_equal(np.broadcast_to(got, cut(w, 0).shape), cut(w, 0))
+                got = su2_algebra.transform_component(cut(R, 2, d, k), cut(a, 0, d, k), cut(p, 0, d, k))
+                assert np.array_equal(got, cut(w, 0, d, k))
 
 
 @pytest.mark.parametrize("seed", [51, 52])
