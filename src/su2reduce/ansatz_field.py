@@ -97,6 +97,21 @@ def gradient_wave_modes(grid: lattice.Grid4, cycles, amplitude: float, phase: fl
     return modes
 
 
+def wave_sum(grid: lattice.Grid4, modes) -> np.ndarray:
+    """The sum of amplitude * sin(phase + sum_d (2 pi cycles_d / L_d) x_d) over the
+    modes, in the order given and whatever their component; it is kept along the
+    axes where some mode has a nonzero cycle (length 1 on the others)."""
+    modes, xs = list(modes), grid.coords()
+    v = np.zeros(tuple(n if any(m.cycles[d] for m in modes) else 1 for d, n in enumerate(grid.dims)))
+    for m in modes:
+        arg = m.phase
+        for d in range(4):
+            if m.cycles[d]:
+                arg = arg + (2.0 * math.pi * m.cycles[d] / grid.length(d + 1)) * xs[d]
+        v += m.amplitude * np.sin(arg)
+    return v
+
+
 @dataclass(frozen=True)
 class LambdaField:
     """Real four-component phase field on a Grid4: four arrays, one per lambda_m.
@@ -143,21 +158,9 @@ class LambdaField:
 
     @classmethod
     def from_modes(cls, grid: lattice.Grid4, modes) -> "LambdaField":
-        """The sum of the modes; lambda_m is kept along the axes where one of its
-        own modes has a nonzero cycle."""
-        modes, xs, vals = list(modes), grid.coords(), []
-        for c in range(1, 5):
-            own = [m for m in modes if m.component == c]
-            v = np.zeros(tuple(n if any(m.cycles[d] for m in own) else 1
-                               for d, n in enumerate(grid.dims)))
-            for m in own:
-                arg = m.phase
-                for d in range(4):
-                    if m.cycles[d]:
-                        arg = arg + (2.0 * math.pi * m.cycles[d] / grid.length(d + 1)) * xs[d]
-                v += m.amplitude * np.sin(arg)
-            vals.append(v)
-        return cls(grid, vals)
+        """lambda_m = wave_sum of its own modes, kept along the axes they vary."""
+        modes = list(modes)
+        return cls(grid, [wave_sum(grid, [m for m in modes if m.component == c]) for c in range(1, 5)])
 
     def scaled(self, eps: float) -> "LambdaField":
         return LambdaField(self.grid, [eps * v for v in self.values])

@@ -4,6 +4,8 @@ Scenario builders and refinement studies come first. The field recipes
 are deliberately resolution-independent: a recipe plus a grid size
 determines the field, so refinement ladders sample the same continuum
 object at every resolution and the measured orders mean what they claim.
+Each matrix study draws its random recipe once, as `ansatz_field.Mode`s,
+and every rung sums it with `ansatz_field.wave_sum`.
 
 Then the checks. Each is a function of one `Run` that adds one or more
 rows to the run's report; it returns True when the command must end
@@ -42,44 +44,33 @@ def gradient_base_field(cfg: config.ScenarioConfig, grid: lattice.Grid4) -> ansa
     return ansatz_field.LambdaField.from_modes(grid, modes)
 
 
-def smooth_scalar(grid: lattice.Grid4, rng, amp: float, terms: int = 2) -> np.ndarray:
-    """Random low-harmonic scalar: `terms` single-axis unit waves.
-
-    Content is kept at |cycles| = 1 per term so products of these fields
-    stay resolvable on the coarse ends of the refinement ladders. The
-    waves are drawn first; the result is stored only along the axes they
-    use (length 1 on the others, as for a LambdaField).
-    """
-    waves = [(int(rng.integers(0, 4)), -1 if rng.random() < 0.5 else 1,
-              rng.uniform(0.0, 2.0 * math.pi), amp * rng.uniform(0.3, 1.0)) for _ in range(terms)]
-    xs = grid.coords()
-    out = np.zeros(tuple(n if any(w[0] == d for w in waves) else 1 for d, n in enumerate(grid.dims)))
-    for axis, sign, ph, a in waves:
-        k = sign * 2.0 * math.pi / grid.length(axis + 1)
-        out += a * np.sin(k * xs[axis] + ph)
-    return out
+def smooth_waves(rng, amp: float) -> list[ansatz_field.Mode]:
+    """A random low-harmonic scalar's recipe for ansatz_field.wave_sum: two single-axis
+    unit waves, each drawn as axis, sign, phase, then amplitude factor; the Modes'
+    component slot is unused (1). Content is kept at |cycles| = 1 so products of these
+    fields stay resolvable on the coarse ends of the refinement ladders."""
+    draws = [(int(rng.integers(0, 4)), -1 if rng.random() < 0.5 else 1,
+              rng.uniform(0.0, 2.0 * math.pi), amp * rng.uniform(0.3, 1.0)) for _ in range(2)]
+    return [ansatz_field.Mode(1, tuple(sign if d == axis else 0 for d in range(4)), a, ph)
+            for axis, sign, ph, a in draws]
 
 
-def smooth_group_field(grid: lattice.Grid4, rng, amp: float) -> np.ndarray:
-    """Seeded smooth SU(2) field from three random scalar angles, as su2_algebra
-    coefficients shaped (*s, 4), kept along the union of the angles' axes."""
-    rho = np.moveaxis(np.stack(np.broadcast_arrays(*[smooth_scalar(grid, rng, amp)
-                                                     for _ in range(3)])), 0, -1)
+def smooth_group_field(grid: lattice.Grid4, waves) -> np.ndarray:
+    """Smooth SU(2) field from three scalar angles drawn by smooth_waves, as
+    su2_algebra coefficients shaped (*s, 4), kept along the union of the angles' axes."""
+    rho = np.moveaxis(np.stack(np.broadcast_arrays(*[ansatz_field.wave_sum(grid, w)
+                                                     for w in waves])), 0, -1)
     return su2_algebra.su2_exp(rho)
 
 
-def smooth_matrix_potential(grid: lattice.Grid4, rng, amp: float) -> tuple[np.ndarray, ...]:
-    """Seeded smooth potential a.sigma spanning all three internal directions
-    (s = 0), as four su2_algebra coefficient components A_mu shaped
-    (*s_mu, 4), each kept along the union of its own three scalars' axes."""
-    scalars = [smooth_scalar(grid, rng, amp) for _ in range(12)]  # (mu, a) in row-major order
-    A = tuple(su2_algebra.empty_coefficients(np.broadcast_shapes(*(x.shape for x in scalars[k:k + 3])))
-              for k in (0, 3, 6, 9))
-    for a in A:
-        a[..., 0] = 0.0
-    for k, x in enumerate(scalars):
-        A[k // 3][..., k % 3 + 1] = x
-    return A
+def smooth_matrix_potential(grid: lattice.Grid4, waves) -> tuple[np.ndarray, ...]:
+    """Smooth potential a.sigma spanning all three internal directions (s = 0),
+    from twelve scalars drawn by smooth_waves, (mu, a) in row-major order, as
+    four su2_algebra coefficient components A_mu shaped (*s_mu, 4), each kept
+    along the union of its own three scalars' axes."""
+    scalars = [ansatz_field.wave_sum(grid, w) for w in waves]
+    return tuple(np.moveaxis(np.stack(np.broadcast_arrays(0.0, *scalars[k:k + 3])), 0, -1)
+                 for k in (0, 3, 6, 9))
 
 
 def _refine(cfg: config.ScenarioConfig, ladder, gap) -> lattice.OrderEstimate:
@@ -206,10 +197,13 @@ def covariance_order(cfg: config.ScenarioConfig) -> lattice.OrderEstimate:
     whole field. Each A'_mu = R A_mu + P_mu is formed once per rung, except one that
     fills a split rung: its gaps form it on each plane, so no grid-sized A' is held.
     """
+    rng = np.random.default_rng(cfg.seed)
+    waves = [smooth_waves(rng, cfg.smooth_amp) for _ in range(15)]
+
     def gap(grid):
-        F, g, rng = ansatz_field.field_strength_matrix, cfg.coupling, np.random.default_rng(cfg.seed)
-        A = smooth_matrix_potential(grid, rng, cfg.smooth_amp)
-        U = smooth_group_field(grid, rng, cfg.smooth_amp)
+        F, g = ansatz_field.field_strength_matrix, cfg.coupling
+        A = smooth_matrix_potential(grid, waves[:12])
+        U = smooth_group_field(grid, waves[12:])
         P, R = su2_algebra.pure_gauge_field(grid, U, g), su2_algebra.rotation(U)
         del U
         shapes = [np.broadcast_shapes(R.shape[2:], a.shape[:-1]) for a in A]  # A'_mu's axes
@@ -249,9 +243,12 @@ def covariance_order(cfg: config.ScenarioConfig) -> lattice.OrderEstimate:
 def pure_gauge_order(cfg: config.ScenarioConfig) -> lattice.OrderEstimate:
     """‖F‖ of a discretized pure-gauge potential under refinement, one
     (mu, nu) component of F at a time."""
+    rng = np.random.default_rng(cfg.seed + 1)
+    waves = [smooth_waves(rng, cfg.smooth_amp) for _ in range(3)]
+
     def gap(grid):
-        g, rng = cfg.coupling, np.random.default_rng(cfg.seed + 1)
-        A = su2_algebra.pure_gauge_field(grid, smooth_group_field(grid, rng, cfg.smooth_amp), g)
+        g = cfg.coupling
+        A = su2_algebra.pure_gauge_field(grid, smooth_group_field(grid, waves), g)
         return max_over_pairs(lambda mu, nu: su2_algebra.max_norm(
             ansatz_field.field_strength_matrix(grid, A, g, mu, nu)))
     return _refine(cfg, cfg.pure_gauge_grids, gap)

@@ -14,7 +14,8 @@ to the profile values, and the package's chain-rule residual meets it at
 O(h^2). The artifact readers parse the package's CSV and npz files
 without its own code, and the ball sampler draws and places points row by
 row with np.linalg.norm, as the package did before its batches were
-stored coordinate-major.
+stored coordinate-major. The matrix ladders' smooth scalar is drawn and
+summed by the loop the package used before it drew its recipes as modes.
 """
 
 import math
@@ -176,6 +177,21 @@ def random_modes(rng, grid, count=3, amp=0.7):
         out.append(
             _M(comp, tuple(cyc), amp * float(rng.uniform(0.3, 1.0)), float(rng.uniform(0.0, 2.0 * math.pi)))
         )
+    return out
+
+
+def smooth_scalar(grid, rng, amp, terms=2):
+    """Random low-harmonic scalar of `terms` single-axis unit waves, drawn as
+    axis, sign, phase, then amplitude factor and summed by a loop of its own:
+    the reference for a recipe drawn by checks.smooth_waves and summed by
+    ansatz_field.wave_sum. Kept only along the axes its waves use."""
+    waves = [(int(rng.integers(0, 4)), -1 if rng.random() < 0.5 else 1,
+              rng.uniform(0.0, 2.0 * math.pi), amp * rng.uniform(0.3, 1.0)) for _ in range(terms)]
+    xs = grid.coords()
+    out = np.zeros(tuple(n if any(w[0] == d for w in waves) else 1 for d, n in enumerate(grid.dims)))
+    for axis, sign, ph, a in waves:
+        k = sign * 2.0 * math.pi / grid.length(axis + 1)
+        out += a * np.sin(k * xs[axis] + ph)
     return out
 
 

@@ -251,7 +251,8 @@ def test_field_strength_matches_oracle():
 def test_component_is_antisymmetric_with_zero_diagonal():
     grid = small_grid(4)
     lam = scenario_field(grid)
-    A = checks.smooth_matrix_potential(grid, np.random.default_rng(5), 0.5)
+    rng = np.random.default_rng(5)
+    A = checks.smooth_matrix_potential(grid, [checks.smooth_waves(rng, 0.5) for _ in range(12)])
     F = ansatz_field.field_strength_ansatz(lam)
     assert lattice.max_abs(F.values) > 0.0
     for m in range(1, 5):

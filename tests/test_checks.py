@@ -22,16 +22,22 @@ def test_phase_field_scale_is_linear():
     assert all(np.array_equal(a, 2.0 * b) for a, b in zip(lam2.values, lam1.values))
 
 
-def replayed_scalars(grid, seed, count, amp=0.5):
-    """The first `count` smooth scalars the generator seeded with `seed` gives."""
+def drawn(seed, count, amp=0.5):
+    """The first `count` smooth-scalar recipes the generator seeded with `seed` gives."""
     rng = np.random.default_rng(seed)
-    return [checks.smooth_scalar(grid, rng, amp) for _ in range(count)]
+    return [checks.smooth_waves(rng, amp) for _ in range(count)]
+
+
+def replayed_scalars(grid, seed, count, amp=0.5):
+    """The same scalars, drawn and summed by the reference loop."""
+    rng = np.random.default_rng(seed)
+    return [oracles.smooth_scalar(grid, rng, amp) for _ in range(count)]
 
 
 def test_smooth_scalar_is_seeded_and_bounded():
     grid = lattice.Grid4.cubic(6)
-    a = checks.smooth_scalar(grid, np.random.default_rng(42), 0.5)
-    b = checks.smooth_scalar(grid, np.random.default_rng(42), 0.5)
+    a = ansatz_field.wave_sum(grid, checks.smooth_waves(np.random.default_rng(42), 0.5))
+    b = ansatz_field.wave_sum(grid, checks.smooth_waves(np.random.default_rng(42), 0.5))
     assert np.array_equal(a, b)
     # kept only along the axes its two waves use; every kept axis varies
     assert a.shape == (6, 1, 1, 6)
@@ -40,10 +46,41 @@ def test_smooth_scalar_is_seeded_and_bounded():
     assert np.max(np.abs(a)) <= 1.0
 
 
+@pytest.mark.parametrize("n", [12, 16, 20, 24, 28])
+def test_wave_sum_of_each_drawn_recipe_is_the_reference_scalar(n):
+    # 64 seeds x 15 draws per grid: the recipe drawn as Modes and summed by
+    # ansatz_field.wave_sum is the reference loop's scalar bit for bit, shape included
+    grid = lattice.Grid4.cubic(n, 2.0 * math.pi)
+    for seed in range(64):
+        mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(15):
+            got = ansatz_field.wave_sum(grid, checks.smooth_waves(mine, 0.5))
+            want = oracles.smooth_scalar(grid, ref, 0.5)
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("ladder", [(8, 12), (8, 12, 16)])
+def test_each_matrix_study_draws_its_recipe_once(monkeypatch, ladder):
+    # 15 recipes (A's twelve, then U's three) and 3 (the pure gauge's U),
+    # however many rungs the ladder has
+    draws, real = [], checks.smooth_waves
+
+    def counted(rng, amp):
+        draws.append(amp)
+        return real(rng, amp)
+    monkeypatch.setattr(checks, "smooth_waves", counted)
+    cfg = config.ScenarioConfig(covariance_grids=ladder, pure_gauge_grids=ladder)
+    assert len(checks.covariance_order(cfg).errors) == len(ladder)
+    assert len(draws) == 15
+    draws.clear()
+    assert len(checks.pure_gauge_order(cfg).errors) == len(ladder)
+    assert len(draws) == 3
+
+
 def test_smooth_group_field_is_unitary():
     grid = lattice.Grid4.cubic(6)
     for seed, shape in ((3, (6, 6, 6, 6)), (0, (1, 1, 6, 6))):
-        U = checks.smooth_group_field(grid, np.random.default_rng(seed), 0.5)
+        U = checks.smooth_group_field(grid, drawn(seed, 3))
         # kept along the union of its three angles' axes
         rho = replayed_scalars(grid, seed, 3)
         assert U.shape == np.broadcast_shapes(*(x.shape for x in rho)) + (4,) == shape + (4,)
@@ -55,7 +92,7 @@ def test_smooth_group_field_is_unitary():
 
 def test_smooth_matrix_potential_is_traceless_hermitian():
     grid = lattice.Grid4.cubic(6)
-    A = checks.smooth_matrix_potential(grid, np.random.default_rng(4), 0.5)
+    A = checks.smooth_matrix_potential(grid, drawn(4, 12))
     # four components, A_mu on the union of its own three scalars' axes,
     # coefficient a of A_mu from scalar 3 (mu - 1) + a - 1
     scalars = replayed_scalars(grid, 4, 12)
@@ -77,7 +114,7 @@ def test_default_pure_gauge_field_varies_along_two_axes():
     cfg = config.ScenarioConfig()
     for n in cfg.pure_gauge_grids:
         grid = lattice.Grid4.cubic(n, cfg.box_length)
-        U = checks.smooth_group_field(grid, np.random.default_rng(cfg.seed + 1), cfg.smooth_amp)
+        U = checks.smooth_group_field(grid, drawn(cfg.seed + 1, 3, cfg.smooth_amp))
         assert U.shape == (1, n, 1, n, 4)
 
 
@@ -86,9 +123,9 @@ def test_default_covariance_fields_keep_each_component_on_its_own_axes():
     # 1, 2 and 4; A'_mu covers U's axes and A_mu's, so only A'_1 is dense
     cfg, n = config.ScenarioConfig(), 24
     grid = lattice.Grid4.cubic(n, cfg.box_length)
-    rng = np.random.default_rng(cfg.seed)
-    A = checks.smooth_matrix_potential(grid, rng, cfg.smooth_amp)
-    U = checks.smooth_group_field(grid, rng, cfg.smooth_amp)
+    waves = drawn(cfg.seed, 15, cfg.smooth_amp)
+    A = checks.smooth_matrix_potential(grid, waves[:12])
+    U = checks.smooth_group_field(grid, waves[12:])
     assert [a.shape for a in A] == [(n, 1, n, 1, 4)] + [(n, n, 1, n, 4)] * 3
     assert U.shape == (n, n, 1, n, 4)
     Ap = su2_algebra.gauge_transform(grid, A, U, cfg.coupling)
@@ -100,8 +137,8 @@ def test_covariance_study_is_unchanged_by_dense_potentials(monkeypatch, seed):
     cfg = config.ScenarioConfig(seed=seed, covariance_grids=(12, 16))
     compact = checks.covariance_order(cfg)
     real = checks.smooth_matrix_potential
-    monkeypatch.setattr(checks, "smooth_matrix_potential", lambda grid, rng, amp: tuple(
-        np.broadcast_to(a, grid.dims + (4,)).copy() for a in real(grid, rng, amp)))
+    monkeypatch.setattr(checks, "smooth_matrix_potential", lambda grid, waves: tuple(
+        np.broadcast_to(a, grid.dims + (4,)).copy() for a in real(grid, waves)))
     assert checks.covariance_order(cfg).errors == compact.errors
 
 
@@ -470,12 +507,12 @@ def test_matrix_ladders_match_the_oracle_route(seed):
     cov, pure = [], []
     for n in (8, 12):
         grid = lattice.Grid4.cubic(n, cfg.box_length)
-        rng = np.random.default_rng(seed)
-        A = checks.smooth_matrix_potential(grid, rng, cfg.smooth_amp)
+        waves = drawn(seed, 15, cfg.smooth_amp)
+        A = checks.smooth_matrix_potential(grid, waves[:12])
         A = oracles.algebra_matrices(oracles.stacked(A))
-        U = oracles.group_matrices(checks.smooth_group_field(grid, rng, cfg.smooth_amp))
+        U = oracles.group_matrices(checks.smooth_group_field(grid, waves[12:]))
         cov.append(oracles.covariance_gap(grid, A, U, g))
-        U = checks.smooth_group_field(grid, np.random.default_rng(seed + 1), cfg.smooth_amp)
+        U = checks.smooth_group_field(grid, drawn(seed + 1, 3, cfg.smooth_amp))
         pure.append(oracles.pure_gauge_gap(grid, oracles.group_matrices(U), g))
     for est, want in ((checks.covariance_order(cfg), cov), (checks.pure_gauge_order(cfg), pure)):
         assert np.allclose(est.errors, want, rtol=1e-12, atol=0.0), (est.errors, want)

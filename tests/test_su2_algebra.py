@@ -180,8 +180,8 @@ def test_rotate_matches_the_oracle(seed):
 def smooth_pair(grid, rng, amp):
     from su2reduce import checks
 
-    return (checks.smooth_matrix_potential(grid, rng, amp),
-            checks.smooth_group_field(grid, rng, amp))
+    waves = [checks.smooth_waves(rng, amp) for _ in range(15)]
+    return checks.smooth_matrix_potential(grid, waves[:12]), checks.smooth_group_field(grid, waves[12:])
 
 
 @pytest.mark.parametrize("seed", [0, 6, 17])
