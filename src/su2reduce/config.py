@@ -51,9 +51,11 @@ class ScenarioConfig:
     pauli_index       internal direction for matrix readings (1..3)
     phase_waves       waves for the main phase field, one per entry of
                       phase_components
-    phase_components  which lambda component each wave feeds
-    gradient_waves    scalar waves whose gradients build the vacuum-scan
-                      base field
+    phase_components  which lambda component each wave feeds; every command exits 2 if a
+                      component's sum of |amplitude| is not finite
+    gradient_waves    scalar waves, each with a nonzero cycle count, whose gradients build the
+                      vacuum-scan base field; every command exits 2 if a component mu's sum of
+                      |amplitude| 2 pi |c_mu| / (n h) is not finite
     scaling_amplitudes  decreasing eps values for the vacuum scan
     anomaly_amplitude   overall amplitude factor for the divergence study
     raw_order_grids     h-halving ladder for raw-stencil convergence
@@ -141,6 +143,12 @@ class ScenarioConfig:
         if not (L and all(math.isfinite(max(1.0, a) * (2.0 * math.pi * max(1, *map(abs, c)) / L))
                           for a, c in waves)):
             raise ConfigError("a wave number 2 pi c / (n h), or a gradient amplitude times one, overflows")
+        if not all(any(c) for c, _, _ in self.gradient_waves):  # the gradient of a constant is no wave
+            raise ConfigError("gradient_waves: each gradient wave needs a nonzero cycle count")
+        sums = [sum(abs(a) for m, (_, a, _) in zip(comps, self.phase_waves) if m == mu) for mu in (1, 2, 3, 4)]
+        sums += [sum(abs(a) * (2.0 * math.pi * abs(c[mu]) / L) for c, a, _ in self.gradient_waves) for mu in range(4)]
+        if not all(map(math.isfinite, sums)):  # each bounds its component's max-norm
+            raise ConfigError("a phase or gradient component's sum of wave amplitudes overflows")
         object.__setattr__(self, "collapse_schedule", _check_ladder(
             self.collapse_schedule, "collapse_schedule", 2, "chart scales"))
         try:  # the collapse bounds each chart image by |c| / n^2

@@ -247,6 +247,36 @@ def test_wave_numbers_that_overflow_exit_two(capsys, tmp_path, text):
         assert "config error" in err and "wave number" in err
 
 
+@pytest.mark.parametrize("text", [
+    '{"gradient_waves": [[[0, 0, 0, 0], 0.5, 0.0]]}',
+    '{"phase_waves": [[[0, 1, 0, 0], 1e308, 0.0], [[0, 0, 1, 0], 1e308, 0.0]], "phase_components": [1, 1]}',
+], ids=["zero_gradient_cycles", "phase_amplitudes_overflow"])
+def test_waves_that_make_no_finite_field_exit_two(capsys, tmp_path, text):
+    # verify ended in a ValueError traceback on both, anomaly on the first and
+    # with an overflow warning on the second, while contract and reduce ran
+    cfgfile = tmp_path / "waves.json"
+    cfgfile.write_text(text)
+    for command in ("verify", "anomaly", "contract", "reduce"):
+        code, _, err = run([command, "--config", str(cfgfile)], capsys)
+        assert code == 2
+        assert "config error" in err and "Traceback" not in err
+
+
+def test_large_amplitudes_with_a_finite_sum_still_run(capsys, tmp_path):
+    # two waves of 1e307 on one component sum to a finite bound: the run goes
+    # on, and the identities its huge values break end in FAIL rows
+    cfgfile = tmp_path / "large.json"
+    cfgfile.write_text(json.dumps({"phase_waves": [[[0, 1, 0, 0], 1e307, 0.0], [[0, 0, 1, 0], 1e307, 0.0]],
+                                   "phase_components": [1, 1]}))
+    for command, want in (("verify", 1), ("anomaly", 1), ("contract", 0), ("reduce", 0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, out, err = run([command, "--json", "--config", str(cfgfile)], capsys)
+        assert code == want and "Traceback" not in err
+        statuses = [c["status"] for c in json.loads(out)["checks"]]
+        assert ("FAIL" in statuses) == (want == 1)
+
+
 def test_a_tiny_box_with_finite_wave_numbers_still_runs(capsys, tmp_path):
     # 2 pi / 1e-307 is finite: verify and anomaly run, and their stencils'
     # overflows end in FAIL rows, not in a traceback; short ladders and an

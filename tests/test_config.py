@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from su2reduce import config, lattice
+from su2reduce import ansatz_field, config, lattice
 
 
 def test_defaults_are_self_consistent():
@@ -177,14 +177,48 @@ def test_wave_numbers_that_overflow_are_refused():
     assert config.ScenarioConfig(gradient_waves=(((1, 1, 0, 0), 1e307, 0.0),)).box_length == 2 * math.pi
 
 
+def test_gradient_waves_without_a_nonzero_cycle_are_refused():
+    # the gradient of a constant is no wave: refused at config time, alone or
+    # beside a good wave, while the library call keeps its own refusal
+    for waves in ((((0, 0, 0, 0), 0.5, 0.0),), (((0.0, 0, 0, 0), 0.5, 0.0),),
+                  (((1, 1, 0, 0), 0.7, 0.2), ((0, 0, 0, 0), 0.5, 0.0))):
+        with pytest.raises(config.ConfigError, match="nonzero cycle count"):
+            config.ScenarioConfig(gradient_waves=waves)
+    with pytest.raises(ValueError, match="nonzero cycle count"):
+        ansatz_field.gradient_wave_modes(lattice.Grid4.cubic(4), (0, 0, 0, 0), 0.5)
+
+
+def test_wave_amplitude_sums_that_overflow_are_refused():
+    # a component's sum of |amplitude| bounds its max-norm; for gradient waves
+    # each component mu sums |amplitude| 2 pi |c_mu| / (n h), here |c_mu| on a box of 2 pi
+    def phase(amp, comps):
+        return {"phase_waves": (((0, 1, 0, 0), amp, 0.0), ((0, 0, 1, 0), amp, 0.0)), "phase_components": comps}
+
+    bad = [phase(1e308, (1, 1)), phase(-1e308, (4, 4)),
+           {"gradient_waves": (((1, 0, 0, 0), 0.6e308, 0.0), ((2, 0, 0, 0), 0.6e308, 0.0))}]
+    for kw in bad:
+        with pytest.raises(config.ConfigError, match="sum of wave amplitudes"):
+            config.ScenarioConfig(**kw)
+    # the same amplitudes on two components, and 1e307 twice on one, pass
+    for kw in (phase(1e308, (1, 2)), phase(1e307, (1, 1)),
+               {"gradient_waves": (((1, 0, 0, 0), 0.6e308, 0.0), ((0, 2, 0, 0), 0.6e308, 0.0))}):
+        assert config.ScenarioConfig(**kw).box_length == 2 * math.pi
+
+
 def test_wave_numbers_are_taken_on_each_grid_s_own_length():
     # On this box 2 pi / box_length is finite, but n (box_length / n) with a
     # subnormal spacing rounds below box_length for n = 20 and 2 pi over it
     # overflows: a pure-gauge rung of 20 is refused, one of 16 is not.
+    # Wave numbers here are about 1.8e308, so the default gradient waves, which
+    # feed 0.7 k + 0.5 k into component 2, would overflow the gradient field:
+    # one gradient wave of amplitude 0.5 keeps it finite.
     box = 3.4951378437904613e-308
     assert math.isfinite(2 * math.pi / box)
     assert not math.isfinite(2 * math.pi / lattice.Grid4.cubic(20, box).length(1))
-    short = dict(box_length=box, raw_order_grids=(8, 16), divergence_grids=(12, 16), covariance_grids=(12, 16))
+    short = dict(box_length=box, raw_order_grids=(8, 16), divergence_grids=(12, 16), covariance_grids=(12, 16),
+                 gradient_waves=(((1, 1, 0, 0), 0.5, 0.0),))
     assert config.ScenarioConfig(**short, pure_gauge_grids=(12, 16)).box_length == box
+    with pytest.raises(config.ConfigError, match="sum of wave amplitudes"):
+        config.ScenarioConfig(**{**short, "gradient_waves": config.DEFAULT_GRADIENT_WAVES}, pure_gauge_grids=(12, 16))
     with pytest.raises(config.ConfigError, match="wave number"):
         config.ScenarioConfig(**short, pure_gauge_grids=(16, 20))
