@@ -2,8 +2,9 @@
 
 `frozen_pipeline.json` holds, for each scenario below and each of
 `contract` and `reduce`, the exit code, the `--json` report without its
-`timings` key and `banach_trace.csv` where one was written; these are
-compared byte for byte. `frozen_verify.json` holds the same exit code
+`timings` key, the plain-text stdout of a second run without `--json`
+and `banach_trace.csv` where one was written; these are compared byte
+for byte. `frozen_verify.json` holds the same exit code
 and stripped report for `verify` and `anomaly` at the default seed and
 at each seed in SEEDS, and the `anomaly --out` artifacts of one
 `--grid 4` run as arrays; these are compared by `differences`: every
@@ -52,6 +53,13 @@ SCENARIOS = {
     "slow_contraction": {"contraction_n": 3, "contraction_center": [1.3, -1.5, 0.6, 0.4]},
     "other_seed": {"seed": 7},
     "own_second_center": {"reduce_centers": 2, "second_center": [0.3, -0.2, 0.1, 0.4]},
+    # the reduce rows off their defaults: a schedule that does not double
+    # (its shrink factors leave the window), the other two Pauli directions
+    # at other couplings, and a second center that has not collapsed
+    "non_doubling": {"collapse_schedule": [4, 6, 9, 1000, 2000]},
+    "pauli_1": {"pauli_index": 1, "coupling": 1.7, "contraction_center": [0.3, -1.2, 2.5, 0.7]},
+    "pauli_2": {"pauli_index": 2, "coupling": 0.6, "contraction_center": [0.3, -1.2, 2.5, 0.7]},
+    "second_not_collapsed": {"reduce_centers": 2, "second_center": [5, 0, 0, 0]},
 }
 
 # verify and anomaly run at the default seed and at each of these
@@ -61,7 +69,7 @@ REL = 1e-12
 
 
 def outputs(overrides, workdir):
-    """{command: {exit_code, report, banach_trace.csv}} for one scenario."""
+    """{command: {exit_code, report, stdout, banach_trace.csv}} for one scenario."""
     cfgfile = workdir / "config.json"
     cfgfile.write_text(json.dumps(overrides), encoding="utf-8")
     got = {}
@@ -69,10 +77,14 @@ def outputs(overrides, workdir):
         out, stdout = workdir / command, io.StringIO()
         with contextlib.redirect_stdout(stdout):
             code = cli.main([command, "--json", "--config", str(cfgfile), "--out", str(out)])
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            cli.main([command, "--config", str(cfgfile)])
         trace = out / "banach_trace.csv"
         got[command] = {
             "exit_code": code,
             "report": report.strip_timings(stdout.getvalue()),
+            "stdout": text.getvalue(),
             # bytes as written: the csv module ends its rows with \r\n
             "banach_trace.csv": trace.read_bytes().decode("ascii") if trace.exists() else None,
         }
@@ -180,9 +192,34 @@ def frozen_verify():
     return json.loads(FROZEN_VERIFY.read_text(encoding="utf-8"))
 
 
+def reduce_rows(frozen, name) -> dict:
+    """{row name: (status, details)} of one scenario's frozen reduce report."""
+    rows = json.loads(frozen[name]["reduce"]["report"])["checks"]
+    return {r["name"]: (r["status"], r["details"]) for r in rows}
+
+
 def test_the_frozen_file_covers_every_scenario(frozen):
     assert list(frozen) == list(SCENARIOS)
     assert frozen["invalid_certificate"]["contract"]["report"].count('"SKIPPED"') == 4
+    # every row reduce can write, and each way its rows can fail
+    rows = {name: reduce_rows(frozen, name) for name in frozen}
+    seen = {row for r in rows.values() for row in r}
+    stages = [f"stage_{s}" for s in ("chart_collapse", "constant_sections", "transition_consistency",
+                                     "connection", "reduced_operator")]
+    per_center = [f"{row}_{i}" for i in (0, 1)
+                  for row in ("chart_diameter_bound", "chart_shrink_factor", "collapse_threshold")]
+    assert set(stages + per_center + ["operator_coefficient_modulus", "observable_spectrum"]) <= seen
+
+    def failed(row, stage_status=None):
+        return [name for name, r in rows.items() if row in r and r[row][0] == "FAIL"
+                and (stage_status is None or r[row][1]["stage_status"] == stage_status)]
+
+    not_collapsed = failed("stage_chart_collapse", "NOT_COLLAPSED")
+    assert {len(rows[name]["stage_chart_collapse"][1]["threshold_n"]) for name in not_collapsed} == {1, 2}
+    assert failed("stage_transition_consistency", "INCONSISTENT")
+    assert failed("chart_shrink_factor_0")
+    operators = [r["stage_reduced_operator"] for r in rows.values() if "stage_reduced_operator" in r]
+    assert {d["pauli_index"] for status, d in operators if status == "PASS"} == {1, 2, 3}
 
 
 def test_the_frozen_files_cover_every_command(frozen, frozen_verify):
