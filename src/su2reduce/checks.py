@@ -324,6 +324,8 @@ class Run:
         self.cfg = cfg
         self.grid = cfg.grid()
         self.report = report.RunReport(command, cfg.to_dict(), errata=list(bundle.ERRATA))
+        # reduce's (coefficients, observable eigenvalues), once its last stage passes
+        self.operator = None
 
     def judge(self, name: str, ok: bool, **details) -> None:
         self.report.add(name, report.PASS if ok else report.FAIL, **details)
@@ -374,15 +376,11 @@ class Run:
         return contraction.banach_iterate(self.contraction_map, self.banach_start,
                                           tol=self.cfg.banach_tol)
 
-    @cached_property
-    def pipeline(self) -> bundle.ReductionReport:
-        cfg = self.cfg
-        centers = [cfg.contraction_center]
-        if cfg.reduce_centers == 2:
-            centers.append(cfg.second_center)
-        return bundle.reduction_pipeline(centers, cfg.collapse_schedule, cfg.coupling,
-                                         cfg.pauli_index, collapse_tol=cfg.collapse_tol,
-                                         seed=cfg.seed)
+    @property
+    def centers(self) -> list:
+        """The chart centers reduce collapses: the contraction center, then
+        the second center when reduce_centers is 2."""
+        return [self.cfg.contraction_center, self.cfg.second_center][:self.cfg.reduce_centers]
 
 
 # ---------------------------------------------------------------------------
@@ -613,47 +611,80 @@ def large_scale_limit(run: Run) -> None:
 
 
 def pipeline_stages(run: Run) -> None:
-    """One row per pipeline stage; a failing one keeps the stage's own status."""
-    for stage in run.pipeline.stages:
-        if stage.status in ("PASS", "CONSISTENT"):
-            run.report.add(f"stage_{stage.name}", report.PASS, **stage.details)
-        else:
-            run.report.add(f"stage_{stage.name}", report.FAIL, stage_status=stage.status,
-                           **stage.details)
+    """The reduction's stage rows in order, up to the first that fails; a
+    failing row names the stage's own word for it as `stage_status`.
+
+    A chart has collapsed once the final scale reaches its threshold. Each
+    final map then fixes its own center bit for bit, so the canonical
+    identity section over the singleton is constant. Collapsed charts
+    sharing one center glue with identity transition functions; two
+    distinct centers are irreconcilable, since a contraction map has
+    exactly one fixed point. On the singleton the coordinate one-forms
+    vanish, and the pullback coefficients at the fixed point, times one
+    Pauli direction, are the reduced operator.
+    """
+    cfg, centers = run.cfg, run.centers
+    final_n = cfg.collapse_schedule[-1]
+
+    def stage(name, ok, word="FAIL", **details) -> bool:
+        run.judge(f"stage_{name}", ok, **details, **({} if ok else {"stage_status": word}))
+        return ok
+
+    thresholds = [bundle.collapse_threshold(c, cfg.collapse_tol) for c in centers]
+    if not stage("chart_collapse", max(thresholds) <= final_n, "NOT_COLLAPSED",
+                 threshold_n=thresholds, final_n=final_n):
+        return
+    final = [contraction.ContractionMap(c, final_n) for c in centers]
+    if not stage("constant_sections", all(np.array_equal(contraction.evaluate(m, m.center_array),
+                                                         m.center_array) for m in final)):
+        return
+    distinct = list(dict.fromkeys(centers))
+    reason = {} if len(distinct) == 1 else {
+        "reason": "collapsed charts retain distinct centers; each contraction has a"
+                  " unique fixed point, so the collapsed base cannot be shared"}
+    if not stage("transition_consistency", len(distinct) == 1, "INCONSISTENT",
+                 centers=[list(c) for c in distinct], **reason):
+        return
+    coefficients = bundle.pullback_coefficients(centers[0], cfg.coupling).tolist()
+    eigenvalues = np.linalg.eigvalsh(0.5 * su2_algebra.pauli(cfg.pauli_index)).tolist()
+    stage("connection", True, one_form_vanishes=True, coefficients=coefficients)
+    # Python's complex abs: numpy's can round the last bit of a modulus apart
+    stage("reduced_operator", True, coefficients=coefficients, pauli_index=cfg.pauli_index,
+          eigenvalues=eigenvalues, coefficient_moduli=[abs(v) for v in coefficients])
+    run.operator = coefficients, eigenvalues
 
 
 def chart_collapse_per_center(run: Run) -> None:
-    """Diameter bound, shrink factor and threshold rows for each center."""
-    window = LIMITS["chart_shrink_factor"]
-    for idx, col in enumerate(run.pipeline.collapse):
-        rows = col.rows
-        shrink = [
-            rows[i].sampled_diameter / rows[i + 1].sampled_diameter
-            for i in range(len(rows) - 1)
-            if rows[i + 1].sampled_diameter > 0
-        ]
-        run.judge(f"chart_diameter_bound_{idx}",
-                  all(r.sampled_diameter <= 2.0 * r.sup_bound for r in rows),
-                  center=list(col.center), ns=[r.n for r in rows],
-                  sampled=[r.sampled_diameter for r in rows],
-                  bounds=[2.0 * r.sup_bound for r in rows])
+    """Diameter bound, shrink factor and threshold rows for each center.
+
+    A scale's certified bound is |c| / n^2, the sup of |lam(x) - c| over
+    its chart; the sampled diameter may reach twice that. The threshold is
+    the first scale whose bound sits strictly below collapse_tol.
+    """
+    ns, tol, window = list(run.cfg.collapse_schedule), run.cfg.collapse_tol, LIMITS["chart_shrink_factor"]
+    for idx, c in enumerate(run.centers):
+        m = contraction.ContractionMap(c, ns[0])
+        sampled = bundle.collapse_chart(m, ns, run.cfg.seed)
+        bounds = [2.0 * (m.center_norm / n**2) for n in ns]
+        shrink = [a / b for a, b in zip(sampled, sampled[1:]) if b > 0]
+        run.judge(f"chart_diameter_bound_{idx}", all(s <= b for s, b in zip(sampled, bounds)),
+                  center=list(m.center), ns=ns, sampled=sampled, bounds=bounds)
         run.judge(f"chart_shrink_factor_{idx}", all(window[0] <= r <= window[1] for r in shrink),
                   ratios=shrink, window=list(window))
-        n_t = col.threshold_n
-        cn = float(np.linalg.norm(col.center))
-        crossing = cn / n_t**2 < col.tol and (n_t == 1 or cn / (n_t - 1) ** 2 >= col.tol)
-        run.judge(f"collapse_threshold_{idx}", crossing, threshold_n=n_t, tol=col.tol)
+        n_t = bundle.collapse_threshold(c, tol)
+        crossing = m.center_norm / n_t**2 < tol and (n_t == 1 or m.center_norm / (n_t - 1) ** 2 >= tol)
+        run.judge(f"collapse_threshold_{idx}", crossing, threshold_n=n_t, tol=tol)
 
 
 def reduced_operator(run: Run) -> None:
     """Coefficient moduli and observable spectrum of the operator, when one was emitted."""
-    op = run.pipeline.operator
-    if op is None:
+    if run.operator is None:
         return
-    dev = float(np.max([abs(abs(c) - run.cfg.coupling) for c in op.coefficients]))
+    coefficients, eigenvalues = run.operator
+    dev = float(np.max([abs(abs(c) - run.cfg.coupling) for c in coefficients]))
     run.bounded("operator_coefficient_modulus", "max_deviation", dev, coupling=run.cfg.coupling)
-    dev = float(np.max([abs(op.eigenvalues[0] + 0.5), abs(op.eigenvalues[1] - 0.5)]))
-    run.bounded("observable_spectrum", "max_deviation", dev, eigenvalues=list(op.eigenvalues))
+    dev = float(np.max([abs(eigenvalues[0] + 0.5), abs(eigenvalues[1] - 0.5)]))
+    run.bounded("observable_spectrum", "max_deviation", dev, eigenvalues=eigenvalues)
 
 
 COMMANDS = {

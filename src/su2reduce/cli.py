@@ -65,13 +65,13 @@ def _write_banach_trace(run: checks.Run, args) -> None:
 
 
 def _print_operator(run: checks.Run, args) -> None:
-    op = run.pipeline.operator
-    if args.json or op is None:
+    if args.json or run.operator is None:
         return
+    coefficients, eigenvalues = run.operator
     print("reduced operator coefficients (per direction):")
-    for mu, cval in enumerate(op.coefficients, start=1):
+    for mu, cval in enumerate(coefficients, start=1):
         print(f"  mu={mu}: {cval.real:+.12f} {cval.imag:+.12f}i")
-    print(f"observable eigenvalues: {op.eigenvalues[0]:+.12f}, {op.eigenvalues[1]:+.12f}")
+    print(f"observable eigenvalues: {eigenvalues[0]:+.12f}, {eigenvalues[1]:+.12f}")
 
 
 # what a command does after its last check, unless a check ended it

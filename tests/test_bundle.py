@@ -1,4 +1,6 @@
-"""Chart collapse, transition consistency, connection and the reduced operator."""
+"""Chart collapse, transition consistency, connection and the reduced operator.
+
+The stages after the collapse are read off the rows of a `reduce` run."""
 
 import json
 import math
@@ -7,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from su2reduce import bundle, contraction, su2_algebra
+from su2reduce import bundle, checks, config, contraction, su2_algebra
 from su2reduce.contraction import ContractionMap
 
 import oracles
@@ -17,11 +19,22 @@ CENTER = (1.0, 0.0, 0.0, 0.0)
 SCHEDULE = (4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048)
 
 
+def reduce_run(**overrides):
+    """The run of `reduce`'s checks in order, and its rows by name."""
+    run = checks.Run("reduce", config.ScenarioConfig(**overrides))
+    for name in checks.COMMANDS["reduce"]:
+        getattr(checks, name)(run)
+    return run, {row.name: row for row in run.report.checks}
+
+
+def stage_names(run) -> list:
+    return [row.name for row in run.report.checks if row.name.startswith("stage_")]
+
+
 def test_image_diameter_bounds():
     ch = ContractionMap(CENTER, 8)
-    (row,) = bundle.collapse_chart(ch, (8,)).rows
-    assert row.sup_bound == 1.0 / 64
-    assert 0.0 < row.sampled_diameter <= 2.0 * row.sup_bound
+    (diameter,) = bundle.collapse_chart(ch, (8,))
+    assert 0.0 < diameter <= 2.0 / 64
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2024])
@@ -39,8 +52,7 @@ def test_one_draw_serves_every_scale(seed):
             assert got.tobytes(order="C") == pts.tobytes(order="C")
             factors = np.exp(-np.linalg.norm(pts - c, axis=1) / n)
             want.append(float(np.linalg.norm(c)) * float(factors.max() - factors.min()))
-        rows = bundle.collapse_chart(ContractionMap(center, SCHEDULE[0]), SCHEDULE, seed=seed).rows
-        assert [r.sampled_diameter for r in rows] == want
+        assert bundle.collapse_chart(ContractionMap(center, SCHEDULE[0]), SCHEDULE, seed=seed) == want
 
 
 def collapse_peak(schedule) -> int:
@@ -92,39 +104,37 @@ def test_collapse_threshold_past_float_precision():
 
 def test_collapse_chart_schedule():
     sched = SCHEDULE
-    rep = bundle.collapse_chart(ContractionMap(CENTER, 4), sched, tol=1e-6)
-    assert [r.n for r in rep.rows] == list(sched)
-    assert rep.threshold_n == 1001
-    assert rep.center == CENTER
-    for r in rep.rows:
-        assert r.sup_bound == 1.0 / r.n**2
-        assert r.sampled_diameter <= 2.0 * r.sup_bound
-    assert [r.sup_bound < 1e-6 for r in rep.rows] == [False] * 8 + [True, True]
-    shrink = [a.sampled_diameter / b.sampled_diameter for a, b in zip(rep.rows, rep.rows[1:])]
+    diameters = bundle.collapse_chart(ContractionMap(CENTER, 4), sched)
+    assert len(diameters) == len(sched)
+    for d, n in zip(diameters, sched):
+        assert d <= 2.0 / n**2
+    assert bundle.collapse_threshold(CENTER, 1e-6) == 1001
+    assert [n >= 1001 for n in sched] == [False] * 8 + [True, True]
+    shrink = [a / b for a, b in zip(diameters, diameters[1:])]
     assert all(3.6 < s < 4.4 for s in shrink)
     with pytest.raises(ValueError):
         bundle.collapse_chart(ContractionMap(CENTER, 4), (8, 4))
     with pytest.raises(ValueError):
         bundle.collapse_chart(ContractionMap(CENTER, 4), ())
-    with pytest.raises(ValueError):
-        bundle.collapse_chart(ContractionMap(CENTER, 4), (4, 8), tol=-1.0)
 
 
 def test_consistency_collapsed_single_vs_two_centers():
     sched = (1024, 2048)
-    stage = bundle.reduction_pipeline([CENTER, CENTER], sched, 1.0).stages[2]
-    assert stage.name == "transition_consistency" and stage.status == "CONSISTENT"
+    _, rows = reduce_run(collapse_schedule=sched, reduce_centers=2, second_center=CENTER)
+    stage = rows["stage_transition_consistency"]
+    assert stage.status == "PASS"
     assert stage.details == {"centers": [list(CENTER)]}
 
     other = (0.0, 1.0, 0.0, 0.0)
-    stage2 = bundle.reduction_pipeline([CENTER, other, CENTER], sched, 1.0).stages[-1]
-    assert stage2.name == "transition_consistency"
-    assert stage2.status == "INCONSISTENT"
+    run, rows = reduce_run(collapse_schedule=sched, reduce_centers=2, second_center=other)
+    assert stage_names(run)[-1] == "stage_transition_consistency"
+    stage2 = rows["stage_transition_consistency"]
+    assert stage2.status == "FAIL" and stage2.details["stage_status"] == "INCONSISTENT"
     assert "unique fixed point" in stage2.details["reason"]
     # distinct centers, in order of first appearance
     assert stage2.details["centers"] == [list(CENTER), list(other)]
-    stage3 = bundle.reduction_pipeline([CENTER, other, CENTER], sched, 1.0).stages[-1]
-    assert stage3 == stage2
+    _, rows3 = reduce_run(collapse_schedule=sched, reduce_centers=2, second_center=other)
+    assert rows3["stage_transition_consistency"] == stage2
 
 
 def test_pullback_and_connection_coefficients():
@@ -137,72 +147,70 @@ def test_pullback_and_connection_coefficients():
     assert np.max(np.abs(np.abs(got) - g)) < 1e-15
 
     center = (0.3, -0.2, 0.1, 0.4)
-    sched = (4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048)
-    stage = bundle.reduction_pipeline([center], sched, g).stages[3]
-    assert stage.name == "connection"
+    _, rows = reduce_run(contraction_center=center, coupling=g)
+    stage = rows["stage_connection"]
+    assert stage.status == "PASS"
     assert stage.details["one_form_vanishes"]
-    got_c = np.array([complex(re, im) for re, im in stage.details["coefficients"]])
+    got_c = np.array(stage.details["coefficients"])
     assert np.max(np.abs(got_c - (-1j * g * np.exp(-1j * np.array(center))))) < 1e-15
 
 
 def test_reduced_operator_spectrum_and_moduli():
     for a in (1, 2, 3):
-        op = bundle.reduced_operator(CENTER, 1.0, a)
-        assert max(abs(abs(v) - 1.0) for v in op.coefficients) <= 1e-15
-        assert abs(op.eigenvalues[0] + 0.5) <= 1e-12
-        assert abs(op.eigenvalues[1] - 0.5) <= 1e-12
+        run, rows = reduce_run(pauli_index=a)
+        coefficients, eigenvalues = run.operator
+        assert max(abs(abs(v) - 1.0) for v in coefficients) <= 1e-15
+        assert abs(eigenvalues[0] + 0.5) <= 1e-12
+        assert abs(eigenvalues[1] - 0.5) <= 1e-12
         # the observable sigma_a / 2 and the potentials c_mu sigma_a, rebuilt
-        # from what the operator stores
-        sig = su2_algebra.pauli(op.pauli_index)
-        assert op.pauli_index == a
-        assert np.array_equal(np.linalg.eigvalsh(0.5 * sig), op.eigenvalues)
-        mats = np.array(op.coefficients)[:, None, None] * sig
+        # from what the report stores
+        details = rows["stage_reduced_operator"].details
+        assert rows["stage_reduced_operator"].status == "PASS"
+        assert details["pauli_index"] == a
+        assert details["coefficients"] == coefficients and details["eigenvalues"] == eigenvalues
+        sig = su2_algebra.pauli(details["pauli_index"])
+        assert np.array_equal(np.linalg.eigvalsh(0.5 * sig), eigenvalues)
+        mats = np.array(coefficients)[:, None, None] * sig
         assert mats.shape == (4, 2, 2)
-        assert np.array_equal(np.einsum("mij,ji->m", mats, sig) / 2, op.coefficients)
-        json.dumps(op.to_dict())
+        assert np.array_equal(np.einsum("mij,ji->m", mats, sig) / 2, coefficients)
+        json.loads(run.report.to_json())
+    with pytest.raises(config.ConfigError):
+        config.ScenarioConfig(pauli_index=4)
     with pytest.raises(ValueError):
-        bundle.reduced_operator(CENTER, 1.0, 4)
-    with pytest.raises(ValueError):
-        bundle.reduced_operator(CENTER, 0.0)
+        bundle.pullback_coefficients(CENTER, 0.0)
 
 
 def test_pipeline_happy_path():
-    sched = (4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048)
-    rep = bundle.reduction_pipeline([CENTER], sched, 1.0)
-    assert rep.stages[-1].status == "PASS"
-    assert [s.name for s in rep.stages] == [
-        "chart_collapse",
-        "constant_sections",
-        "transition_consistency",
-        "connection",
-        "reduced_operator",
+    run, rows = reduce_run(collapse_schedule=SCHEDULE)
+    assert stage_names(run) == [
+        "stage_chart_collapse",
+        "stage_constant_sections",
+        "stage_transition_consistency",
+        "stage_connection",
+        "stage_reduced_operator",
     ]
-    assert all(s.status in ("PASS", "CONSISTENT") for s in rep.stages)
-    assert rep.operator is not None
-    assert rep.stages[2].status == "CONSISTENT"
-    assert len(rep.collapse) == 1
-    json.dumps([s.details for s in rep.stages])
+    assert all(row.status == "PASS" for row in run.report.checks)
+    assert run.operator is not None
+    assert "chart_diameter_bound_0" in rows and "chart_diameter_bound_1" not in rows
+    json.loads(run.report.to_json())
 
 
 def test_pipeline_stops_when_not_collapsed():
-    rep = bundle.reduction_pipeline([CENTER], (4, 8), 1.0)
-    assert rep.stages[-1].status == "NOT_COLLAPSED"
-    assert rep.operator is None
-    assert len(rep.stages) == 1
-    assert rep.stages[0].details["final_n"] == 8
+    run, rows = reduce_run(collapse_schedule=(4, 8))
+    assert stage_names(run) == ["stage_chart_collapse"]
+    stage = rows["stage_chart_collapse"]
+    assert stage.status == "FAIL" and stage.details["stage_status"] == "NOT_COLLAPSED"
+    assert run.operator is None
+    assert stage.details["final_n"] == 8
 
 
 def test_pipeline_two_centers_is_inconsistent():
-    sched = (4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048)
-    centers = np.array([CENTER, (0.0, 1.0, 0.0, 0.0)])
-    rep = bundle.reduction_pipeline(centers, sched, 1.0)
-    assert rep.operator is None
-    assert rep.stages[-1].name == "transition_consistency"
-    assert rep.stages[-1].status == "INCONSISTENT"
-    with pytest.raises(ValueError):
-        bundle.reduction_pipeline([np.zeros(3)], sched, 1.0)
-    with pytest.raises(ValueError):  # one bare 4-vector is not a sequence of them
-        bundle.reduction_pipeline(CENTER, sched, 1.0)
+    run, rows = reduce_run(collapse_schedule=SCHEDULE, reduce_centers=2,
+                           second_center=(0.0, 1.0, 0.0, 0.0))
+    assert run.operator is None
+    assert stage_names(run)[-1] == "stage_transition_consistency"
+    stage = rows["stage_transition_consistency"]
+    assert stage.status == "FAIL" and stage.details["stage_status"] == "INCONSISTENT"
 
 
 def test_errata_catalog_ids():
