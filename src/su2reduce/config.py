@@ -56,8 +56,11 @@ class ScenarioConfig:
     gradient_waves    scalar waves, each with a nonzero cycle count, whose gradients build the
                       vacuum-scan base field; every command exits 2 if a component mu's sum of
                       |amplitude| 2 pi |c_mu| / (n h) is not finite
-    scaling_amplitudes  decreasing eps values for the vacuum scan
-    anomaly_amplitude   overall amplitude factor for the divergence study
+    scaling_amplitudes  decreasing eps values for the vacuum scan; every command exits 2 if
+                        max(scaling_amplitudes[0], 2 scaling_amplitudes[-2]) times a component's
+                        gradient-wave sum above is not finite
+    anomaly_amplitude   overall amplitude factor for the divergence study; every command exits 2
+                        if it times a component's sum of phase-wave |amplitude| is not finite
     raw_order_grids     h-halving ladder for raw-stencil convergence
     divergence_grids    ladder for the current-divergence convergence
     covariance_grids    ladder for the gauge-covariance study
@@ -145,10 +148,16 @@ class ScenarioConfig:
             raise ConfigError("a wave number 2 pi c / (n h), or a gradient amplitude times one, overflows")
         if not all(any(c) for c, _, _ in self.gradient_waves):  # the gradient of a constant is no wave
             raise ConfigError("gradient_waves: each gradient wave needs a nonzero cycle count")
-        sums = [sum(abs(a) for m, (_, a, _) in zip(comps, self.phase_waves) if m == mu) for mu in (1, 2, 3, 4)]
-        sums += [sum(abs(a) * (2.0 * math.pi * abs(c[mu]) / L) for c, a, _ in self.gradient_waves) for mu in range(4)]
-        if not all(map(math.isfinite, sums)):  # each bounds its component's max-norm
-            raise ConfigError("a phase or gradient component's sum of wave amplitudes overflows")
+        phase = [sum(abs(a) for m, (_, a, _) in zip(comps, self.phase_waves) if m == mu) for mu in (1, 2, 3, 4)]
+        grad = [sum(abs(a) * (2.0 * math.pi * abs(c[mu]) / L) for c, a, _ in self.gradient_waves) for mu in range(4)]
+        # each bounds its component's max-norm: the phase field's, at one and at the anomaly
+        # amplitude, and the gradient base's, at one and at the largest factor a scan scales it by
+        # (the vacuum scan's first amplitude, the divergence scaling's twice its second-last)
+        scale = max(amps[0], 2.0 * amps[-2])
+        sums = phase + [self.anomaly_amplitude * x for x in phase] + grad + [scale * x for x in grad]
+        if not all(map(math.isfinite, sums)):
+            raise ConfigError("a phase or gradient component's sum of wave amplitudes, or that sum"
+                              " at the anomaly amplitude or a scan's largest factor, overflows")
         object.__setattr__(self, "collapse_schedule", _check_ladder(
             self.collapse_schedule, "collapse_schedule", 2, "chart scales"))
         try:  # the collapse bounds each chart image by |c| / n^2

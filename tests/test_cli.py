@@ -262,6 +262,23 @@ def test_waves_that_make_no_finite_field_exit_two(capsys, tmp_path, text):
         assert "config error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text", [
+    '{"anomaly_amplitude": 1e308, "phase_waves": [[[0, 1, 0, 0], 2.0, 0.0]], "phase_components": [1]}',
+    '{"scaling_amplitudes": [1e308, 1e307]}',
+], ids=["anomaly_amplitude_overflow", "scaling_amplitude_overflow"])
+def test_scaled_fields_that_overflow_exit_two(capsys, tmp_path, text):
+    # anomaly ended in a ValueError traceback on both: the phase field at the
+    # anomaly amplitude, and the gradient base at twice the second-last scaling
+    # amplitude, were not finite. verify failed three rows on the second, with
+    # overflow warnings, while contract and reduce ran.
+    cfgfile = tmp_path / "scaled.json"
+    cfgfile.write_text(text)
+    for command in ("verify", "anomaly", "contract", "reduce"):
+        code, _, err = run([command, "--config", str(cfgfile)], capsys)
+        assert code == 2
+        assert "config error" in err and "Traceback" not in err
+
+
 def test_large_amplitudes_with_a_finite_sum_still_run(capsys, tmp_path):
     # two waves of 1e307 on one component sum to a finite bound: the run goes
     # on, and the identities its huge values break end in FAIL rows

@@ -205,6 +205,25 @@ def test_wave_amplitude_sums_that_overflow_are_refused():
         assert config.ScenarioConfig(**kw).box_length == 2 * math.pi
 
 
+def test_scaled_amplitude_sums_that_overflow_are_refused():
+    # the anomaly study scales the phase field by anomaly_amplitude; the scans
+    # scale the gradient base by each scaling amplitude (the first is the
+    # largest) and by twice the second-last. The default gradient waves feed
+    # 0.7 + 0.5 = 1.2 into component 2 on a box of 2 pi.
+    bad = [{"anomaly_amplitude": 1e308, "phase_waves": (((0, 1, 0, 0), 2.0, 0.0),), "phase_components": (1,)},
+           {"scaling_amplitudes": (1e308, 1e307)},
+           {"scaling_amplitudes": (1.6e308, 1e-3, 1e-4)},
+           {"scaling_amplitudes": (1e308, 0.8e308, 1e-4)}]
+    for kw in bad:
+        with pytest.raises(config.ConfigError, match="anomaly amplitude or a scan's largest factor"):
+            config.ScenarioConfig(**kw)
+    # just below each edge, and the default phase waves at 1e308, pass
+    for kw in ({"anomaly_amplitude": 1e308},
+               {"anomaly_amplitude": 0.8e308, "phase_waves": (((0, 1, 0, 0), 2.0, 0.0),), "phase_components": (1,)},
+               {"scaling_amplitudes": (1.4e308, 1e-3, 1e-4)}, {"scaling_amplitudes": (1e308, 0.7e308, 1e-4)}):
+        assert config.ScenarioConfig(**kw).box_length == 2 * math.pi
+
+
 def test_wave_numbers_are_taken_on_each_grid_s_own_length():
     # On this box 2 pi / box_length is finite, but n (box_length / n) with a
     # subnormal spacing rounds below box_length for n = 20 and 2 pi over it
