@@ -664,15 +664,15 @@ def chart_collapse_per_center(run: Run) -> None:
     ns, tol, window = list(run.cfg.collapse_schedule), run.cfg.collapse_tol, LIMITS["chart_shrink_factor"]
     for idx, c in enumerate(run.centers):
         m = contraction.ContractionMap(c, ns[0])
-        sampled = bundle.collapse_chart(m, ns, run.cfg.seed)
-        bounds = [2.0 * (m.center_norm / n**2) for n in ns]
+        cn, sampled = m.center_norm, bundle.collapse_chart(m, ns, run.cfg.seed)
+        bounds = [2.0 * (cn / n**2) for n in ns]
         shrink = [a / b for a, b in zip(sampled, sampled[1:]) if b > 0]
         run.judge(f"chart_diameter_bound_{idx}", all(s <= b for s, b in zip(sampled, bounds)),
                   center=list(m.center), ns=ns, sampled=sampled, bounds=bounds)
         run.judge(f"chart_shrink_factor_{idx}", all(window[0] <= r <= window[1] for r in shrink),
                   ratios=shrink, window=list(window))
         n_t = bundle.collapse_threshold(c, tol)
-        crossing = m.center_norm / n_t**2 < tol and (n_t == 1 or m.center_norm / (n_t - 1) ** 2 >= tol)
+        crossing = cn / n_t**2 < tol and (n_t == 1 or cn / (n_t - 1) ** 2 >= tol)
         run.judge(f"collapse_threshold_{idx}", crossing, threshold_n=n_t, tol=tol)
 
 
