@@ -5,8 +5,8 @@
 `timings` key, the plain-text stdout of a second run without `--json`
 and `banach_trace.csv` where one was written; these are compared byte
 for byte. `frozen_verify.json` holds the same exit code
-and stripped report for `verify` and `anomaly` at the default seed and
-at each seed in SEEDS, and the `anomaly --out` artifacts of one
+and stripped report for `verify` and `anomaly` at the default seed, at
+each seed in SEEDS and on each config in CONFIGS, and the `anomaly --out` artifacts of one
 `--grid 4` run as arrays; these are compared by `differences`: every
 non-float exactly, each report float within 1e-12 relative and each
 artifact array within 1e-12 of its own max-norm, which allows
@@ -64,6 +64,18 @@ SCENARIOS = {
 
 # verify and anomaly run at the default seed and at each of these
 SEEDS = (0, 6, 17, 33)
+# and at the default seed on each of these configs, off the default recipe: a
+# dense phase field (all four components, varying along all four axes) and a
+# single gradient wave, on which both small-amplitude scans fail
+CONFIGS = {
+    "dense_phase": {
+        "phase_waves": [[[0, 1, 0, 1], 0.8, 0.0], [[0, 0, 1, 0], 0.6, 0.4],
+                        [[1, 0, 0, 0], 0.5, 1.1], [[2, 0, 0, 2], 0.3, 0.9]],
+        "phase_components": [1, 2, 4, 3],
+        "coupling": 1.7,
+    },
+    "one_gradient_wave": {"gradient_waves": [[[0, 0, 1, 1], 0.4, 0.7]], "coupling": 0.6},
+}
 ARTIFACT_ARGV = ["anomaly", "--grid", "4"]
 REL = 1e-12
 
@@ -107,6 +119,12 @@ def seeded_report(command, seed):
     return run_report([command] + ([] if seed is None else ["--seed", str(seed)]))
 
 
+def configured_report(command, name, workdir):
+    cfgfile = workdir / f"{name}.json"
+    cfgfile.write_text(json.dumps(CONFIGS[name]), encoding="utf-8")
+    return run_report([command, "--config", str(cfgfile)])
+
+
 def encode(a) -> dict:
     """An array as JSON: dtype, shape and the values flattened (complex
     values as interleaved real and imaginary parts)."""
@@ -139,11 +157,11 @@ def artifacts(workdir):
 
 
 def verify_outputs(workdir):
-    return {
-        "reports": {command: {seed_key(s): seeded_report(command, s) for s in (None,) + SEEDS}
-                    for command in ("verify", "anomaly")},
-        "anomaly_artifacts": artifacts(workdir),
-    }
+    reports = {command: {seed_key(s): seeded_report(command, s) for s in (None,) + SEEDS}
+               for command in ("verify", "anomaly")}
+    for command, runs in reports.items():
+        runs.update((name, configured_report(command, name, workdir)) for name in CONFIGS)
+    return {"reports": reports, "anomaly_artifacts": artifacts(workdir)}
 
 
 def differences(want, got, where) -> list[str]:
@@ -225,10 +243,19 @@ def test_the_frozen_file_covers_every_scenario(frozen):
 def test_the_frozen_files_cover_every_command(frozen, frozen_verify):
     pipeline = {command for texts in frozen.values() for command in texts}
     assert pipeline | set(frozen_verify["reports"]) == set(checks.COMMANDS)
-    for runs in frozen_verify["reports"].values():
-        assert list(runs) == [seed_key(s) for s in (None,) + SEEDS]
+    runs = frozen_verify["reports"]
+    for by_key in runs.values():
+        assert list(by_key) == [seed_key(s) for s in (None,) + SEEDS] + list(CONFIGS)
     # frozen as it stands: a seed whose verify fails
-    assert frozen_verify["reports"]["verify"]["seed 17"]["exit_code"] == 1
+    assert runs["verify"]["seed 17"]["exit_code"] == 1
+    # a dense phase field: all four components, and a wave along each axis
+    dense = runs["verify"]["dense_phase"]["report"]["scenario"]
+    assert sorted(dense["phase_components"]) == [1, 2, 3, 4]
+    assert all(any(cycles[d] for cycles, _, _ in dense["phase_waves"]) for d in range(4))
+    # both small-amplitude scans failing, frozen as they stand
+    failed = {(command, c["name"]) for command, by_key in runs.items() for r in by_key.values()
+              for c in r["report"]["checks"] if c["status"] == "FAIL"}
+    assert {("verify", "vacuum_scaling_slopes"), ("anomaly", "quadratic_divergence_scaling")} <= failed
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
@@ -249,6 +276,14 @@ def test_contract_and_reduce_outputs_match_the_frozen_texts(tmp_path, frozen, na
 def test_verify_and_anomaly_reports_match_the_frozen_values(frozen_verify, command, seed):
     want = frozen_verify["reports"][command][seed_key(seed)]
     assert differences(want, seeded_report(command, seed), f"{command} {seed_key(seed)}") == []
+
+
+@pytest.mark.parametrize("command", ("verify", "anomaly"))
+@pytest.mark.parametrize("name", CONFIGS)
+def test_verify_and_anomaly_reports_match_the_frozen_values_off_the_default_recipe(
+        tmp_path, frozen_verify, command, name):
+    want = frozen_verify["reports"][command][name]
+    assert differences(want, configured_report(command, name, tmp_path), f"{command} {name}") == []
 
 
 def test_anomaly_artifacts_match_the_frozen_arrays(tmp_path, frozen_verify):
