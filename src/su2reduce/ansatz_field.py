@@ -15,9 +15,9 @@ stands in for the repeats.
 Second derivatives are formed where they are used, one component at a
 time, and are not kept.
 
-Only the ansatz form of F_mu_nu is built whole (`FieldStrength`); the
-routes compared with it return one (mu, nu) component per call, and a
-study drops each component before building the next.
+Every field strength here, the ansatz form and the routes compared with
+it, returns one (mu, nu) component per call, and a check drops each
+component before building the next.
 
 Derivatives of the profile are taken in one of two ways:
 
@@ -49,66 +49,40 @@ from . import lattice, su2_algebra
 GAUGE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class Mode:
-    """One trigonometric wave in a phase-field recipe.
-
-    component  which lambda component (1..4) the wave feeds
-    cycles     integer wave counts per axis; the wavevector is
-               2 pi cycles_d / L_d, always commensurate with the grid
-    amplitude  prefactor
-    phase      phase offset in radians
-    """
-
-    component: int
-    cycles: tuple[int, int, int, int]
-    amplitude: float
-    phase: float = 0.0
-
-    def __post_init__(self):
-        if self.component not in (1, 2, 3, 4):
-            raise ValueError(f"component must be 1..4, got {self.component}")
-        cyc = tuple(int(c) for c in self.cycles)
-        if len(cyc) != 4 or any(c != float(r) for c, r in zip(self.cycles, cyc)):
-            raise ValueError(f"cycles must be four integers, got {self.cycles}")
-        object.__setattr__(self, "cycles", cyc)
-        if not (math.isfinite(self.amplitude) and math.isfinite(self.phase)):
-            raise ValueError("amplitude and phase must be finite")
-
-
-def gradient_wave_modes(grid: lattice.Grid4, cycles, amplitude: float, phase: float = 0.0) -> list[Mode]:
-    """Modes realizing lambda = grad of the scalar wave amplitude*sin(k.x + phase).
+def gradient_waves(grid: lattice.Grid4, recipe) -> list[list[tuple]]:
+    """The waves of lambda = grad of the sum of amplitude * sin(k.x + phase) over
+    the recipe's (cycles, amplitude, phase) scalar waves: per component mu, the
+    waves of d_mu of each scalar wave along mu, in recipe order.
 
     Phase fields assembled this way make the two terms of the anomalous
     current cancel at leading order in the amplitude, which is what the
     small-amplitude scaling checks rely on. The cancellation stays exact
-    on the lattice when the nonzero entries of `cycles` share one
-    magnitude (each axis then carries the same discrete wave factor).
+    on the lattice when each wave's nonzero cycles share one magnitude
+    (each axis then carries the same discrete wave factor).
     """
-    cycles = tuple(int(c) for c in cycles)
-    modes = []
-    for mu in range(1, 5):
-        if cycles[mu - 1] == 0:
-            continue
-        k_mu = 2.0 * math.pi * cycles[mu - 1] / grid.length(mu)
-        modes.append(Mode(mu, cycles, amplitude * k_mu, phase + 0.5 * math.pi))
-    if not modes:
-        raise ValueError("gradient wave needs at least one nonzero cycle count")
-    return modes
+    waves = [[], [], [], []]
+    for cycles, amplitude, phase in recipe:
+        if not any(cycles):
+            raise ValueError("gradient wave needs at least one nonzero cycle count")
+        for mu, c in enumerate(cycles):
+            if c:
+                k_mu = 2.0 * math.pi * c / grid.length(mu + 1)
+                waves[mu].append((cycles, amplitude * k_mu, phase + 0.5 * math.pi))
+    return waves
 
 
-def wave_sum(grid: lattice.Grid4, modes) -> np.ndarray:
+def wave_sum(grid: lattice.Grid4, waves) -> np.ndarray:
     """The sum of amplitude * sin(phase + sum_d (2 pi cycles_d / L_d) x_d) over the
-    modes, in the order given and whatever their component; it is kept along the
-    axes where some mode has a nonzero cycle (length 1 on the others)."""
-    modes, xs = list(modes), grid.coords()
-    v = np.zeros(tuple(n if any(m.cycles[d] for m in modes) else 1 for d, n in enumerate(grid.dims)))
-    for m in modes:
-        arg = m.phase
+    (cycles, amplitude, phase) waves, in the order given, with integer cycles; it is
+    kept along the axes where some wave has a nonzero cycle (length 1 on the others)."""
+    waves, xs = list(waves), grid.coords()
+    v = np.zeros(tuple(n if any(c[d] for c, _, _ in waves) else 1 for d, n in enumerate(grid.dims)))
+    for cycles, amplitude, phase in waves:
+        arg = phase
         for d in range(4):
-            if m.cycles[d]:
-                arg = arg + (2.0 * math.pi * m.cycles[d] / grid.length(d + 1)) * xs[d]
-        v += m.amplitude * np.sin(arg)
+            if cycles[d]:
+                arg = arg + (2.0 * math.pi * cycles[d] / grid.length(d + 1)) * xs[d]
+        v += amplitude * np.sin(arg)
     return v
 
 
@@ -157,10 +131,9 @@ class LambdaField:
         return cls(grid, [np.zeros((1, 1, 1, 1))] * 4)
 
     @classmethod
-    def from_modes(cls, grid: lattice.Grid4, modes) -> "LambdaField":
-        """lambda_m = wave_sum of its own modes, kept along the axes they vary."""
-        modes = list(modes)
-        return cls(grid, [wave_sum(grid, [m for m in modes if m.component == c]) for c in range(1, 5)])
+    def from_waves(cls, grid: lattice.Grid4, waves) -> "LambdaField":
+        """lambda_m = wave_sum of waves[m-1], kept along the axes they vary."""
+        return cls(grid, [wave_sum(grid, w) for w in waves])
 
     def scaled(self, eps: float) -> "LambdaField":
         return LambdaField(self.grid, [eps * v for v in self.values])
@@ -188,50 +161,20 @@ def phase_gradients(lam: LambdaField) -> tuple[tuple[np.ndarray, ...], ...]:
     return tuple(tuple(lattice.partial(lam.grid, v, n) for n in range(1, 5)) for v in lam.values)
 
 
-# the independent (mu, nu) pairs of an antisymmetric tensor, in storage order
+# the independent (mu, nu) pairs of an antisymmetric tensor
 PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 
 
-@dataclass(frozen=True)
-class FieldStrength:
-    """The ansatz tensor F_mu_nu, antisymmetric and scalar valued per point.
-
-    Only the six independent components are stored: values[k] holds
-    F_mu_nu for (mu, nu) = PAIRS[k], so values has shape (6, *lam.shape).
-    `component` supplies the mirrored entries by sign and the zero
-    diagonal. The routes it is compared with (field_strength_direct,
-    field_strength_raw) return one component per call instead.
-    """
-
-    grid: lattice.Grid4
-    values: np.ndarray
-
-    def component(self, mu: int, nu: int) -> np.ndarray:
-        if mu == nu:
-            return np.zeros_like(self.values[0])
-        if mu < nu:
-            return self.values[PAIRS.index((mu, nu))]
-        return -self.values[PAIRS.index((nu, mu))]
-
-    def antisymmetry_defect(self) -> float:
-        """max |F_mu_nu + F_nu_mu| over all ordered pairs; zero by construction of the storage."""
-        return float(np.max([lattice.max_abs(self.component(m, n) + self.component(n, m))
-                             for m in range(1, 5) for n in range(m, 5)]))
-
-
-def field_strength_ansatz(lam: LambdaField) -> FieldStrength:
-    """F_mu_nu = i (f_mu d_nu lambda_mu - f_nu d_mu lambda_nu).
+def field_strength_ansatz(lam: LambdaField, mu: int, nu: int) -> np.ndarray:
+    """The component F_mu_nu = i (f_mu d_nu lambda_mu - f_nu d_mu lambda_nu), on
+    the union of lambda_mu's and lambda_nu's axes.
 
     This is the closed form the phase ansatz gives for the commutator-free
     field strength; it involves only phase gradients, so no derivative of
     the profile itself is taken.
     """
-    f, G = lam.profile, lam.gradients
-    F = np.empty((6,) + lam.shape, dtype=complex)
-    for k, (mu, nu) in enumerate(PAIRS):
-        m, n = mu - 1, nu - 1
-        F[k] = 1j * (f[m] * G[m][n] - f[n] * G[n][m])
-    return FieldStrength(lam.grid, F)
+    f, G, m, n = lam.profile, lam.gradients, mu - 1, nu - 1
+    return 1j * (f[m] * G[m][n] - f[n] * G[n][m])
 
 
 def field_strength_direct(lam: LambdaField, mu: int, nu: int) -> np.ndarray:
@@ -286,8 +229,7 @@ def lagrangian_density(lam: LambdaField) -> tuple[np.ndarray, np.ndarray]:
                 - 2.0 * f[m] * f[n] * G[m][n] * G[n][m]
             )
     vals *= 0.25
-    F = field_strength_ansatz(lam)
-    ref = -0.25 * sum(F.component(m, n) ** 2 for m in range(1, 5) for n in range(1, 5))
+    ref = -0.25 * sum(field_strength_ansatz(lam, m, n) ** 2 for m in range(1, 5) for n in range(1, 5))
     return vals, ref
 
 

@@ -5,10 +5,10 @@ carries is the matching radial contraction map ContractionMap(center, n).
 As n grows the image of a chart shrinks like 1/n^2, so past a computable
 threshold every chart image fits inside any stated tolerance and the base
 degenerates to the map's fixed point. This module holds the collapse
-threshold, the sampled chart diameters and the pullback coefficients at
-the fixed point; the stages that read them (chart collapse, constant
-sections, transition consistency, connection, reduced operator) are the
-`reduce` checks in `checks`.
+threshold and the sampled chart diameters; the stages that read them
+(chart collapse, constant sections, transition consistency, connection,
+reduced operator) are the `reduce` checks in `checks`, which take the
+connection coefficients at the fixed point from the ansatz profile.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import math
 
 import numpy as np
 
-from . import su2_algebra
 from .contraction import ContractionMap, ball_draw, point_norms
 
 
@@ -70,13 +69,6 @@ def collapse_chart(m: ContractionMap, n_sequence, seed: int = 0) -> list[float]:
         factors = np.exp(-point_norms(pts) / n)
         diameters.append(cn * float(factors.max() - factors.min()))
     return diameters
-
-
-def pullback_coefficients(lambda_values, g: float) -> np.ndarray:
-    """Per-direction connection coefficients -i g exp(-i lam_mu)."""
-    g = su2_algebra.check_coupling(g)
-    lv = np.asarray(lambda_values, dtype=float).reshape(4)
-    return -1j * g * np.exp(-1j * lv)
 
 
 ERRATA = (

@@ -4,8 +4,9 @@ Scenario builders and refinement studies come first. The field recipes
 are deliberately resolution-independent: a recipe plus a grid size
 determines the field, so refinement ladders sample the same continuum
 object at every resolution and the measured orders mean what they claim.
-Each matrix study draws its random recipe once, as `ansatz_field.Mode`s,
-and every rung sums it with `ansatz_field.wave_sum`.
+A recipe is a list of (cycles, amplitude, phase) waves, as the config
+holds them; each matrix study draws its random recipes once, and every
+rung sums them with `ansatz_field.wave_sum`.
 
 Then the checks. Each is a function of one `Run` that adds one or more
 rows to the run's report; it returns True when the command must end
@@ -29,30 +30,24 @@ from . import ansatz_field, bundle, config, contraction, lattice, report, su2_al
 def phase_field(cfg: config.ScenarioConfig, grid: lattice.Grid4,
                 scale: float = 1.0) -> ansatz_field.LambdaField:
     """The scenario's main phase field on the given grid."""
-    modes = [
-        ansatz_field.Mode(comp, cyc, scale * amp, ph)
-        for comp, (cyc, amp, ph) in zip(cfg.phase_components, cfg.phase_waves)
-    ]
-    return ansatz_field.LambdaField.from_modes(grid, modes)
+    return ansatz_field.LambdaField.from_waves(grid, [
+        [(cyc, scale * amp, ph) for comp, (cyc, amp, ph) in zip(cfg.phase_components, cfg.phase_waves)
+         if comp == m] for m in range(1, 5)])
 
 
 def gradient_base_field(cfg: config.ScenarioConfig, grid: lattice.Grid4) -> ansatz_field.LambdaField:
     """Unit-amplitude gradient-wave base for the small-amplitude scans."""
-    modes = []
-    for cyc, amp, ph in cfg.gradient_waves:
-        modes.extend(ansatz_field.gradient_wave_modes(grid, cyc, amp, ph))
-    return ansatz_field.LambdaField.from_modes(grid, modes)
+    return ansatz_field.LambdaField.from_waves(grid, ansatz_field.gradient_waves(grid, cfg.gradient_waves))
 
 
-def smooth_waves(rng, amp: float) -> list[ansatz_field.Mode]:
+def smooth_waves(rng, amp: float) -> list[tuple]:
     """A random low-harmonic scalar's recipe for ansatz_field.wave_sum: two single-axis
-    unit waves, each drawn as axis, sign, phase, then amplitude factor; the Modes'
-    component slot is unused (1). Content is kept at |cycles| = 1 so products of these
-    fields stay resolvable on the coarse ends of the refinement ladders."""
+    unit waves, each drawn as axis, sign, phase, then amplitude factor. Content is kept
+    at |cycles| = 1 so products of these fields stay resolvable on the coarse ends of
+    the refinement ladders."""
     draws = [(int(rng.integers(0, 4)), -1 if rng.random() < 0.5 else 1,
               rng.uniform(0.0, 2.0 * math.pi), amp * rng.uniform(0.3, 1.0)) for _ in range(2)]
-    return [ansatz_field.Mode(1, tuple(sign if d == axis else 0 for d in range(4)), a, ph)
-            for axis, sign, ph, a in draws]
+    return [(tuple(sign if d == axis else 0 for d in range(4)), a, ph) for axis, sign, ph, a in draws]
 
 
 def smooth_group_field(grid: lattice.Grid4, waves) -> np.ndarray:
@@ -148,15 +143,14 @@ def anomaly_divergence_expansion(lam: ansatz_field.LambdaField, g: float) -> np.
 def residual_contraction_route(lam: ansatz_field.LambdaField, g: float) -> np.ndarray:
     """sum_mu (d_mu + i g f_mu) F_mu_nu, assembled from the field strength.
 
-    An independent route to the equation-of-motion residual: the ansatz
-    field strength is built first and then contracted, with the chain
+    An independent route to the equation-of-motion residual: each ansatz
+    field-strength component is contracted as it is built, with the chain
     rule carrying the derivative onto its factors. Agrees with the
     expanded five-term residual to rounding.
     """
     g = su2_algebra.check_coupling(g)
     grid = lam.grid
     f, G = lam.profile, lam.gradients
-    F = ansatz_field.field_strength_ansatz(lam)
     out = np.zeros((4,) + lam.shape, dtype=complex)
     for n in range(4):
         for m in range(4):
@@ -166,7 +160,7 @@ def residual_contraction_route(lam: ansatz_field.LambdaField, g: float) -> np.nd
                 + 1j * f[n] * G[n][m] ** 2
                 - f[n] * lattice.partial(grid, G[n][m], m + 1)
             )
-            out[n] += dF + 1j * g * f[m] * F.component(m + 1, n + 1)
+            out[n] += dF + 1j * g * f[m] * ansatz_field.field_strength_ansatz(lam, m + 1, n + 1)
     return out
 
 
@@ -346,10 +340,6 @@ class Run:
         return phase_field(self.cfg, self.grid)
 
     @cached_property
-    def field_strength(self) -> ansatz_field.FieldStrength:
-        return ansatz_field.field_strength_ansatz(self.phase)
-
-    @cached_property
     def anomaly_fields(self):
         """(current, its lattice divergence, the product-rule expansion, the
         closed form) at the anomaly amplitude; the phase field itself is not
@@ -402,12 +392,13 @@ def group_exponential_unitarity(run: Run) -> None:
 
 
 def field_strength_routes(run: Run) -> None:
-    """The ansatz form against the analytic route on the working grid, then
-    the order at which the raw-stencil route closes on the analytic one."""
-    F = run.field_strength
+    """The ansatz form against the analytic route on the working grid, and
+    against its own mirrored component F_nu_mu, then the order at which the
+    raw-stencil route closes on the analytic one."""
+    F, lam = ansatz_field.field_strength_ansatz, run.phase
     ident = max_over_pairs(lambda mu, nu: lattice.max_abs(
-        F.component(mu, nu) - ansatz_field.field_strength_direct(run.phase, mu, nu)))
-    anti = F.antisymmetry_defect()
+        F(lam, mu, nu) - ansatz_field.field_strength_direct(lam, mu, nu)))
+    anti = max_over_pairs(lambda mu, nu: lattice.max_abs(F(lam, mu, nu) + F(lam, nu, mu)))
     tol = LIMITS["field_strength_identity"]
     run.judge("field_strength_identity", ident <= tol and anti <= tol,
               max_error=ident, antisymmetry_defect=anti, tolerance=tol)
@@ -463,10 +454,10 @@ def residual_routes(run: Run) -> None:
 
 
 def anomalous_current_identity(run: Run) -> None:
-    g, f, F = run.cfg.coupling, run.phase.profile, run.field_strength
-    j = ansatz_field.anomalous_current(run.phase, g)
+    g, lam, F = run.cfg.coupling, run.phase, ansatz_field.field_strength_ansatz
+    j = ansatz_field.anomalous_current(lam, g)
     contracted = -1j * g * np.stack([
-        sum(np.multiply(f[m - 1], F.component(m, n)) for m in range(1, 5)) for n in range(1, 5)
+        sum(np.multiply(lam.profile[m - 1], F(lam, m, n)) for m in range(1, 5)) for n in range(1, 5)
     ])
     run.bounded("anomalous_current_identity", "max_gap", lattice.max_abs(j - contracted))
 
@@ -478,7 +469,8 @@ def vacuum_limit(run: Run) -> None:
     zero = ansatz_field.LambdaField.zero(run.grid)
     zvals = {
         "profile_minus_one": float(np.max([lattice.max_abs(f - 1.0) for f in zero.profile])),
-        "field_strength": lattice.max_abs(ansatz_field.field_strength_ansatz(zero).values),
+        "field_strength": max_over_pairs(lambda mu, nu: lattice.max_abs(
+            ansatz_field.field_strength_ansatz(zero, mu, nu))),
         "lagrangian": lattice.max_abs(ansatz_field.lagrangian_density(zero)[0]),
         "noether_current": lattice.max_abs(ansatz_field.noether_current(zero)),
         "anomalous_current": lattice.max_abs(ansatz_field.anomalous_current(zero, g)),
@@ -620,8 +612,9 @@ def pipeline_stages(run: Run) -> None:
     sharing one center glue with identity transition functions; two
     distinct centers are irreconcilable, since a contraction map has
     exactly one fixed point. On the singleton the coordinate one-forms
-    vanish, and the pullback coefficients at the fixed point, times one
-    Pauli direction, are the reduced operator.
+    vanish, and the pullback coefficients at the fixed point c, -i g times
+    the profile exp(-i c_mu) of the constant phase field lambda_mu = c_mu,
+    times one Pauli direction, are the reduced operator.
     """
     cfg, centers = run.cfg, run.centers
     final_n = cfg.collapse_schedule[-1]
@@ -645,7 +638,8 @@ def pipeline_stages(run: Run) -> None:
     if not stage("transition_consistency", len(distinct) == 1, "INCONSISTENT",
                  centers=[list(c) for c in distinct], **reason):
         return
-    coefficients = bundle.pullback_coefficients(centers[0], cfg.coupling).tolist()
+    fixed = ansatz_field.LambdaField(run.grid, [np.full((1, 1, 1, 1), c) for c in centers[0]])
+    coefficients = (-1j * cfg.coupling * np.ravel(fixed.profile)).tolist()
     eigenvalues = np.linalg.eigvalsh(0.5 * su2_algebra.pauli(cfg.pauli_index)).tolist()
     stage("connection", True, one_form_vanishes=True, coefficients=coefficients)
     # Python's complex abs: numpy's can round the last bit of a modulus apart

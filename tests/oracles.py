@@ -15,10 +15,13 @@ O(h^2). The artifact readers parse the package's CSV and npz files
 without its own code, and the ball sampler draws and places points row by
 row with np.linalg.norm, as the package did before its batches were
 stored coordinate-major. The matrix ladders' smooth scalar is drawn and
-summed by the loop the package used before it drew its recipes as modes.
+summed by the loop the package used before it drew its recipes as waves.
+The connection coefficients are the closed form -i g exp(-i c) of the
+centre c, which `reduce` reads off the ansatz profile instead.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -153,20 +156,29 @@ def anomaly_divergence_oracle(grid, modes, g):
     return out
 
 
+# one wave of a phase-field recipe, with the lambda component (1..4) it feeds
+ComponentWave = namedtuple("ComponentWave", "component cycles amplitude phase")
+
+
+def config_modes(cfg):
+    """The scenario's phase waves, each with the component it feeds."""
+    return [ComponentWave(c, cyc, amp, ph) for c, (cyc, amp, ph) in zip(cfg.phase_components, cfg.phase_waves)]
+
+
+def component_waves(modes):
+    """The modes as the package takes them: per component 1..4, its own
+    (cycles, amplitude, phase) waves in order."""
+    return [[(m.cycles, m.amplitude, m.phase) for m in modes if m.component == c] for c in range(1, 5)]
+
+
+def connection_coefficients(center, g):
+    """-i g exp(-i c_mu) per direction: the closed form the reduced operator's
+    coefficients must equal bit for bit."""
+    return -1j * g * np.exp(-1j * np.asarray(center, dtype=float).reshape(4))
+
+
 def random_modes(rng, grid, count=3, amp=0.7):
-    """Seeded well-conditioned mode set: unit |cycles| on a single axis each.
-
-    Importing the package Mode class here would be circular for an oracle
-    module, so this returns plain records with the same four attributes.
-    """
-
-    class _M:
-        def __init__(self, component, cycles, amplitude, phase):
-            self.component = component
-            self.cycles = cycles
-            self.amplitude = amplitude
-            self.phase = phase
-
+    """Seeded well-conditioned mode set: unit |cycles| on a single axis each."""
     out = []
     for _ in range(count):
         comp = int(rng.integers(1, 5))
@@ -175,7 +187,7 @@ def random_modes(rng, grid, count=3, amp=0.7):
         cyc = [0, 0, 0, 0]
         cyc[axis] = sign
         out.append(
-            _M(comp, tuple(cyc), amp * float(rng.uniform(0.3, 1.0)), float(rng.uniform(0.0, 2.0 * math.pi)))
+            ComponentWave(comp, tuple(cyc), amp * float(rng.uniform(0.3, 1.0)), float(rng.uniform(0.0, 2.0 * math.pi)))
         )
     return out
 

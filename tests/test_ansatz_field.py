@@ -23,9 +23,10 @@ def gradient_field(grid):
     return checks.gradient_base_field(config.ScenarioConfig(), grid)
 
 
-def dense(F):
-    """All sixteen F[mu-1, nu-1] read through the public accessor."""
-    return np.stack([np.stack([F.component(m, n) for n in range(1, 5)]) for m in range(1, 5)])
+def dense(lam):
+    """All sixteen ansatz components F[mu-1, nu-1], one call each, on lam.shape."""
+    return np.stack([np.stack([np.broadcast_to(ansatz_field.field_strength_ansatz(lam, m, n), lam.shape)
+                               for n in range(1, 5)]) for m in range(1, 5)])
 
 
 def on_grid(parts, grid):
@@ -42,38 +43,24 @@ def matrix_stack(grid, A, g):
                      for mu, nu in ansatz_field.PAIRS])
 
 
-def test_mode_validation():
-    with pytest.raises(ValueError):
-        ansatz_field.Mode(0, (0, 1, 0, 0), 1.0)
-    with pytest.raises(ValueError):
-        ansatz_field.Mode(5, (0, 1, 0, 0), 1.0)
-    with pytest.raises(ValueError):
-        ansatz_field.Mode(1, (0, 1, 0), 1.0)
-    with pytest.raises(ValueError):
-        ansatz_field.Mode(1, (0, 1.5, 0, 0), 1.0)
-    with pytest.raises(ValueError):
-        ansatz_field.Mode(1, (0, 1, 0, 0), math.inf)
-
-
-def test_gradient_wave_modes_layout():
+def test_gradient_waves_layout():
     grid = small_grid()
-    modes = ansatz_field.gradient_wave_modes(grid, (1, 1, 0, 0), 0.7, phase=0.2)
-    assert [m.component for m in modes] == [1, 2]
-    for m in modes:
-        k = 2.0 * math.pi * 1 / grid.length(m.component)
-        assert m.amplitude == 0.7 * k
-        assert m.phase == 0.2 + 0.5 * math.pi
-        assert m.cycles == (1, 1, 0, 0)
+    waves = ansatz_field.gradient_waves(grid, [((1, 1, 0, 0), 0.7, 0.2), ((0, 2, 0, 0), 0.5, 0.0)])
+    assert [len(w) for w in waves] == [1, 2, 0, 0]
+    for mu in (1, 2):
+        k = 2.0 * math.pi * 1 / grid.length(mu)
+        assert waves[mu - 1][0] == ((1, 1, 0, 0), 0.7 * k, 0.2 + 0.5 * math.pi)
+    # each component's waves in recipe order
+    assert waves[1][1] == ((0, 2, 0, 0), 0.5 * (2.0 * math.pi * 2 / grid.length(2)), 0.5 * math.pi)
     with pytest.raises(ValueError):
-        ansatz_field.gradient_wave_modes(grid, (0, 0, 0, 0), 1.0)
+        ansatz_field.gradient_waves(grid, [((1, 1, 0, 0), 0.7, 0.2), ((0, 0, 0, 0), 1.0, 0.0)])
 
 
-def test_from_modes_matches_plain_sine_sum():
+def test_from_waves_matches_plain_sine_sum():
     grid = small_grid()
     rng = np.random.default_rng(3)
     recs = oracles.random_modes(rng, grid, count=4)
-    modes = [ansatz_field.Mode(r.component, r.cycles, r.amplitude, r.phase) for r in recs]
-    lam = ansatz_field.LambdaField.from_modes(grid, modes)
+    lam = ansatz_field.LambdaField.from_waves(grid, oracles.component_waves(recs))
     assert np.max(np.abs(on_grid(lam.values, grid) - oracles.lambda_values(grid, recs))) < 1e-15
 
 
@@ -93,7 +80,7 @@ def test_lambda_field_validation_and_scaling():
 def test_phase_field_is_kept_along_the_axes_its_waves_vary():
     n = 8
     grid = small_grid(n)
-    Mode = ansatz_field.Mode
+
     def shapes(lam):
         return [v.shape for v in lam.values]
 
@@ -106,10 +93,10 @@ def test_phase_field_is_kept_along_the_axes_its_waves_vary():
     assert [[G.shape for G in row] for row in lam.gradients] == [[s] * 4 for s in shapes(lam)]
     assert shapes(lam.scaled(0.5)) == shapes(lam)
     assert shapes(ansatz_field.LambdaField.zero(grid)) == [(1, 1, 1, 1)] * 4
-    assert ansatz_field.LambdaField.from_modes(grid, []).shape == (1, 1, 1, 1)
-    one_axis = ansatz_field.LambdaField.from_modes(grid, [Mode(3, (0, 0, 2, 0), 0.5)])
+    assert ansatz_field.LambdaField.from_waves(grid, [[]] * 4).shape == (1, 1, 1, 1)
+    one_axis = ansatz_field.LambdaField.from_waves(grid, [[], [], [((0, 0, 2, 0), 0.5, 0.0)], []])
     assert shapes(one_axis) == [(1, 1, 1, 1)] * 2 + [(1, 1, n, 1), (1, 1, 1, 1)]
-    timed = ansatz_field.LambdaField.from_modes(grid, [Mode(1, (0, 1, 0, 1), 0.8)])
+    timed = ansatz_field.LambdaField.from_waves(grid, [[((0, 1, 0, 1), 0.8, 0.0)], [], [], []])
     assert shapes(timed) == [(1, n, 1, n)] + [(1, 1, 1, 1)] * 3
     waves = ((0, 1, 0, 1), 0.8, 0.0), *config.DEFAULT_PHASE_WAVES[1:]  # a time cycle on the default
     assert checks.phase_field(config.ScenarioConfig(phase_waves=waves), grid).shape == grid.dims
@@ -132,17 +119,17 @@ def test_phase_field_is_kept_along_the_axes_its_waves_vary():
 def recipe_set(rng, count):
     """Derandomised recipes of one to three waves, each with up to four
     nonzero cycles in -2..2, after the empty recipe, a time-only wave and a
-    one-axis wave."""
-    Mode = ansatz_field.Mode
-    recipes = [[], [Mode(2, (0, 0, 0, 1), 0.7, 0.3)], [Mode(1, (0, 2, 0, 0), 0.9)]]
+    one-axis wave; each recipe as the four components' wave lists."""
+    Wave = oracles.ComponentWave
+    recipes = [[], [Wave(2, (0, 0, 0, 1), 0.7, 0.3)], [Wave(1, (0, 2, 0, 0), 0.9, 0.0)]]
     for _ in range(count):
         recipes.append([
-            Mode(int(rng.integers(1, 5)),
+            Wave(int(rng.integers(1, 5)),
                  tuple(int(c) for c in rng.integers(-2, 3, size=4) * (rng.random(4) < 0.4)),
                  float(rng.uniform(0.2, 1.0)), float(rng.uniform(0.0, 2.0 * math.pi)))
             for _ in range(int(rng.integers(1, 4)))
         ])
-    return recipes
+    return [oracles.component_waves(r) for r in recipes]
 
 
 def _quiet_residual(lam, g):
@@ -155,7 +142,9 @@ def _quiet_residual(lam, g):
 DERIVED = {
     "profile": lambda lam, g: on_grid(lam.profile, lam.grid),
     "gradients": lambda lam, g: on_grid(lam.gradients, lam.grid),
-    "field_strength": lambda lam, g: ansatz_field.field_strength_ansatz(lam).values,
+    "field_strength": lambda lam, g: on_grid(tuple(
+        ansatz_field.field_strength_ansatz(lam, mu, nu)
+        for mu in range(1, 5) for nu in range(1, 5)), lam.grid),
     "direct_analytic": lambda lam, g: on_grid(tuple(
         ansatz_field.field_strength_direct(lam, mu, nu)
         for mu, nu in ansatz_field.PAIRS), lam.grid),
@@ -184,8 +173,8 @@ def test_compact_field_equals_its_dense_copy():
     g = 1.3
     shapes = set()
     fields = [gradient_field(grid), ansatz_field.LambdaField.zero(grid)]
-    fields += [ansatz_field.LambdaField.from_modes(grid, modes)
-               for modes in recipe_set(np.random.default_rng(40), 20)]
+    fields += [ansatz_field.LambdaField.from_waves(grid, waves)
+               for waves in recipe_set(np.random.default_rng(40), 20)]
     for lam in fields:
         full = ansatz_field.LambdaField(grid, [np.broadcast_to(v, grid.dims) for v in lam.values])
         shapes.update(v.shape for v in lam.values)
@@ -204,7 +193,7 @@ def test_zero_field_gives_exact_zeros():
     grid = small_grid(4)
     lam = ansatz_field.LambdaField.zero(grid)
     assert np.array_equal(on_grid(lam.profile, grid), np.ones((4,) + grid.dims, dtype=complex))
-    assert lattice.max_abs(ansatz_field.field_strength_ansatz(lam).values) == 0.0
+    assert lattice.max_abs(dense(lam)) == 0.0
     assert lattice.max_abs(ansatz_field.noether_current(lam)) == 0.0
     assert lattice.max_abs(ansatz_field.anomalous_current(lam, 1.0)) == 0.0
     assert lattice.max_abs(ansatz_field.anomaly_divergence_closed_form(lam, 1.0)) == 0.0
@@ -225,10 +214,7 @@ def test_phase_gradients_match_dispersion_table():
     grid = small_grid()
     cfg = config.ScenarioConfig()
     lam = checks.phase_field(cfg, grid)
-    recs = [
-        ansatz_field.Mode(comp, cyc, amp, ph)
-        for comp, (cyc, amp, ph) in zip(cfg.phase_components, cfg.phase_waves)
-    ]
+    recs = oracles.config_modes(cfg)
     assert np.max(np.abs(on_grid(lam.gradients, grid) - oracles.gradient_table(grid, recs))) < 1e-13
 
 
@@ -236,16 +222,14 @@ def test_field_strength_matches_oracle():
     grid = small_grid()
     cfg = config.ScenarioConfig()
     lam = checks.phase_field(cfg, grid)
-    recs = [
-        ansatz_field.Mode(comp, cyc, amp, ph)
-        for comp, (cyc, amp, ph) in zip(cfg.phase_components, cfg.phase_waves)
-    ]
-    F = ansatz_field.field_strength_ansatz(lam)
-    assert F.values.shape == (6,) + lam.shape
-    full = np.broadcast_to(dense(F), (4, 4) + grid.dims)
+    recs = oracles.config_modes(cfg)
+    # each component on the union of its two phase components' axes
+    for m in range(1, 5):
+        for n in range(1, 5):
+            assert ansatz_field.field_strength_ansatz(lam, m, n).shape == np.broadcast_shapes(
+                lam.values[m - 1].shape, lam.values[n - 1].shape)
+    full = np.broadcast_to(dense(lam), (4, 4) + grid.dims)
     assert np.max(np.abs(full - oracles.field_strength_oracle(grid, recs))) < 1e-13
-    assert F.antisymmetry_defect() == 0.0
-    assert np.array_equal(F.component(1, 2), F.values[ansatz_field.PAIRS.index((1, 2))])
 
 
 def test_component_is_antisymmetric_with_zero_diagonal():
@@ -253,15 +237,12 @@ def test_component_is_antisymmetric_with_zero_diagonal():
     lam = scenario_field(grid)
     rng = np.random.default_rng(5)
     A = checks.smooth_matrix_potential(grid, [checks.smooth_waves(rng, 0.5) for _ in range(12)])
-    F = ansatz_field.field_strength_ansatz(lam)
-    assert lattice.max_abs(F.values) > 0.0
+    F = {(m, n): ansatz_field.field_strength_ansatz(lam, m, n) for m in range(1, 5) for n in range(1, 5)}
+    assert lattice.max_abs(dense(lam)) > 0.0
     for m in range(1, 5):
-        assert np.array_equal(F.component(m, m), np.zeros_like(F.values[0]))
+        assert np.array_equal(F[m, m], np.zeros_like(F[m, m]))
         for n in range(1, 5):
-            assert np.array_equal(F.component(n, m), -F.component(m, n))
-    for k, (m, n) in enumerate(ansatz_field.PAIRS):
-        assert np.array_equal(F.component(m, n), F.values[k])
-    assert F.antisymmetry_defect() == 0.0
+            assert np.array_equal(F[n, m], -F[m, n])
     # the matrix route, one ordered pair per call
     Fm = {(m, n): ansatz_field.field_strength_matrix(grid, A, 1.0, m, n)
           for m in range(1, 5) for n in range(1, 5)}
@@ -281,12 +262,12 @@ def test_per_pair_field_strengths_are_exactly_antisymmetric(seed):
     rng = np.random.default_rng(seed)
     grid = small_grid(5)
     recs = oracles.random_modes(rng, grid, count=6)
-    lam = ansatz_field.LambdaField.from_modes(
-        grid, [ansatz_field.Mode(r.component, r.cycles, r.amplitude, r.phase) for r in recs])
+    lam = ansatz_field.LambdaField.from_waves(grid, oracles.component_waves(recs))
     g = float(rng.uniform(0.2, 3.0))
     A = rng.standard_normal((4,) + grid.dims + (4,)) * rng.uniform(0.1, 2.0)
     routes = [lambda m, n, route=route: route(lam, m, n)
-              for route in (ansatz_field.field_strength_direct, ansatz_field.field_strength_raw)]
+              for route in (ansatz_field.field_strength_ansatz, ansatz_field.field_strength_direct,
+                            ansatz_field.field_strength_raw)]
     routes.append(lambda m, n: ansatz_field.field_strength_matrix(grid, A, g, m, n))
     for route in routes:
         largest = 0.0
@@ -302,10 +283,10 @@ def test_per_pair_field_strengths_are_exactly_antisymmetric(seed):
 def test_direct_analytic_route_agrees_with_ansatz_form():
     grid = small_grid()
     lam = scenario_field(grid)
-    Fa = ansatz_field.field_strength_ansatz(lam)
-    for k, (mu, nu) in enumerate(ansatz_field.PAIRS):
+    for mu, nu in ansatz_field.PAIRS:
+        Fa = ansatz_field.field_strength_ansatz(lam, mu, nu)
         Fd = ansatz_field.field_strength_direct(lam, mu, nu)
-        assert lattice.max_abs(Fa.values[k] - Fd) < 1e-13
+        assert lattice.max_abs(Fa - Fd) < 1e-13
 
 
 def test_direct_raw_route_converges_at_order_two():
@@ -374,10 +355,7 @@ def test_anomalous_current_matches_contracted_oracle():
     grid = small_grid()
     cfg = config.ScenarioConfig()
     lam = checks.phase_field(cfg, grid)
-    recs = [
-        ansatz_field.Mode(comp, cyc, amp, ph)
-        for comp, (cyc, amp, ph) in zip(cfg.phase_components, cfg.phase_waves)
-    ]
+    recs = oracles.config_modes(cfg)
     j = ansatz_field.anomalous_current(lam, cfg.coupling)
     want = oracles.anomalous_current_oracle(grid, recs, cfg.coupling)
     assert np.max(np.abs(j - want)) < 1e-13
@@ -387,9 +365,7 @@ def test_gauge_condition_componentwise():
     grid = small_grid()
     per = ansatz_field.gauge_condition_check(scenario_field(grid))
     assert len(per) == 4 and max(per) < 1e-12 <= ansatz_field.GAUGE_TOL
-    bad = ansatz_field.LambdaField.from_modes(
-        grid, [ansatz_field.Mode(1, (1, 0, 0, 0), 0.5)]
-    )
+    bad = ansatz_field.LambdaField.from_waves(grid, [[((1, 0, 0, 0), 0.5, 0.0)], [], [], []])
     per_bad = ansatz_field.gauge_condition_check(bad)
     assert per_bad[0] > 0.1 > ansatz_field.GAUGE_TOL
     assert per_bad[1:] == (0.0, 0.0, 0.0)
@@ -474,11 +450,28 @@ def test_vacuum_report_keeps_a_nan_in_any_component(monkeypatch, k):
 
 
 @pytest.mark.parametrize("k", range(6))
-def test_antisymmetry_defect_keeps_a_nan_in_any_pair(k):
-    F = ansatz_field.field_strength_ansatz(scenario_field(small_grid(4)))
-    assert F.antisymmetry_defect() == 0.0
-    F.values[(k,) + (0,) * 4] = np.nan
-    assert math.isnan(F.antisymmetry_defect())
+def test_antisymmetry_defect_keeps_a_nan_in_any_pair(monkeypatch, k):
+    # the nan is planted in the mirrored component F_nu_mu of pair k, which
+    # only the antisymmetry defect reads; np.max keeps it in any position
+    mu, nu = ansatz_field.PAIRS[k]
+    real = ansatz_field.field_strength_ansatz
+
+    def planted(lam, m, n):
+        out = real(lam, m, n)
+        if (m, n) == (nu, mu):
+            out = out.copy()
+            out[(0,) * 4] = np.nan
+        return out
+    cfg = config.ScenarioConfig(grid_n=4, raw_order_grids=(4, 6))
+    run = checks.Run("verify", cfg)
+    checks.field_strength_routes(run)
+    assert run.report.checks[0].details["antisymmetry_defect"] == 0.0
+    monkeypatch.setattr(ansatz_field, "field_strength_ansatz", planted)
+    run = checks.Run("verify", cfg)
+    checks.field_strength_routes(run)
+    ident = run.report.checks[0]
+    assert ident.name == "field_strength_identity" and ident.status == "FAIL"
+    assert ident.details["max_error"] == 0.0 and math.isnan(ident.details["antisymmetry_defect"])
 
 
 def test_random_mode_sets_against_oracles():
@@ -489,24 +482,23 @@ def test_random_mode_sets_against_oracles():
     for _ in range(12):
         recs = oracles.random_modes(rng, grid, count=3)
         waves.update((r.component, 1 + [abs(c) for c in r.cycles].index(1)) for r in recs)
-        modes = [ansatz_field.Mode(r.component, r.cycles, r.amplitude, r.phase) for r in recs]
-        lam = ansatz_field.LambdaField.from_modes(grid, modes)
+        lam = ansatz_field.LambdaField.from_waves(grid, oracles.component_waves(recs))
         f = on_grid(lam.profile, grid)
         assert lattice.max_abs(np.abs(f) - 1.0) < 1e-14
         assert lattice.max_abs(f - np.exp(-1j * oracles.lambda_values(grid, recs))) <= 1e-15
         assert np.max(np.abs(on_grid(lam.gradients, grid) - oracles.gradient_table(grid, recs))) < 1e-13
-        F = ansatz_field.field_strength_ansatz(lam)
-        assert F.antisymmetry_defect() == 0.0
-        assert np.max(np.abs(dense(F) - oracles.field_strength_oracle(grid, recs))) < 1e-13
-        for k, (mu, nu) in enumerate(ansatz_field.PAIRS):
+        F = dense(lam)
+        assert np.array_equal(F, -np.swapaxes(F, 0, 1))
+        assert np.max(np.abs(F - oracles.field_strength_oracle(grid, recs))) < 1e-13
+        for mu, nu in ansatz_field.PAIRS:
             Fd = ansatz_field.field_strength_direct(lam, mu, nu)
-            assert lattice.max_abs(F.values[k] - Fd) < 1e-13
+            assert lattice.max_abs(F[mu - 1, nu - 1] - Fd) < 1e-13
         assert lagrangian_defect(lam) <= 1e-10
         full = ansatz_field.field_equation_residual_full(lam, g)
         assert lattice.max_abs(full - checks.residual_contraction_route(lam, g)) <= 1e-10
         j = ansatz_field.anomalous_current(lam, g)
         contracted = -1j * g * np.stack([
-            sum(lam.profile[m - 1] * F.component(m, n) for m in range(1, 5)) for n in range(1, 5)
+            sum(lam.profile[m - 1] * F[m - 1, n - 1] for m in range(1, 5)) for n in range(1, 5)
         ])
         assert lattice.max_abs(j - contracted) <= 1e-12
         want = oracles.anomaly_divergence_oracle(grid, recs, g)
@@ -530,8 +522,8 @@ def test_profile_and_gradients_are_computed_once_per_field(monkeypatch):
         monkeypatch.setattr(ansatz_field, name, counted)
     lam = scenario_field(small_grid(6))
     g = 1.0
-    ansatz_field.field_strength_ansatz(lam)
     for mu, nu in ansatz_field.PAIRS:
+        ansatz_field.field_strength_ansatz(lam, mu, nu)
         ansatz_field.field_strength_direct(lam, mu, nu)
         ansatz_field.field_strength_raw(lam, mu, nu)
     ansatz_field.lagrangian_density(lam)

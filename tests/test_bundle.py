@@ -138,21 +138,31 @@ def test_consistency_collapsed_single_vs_two_centers():
 
 
 def test_pullback_and_connection_coefficients():
+    # the connection coefficients are the closed form -i g exp(-i c) bit for
+    # bit, signed zeros included, at each Pauli direction
+    g, center = 1.7, (0.3, -0.2, 0.1, 0.4)
+    want = oracles.connection_coefficients(center, g)
+    assert np.max(np.abs(np.abs(want) - g)) < 1e-15
+    for a in (1, 2, 3):
+        run, rows = reduce_run(contraction_center=center, coupling=g, pauli_index=a)
+        stage = rows["stage_connection"]
+        assert stage.status == "PASS"
+        assert stage.details["one_form_vanishes"]
+        got = np.array(stage.details["coefficients"])
+        assert np.array_equal(got.view(float), want.view(float))
+        assert run.operator[0] == stage.details["coefficients"]
+    # and over random centres and couplings, at magnitudes from 1e-300 to 1e150
+    # (the config refuses a centre whose norm overflows); the schedule's last
+    # scale collapses every one of them
     rng = np.random.default_rng(23)
-    lam = rng.uniform(-math.pi, math.pi, size=4)
-    g = 1.7
-    got = bundle.pullback_coefficients(lam, g)
-    want = -1j * g * np.exp(-1j * lam)
-    assert np.max(np.abs(got - want)) == 0.0
-    assert np.max(np.abs(np.abs(got) - g)) < 1e-15
-
-    center = (0.3, -0.2, 0.1, 0.4)
-    _, rows = reduce_run(contraction_center=center, coupling=g)
-    stage = rows["stage_connection"]
-    assert stage.status == "PASS"
-    assert stage.details["one_form_vanishes"]
-    got_c = np.array(stage.details["coefficients"])
-    assert np.max(np.abs(got_c - (-1j * g * np.exp(-1j * np.array(center))))) < 1e-15
+    for _ in range(300):
+        c = tuple(float(x) for x in rng.uniform(-1.0, 1.0, 4) * 10.0 ** rng.uniform(-300, 150))
+        g = float(rng.uniform(0.1, 3.0))
+        run = checks.Run("reduce", config.ScenarioConfig(
+            contraction_center=c, coupling=g, collapse_schedule=(2, 10**80)))
+        checks.pipeline_stages(run)
+        got = np.array(run.operator[0])
+        assert np.array_equal(got.view(float), oracles.connection_coefficients(c, g).view(float)), c
 
 
 def test_reduced_operator_spectrum_and_moduli():
@@ -176,8 +186,8 @@ def test_reduced_operator_spectrum_and_moduli():
         json.loads(run.report.to_json())
     with pytest.raises(config.ConfigError):
         config.ScenarioConfig(pauli_index=4)
-    with pytest.raises(ValueError):
-        bundle.pullback_coefficients(CENTER, 0.0)
+    with pytest.raises(config.ConfigError):
+        config.ScenarioConfig(coupling=0.0)
 
 
 def test_pipeline_happy_path():

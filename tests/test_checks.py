@@ -454,6 +454,20 @@ def test_a_nan_in_one_pair_reaches_the_field_strength_rows(monkeypatch, pair):
     assert raw.details["order"] is not None
 
 
+def test_a_symmetric_field_strength_fails_the_identity_row(monkeypatch):
+    # F_nu_mu returned as +F_mu_nu: the identity over PAIRS still holds, only
+    # the antisymmetry defect sees the mirrored components
+    real = ansatz_field.field_strength_ansatz
+    monkeypatch.setattr(ansatz_field, "field_strength_ansatz",
+                        lambda lam, mu, nu: real(lam, min(mu, nu), max(mu, nu)))
+    run = checks.Run("verify", config.ScenarioConfig(grid_n=8, raw_order_grids=(4, 6)))
+    checks.field_strength_routes(run)
+    ident = run.report.checks[0]
+    assert ident.name == "field_strength_identity" and ident.status == "FAIL"
+    assert ident.details["max_error"] == 0.0
+    assert ident.details["antisymmetry_defect"] > ident.details["tolerance"]
+
+
 def test_anomalous_current_identity_does_not_depend_on_the_stored_shape():
     # numpy elides temporaries of 256 KiB and more by writing into them, which
     # swaps the operands of a product; a complex product is not bitwise
@@ -461,9 +475,9 @@ def test_anomalous_current_identity_does_not_depend_on_the_stored_shape():
     # compact components at most 64 KiB: the two must give the same bits, in
     # this row and in the other rows that read the working-grid phase field.
     cfg = config.ScenarioConfig(grid_n=16)
-    grid, Mode = cfg.grid(), ansatz_field.Mode
-    multi_axis = ansatz_field.LambdaField.from_modes(grid, [
-        Mode(1, (1, 0, 2, 0), 0.6, 0.2), Mode(2, (0, 1, 1, -1), 0.4), Mode(4, (2, 1, 0, 1), 0.5, 1.0)])
+    grid = cfg.grid()
+    multi_axis = ansatz_field.LambdaField.from_waves(grid, [
+        [((1, 0, 2, 0), 0.6, 0.2)], [((0, 1, 1, -1), 0.4, 0.0)], [], [((2, 1, 0, 1), 0.5, 1.0)]])
     for lam in (checks.phase_field(cfg, grid), checks.gradient_base_field(cfg, grid), multi_axis):
         rows = []
         for phase in (lam, ansatz_field.LambdaField(

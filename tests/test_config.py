@@ -185,7 +185,7 @@ def test_gradient_waves_without_a_nonzero_cycle_are_refused():
         with pytest.raises(config.ConfigError, match="nonzero cycle count"):
             config.ScenarioConfig(gradient_waves=waves)
     with pytest.raises(ValueError, match="nonzero cycle count"):
-        ansatz_field.gradient_wave_modes(lattice.Grid4.cubic(4), (0, 0, 0, 0), 0.5)
+        ansatz_field.gradient_waves(lattice.Grid4.cubic(4), [((0, 0, 0, 0), 0.5, 0.0)])
 
 
 def test_wave_amplitude_sums_that_overflow_are_refused():
