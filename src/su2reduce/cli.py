@@ -75,8 +75,7 @@ def _print_operator(run: checks.Run, args) -> None:
 
 
 # what a command does after its last check, unless a check ended it
-_FINISH = {"anomaly": _write_anomaly_fields, "contract": _write_banach_trace,
-           "reduce": _print_operator}
+_FINISH = {"anomaly": _write_anomaly_fields, "contract": _write_banach_trace}
 
 
 def _run(cfg: config.ScenarioConfig, args) -> int:
@@ -95,7 +94,9 @@ def _run(cfg: config.ScenarioConfig, args) -> int:
         finish = _FINISH.get(args.command)
         if finish:
             finish(run, args)
-    return _emit(run.report, args)
+    code = _emit(run.report, args)
+    _print_operator(run, args)  # reduce's operator, below the rows that judge it
+    return code
 
 
 # ---------------------------------------------------------------------------

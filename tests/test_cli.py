@@ -40,6 +40,21 @@ def test_reduce_defaults_pass_and_print_operator(capsys):
     assert "observable eigenvalues: -0.500000000000, +0.500000000000" in out
 
 
+def test_reduce_prints_its_operator_below_the_rows_even_when_one_fails(capsys, tmp_path):
+    # a schedule that does not double: the shrink-factor row fails, the
+    # pipeline still emits the operator, and the text reads rows first
+    cfgfile = tmp_path / "non_doubling.json"
+    cfgfile.write_text(json.dumps({"collapse_schedule": [4, 6, 9, 1000, 2000]}))
+    code, out, _ = run(["reduce", "--config", str(cfgfile)], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "[PASS] stage_chart_collapse" and "[FAIL] chart_shrink_factor_0" in lines
+    end = lines.index("overall: FAIL")
+    assert lines[end + 1] == "reduced operator coefficients (per direction):"
+    assert [ln[:6] for ln in lines[end + 2:end + 6]] == ["  mu=1", "  mu=2", "  mu=3", "  mu=4"]
+    assert lines[end + 6:] == ["observable eigenvalues: -0.500000000000, +0.500000000000"]
+
+
 def test_reduce_two_centers_fails_consistency(capsys, tmp_path):
     cfgfile = tmp_path / "two.json"
     cfgfile.write_text(json.dumps({"reduce_centers": 2}))
