@@ -6,6 +6,8 @@ potential; because the components are scalars the commutator term of the
 field strength drops and everything reduces to products of the profile
 with the phase gradients G[m][n] = d_n lambda_m.
 
+A phase field is built from waves, (cycles, amplitude, phase) tuples as
+the config holds them, one list per component (`LambdaField.from_waves`).
 A LambdaField computes f and G once, on first use, and keeps them as
 `profile` and `gradients`; every quantity here reads those two.
 Each component lambda_m is stored only along the axes its own waves vary
