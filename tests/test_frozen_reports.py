@@ -6,8 +6,9 @@
 and `banach_trace.csv` where one was written; these are compared byte
 for byte. `frozen_verify.json` holds the same exit code
 and stripped report for `verify` and `anomaly` at the default seed, at
-each seed in SEEDS and on each config in CONFIGS, and the `anomaly --out` artifacts of one
-`--grid 4` run as arrays; these are compared by `differences`: every
+each seed in SEEDS and on each config in CONFIGS, and the `anomaly --out` artifacts of a
+`--grid 4` run on the default recipe and on each config in ARTIFACT_CONFIGS as arrays;
+these are compared by `differences`: every
 non-float exactly, each report float within 1e-12 relative and each
 artifact array within 1e-12 of its own max-norm, which allows
 floating-point reassociation.
@@ -77,6 +78,9 @@ CONFIGS = {
     "one_gradient_wave": {"gradient_waves": [[[0, 0, 1, 1], 0.4, 0.7]], "coupling": 0.6},
 }
 ARTIFACT_ARGV = ["anomaly", "--grid", "4"]
+# anomaly --out runs on the default recipe, whose fields never vary along the
+# time axis, and on these configs, whose fields vary along all four axes
+ARTIFACT_CONFIGS = ("dense_phase",)
 REL = 1e-12
 
 
@@ -140,20 +144,33 @@ def decode(rec) -> np.ndarray:
     return np.array(rec["values"], dtype=base).view(dtype).reshape(rec["shape"])
 
 
-def artifacts(workdir):
-    """Exit code and {file name: {array name: encoded array}} of the
-    `--grid 4` anomaly run's --out files."""
-    got = run_report(ARTIFACT_ARGV + ["--out", str(workdir)])
+def artifacts(workdir, name=None):
+    """Exit code and {file name: {array name: encoded array}} of the --out
+    files of one `--grid 4` anomaly run, on the default recipe or on the
+    named config."""
+    out = workdir / (name or seed_key(None))
+    argv = ARTIFACT_ARGV + ["--out", str(out)]
+    if name is not None:
+        cfgfile = workdir / f"{name}.json"
+        cfgfile.write_text(json.dumps(CONFIGS[name]), encoding="utf-8")
+        argv += ["--config", str(cfgfile)]
+    got = run_report(argv)
     files = {}
-    for name in got["report"]["artifacts"]:
-        if name.endswith(".csv"):
-            header, values = oracles.read_field_csv(workdir / name)
+    for file in got["report"]["artifacts"]:
+        if file.endswith(".csv"):
+            header, values = oracles.read_field_csv(out / file)
             arrays = {"dims": np.array(header["dims"]), "h": np.array(header["h"]),
                       "values": values}
         else:
-            arrays = oracles.read_field_npz(workdir / name)
-        files[name] = {key: encode(v) for key, v in arrays.items()}
+            arrays = oracles.read_field_npz(out / file)
+        files[file] = {key: encode(v) for key, v in arrays.items()}
     return {"exit_code": got["exit_code"], "files": files}
+
+
+def artifact_runs(workdir):
+    """{run name: artifacts} for the default recipe and each ARTIFACT_CONFIGS entry."""
+    return {name or seed_key(None): artifacts(workdir, name)
+            for name in (None,) + ARTIFACT_CONFIGS}
 
 
 def verify_outputs(workdir):
@@ -161,7 +178,7 @@ def verify_outputs(workdir):
                for command in ("verify", "anomaly")}
     for command, runs in reports.items():
         runs.update((name, configured_report(command, name, workdir)) for name in CONFIGS)
-    return {"reports": reports, "anomaly_artifacts": artifacts(workdir)}
+    return {"reports": reports, "anomaly_artifacts": artifact_runs(workdir)}
 
 
 def differences(want, got, where) -> list[str]:
@@ -256,6 +273,18 @@ def test_the_frozen_files_cover_every_command(frozen, frozen_verify):
     failed = {(command, c["name"]) for command, by_key in runs.items() for r in by_key.values()
               for c in r["report"]["checks"] if c["status"] == "FAIL"}
     assert {("verify", "vacuum_scaling_slopes"), ("anomaly", "quadratic_divergence_scaling")} <= failed
+    # the artifacts of both anomaly --out runs; the dense run's current varies
+    # along all four axes, the default run's never along the time axis
+    arts = frozen_verify["anomaly_artifacts"]
+    assert list(arts) == [seed_key(None)] + list(ARTIFACT_CONFIGS)
+    assert all(run["exit_code"] == 0 for run in arts.values())
+
+    def varying_axes(run):
+        j = decode(run["files"]["anomalous_current.npz"]["values"])
+        return [d for d in range(4) if not np.array_equal(j, np.roll(j, 1, axis=d))]
+
+    assert varying_axes(arts["dense_phase"]) == [0, 1, 2, 3]
+    assert 3 not in varying_axes(arts[seed_key(None)])
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
@@ -288,9 +317,10 @@ def test_verify_and_anomaly_reports_match_the_frozen_values_off_the_default_reci
 
 def test_anomaly_artifacts_match_the_frozen_arrays(tmp_path, frozen_verify):
     want = frozen_verify["anomaly_artifacts"]
-    assert list(want["files"]) == ["anomaly_divergence.csv", "anomaly_expansion.csv",
-                                   "anomaly_closed_form.csv", "anomalous_current.npz"]
-    assert differences(want, artifacts(tmp_path), "anomaly --grid 4 --out") == []
+    for run in want.values():
+        assert list(run["files"]) == ["anomaly_divergence.csv", "anomaly_expansion.csv",
+                                      "anomaly_closed_form.csv", "anomalous_current.npz"]
+    assert differences(want, artifact_runs(tmp_path), "anomaly --grid 4 --out") == []
 
 
 def test_differences_holds_each_rule():
