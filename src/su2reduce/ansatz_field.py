@@ -18,8 +18,10 @@ Second derivatives are formed where they are used, one component at a
 time, and are not kept.
 
 Every field strength here, the ansatz form and the routes compared with
-it, returns one (mu, nu) component per call, and a check drops each
-component before building the next.
+it, returns one (mu, nu) component per call, and so do both currents,
+one nu component on the field's `shape` per call; a check takes its
+max-norms, differences and divergences over the components as they are
+built and drops each before building the next.
 
 Derivatives of the profile are taken in one of two ways:
 
@@ -235,37 +237,35 @@ def lagrangian_density(lam: LambdaField) -> tuple[np.ndarray, np.ndarray]:
     return vals, ref
 
 
-def noether_current(lam: LambdaField) -> np.ndarray:
-    """j_nu = sum_mu f_nu [ (d_mu lam_nu)^2 - d_nu lam_mu d_mu lam_nu ]."""
-    f, G = lam.profile, lam.gradients
-    out = np.zeros((4,) + lam.shape, dtype=complex)
-    for n in range(4):
-        for m in range(4):
-            out[n] += f[n] * (G[n][m] ** 2 - G[m][n] * G[n][m])
+def noether_current(lam: LambdaField, nu: int) -> np.ndarray:
+    """The component j_nu = sum_mu f_nu [ (d_mu lam_nu)^2 - d_nu lam_mu d_mu lam_nu ],
+    on lam.shape."""
+    f, G, n = lam.profile, lam.gradients, nu - 1
+    out = np.zeros(lam.shape, dtype=complex)
+    for m in range(4):
+        out += f[n] * (G[n][m] ** 2 - G[m][n] * G[n][m])
     return out
 
 
-def anomalous_current(lam: LambdaField, g: float) -> np.ndarray:
-    """j_nu = g sum_mu f_mu (f_mu d_nu lam_mu - f_nu d_mu lam_nu).
+def anomalous_current(lam: LambdaField, g: float, nu: int) -> np.ndarray:
+    """The component j_nu = g sum_mu f_mu (f_mu d_nu lam_mu - f_nu d_mu lam_nu),
+    on lam.shape.
 
-    Free index nu, summed mu; identical to -i g sum_mu f_mu F_mu_nu with
-    the ansatz field strength. Evaluated as g [ sum_mu f_mu^2 d_nu lam_mu
+    Summed mu; identical to -i g sum_mu f_mu F_mu_nu with the ansatz field
+    strength. Evaluated as g [ sum_mu f_mu^2 d_nu lam_mu
     - f_nu sum_mu f_mu d_mu lam_nu ], one square f_mu^2 at a time.
     """
     g = su2_algebra.check_coupling(g)
-    f, G = lam.profile, lam.gradients
-    out = np.zeros((4,) + lam.shape, dtype=complex)
+    f, G, n = lam.profile, lam.gradients, nu - 1
+    out = np.zeros(lam.shape, dtype=complex)
     for m in range(4):
         sq = f[m] * f[m]
-        for n in range(4):
-            out[n] += sq * G[m][n]
-    buf = np.empty(lam.shape, dtype=complex)
-    for n in range(4):
-        np.multiply(f[0], G[n][0], out=buf)
-        for m in (1, 2, 3):
-            buf += f[m] * G[n][m]
-        buf *= f[n]
-        out[n] -= buf
+        out += sq * G[m][n]
+    buf = np.multiply(f[0], G[n][0], out=np.empty(lam.shape, dtype=complex))
+    for m in (1, 2, 3):
+        buf += f[m] * G[n][m]
+    buf *= f[n]
+    out -= buf
     out *= g
     return out
 
@@ -326,10 +326,9 @@ def field_equation_residual(lam: LambdaField, g: float) -> np.ndarray:
             "the residual is not the equation of motion for this field",
             stacklevel=2,
         )
-    j = anomalous_current(lam, g)
     out = np.empty((4,) + lam.shape, dtype=complex)
     for n in range(4):
-        out[n] = _box_profile_analytic(lam, n) - j[n]
+        out[n] = _box_profile_analytic(lam, n) - anomalous_current(lam, g, n + 1)
     return out
 
 
@@ -383,11 +382,12 @@ def vacuum_report(base: LambdaField, eps_seq, g: float) -> tuple[float | None, f
         raise ValueError("amplitudes must be nonnegative")
     grid = base.grid
     first = base.scaled(eps_list[0])
-    noether_max = lattice.max_abs(noether_current(first))
+    # a max is exact and np.max keeps a nan: each component is dropped before the next is built
+    noether_max = float(np.max([lattice.max_abs(noether_current(first, nu)) for nu in range(1, 5)]))
     pos, current, box_profile = [e for e in eps_list if e > 0], [], []
-    for eps in pos:  # each current is dropped before the next is built
+    for eps in pos:
         lam = first if eps == eps_list[0] else base.scaled(eps)
-        current.append(lattice.max_abs(anomalous_current(lam, g)))
+        current.append(float(np.max([lattice.max_abs(anomalous_current(lam, g, nu)) for nu in range(1, 5)])))
         box_profile.append(float(np.max([lattice.max_abs(lattice.box(grid, f)) for f in lam.profile])))
     if len(pos) < 2 or not all(c > 0 and b > 0 for c, b in zip(current, box_profile)):
         return None, None, noether_max

@@ -22,6 +22,7 @@ counts all four alike.
 from __future__ import annotations
 
 import math
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,14 +126,18 @@ def box(grid: Grid4, f: np.ndarray) -> np.ndarray:
     return out
 
 
-def divergence(grid: Grid4, v: np.ndarray) -> np.ndarray:
-    """sum_mu d_mu v_mu for a four-component field shaped (4, *dims)."""
-    v = np.asarray(v)
-    if v.shape[0] != 4:
-        raise GridMismatchError(f"expected a leading component axis of length 4, got shape {v.shape}")
-    out = partial(grid, v[0], 1)
+def divergence(grid: Grid4, v) -> np.ndarray:
+    """sum_mu d_mu v_mu of a four-component field: an array shaped (4, *dims) or any
+    iterable of four components of one shape and dtype, such as a generator that
+    builds each on demand; a component is only its stencil's argument, so it is
+    dropped before the next is drawn. A missing one arrives as None, which
+    check_field refuses."""
+    it = iter(v)
+    out = partial(grid, next(it, None), 1)
     for mu in (2, 3, 4):
-        out += partial(grid, v[mu - 1], mu)
+        out += partial(grid, next(it, None), mu)
+    if next(it, None) is not None:
+        raise GridMismatchError("expected four components, got more")
     return out
 
 
@@ -173,7 +178,7 @@ def fit_order(spacings, errors) -> float:
 
 def save_field_csv(path, grid: Grid4, f: np.ndarray) -> None:
     """One row per grid point. Each stored value is formatted once and its
-    row repeated along the field's length-1 axes."""
+    row repeated along the field's length-1 axes, one slab of axis 1 per write."""
     f = check_field(grid, f)
     if f.ndim != 4:
         raise ValueError("csv layout stores scalar fields only (four axes)")
@@ -185,11 +190,21 @@ def save_field_csv(path, grid: Grid4, f: np.ndarray) -> None:
         fh.write("# dims=" + ",".join(str(n) for n in grid.dims) + "\n")
         fh.write(f"# h={float(grid.h)!r}\n")
         fh.write(f"# kind={'complex' if complex_kind else 'real'}\n")
-        fh.writelines(np.broadcast_to(rows, grid.dims).flat)
+        for slab in np.broadcast_to(rows, grid.dims):
+            fh.write("".join(slab.flat))
 
 
 def save_field_npz(path, grid: Grid4, f: np.ndarray) -> None:
-    """Stores the field repeated to the full grid shape."""
+    """An uncompressed .npz that loads as np.savez's of `values`, the field repeated
+    to the full grid shape, `dims` and `h`; `values` is written one slab of axis 1 at a time."""
     f = check_field(grid, f)
     f = np.broadcast_to(f, grid.dims + f.shape[4:])
-    np.savez(path, values=f, dims=np.array(grid.dims), h=np.array(grid.h))
+    header = {"descr": np.lib.format.dtype_to_descr(f.dtype), "fortran_order": False, "shape": f.shape}
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
+        with zf.open("values.npy", "w", force_zip64=True) as fh:
+            np.lib.format.write_array_header_1_0(fh, header)
+            for slab in f:
+                fh.write(np.ascontiguousarray(slab))
+        for name, a in (("dims", np.array(grid.dims)), ("h", np.array(grid.h))):
+            with zf.open(name + ".npy", "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, a, allow_pickle=False)

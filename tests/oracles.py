@@ -17,7 +17,9 @@ row with np.linalg.norm, as the package did before its batches were
 stored coordinate-major. The matrix ladders' smooth scalar is drawn and
 summed by the loop the package used before it drew its recipes as waves.
 The connection coefficients are the closed form -i g exp(-i c) of the
-centre c, which `reduce` reads off the ansatz profile instead.
+centre c, which `reduce` reads off the ansatz profile instead. The two
+currents are also kept as the loops that built all four components at
+once, before the package built one per call; those must agree bit for bit.
 """
 
 import math
@@ -269,6 +271,38 @@ def field_strength(grid, A, g):
         + commutator(A[mu - 1], A[nu - 1], g)
         for mu, nu in PAIRS
     ])
+
+
+def stacked_noether_current(lam):
+    """The Noether current shaped (4, *lam.shape), by the loop that built its
+    four components at once."""
+    f, G = lam.profile, lam.gradients
+    out = np.zeros((4,) + lam.shape, dtype=complex)
+    for n in range(4):
+        for m in range(4):
+            out[n] += f[n] * (G[n][m] ** 2 - G[m][n] * G[n][m])
+    return out
+
+
+def stacked_anomalous_current(lam, g):
+    """The anomalous current shaped (4, *lam.shape), by the loop that built its
+    four components at once: every square f_mu^2 first, then each component's
+    f_nu sum_mu f_mu d_mu lam_nu in one buffer."""
+    f, G = lam.profile, lam.gradients
+    out = np.zeros((4,) + lam.shape, dtype=complex)
+    for m in range(4):
+        sq = f[m] * f[m]
+        for n in range(4):
+            out[n] += sq * G[m][n]
+    buf = np.empty(lam.shape, dtype=complex)
+    for n in range(4):
+        np.multiply(f[0], G[n][0], out=buf)
+        for m in (1, 2, 3):
+            buf += f[m] * G[n][m]
+        buf *= f[n]
+        out[n] -= buf
+    out *= g
+    return out
 
 
 def raw_residual(lam, g):

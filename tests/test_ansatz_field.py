@@ -36,6 +36,12 @@ def on_grid(parts, grid):
                      for p in parts])
 
 
+def stacked(current, *args):
+    """The four nu components of a current, one call each, stacked here: the
+    library builds one component per call."""
+    return np.stack([current(*args, nu) for nu in range(1, 5)])
+
+
 def matrix_stack(grid, A, g):
     """The six matrix components over PAIRS, stacked here: the library
     builds one (mu, nu) component per call."""
@@ -153,8 +159,8 @@ DERIVED = {
         for mu, nu in ansatz_field.PAIRS), lam.grid),
     "lagrangian": lambda lam, g: ansatz_field.lagrangian_density(lam)[0],
     "lagrangian_reference": lambda lam, g: ansatz_field.lagrangian_density(lam)[1],
-    "noether_current": lambda lam, g: ansatz_field.noether_current(lam),
-    "anomalous_current": lambda lam, g: ansatz_field.anomalous_current(lam, g),
+    "noether_current": lambda lam, g: stacked(ansatz_field.noether_current, lam),
+    "anomalous_current": lambda lam, g: stacked(ansatz_field.anomalous_current, lam, g),
     "residual_analytic": _quiet_residual,
     "residual_raw": oracles.raw_residual,
     "residual_full": lambda lam, g: ansatz_field.field_equation_residual_full(lam, g),
@@ -163,7 +169,7 @@ DERIVED = {
     "expansion": lambda lam, g: checks.anomaly_divergence_expansion(lam, g),
     "closed_form": lambda lam, g: ansatz_field.anomaly_divergence_closed_form(lam, g),
     "lattice_divergence": lambda lam, g: lattice.divergence(
-        lam.grid, ansatz_field.anomalous_current(lam, g)),
+        lam.grid, (ansatz_field.anomalous_current(lam, g, nu) for nu in range(1, 5))),
     "box_profile": lambda lam, g: on_grid(tuple(lattice.box(lam.grid, f) for f in lam.profile), lam.grid),
 }
 
@@ -194,8 +200,8 @@ def test_zero_field_gives_exact_zeros():
     lam = ansatz_field.LambdaField.zero(grid)
     assert np.array_equal(on_grid(lam.profile, grid), np.ones((4,) + grid.dims, dtype=complex))
     assert lattice.max_abs(dense(lam)) == 0.0
-    assert lattice.max_abs(ansatz_field.noether_current(lam)) == 0.0
-    assert lattice.max_abs(ansatz_field.anomalous_current(lam, 1.0)) == 0.0
+    assert lattice.max_abs(stacked(ansatz_field.noether_current, lam)) == 0.0
+    assert lattice.max_abs(stacked(ansatz_field.anomalous_current, lam, 1.0)) == 0.0
     assert lattice.max_abs(ansatz_field.anomaly_divergence_closed_form(lam, 1.0)) == 0.0
     assert lattice.max_abs(ansatz_field.field_equation_residual_full(lam, 1.0)) == 0.0
     expanded, _ = ansatz_field.lagrangian_density(lam)
@@ -345,9 +351,9 @@ def test_lagrangian_identity_and_complexity():
 
 def test_noether_current_vanishes_only_on_gradient_fields():
     grid = small_grid()
-    jn_grad = ansatz_field.noether_current(gradient_field(grid))
+    jn_grad = stacked(ansatz_field.noether_current, gradient_field(grid))
     assert lattice.max_abs(jn_grad) < 1e-12
-    jn_gen = ansatz_field.noether_current(scenario_field(grid))
+    jn_gen = stacked(ansatz_field.noether_current, scenario_field(grid))
     assert lattice.max_abs(jn_gen) > 1e-3
 
 
@@ -356,7 +362,7 @@ def test_anomalous_current_matches_contracted_oracle():
     cfg = config.ScenarioConfig()
     lam = checks.phase_field(cfg, grid)
     recs = oracles.config_modes(cfg)
-    j = ansatz_field.anomalous_current(lam, cfg.coupling)
+    j = stacked(ansatz_field.anomalous_current, lam, cfg.coupling)
     want = oracles.anomalous_current_oracle(grid, recs, cfg.coupling)
     assert np.max(np.abs(j - want)) < 1e-13
 
@@ -408,9 +414,9 @@ def test_vacuum_report_slopes_and_exact_cancellations():
     assert slope_current is not None
     assert abs(slope_current - 2.0) < 0.1
     assert abs(slope_box_profile - 1.0) < 0.1
-    assert noether_max == lattice.max_abs(ansatz_field.noether_current(base.scaled(eps[0])))
+    assert noether_max == lattice.max_abs(stacked(ansatz_field.noether_current, base.scaled(eps[0])))
     for e in eps:
-        assert lattice.max_abs(ansatz_field.noether_current(base.scaled(e))) < 1e-12
+        assert lattice.max_abs(stacked(ansatz_field.noether_current, base.scaled(e))) < 1e-12
 
 
 def test_vacuum_report_validation_and_degenerate_base():
@@ -496,7 +502,7 @@ def test_random_mode_sets_against_oracles():
         assert lagrangian_defect(lam) <= 1e-10
         full = ansatz_field.field_equation_residual_full(lam, g)
         assert lattice.max_abs(full - checks.residual_contraction_route(lam, g)) <= 1e-10
-        j = ansatz_field.anomalous_current(lam, g)
+        j = stacked(ansatz_field.anomalous_current, lam, g)
         contracted = -1j * g * np.stack([
             sum(lam.profile[m - 1] * F[m - 1, n - 1] for m in range(1, 5)) for n in range(1, 5)
         ])
@@ -527,8 +533,9 @@ def test_profile_and_gradients_are_computed_once_per_field(monkeypatch):
         ansatz_field.field_strength_direct(lam, mu, nu)
         ansatz_field.field_strength_raw(lam, mu, nu)
     ansatz_field.lagrangian_density(lam)
-    ansatz_field.noether_current(lam)
-    ansatz_field.anomalous_current(lam, g)
+    for nu in range(1, 5):
+        ansatz_field.noether_current(lam, nu)
+        ansatz_field.anomalous_current(lam, g, nu)
     ansatz_field.anomaly_divergence_closed_form(lam, g)
     ansatz_field.gauge_condition_check(lam)
     ansatz_field.field_equation_residual(lam, g)

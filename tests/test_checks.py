@@ -146,7 +146,8 @@ def test_divergence_expansion_gap_closes_quadratically():
     for n in (12, 24):
         grid = lattice.Grid4.cubic(n, cfg.box_length)
         lam = checks.phase_field(cfg, grid, scale=cfg.anomaly_amplitude)
-        div = lattice.divergence(grid, ansatz_field.anomalous_current(lam, cfg.coupling))
+        div = lattice.divergence(grid, (ansatz_field.anomalous_current(lam, cfg.coupling, nu)
+                                        for nu in range(1, 5)))
         gaps.append(lattice.max_abs(div - checks.anomaly_divergence_expansion(lam, cfg.coupling)))
     # one halving of h, so the gap should drop by about 4 (the coarse end
     # still carries some higher-order contamination, hence the wide window)
