@@ -12,6 +12,8 @@ import math
 import numbers
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from . import bundle, lattice
 
 
@@ -76,7 +78,8 @@ class ScenarioConfig:
     collapse_schedule   strictly increasing chart scales; every command exits 2
                         if a scale's square n^2 overflows a float
     collapse_tol        image-size tolerance declaring collapse; every command
-                        exits 2 if either center's sqrt(|c| / collapse_tol) overflows
+                        exits 2 if either center's |c|, the root of a sum of squares,
+                        overflows (above about 1.34e154) or its sqrt(|c| / collapse_tol) does
     second_center       extra target for the two-chart consistency probe
     reduce_centers      1 for the happy-path reduction, 2 to include the
                         second center and exercise the inconsistency path
@@ -170,6 +173,10 @@ class ScenarioConfig:
             raise ConfigError("lipschitz_pairs must be an integer >= 2")
         for name in ("contraction_center", "second_center"):
             c = _check_center(getattr(self, name))
+            with np.errstate(over="ignore"):  # the norm the collapse reads
+                if math.isinf(np.linalg.norm(c)):
+                    raise ConfigError(f"{name}: |c| overflows, so sqrt(|c| / collapse_tol) cannot be formed: |c| is"
+                                      " the root of a sum of squares, which overflows for |c| above about 1.34e154")
             try:  # the collapse floors sqrt(|c| / collapse_tol) to a scale
                 bundle.collapse_threshold(c, self.collapse_tol)
             except OverflowError:

@@ -149,6 +149,26 @@ def test_centers_whose_collapse_threshold_overflows_are_refused():
     assert cfg.contraction_center == (1e150, 0.0, 0.0, 0.0)
 
 
+def test_a_center_whose_sum_of_squares_overflows_is_refused_with_that_cause():
+    # |c| is the root of a sum of squares, which overflows for |c| past about
+    # 1.34e154 although |c| itself is a float; numpy's overflow warning is an
+    # error here, and none may be printed
+    bad = [
+        {"contraction_center": (1e155, 0.0, 0.0, 0.0)},
+        {"second_center": (0.0, 0.0, 1e155, 0.0)},
+        {"contraction_center": (1e200, 1e200, 0.0, 0.0)},
+    ]
+    for kw in bad:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(config.ConfigError, match=r"\|c\| is the root of a sum of squares.*1\.34e154"):
+                config.ScenarioConfig(**kw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cfg = config.ScenarioConfig(contraction_center=(1.34e154, 0.0, 0.0, 0.0))
+    assert cfg.contraction_center == (1.34e154, 0.0, 0.0, 0.0)
+
+
 def test_scales_whose_square_overflows_are_refused():
     for top in (1e155, 2**512):
         with pytest.raises(config.ConfigError, match="collapse_schedule"):
