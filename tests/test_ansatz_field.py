@@ -455,6 +455,62 @@ def test_vacuum_report_keeps_a_nan_in_any_component(monkeypatch, k):
     assert slope_box_profile is None
 
 
+@pytest.mark.parametrize("k", range(4))
+def test_vacuum_report_keeps_a_nan_in_any_current_component(monkeypatch, k):
+    # the current's max-norm is np.max over its four components' max-norms,
+    # so a nan in component k + 1 alone drops the current slope
+    real = ansatz_field.anomalous_current
+
+    def planted(lam, g, nu):
+        out = real(lam, g, nu)
+        if nu == k + 1:
+            out[(0,) * out.ndim] = np.nan
+        return out
+    monkeypatch.setattr(ansatz_field, "anomalous_current", planted)
+    slope_current, _, _ = ansatz_field.vacuum_report(gradient_field(small_grid()), (1e-1, 1e-2), 1.0)
+    assert slope_current is None
+
+
+DENSE_PHASE = config.ScenarioConfig(
+    phase_waves=(((0, 1, 0, 1), 0.8, 0.0), ((0, 0, 1, 0), 0.6, 0.4),
+                 ((1, 0, 0, 0), 0.5, 1.1), ((2, 0, 0, 2), 0.3, 0.9)),
+    phase_components=(1, 2, 4, 3), coupling=1.7)
+
+
+def current_fields(grid):
+    """The default recipe, a dense phase field (all four components, a wave
+    along each axis) and the gradient base, each also with an inf planted in
+    a gradient and a nan in a profile component."""
+    def fields():
+        return [scenario_field(grid), checks.phase_field(DENSE_PHASE, grid), gradient_field(grid)]
+    planted = fields()
+    for lam in planted:
+        lam.gradients[0][1].flat[0] = np.inf
+        lam.profile[1].flat[-1] = np.nan
+    return fields() + planted
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf times zero, planted
+def test_currents_are_the_stacked_loops_bit_for_bit():
+    # on 16^4 the dense fields' temporaries are large enough for numpy to
+    # elide them, which can swap the operands of a complex product
+    grid = small_grid(16)
+    for i, lam in enumerate(current_fields(grid)):
+        noether = oracles.stacked_noether_current(lam)
+        current = oracles.stacked_anomalous_current(lam, 1.7)
+        assert np.isfinite(current).all() == (i < 3)  # the planted values reach the current
+        for nu in range(1, 5):
+            for got, want in ((ansatz_field.noether_current(lam, nu), noether[nu - 1]),
+                              (ansatz_field.anomalous_current(lam, 1.7, nu), current[nu - 1])):
+                assert got.shape == want.shape == lam.shape
+                assert got.tobytes() == want.tobytes()
+        from_generator = lattice.divergence(grid, (ansatz_field.anomalous_current(lam, 1.7, nu)
+                                                   for nu in range(1, 5)))
+        stacked_div = lattice.divergence(grid, current)
+        assert from_generator.shape == stacked_div.shape
+        assert from_generator.tobytes() == stacked_div.tobytes()
+
+
 @pytest.mark.parametrize("k", range(6))
 def test_antisymmetry_defect_keeps_a_nan_in_any_pair(monkeypatch, k):
     # the nan is planted in the mirrored component F_nu_mu of pair k, which

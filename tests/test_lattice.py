@@ -1,6 +1,8 @@
 """Stencil, refinement-fit and serialization tests for the grid layer."""
 
 import math
+import weakref
+import zipfile
 
 import numpy as np
 import pytest
@@ -150,6 +152,39 @@ def test_divergence_and_shape_guards():
         lattice.partial(grid, v[0], 5)
 
 
+def test_divergence_takes_any_iterable_of_four_components():
+    grid = small_grid(8)
+    v = np.random.default_rng(7).standard_normal((4,) + grid.dims)
+    want = bits(lattice.divergence(grid, v))
+    assert bits(lattice.divergence(grid, list(v))) == want
+    assert bits(lattice.divergence(grid, (c.copy() for c in v))) == want
+    for count in (3, 5):
+        for parts in (np.zeros((count,) + grid.dims), [np.zeros(grid.dims)] * count,
+                      (np.zeros(grid.dims) for _ in range(count))):
+            with pytest.raises(lattice.GridMismatchError):
+                lattice.divergence(grid, parts)
+
+
+def test_divergence_drops_each_component_before_drawing_the_next():
+    # a component is only its stencil's argument: when the generator builds
+    # the next one, no earlier one is alive (a loop variable would keep one)
+    grid = small_grid(8)
+    v = np.random.default_rng(8).standard_normal((4,) + grid.dims)
+    refs, alive = [], []
+
+    def track(c):
+        refs.append(weakref.ref(c))
+        return c
+
+    def components():
+        for c in v:
+            alive.append(sum(r() is not None for r in refs))
+            yield track(c.copy())
+
+    assert bits(lattice.divergence(grid, components())) == bits(lattice.divergence(grid, v))
+    assert alive == [0, 0, 0, 0]
+
+
 def test_periodic_sum_of_partial_vanishes():
     # rolled differences telescope to zero over the periodic box
     grid = small_grid(6)
@@ -226,6 +261,28 @@ def test_compact_fields_are_written_as_their_dense_copies(tmp_path):
         back = oracles.read_field_npz(tmp_path / "compact.npz")["values"]
         assert back.shape == grid.dims + (2,)
         assert np.array_equal(back, oracles.read_field_npz(tmp_path / "dense.npz")["values"])
+
+
+def test_npz_loads_as_an_uncompressed_savez_of_the_dense_field(tmp_path):
+    # the written file, read with np.load(allow_pickle=False), holds the
+    # members, dtypes, shapes and bits of np.savez's file of the dense field
+    grid = lattice.Grid4((5, 4, 7, 6), 0.37)
+    rng = np.random.default_rng(43)
+    planted = rng.standard_normal((1, 4, 7, 6, 2)) + 1j * rng.standard_normal((1, 4, 7, 6, 2))
+    planted.flat[0], planted.flat[-1] = np.inf, np.nan
+    for f in (rng.standard_normal((5, 1, 7, 1, 3)), planted, rng.standard_normal(grid.dims),
+              np.asfortranarray(rng.standard_normal(grid.dims + (2,))), np.arange(5 * 4 * 7 * 6).reshape(grid.dims)):
+        mine, ref = tmp_path / "mine.npz", tmp_path / "ref.npz"
+        lattice.save_field_npz(mine, grid, f)
+        np.savez(ref, values=np.broadcast_to(f, grid.dims + f.shape[4:]), dims=np.array(grid.dims),
+                 h=np.array(grid.h))
+        with np.load(mine, allow_pickle=False) as got, np.load(ref, allow_pickle=False) as want:
+            assert got.files == want.files == ["values", "dims", "h"]
+            for key in want.files:
+                assert (got[key].dtype, got[key].shape) == (want[key].dtype, want[key].shape)
+                assert bits(got[key]) == bits(want[key])
+        with zipfile.ZipFile(mine) as zf:
+            assert [info.compress_type for info in zf.infolist()] == [zipfile.ZIP_STORED] * 3
 
 
 def test_npz_round_trip_with_trailing_axes(tmp_path):
