@@ -12,7 +12,10 @@ wrap periodically; that makes discrete integration by parts exact and
 keeps every operator translation invariant. They are built by slicing
 into one preallocated result, which keeps the input's memory order: the
 interior points read the shifted slices directly and the two seam points
-read the wrapped neighbours.
+read the wrapped neighbours. `divergence` takes its four components as one
+array or as any iterable, so a caller can build each one as its stencil
+reads it; the CSV and npz writers repeat a compact field to the grid one
+slab of axis 1 per write, never as a whole copy.
 
 Index convention: mu runs 1..4 and maps to array axis mu-1. Axis 4 is the
 time axis, axes 1..3 are spatial; the wave operator `box` is Euclidean and
