@@ -200,13 +200,18 @@ def field_strength_raw(lam: LambdaField, mu: int, nu: int) -> np.ndarray:
     return lattice.partial(lam.grid, f[n], mu) - lattice.partial(lam.grid, f[m], nu)
 
 
-def field_strength_matrix(grid: lattice.Grid4, A, g: float, mu: int, nu: int) -> np.ndarray:
+def field_strength_matrix(grid: lattice.Grid4, A, g: float, mu: int, nu: int,
+                          stencils=(None, None)) -> np.ndarray:
     """The component d_mu A_nu - d_nu A_mu + i g [A_mu, A_nu] of a potential in
     su2_algebra coefficients, shaped (*s, 4) on the union of A_mu's and A_nu's
-    axes; the commutator moves a only."""
+    axes; the commutator moves a only. `stencils` may give d_mu A_nu and d_nu A_mu
+    already taken (None: taken here), for a caller that slices a potential into
+    planes and takes a stencil that is the same on every plane once."""
     g = su2_algebra.check_coupling(g)
     A = su2_algebra._check_matrix_field(grid, A, components=True)
-    F = np.subtract(lattice.partial(grid, A[nu - 1], mu), lattice.partial(grid, A[mu - 1], nu))
+    mu_nu, nu_mu = stencils
+    F = np.subtract(lattice.partial(grid, A[nu - 1], mu) if mu_nu is None else mu_nu,
+                    lattice.partial(grid, A[mu - 1], nu) if nu_mu is None else nu_mu)
     F[..., 1:] += su2_algebra.commutator(A[mu - 1], A[nu - 1], g)
     return F
 

@@ -186,53 +186,70 @@ def divergence_accounting_order(cfg: config.ScenarioConfig) -> lattice.OrderEsti
 def covariance_order(cfg: config.ScenarioConfig) -> lattice.OrderEstimate:
     """‖F[A'] - U F[A] U^-1‖ under refinement for a seeded smooth pair, one
     (mu, nu) component of F[A'] and of F[A] at a time; each rung builds U's
-    rotation R and pure gauge P once, and each gap in place.
+    rotation R once, and each gap in place.
 
     A gap whose planes along d, the first axis other than mu and nu, hold at least
-    2^13 points is taken one plane at a time: A, A' and R are sliced at each index
+    2^12 points is taken one plane at a time: A, A' and R are sliced at each index
     along d (a field of length 1 there passes whole), and np.max keeps a nan from any
     plane. F_mu_nu differentiates only along mu and nu, so each point's arithmetic is
     unchanged; only max_norm's scale is per plane. A smaller gap is one plane, the
-    whole field. Each A'_mu = R A_mu + P_mu is formed once per rung, except one that
-    fills a split rung: its gaps form it on each plane, so no grid-sized A' is held.
+    whole field. A stencil of a component that misses d is the same on every plane
+    and is taken once per gap. Each A'_mu = R A_mu + P_mu is formed once per rung
+    from the pure gauge's component P_mu, except one that fills a split rung: only
+    its P_mu is held, and its gaps form it on each plane, so no grid-sized A' is held.
     """
     rng = np.random.default_rng(cfg.seed)
     waves = [smooth_waves(rng, cfg.smooth_amp) for _ in range(15)]
+    # Split from 2^12 points, the 16^4 rung's planes: run whole, its dense gaps' n^4
+    # temporaries set the study's peak. The 12^4 rung's gaps stay below the 24^4
+    # rung's split peak, so splitting them too would not lower the study's peak,
+    # and would move the 12^4 error by 1 ulp (max_norm's scale is per plane).
+    split = 2**12
 
     def gap(grid):
         F, g = ansatz_field.field_strength_matrix, cfg.coupling
         A = smooth_matrix_potential(grid, waves[:12])
         U = smooth_group_field(grid, waves[12:])
-        P, R = su2_algebra.pure_gauge_field(grid, U, g), su2_algebra.rotation(U)
+        shapes = [np.broadcast_shapes(U.shape[:-1], a.shape[:-1]) for a in A]  # A'_mu's axes
+        planewise = [s == grid.dims and math.prod(s[1:]) >= split for s in shapes]
+        P = [su2_algebra.pure_gauge_field(grid, U, g, mu) if w else None for mu, w in enumerate(planewise, 1)]
+        R = su2_algebra.rotation(U)
+        Ap = [None if w else  # None: formed on each plane from P_mu
+              su2_algebra.transform_component(R, a, su2_algebra.pure_gauge_field(grid, U, g, mu))
+              for mu, (w, a) in enumerate(zip(planewise, A), 1)]
         del U
-        shapes = [np.broadcast_shapes(R.shape[2:], a.shape[:-1]) for a in A]  # A'_mu's axes
-        Ap = [None if s == grid.dims and math.prod(s[1:]) >= 2**13 else  # None: formed on each plane
-              su2_algebra.transform_component(R, a, p) for s, a, p in zip(shapes, A, P)]
-        P = P if any(a is None for a in Ap) else None  # only a per-plane A'_mu reads it again
 
         def norm(mu, nu):
-            d = min({0, 1, 2, 3} - {mu - 1, nu - 1})  # the free axis whose planes have the longest runs
-            shape = np.broadcast_shapes(shapes[mu - 1], shapes[nu - 1])
+            i, j = mu - 1, nu - 1
+            d = min({0, 1, 2, 3} - {i, j})  # the free axis whose planes have the longest runs
+            shape = np.broadcast_shapes(shapes[i], shapes[j])
             n = shape[d]
-            # Below 2^13 points a plane's temporaries do not set the peak, and
-            # the per-plane calls would cost more time than they save memory.
-            step = 1 if math.prod(shape) >= 2**13 * n else n
+            step = 1 if math.prod(shape) >= split * n else n
 
             def cut(x, lead, k):
                 return x if x.shape[lead + d] == 1 else x[(slice(None),) * (lead + d) + (slice(k, k + step),)]
 
-            # An F[A] that misses an axis holds at most a plane's points: built once.
-            FA = F(grid, A, g, mu, nu) if 1 in np.broadcast_shapes(A[mu - 1].shape, A[nu - 1].shape) else None
+            def strength(whole, plane):
+                """k -> F_mu_nu on plane k of the potential whose component c there is
+                plane(c, k); a stencil of a held component whole[c] that misses d is
+                the same on every plane of a split gap, so it is taken here, once."""
+                fixed = [lattice.partial(grid, whole[c], m) if step < n and whole[c] is not None
+                         and whole[c].shape[d] == 1 else None for c, m in ((j, mu), (i, nu))]
+                return lambda k: F(grid, [plane(c, k) for c in range(4)], g, mu, nu, fixed)
 
-            def prime(i, k):  # plane k of A'_mu, i = mu - 1, formed here if the rung does not hold it
-                return cut(Ap[i], 0, k) if Ap[i] is not None else su2_algebra.transform_component(
-                    cut(R, 2, k), cut(A[i], 0, k), cut(P[i], 0, k))
+            def prime(c, k):  # plane k of A'_mu, c = mu - 1, formed here if the rung does not hold it
+                return cut(Ap[c], 0, k) if Ap[c] is not None else su2_algebra.transform_component(
+                    cut(R, 2, k), cut(A[c], 0, k), cut(P[c], 0, k))
 
-            def plane(k):  # F reads only A'_mu and A'_nu: A's planes fill the two other slots
-                D = F(grid, [prime(i, k) if i in (mu - 1, nu - 1) else cut(A[i], 0, k)
-                             for i in range(4)], g, mu, nu)
-                FAk = F(grid, tuple(cut(a, 0, k) for a in A), g, mu, nu) if FA is None else cut(FA, 0, k)
-                D -= su2_algebra.rotate(cut(R, 2, k), FAk)
+            # F reads only A'_mu and A'_nu: A's planes fill the two other slots
+            FAp = strength(Ap, lambda c, k: prime(c, k) if c in (i, j) else cut(A[c], 0, k))
+            # an F[A] that misses an axis holds at most a plane's points: built once
+            FA = F(grid, A, g, mu, nu) if 1 in np.broadcast_shapes(A[i].shape, A[j].shape) else None
+            FAk = strength(A, lambda c, k: cut(A[c], 0, k)) if FA is None else lambda k: cut(FA, 0, k)
+
+            def plane(k):
+                D = FAp(k)
+                D -= su2_algebra.rotate(cut(R, 2, k), FAk(k))
                 return su2_algebra.max_norm(D)
             return np.max([plane(k) for k in range(0, n, step)])
         return max_over_pairs(norm)
@@ -246,8 +263,8 @@ def pure_gauge_order(cfg: config.ScenarioConfig) -> lattice.OrderEstimate:
     waves = [smooth_waves(rng, cfg.smooth_amp) for _ in range(3)]
 
     def gap(grid):
-        g = cfg.coupling
-        A = su2_algebra.pure_gauge_field(grid, smooth_group_field(grid, waves), g)
+        g, U = cfg.coupling, smooth_group_field(grid, waves)
+        A = tuple(su2_algebra.pure_gauge_field(grid, U, g, mu) for mu in range(1, 5))
         return max_over_pairs(lambda mu, nu: su2_algebra.max_norm(
             ansatz_field.field_strength_matrix(grid, A, g, mu, nu)))
     return _refine(cfg, cfg.pure_gauge_grids, gap)
@@ -256,9 +273,9 @@ def pure_gauge_order(cfg: config.ScenarioConfig) -> lattice.OrderEstimate:
 def single_axis_pure_gauge(grid: lattice.Grid4, g: float, a: int = 3):
     """Closed-form pure-gauge pair: U with winding 2 along axis 1.
 
-    Returns (U, A, expected_A1_coefficient), U and A as su2_algebra
-    coefficients kept along axis 1 only. The group element must wind an
-    even number of half-turns to be periodic on the axis (odd windings
+    Returns (U, A, expected_A1_coefficient), U and A's four components as
+    su2_algebra coefficients kept along axis 1 only. The group element must
+    wind an even number of half-turns to be periodic on the axis (odd windings
     flip sign across the boundary seam), and the stencil turns the
     continuum coefficient -1 into -sin(h)/h exactly.
     """
@@ -266,7 +283,7 @@ def single_axis_pure_gauge(grid: lattice.Grid4, g: float, a: int = 3):
     rho = np.zeros((grid.dims[0], 1, 1, 1, 3))
     rho[..., a - 1] = 2.0 * xs[0]
     U = su2_algebra.su2_exp(rho)
-    A = su2_algebra.pure_gauge_field(grid, U, g)
+    A = tuple(su2_algebra.pure_gauge_field(grid, U, g, mu) for mu in range(1, 5))
     coeff = -math.sin(grid.h) / grid.h / g
     return U, A, coeff
 
@@ -430,7 +447,7 @@ def pure_gauge_closed_form(run: Run) -> None:
     small = lattice.Grid4.cubic(8, run.cfg.box_length)
     _, A, coeff = single_axis_pure_gauge(small, g, run.cfg.pauli_index)
     dev = su2_algebra.max_norm(A[0] - coeff * np.eye(4)[run.cfg.pauli_index])
-    rest = su2_algebra.max_norm(A[1:])
+    rest = su2_algebra.max_norm(np.stack(A[1:]))
     fdev = max_over_pairs(lambda mu, nu: su2_algebra.max_norm(
         ansatz_field.field_strength_matrix(small, A, g, mu, nu)))
     tol = LIMITS["pure_gauge_closed_form"]

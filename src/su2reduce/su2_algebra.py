@@ -215,24 +215,23 @@ def gauge_transform(grid: lattice.Grid4, A, q: np.ndarray, g: float) -> tuple[np
     g = check_coupling(g)
     A = _check_matrix_field(grid, A, components=True)
     R = rotation(_check_matrix_field(grid, q, components=False))
-    return tuple(transform_component(R, a, p) for a, p in zip(A, pure_gauge_field(grid, q, g)))
+    return tuple(transform_component(R, a, pure_gauge_field(grid, q, g, mu)) for mu, a in enumerate(A, 1))
 
 
-def pure_gauge_field(grid: lattice.Grid4, q: np.ndarray, g: float) -> np.ndarray:
-    """Gauge transform of the zero potential: -(i/g) U d_mu U^-1, shaped (4, *s, 4)
-    for q shaped (*s, 4)."""
+def pure_gauge_field(grid: lattice.Grid4, q: np.ndarray, g: float, mu: int) -> np.ndarray:
+    """The component P_mu = -(i/g) U d_mu U^-1 of the gauge transform of the zero
+    potential, shaped (*s, 4) for q shaped (*s, 4)."""
     g = check_coupling(g)
     q = _check_matrix_field(grid, q, components=False)
     q0, qv = q[..., 0], q[..., 1:]
-    out = empty_coefficients((4,) + q.shape[:-1])
-    for mu in range(1, 5):
-        p = lattice.partial(grid, q, mu)
-        s, a = out[mu - 1, ..., 0], out[mu - 1, ..., 1:]
-        np.multiply(q0, p[..., 0], out=s)
-        for i in (1, 2, 3):
-            s += q[..., i] * p[..., i]
-        _cross(qv, p[..., 1:], a)
-        a += p[..., 0, None] * qv
-        a -= q0[..., None] * p[..., 1:]
+    p = lattice.partial(grid, q, mu)
+    out = empty_coefficients(q.shape[:-1])
+    s, a = out[..., 0], out[..., 1:]
+    np.multiply(q0, p[..., 0], out=s)
+    for i in (1, 2, 3):
+        s += q[..., i] * p[..., i]
+    _cross(qv, p[..., 1:], a)
+    a += p[..., 0, None] * qv
+    a -= q0[..., None] * p[..., 1:]
     out *= np.array([-1.0, 1.0, 1.0, 1.0]) / g  # s = -(q0 p0 + q.p)/g, a = (p0 q - q0 p + q x p)/g
     return out

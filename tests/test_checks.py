@@ -246,8 +246,8 @@ def test_covariance_potential_keeps_each_component_on_its_own_axes():
     # A_2..A_4 and U along three. Stored as one potential on the union of
     # all twelve scalars' axes, every field of the study was dense and it
     # read 22.9952 fields (24,112,206 bytes); with each component on its own
-    # axes only A'_1 is dense and it reads 9.76. A potential stored on the
-    # union again breaks the bound.
+    # axes only A'_1 is dense and it reads 9.76 (3.21 since the 16^4 rung is
+    # split). A potential stored on the union again breaks the bound.
     peak = traced_peak(checks.covariance_order, config.ScenarioConfig(covariance_grids=(12, 16)))
     assert peak <= 22.9952 / 2, peak
 
@@ -255,7 +255,7 @@ def test_covariance_potential_keeps_each_component_on_its_own_axes():
 def test_covariance_study_takes_a_large_dense_gap_one_plane_at_a_time():
     # A structural bound: at the default seed A'_1 is dense, so the three
     # (1, nu) gaps on the 21^4 rung span all four axes and their planes hold
-    # 21^3 points, above the 2^13 at which a gap is split. Each gap formed
+    # 21^3 points, above the 2^12 at which a gap is split. Each gap formed
     # whole read 27.94 fields; one plane at a time it reads 9.83. A dense
     # gap taken whole again breaks the bound.
     peak = traced_peak(checks.covariance_order, config.ScenarioConfig(covariance_grids=(8, 21)))
@@ -269,6 +269,36 @@ def test_covariance_study_forms_a_grid_filling_a_prime_one_plane_at_a_time():
     # held whole again breaks the bound.
     peak = traced_peak(checks.covariance_order, config.ScenarioConfig(covariance_grids=(8, 21)))
     assert peak <= 6.5, peak
+
+
+def test_covariance_study_holds_only_the_pure_gauge_components_a_plane_reads():
+    # A structural bound: on the 21^4 rung only A'_1 is formed on each plane,
+    # so only P_1 of U's pure gauge is read after the rung's other A'_mu are
+    # formed. With P built and held as one (4, *s, 4) array the study read
+    # 4.64 fields (4.99 with the stencils each split gap takes once); holding
+    # P_1 alone, it reads 4.14. A P held whole again breaks the bound.
+    peak = traced_peak(checks.covariance_order, config.ScenarioConfig(covariance_grids=(8, 21)))
+    assert peak <= 4.4, peak
+
+
+def test_covariance_study_takes_the_16_rung_one_plane_at_a_time():
+    # A structural bound: at the default seed A'_1 fills the 16^4 rung, whose
+    # (1, nu) gaps hold planes of 16^3 = 2^12 points. Taken whole, they set
+    # the study's peak at 9.62 fields; one plane at a time, the 12^4 rung
+    # sets it at 3.21 and the 16^4 rung reads 1.86. A 16^4 gap taken whole
+    # again breaks the bound.
+    peak = traced_peak(checks.covariance_order, config.ScenarioConfig(covariance_grids=(12, 16)))
+    assert peak <= 9.62 / 2, peak
+
+
+def test_covariance_study_at_a_dense_seed_copies_no_pure_gauge():
+    # At seed 0 U, and so every A'_mu, fills the grid: all six gaps of the
+    # 16^4 rung are split and every plane reads all four P_mu. With P built
+    # as one (4, *s, 4) array the study read 21.46 fields; built one
+    # component per call it reads 17.90, and a copy of P (8 fields on this
+    # rung) breaks the bound.
+    peak = traced_peak(checks.covariance_order, config.ScenarioConfig(seed=0, covariance_grids=(8, 16)))
+    assert peak <= 21.47, peak
 
 
 def test_pure_gauge_study_peak_memory_is_bounded():
@@ -405,7 +435,7 @@ def poison(monkeypatch, name, hit, plane=None):
 def test_a_nan_in_one_coefficient_of_one_pair_fails_the_matrix_studies(monkeypatch, pair, plane):
     # on the finer rung only, in one (mu, nu) component and one coefficient
     poison(monkeypatch, "field_strength_matrix",
-           lambda grid, A, g, mu, nu: (mu, nu) == pair and grid.dims[0] == 6, plane)
+           lambda grid, A, g, mu, nu, *stencils: (mu, nu) == pair and grid.dims[0] == 6, plane)
     cfg = config.ScenarioConfig(covariance_grids=(4, 6), pure_gauge_grids=(4, 6))
     for window, row in ((checks.covariance_order_window, "gauge_covariance_order"),
                         (checks.pure_gauge_order_window, "pure_gauge_order")):
@@ -425,7 +455,8 @@ def test_a_nan_in_the_last_plane_of_a_dense_gap_fails_the_covariance_row(monkeyp
     # the planes' norms would drop it.
     calls = iter(range(2 * 21))
     poison(monkeypatch, "field_strength_matrix",
-           lambda grid, A, g, mu, nu: (mu, nu) == (1, 2) and grid.dims[0] == 21 and next(calls) == 2 * 21 - 1)
+           lambda grid, A, g, mu, nu, *stencils:
+           (mu, nu) == (1, 2) and grid.dims[0] == 21 and next(calls) == 2 * 21 - 1)
     run = checks.Run("verify", config.ScenarioConfig(covariance_grids=(8, 21)))
     checks.covariance_order_window(run)
     assert next(calls, None) is None  # every plane of the pair was called
@@ -555,6 +586,25 @@ def test_matrix_ladders_match_the_oracle_route(seed):
     for est, want in ((checks.covariance_order(cfg), cov), (checks.pure_gauge_order(cfg), pure)):
         assert np.allclose(est.errors, want, rtol=1e-12, atol=0.0), (est.errors, want)
         assert abs(est.order - lattice.fit_order(est.spacings, want)) <= 1e-12 * abs(est.order)
+
+
+@pytest.mark.parametrize("seed", [config.ScenarioConfig().seed, 0])
+def test_a_split_covariance_rung_matches_the_oracle_route(seed):
+    # The (8, 12) ladders run every gap whole. On the 16^4 rung a gap whose
+    # planes hold 16^3 = 2^12 points is split: the three (1, nu) gaps at the
+    # default seed, where A'_1 is formed on each plane and the (1, 2) gap
+    # takes the stencils of A'_2 and A_2 once, and all six at seed 0, where
+    # every A'_mu is formed on each plane.
+    cfg = config.ScenarioConfig(seed=seed, covariance_grids=(8, 16))
+    waves, want = drawn(seed, 15, cfg.smooth_amp), []
+    for n in cfg.covariance_grids:
+        grid = lattice.Grid4.cubic(n, cfg.box_length)
+        A = oracles.algebra_matrices(oracles.stacked(checks.smooth_matrix_potential(grid, waves[:12])))
+        U = oracles.group_matrices(checks.smooth_group_field(grid, waves[12:]))
+        want.append(oracles.covariance_gap(grid, A, U, cfg.coupling))
+    est = checks.covariance_order(cfg)
+    assert np.allclose(est.errors, want, rtol=1e-12, atol=0.0), (est.errors, want)
+    assert abs(est.order - lattice.fit_order(est.spacings, want)) <= 1e-12 * abs(est.order)
 
 
 # (covariance, pure gauge) rung errors of the (8, 12) ladders, frozen from the

@@ -227,7 +227,7 @@ def test_collapse_thresholds_that_overflow_exit_two(capsys, tmp_path, text):
     cfgfile.write_text(text)
     for command in ("contract", "reduce"):
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # overflow in |c|
+            warnings.simplefilter("error")  # |c| is taken without overflow
             code, _, err = run([command, "--config", str(cfgfile)], capsys)
         assert code == 2
         assert "config error" in err and "collapse_tol" in err

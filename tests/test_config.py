@@ -141,7 +141,7 @@ def test_centers_whose_collapse_threshold_overflows_are_refused():
     ]
     for kw in bad:
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error")  # no norm here overflows on the way to the refusal
             with pytest.raises(config.ConfigError, match="collapse_tol"):
                 config.ScenarioConfig(**kw)
     # a finite root passes, also one far past 2^53

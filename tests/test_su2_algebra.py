@@ -1,7 +1,7 @@
 """Coefficient algebra tests: commutators, the group exponential, transforms.
 
 Fields are su2_algebra coefficients; every routine is read back as 2x2
-matrices and compared with the matmul reference in oracles.py.
+matrices and compared with the 2x2 matrix reference in oracles.py.
 """
 
 import math
@@ -102,8 +102,8 @@ def test_gauge_transform_identity_u_is_noop():
 def test_pure_gauge_of_constant_u_vanishes():
     grid = lattice.Grid4.cubic(5)
     q = np.broadcast_to(su2_algebra.su2_exp(np.array([1.0, 0.2, -0.4])), grid.dims + (4,)).copy()
-    A = su2_algebra.pure_gauge_field(grid, q, g=1.0)
-    assert su2_algebra.max_norm(A) == 0.0
+    for mu in range(1, 5):
+        assert su2_algebra.max_norm(su2_algebra.pure_gauge_field(grid, q, 1.0, mu)) == 0.0
 
 
 def test_single_axis_pure_gauge_closed_form():
@@ -129,16 +129,19 @@ def test_odd_winding_breaks_periodicity():
     rho = np.zeros(grid.dims + (3,))
     rho[..., 2] = np.broadcast_to(xs[0], grid.dims)
     U = su2_algebra.su2_exp(rho)
-    A = su2_algebra.pure_gauge_field(grid, U, 1.0)
-    interior = A[0][2:3]
-    assert su2_algebra.max_norm(A[0] - interior) > 0.1
+    A1 = su2_algebra.pure_gauge_field(grid, U, 1.0, 1)
+    interior = A1[2:3]
+    assert su2_algebra.max_norm(A1 - interior) > 0.1
 
 
 def test_matrix_field_shape_guards():
     grid = lattice.Grid4.cubic(4)
     good_u = np.broadcast_to([1.0, 0.0, 0.0, 0.0], grid.dims + (4,))
     with pytest.raises(lattice.GridMismatchError):
-        su2_algebra.pure_gauge_field(grid, good_u[..., :3], 1.0)
+        su2_algebra.pure_gauge_field(grid, good_u[..., :3], 1.0, 1)
+    for bad_mu in (0, 5):
+        with pytest.raises(ValueError):
+            su2_algebra.pure_gauge_field(grid, good_u, 1.0, bad_mu)
     with pytest.raises(lattice.GridMismatchError):
         su2_algebra.gauge_transform(grid, np.zeros((3,) + grid.dims + (4,)), good_u, 1.0)
     with pytest.raises(lattice.GridMismatchError):
@@ -193,12 +196,28 @@ def test_gauge_transform_and_pure_gauge_match_the_oracle(seed):
     for a in A:
         a[..., 0] = rng.standard_normal(a.shape[:-1])  # an identity part too
     U = oracles.group_matrices(q)
-    got = su2_algebra.pure_gauge_field(grid, q, g)
+    got = np.stack([su2_algebra.pure_gauge_field(grid, q, g, mu) for mu in range(1, 5)])
     want = oracles.pure_gauge(grid, U, g)
     assert relative_gap(oracles.algebra_matrices(got), want) <= 1e-13
     got = su2_algebra.gauge_transform(grid, A, q, g)
     want = oracles.gauge_transform(grid, oracles.algebra_matrices(oracles.stacked(A)), U, g)
     assert relative_gap(oracles.algebra_matrices(oracles.stacked(got)), want) <= 1e-13
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf, on both sides
+@pytest.mark.parametrize("special", [None, math.inf, math.nan])
+@pytest.mark.parametrize("q_axes", [(), (1,), (0, 2, 3), (0, 1, 2, 3)])
+def test_pure_gauge_components_are_the_stacked_loop_bit_for_bit(q_axes, special):
+    # each call builds one component P_mu by the operations the loop that
+    # built all four at once applied to it, so every value is unchanged
+    grid = lattice.Grid4((4, 5, 6, 4), 0.3)
+    q = random_group(np.random.default_rng(len(q_axes)), axes_shape(grid, q_axes))
+    if special is not None:
+        q[(0,) * 4 + (2,)] = special
+    g = 0.9
+    want = oracles.stacked_pure_gauge(grid, q, g)
+    for mu in range(1, 5):
+        assert np.array_equal(su2_algebra.pure_gauge_field(grid, q, g, mu), want[mu - 1], equal_nan=True)
 
 
 @pytest.mark.parametrize("seed", [0, 6, 17])
@@ -211,7 +230,7 @@ def test_transform_component_on_planes_is_the_plane_of_the_transform(seed):
     g = float(rng.uniform(0.2, 3.0))
     A, q = smooth_pair(grid, rng, float(rng.uniform(0.3, 2.0)))
     whole = su2_algebra.gauge_transform(grid, A, q, g)
-    R, P = su2_algebra.rotation(q), su2_algebra.pure_gauge_field(grid, q, g)
+    R, P = su2_algebra.rotation(q), [su2_algebra.pure_gauge_field(grid, q, g, mu) for mu in range(1, 5)]
 
     def cut(x, lead, d, k):  # plane k along axis d; a field of length 1 there passes whole
         return x if x.shape[lead + d] == 1 else x[(slice(None),) * (lead + d) + (slice(k, k + 1),)]
@@ -309,8 +328,9 @@ def test_compact_matrix_fields_equal_their_dense_copies(a_axes, q_axes, special)
             same(F, ansatz_field.field_strength_matrix(grid, Ad, g, mu, nu))
             same(su2_algebra.commutator(pot[mu - 1], pot[nu - 1], g),
                  su2_algebra.commutator(Ad[mu - 1], Ad[nu - 1], g))
-    same(su2_algebra.pure_gauge_field(grid, q, g), su2_algebra.pure_gauge_field(grid, qd, g))
-    assert su2_algebra.pure_gauge_field(grid, q, g).shape == (4,) + q.shape
+    for mu in range(1, 5):
+        same(su2_algebra.pure_gauge_field(grid, q, g, mu), su2_algebra.pure_gauge_field(grid, qd, g, mu))
+        assert su2_algebra.pure_gauge_field(grid, q, g, mu).shape == q.shape
 
 
 def test_a_matrix_axis_neither_full_nor_one_is_refused():
@@ -325,11 +345,11 @@ def test_a_matrix_axis_neither_full_nor_one_is_refused():
     with pytest.raises(lattice.GridMismatchError):
         su2_algebra.gauge_transform(grid, A, bad_q, 1.0)
     with pytest.raises(lattice.GridMismatchError):
-        su2_algebra.pure_gauge_field(grid, bad_q, 1.0)
+        su2_algebra.pure_gauge_field(grid, bad_q, 1.0, 1)
     with pytest.raises(lattice.GridMismatchError):
         ansatz_field.field_strength_matrix(grid, bad_a, 1.0, 1, 2)
     with pytest.raises(lattice.GridMismatchError):  # too few axes for a field
-        su2_algebra.pure_gauge_field(grid, np.zeros((6, 6, 6, 4)), 1.0)
+        su2_algebra.pure_gauge_field(grid, np.zeros((6, 6, 6, 4)), 1.0, 1)
     # a potential is four components, each on axes of its own
     parts = list(A)
     wrong = [parts[:3], parts + [parts[0]]]
