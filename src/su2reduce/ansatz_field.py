@@ -15,7 +15,18 @@ Each component lambda_m is stored only along the axes its own waves vary
 mixing components is formed on the union of their axes, and broadcasting
 stands in for the repeats.
 Second derivatives are formed where they are used, one component at a
-time, and are not kept.
+time, and are not kept, except the composed differences the divergence
+expansion reads (`second_gradients`), kept on the components' axes.
+
+A field is evaluated slab by slab where a quantity on its `shape` would be
+large. `slabs(lam)` cuts it along the first axis its shape varies along
+into runs of whole planes, as many as fit in SLAB_POINTS = 2^14 points
+(one plane when a plane holds more); a field that fits in one slab is that
+one slab, whole. A slab view, `lam.slab(d, start, stop)`, holds the cuts of
+the field's values, profile and gradients (views, or copies where the
+range wraps past an end to give a halo). Both currents and the divergence
+expansion are pointwise in these, so they run on a slab unchanged; a
+stencil along d is refused on it.
 
 Every field strength here, the ansatz form and the routes compared with
 it, returns one (mu, nu) component per call, and so do both currents,
@@ -100,12 +111,19 @@ class LambdaField:
                quantity that mixes components
     profile    f_m = exp(-i lambda_m), complex, one array per component
     gradients  G[m-1][n-1] = d_n lambda_m, real, on lambda_m's axes
+    second_gradients  the pair (d_n G[m][n], d_n G[n][m]) at [m-1][n-1], each on
+               its component's axes: the composed differences the divergence
+               expansion reads
+    source     None for a whole field; (field, d, start, stop) for the slab view
+               `field.slab(d, start, stop)`
 
-    Both are computed on first access and kept for the life of the field.
+    The three are computed on first access and kept for the life of the field;
+    a slab view's are the same cuts of its field's.
     """
 
     grid: lattice.Grid4
     values: tuple[np.ndarray, ...]
+    source: tuple | None = None
 
     def __post_init__(self):
         vals = tuple(np.asarray(v, dtype=float) for v in self.values)
@@ -113,7 +131,7 @@ class LambdaField:
             raise lattice.GridMismatchError(
                 f"expected four components shaped (s1, s2, s3, s4), got {[v.shape for v in vals]}")
         for v in vals:
-            lattice.check_field(self.grid, v)
+            lattice.check_field(self.grid, v, self.slab_axis)
             if not np.all(np.isfinite(v)):
                 raise ValueError("phase field must be finite")
         object.__setattr__(self, "values", vals)
@@ -122,13 +140,40 @@ class LambdaField:
     def shape(self) -> tuple[int, int, int, int]:
         return np.broadcast_shapes(*(v.shape for v in self.values))
 
+    @property
+    def slab_axis(self) -> int | None:
+        return None if self.source is None else self.source[1]
+
+    def _cut(self, name: str):
+        field, d, start, stop = self.source
+        return _planes(getattr(field, name), d, start, stop)
+
     @cached_property
     def profile(self) -> tuple[np.ndarray, ...]:
-        return build_profile(self)
+        return build_profile(self) if self.source is None else self._cut("profile")
 
     @cached_property
     def gradients(self) -> tuple[tuple[np.ndarray, ...], ...]:
-        return phase_gradients(self)
+        return phase_gradients(self) if self.source is None else self._cut("gradients")
+
+    @cached_property
+    def second_gradients(self) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], ...]:
+        if self.source is not None:
+            return self._cut("second_gradients")
+        G = self.gradients
+        dd = [[lattice.partial(self.grid, G[m][n], n + 1) for n in range(4)] for m in range(4)]
+        return tuple(tuple((dd[m][n], dd[m][m] if m == n else lattice.partial(self.grid, G[n][m], n + 1))
+                           for n in range(4)) for m in range(4))
+
+    def slab(self, d: int, start: int, stop: int) -> "LambdaField":
+        """The view of planes start..stop-1 along the 0-based axis d, counted modulo the
+        grid, so a range past either end wraps and holds a halo; a component that does not
+        vary along d stays whole. Its profile and gradients are the same cuts of this
+        field's (views unless the range wraps); a stencil along d is refused on it."""
+        if self.source is not None or d not in range(4) or not 0 < stop - start <= self.grid.dims[d]:
+            raise ValueError(f"a slab is 1 to n planes along an axis 0..3 of a whole field, "
+                             f"got axis {d}, planes {start}..{stop}")
+        return LambdaField(self.grid, _planes(self.values, d, start, stop), (self, d, start, stop))
 
     @classmethod
     def zero(cls, grid: lattice.Grid4) -> "LambdaField":
@@ -141,6 +186,35 @@ class LambdaField:
 
     def scaled(self, eps: float) -> "LambdaField":
         return LambdaField(self.grid, [eps * v for v in self.values])
+
+
+def _planes(x, d: int, start: int, stop: int):
+    """Planes start..stop-1 of x along axis d, counted modulo its length there (a view
+    unless the range wraps), or x itself where that length is 1; a tuple is cut entry
+    by entry."""
+    if isinstance(x, tuple):
+        return tuple(_planes(y, d, start, stop) for y in x)
+    n = x.shape[d]
+    if n == 1:
+        return x
+    if 0 <= start and stop <= n:
+        return x[(slice(None),) * d + (slice(start, stop),)]
+    return np.take(x, range(start, stop), axis=d, mode="wrap")
+
+
+# a slab holds whole planes, as many as fit in this many points (at least one)
+SLAB_POINTS = 2**14
+
+
+def slabs(lam: LambdaField):
+    """The slab views that cut lam along the first axis d its shape varies along, in
+    order, each a run of whole planes holding at most SLAB_POINTS points (one plane when
+    a plane holds more); a field that fits in one slab is that one slab, whole."""
+    shape = lam.shape
+    d = next((d for d, n in enumerate(shape) if n > 1), 0)
+    n = shape[d]
+    step = max(1, SLAB_POINTS * n // math.prod(shape))
+    return [lam.slab(d, k, min(k + step, n)) for k in range(0, n, step)]
 
 
 def build_profile(lam: LambdaField) -> tuple[np.ndarray, ...]:
@@ -162,7 +236,8 @@ def build_profile(lam: LambdaField) -> tuple[np.ndarray, ...]:
 def phase_gradients(lam: LambdaField) -> tuple[tuple[np.ndarray, ...], ...]:
     """All first differences G[m-1][n-1] = d_n lambda_m, each on lambda_m's axes;
     read them as `lam.gradients`."""
-    return tuple(tuple(lattice.partial(lam.grid, v, n) for n in range(1, 5)) for v in lam.values)
+    return tuple(tuple(lattice.partial(lam.grid, v, n, lam.slab_axis) for n in range(1, 5))
+                 for v in lam.values)
 
 
 # the independent (mu, nu) pairs of an antisymmetric tensor
@@ -197,7 +272,8 @@ def field_strength_raw(lam: LambdaField, mu: int, nu: int) -> np.ndarray:
     """The same component with the central stencil applied to the profile
     values; it agrees with field_strength_direct to O(h^2)."""
     f, m, n = lam.profile, mu - 1, nu - 1
-    return lattice.partial(lam.grid, f[n], mu) - lattice.partial(lam.grid, f[m], nu)
+    grid, d = lam.grid, lam.slab_axis
+    return lattice.partial(grid, f[n], mu, d) - lattice.partial(grid, f[m], nu, d)
 
 
 def field_strength_matrix(grid: lattice.Grid4, A, g: float, mu: int, nu: int,
@@ -289,7 +365,7 @@ def anomaly_divergence_closed_form(lam: LambdaField, g: float) -> np.ndarray:
     out = np.zeros(lam.shape, dtype=complex)
     for m in range(4):
         for n in range(4):
-            d2 = lattice.partial(lam.grid, G[n][m], m + 1)
+            d2 = lattice.partial(lam.grid, G[n][m], m + 1, lam.slab_axis)
             out += g * f[m] * f[n] * (1j * G[n][m] ** 2 - d2)
     return out
 
@@ -309,7 +385,7 @@ def _box_profile_analytic(lam: LambdaField, n: int) -> np.ndarray:
     f, G = lam.profile, lam.gradients
     out = np.zeros(f[n].shape, dtype=complex)
     for m in range(4):
-        d2 = lattice.partial(lam.grid, G[n][m], m + 1)
+        d2 = lattice.partial(lam.grid, G[n][m], m + 1, lam.slab_axis)
         out += -f[n] * G[n][m] ** 2 - 1j * f[n] * d2
     return out
 
@@ -361,8 +437,8 @@ def field_equation_residual_full(lam: LambdaField, g: float) -> np.ndarray:
             out[n] += (
                 f[m] * G[m][m] * G[m][n]
                 - f[n] * G[n][m] ** 2
-                + 1j * f[m] * lattice.partial(grid, G[m][m], n + 1)
-                - 1j * f[n] * lattice.partial(grid, G[n][m], m + 1)
+                + 1j * f[m] * lattice.partial(grid, G[m][m], n + 1, lam.slab_axis)
+                - 1j * f[n] * lattice.partial(grid, G[n][m], m + 1, lam.slab_axis)
                 - g * f[m] * (f[m] * G[m][n] - f[n] * G[n][m])
             )
     return out
@@ -386,13 +462,18 @@ def vacuum_report(base: LambdaField, eps_seq, g: float) -> tuple[float | None, f
     if any(e < 0 for e in eps_list):
         raise ValueError("amplitudes must be nonnegative")
     grid = base.grid
+
+    def current_max(current, lam, *args):
+        """The max-norm of the four components of a current of lam, each built on one slab
+        at a time: a max is exact and np.max keeps a nan from any slab or component."""
+        return float(np.max([lattice.max_abs(current(part, *args, nu))
+                             for part in slabs(lam) for nu in range(1, 5)]))
     first = base.scaled(eps_list[0])
-    # a max is exact and np.max keeps a nan: each component is dropped before the next is built
-    noether_max = float(np.max([lattice.max_abs(noether_current(first, nu)) for nu in range(1, 5)]))
+    noether_max = current_max(noether_current, first)
     pos, current, box_profile = [e for e in eps_list if e > 0], [], []
     for eps in pos:
         lam = first if eps == eps_list[0] else base.scaled(eps)
-        current.append(float(np.max([lattice.max_abs(anomalous_current(lam, g, nu)) for nu in range(1, 5)])))
+        current.append(current_max(anomalous_current, lam, g))
         box_profile.append(float(np.max([lattice.max_abs(lattice.box(grid, f)) for f in lam.profile])))
     if len(pos) < 2 or not all(c > 0 and b > 0 for c, b in zip(current, box_profile)):
         return None, None, noether_max

@@ -17,6 +17,14 @@ array or as any iterable, so a caller can build each one as its stencil
 reads it; the CSV and npz writers repeat a compact field to the grid one
 slab of axis 1 per write, never as a whole copy.
 
+A slab is a run of whole planes of a field along one axis d: named as
+`slab=d`, `check_field` and `partial` accept any length from 1 to dims[d]
+there. A stencil along d of a slab reads planes the slab does not hold, so
+`partial` refuses it; `halo_partial` takes it from the slab and the one
+plane on either side. Both run the one central difference, `_difference`,
+and a whole axis with its own wrapped planes as the halo gives `partial`'s
+result bit for bit.
+
 Index convention: mu runs 1..4 and maps to array axis mu-1. Axis 4 is the
 time axis, axes 1..3 are spatial; the wave operator `box` is Euclidean and
 counts all four alike.
@@ -75,33 +83,62 @@ def _check_mu(mu: int) -> None:
         raise ValueError(f"direction index must be 1..4, got {mu}")
 
 
-def check_field(grid: Grid4, f: np.ndarray) -> np.ndarray:
+def check_field(grid: Grid4, f: np.ndarray, slab: int | None = None) -> np.ndarray:
+    """f as an array, once each of its first four axes is the grid's length there or 1;
+    along `slab`, a 0-based axis along which f is a slab (a run of whole planes of a
+    field), any length from 1 to the grid's."""
     f = np.asarray(f)
-    if f.ndim < 4 or any(s not in (1, n) for s, n in zip(f.shape, grid.dims)):
+    if f.ndim < 4 or any(s not in (1, n) and not (d == slab and 1 <= s <= n)
+                         for d, (s, n) in enumerate(zip(f.shape, grid.dims))):
         raise GridMismatchError(f"field shape {f.shape} does not fit the grid dims {grid.dims}")
     return f
 
 
-def _stencil_views(grid: Grid4, f: np.ndarray, mu: int):
+def _stencil_views(grid: Grid4, f: np.ndarray, mu: int, slab: int | None = None):
     """(f, out, o): an uninitialised result `out` in f's memory order, with
     f and o the views of the input and of `out` that put axis mu first."""
     _check_mu(mu)
-    f = check_field(grid, f)
+    f = check_field(grid, f, slab)
     out = np.empty_like(f, dtype=np.result_type(f, 1.0))
     return np.swapaxes(f, mu - 1, 0), out, np.swapaxes(out, mu - 1, 0)
 
 
-def partial(grid: Grid4, f: np.ndarray, mu: int) -> np.ndarray:
-    """Central first difference along direction mu: (f(x+h e) - f(x-h e)) / 2h."""
-    f, out, o = _stencil_views(grid, f, mu)
-    if len(f) == 1:  # both neighbours are the point itself
-        np.subtract(f, f, out=o)
+def _difference(grid: Grid4, f, below, above, out, o) -> np.ndarray:
+    """The one central first difference: o = (f(x+h e) - f(x-h e)) / 2h along the
+    first axis of f, whose neighbours past its first and last planes are the planes
+    `below` and `above`; o is a view of `out`."""
+    if len(f) == 1:
+        np.subtract(above, below, out=o)
     else:
         np.subtract(f[2:], f[:-2], out=o[1:-1])
-        np.subtract(f[1:2], f[-1:], out=o[:1])
-        np.subtract(f[:1], f[-2:-1], out=o[-1:])
+        np.subtract(f[1:2], below, out=o[:1])
+        np.subtract(above, f[-2:-1], out=o[-1:])
     out /= 2.0 * grid.h
     return out
+
+
+def partial(grid: Grid4, f: np.ndarray, mu: int, slab: int | None = None) -> np.ndarray:
+    """Central first difference along direction mu: (f(x+h e) - f(x-h e)) / 2h.
+
+    f may be a slab along the 0-based axis `slab`, not along mu's own axis: a
+    stencil along the axis a slab is cut along reads planes the slab does not
+    hold (`halo_partial` takes them)."""
+    if mu - 1 == slab:
+        raise GridMismatchError(f"a stencil along axis {slab} of a slab along it reads planes it does not hold")
+    f, out, o = _stencil_views(grid, f, mu, slab)
+    return _difference(grid, f, f[-1:], f[:1], out, o)
+
+
+def halo_partial(grid: Grid4, f: np.ndarray, mu: int, below: np.ndarray, above: np.ndarray) -> np.ndarray:
+    """`partial` along mu of f, a slab along mu's own axis of a periodic field whose planes
+    just before and just after the slab are `below` and `above`: for the whole axis, the
+    field's last and first planes, which gives partial's result bit for bit."""
+    f, out, o = _stencil_views(grid, f, mu, mu - 1)
+    halo = [np.swapaxes(check_field(grid, x, mu - 1), mu - 1, 0) for x in (below, above)]
+    if any(x.shape != f[:1].shape for x in halo):
+        raise GridMismatchError(f"halo planes {[np.shape(x) for x in (below, above)]} do not border "
+                                f"the slab {np.swapaxes(f, 0, mu - 1).shape} along axis {mu - 1}")
+    return _difference(grid, f, *halo, out, o)
 
 
 def second_diff(grid: Grid4, f: np.ndarray, mu: int) -> np.ndarray:
