@@ -140,7 +140,8 @@ def recipe_set(rng, count):
 
 def _quiet_residual(lam, g):
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # most recipes break the gauge condition
+        # most recipes break the gauge condition
+        warnings.filterwarnings("ignore", "componentwise gauge condition violated", UserWarning)
         return ansatz_field.field_equation_residual(lam, g)
 
 
@@ -570,6 +571,184 @@ def test_random_mode_sets_against_oracles():
     # condition; these recipes give every component a wave along its
     # own axis, which the gauge-violating residual terms need
     assert {(c, c) for c in range(1, 5)} <= waves
+
+
+def plant_at_the_ends(lam):
+    """lam with an inf planted in the first plane and a nan in the last plane, along
+    its slab axis, of the first profile component and gradient that vary along it:
+    their stencils along that axis wrap the field's ends into each other."""
+    d = ansatz_field.slabs(lam)[0].slab_axis
+    f = next(f for f in lam.profile if f.shape[d] > 1)
+    G = next(G for row in lam.gradients for G in row if G.shape[d] > 1)
+    np.moveaxis(f, d, 0)[0].flat[0] = np.inf
+    np.moveaxis(G, d, 0)[-1].flat[-1] = np.nan
+    return lam
+
+
+def slab_fields():
+    """current_fields on 16^4, where the default recipe is one slab and the dense
+    phase field and the gradient base four of four planes, and on 19^4, where the
+    last of the dense fields' slabs of two planes holds one; each also with values
+    planted at both ends of its slab axis."""
+    fields = current_fields(small_grid(16)) + current_fields(small_grid(19))
+    return fields + [plant_at_the_ends(lam) for lam in current_fields(small_grid(16))[:3]]
+
+
+def reassembled(parts, taken):
+    """The arrays taken on the slabs `parts` joined along their slab axis."""
+    return np.concatenate(taken, axis=parts[0].slab_axis)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf times zero, planted
+def test_slabs_cut_whole_planes_and_their_views_share_the_fields_arrays():
+    for lam in slab_fields():
+        parts = ansatz_field.slabs(lam)
+        d, n = parts[0].slab_axis, lam.shape[parts[0].slab_axis]
+        assert d == next(k for k, m in enumerate(lam.shape) if m > 1)
+        plane = math.prod(lam.shape) // n
+        step = max(1, ansatz_field.SLAB_POINTS // plane)
+        assert [p.source[2:] for p in parts] == [(k, min(k + step, n)) for k in range(0, n, step)]
+        for part in parts:
+            assert part.shape == tuple(part.source[3] - part.source[2] if k == d else m
+                                       for k, m in enumerate(lam.shape))
+            for name in ("values", "profile"):
+                for got, whole in zip(getattr(part, name), getattr(lam, name)):
+                    assert np.shares_memory(got, whole)
+            for row, whole_row in zip(part.gradients, lam.gradients):
+                for got, whole in zip(row, whole_row):
+                    assert got is whole if whole.shape[d] == 1 else np.shares_memory(got, whole)
+    # a field that fits in one slab is that slab, whole
+    lam = scenario_field(small_grid(16))
+    (whole,) = ansatz_field.slabs(lam)
+    assert whole.source[1:] == (0, 0, 16) and whole.shape == lam.shape
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf times zero, planted
+def test_a_slab_view_wraps_past_either_end_and_refuses_stencils_along_its_axis():
+    lam = plant_at_the_ends(checks.phase_field(DENSE_PHASE, small_grid(8)))
+    n = 8
+    for start, stop in ((-1, 2), (n - 2, n + 1), (-2, n - 2), (n - 1, n), (0, n)):
+        part = lam.slab(0, start, stop)
+        cut = lambda x: x if x.shape[0] == 1 else np.take(x, range(start, stop), axis=0, mode="wrap")
+        for got, whole in zip(part.values + part.profile, lam.values + lam.profile):
+            assert got.tobytes() == cut(whole).tobytes() and got.shape == cut(whole).shape
+        for m in range(4):
+            for k in range(4):
+                assert part.gradients[m][k].tobytes() == cut(lam.gradients[m][k]).tobytes()
+                for got, whole in zip(part.second_gradients[m][k], lam.second_gradients[m][k]):
+                    assert got.tobytes() == cut(whole).tobytes()
+        # a stencil along the slab axis is refused, a single plane too
+        with pytest.raises(lattice.GridMismatchError):
+            ansatz_field.field_strength_raw(part, 1, 2)
+        with pytest.raises(lattice.GridMismatchError):
+            ansatz_field.anomaly_divergence_closed_form(part, 1.0)
+        with pytest.raises(lattice.GridMismatchError):
+            ansatz_field.phase_gradients(part)
+    for d, start, stop in ((0, 0, 0), (0, 3, 2), (0, -1, n), (4, 0, 1), (-1, 0, 1)):
+        with pytest.raises(ValueError):
+            lam.slab(d, start, stop)
+    with pytest.raises(ValueError):  # a slab of a slab
+        lam.slab(0, 0, 4).slab(0, 0, 2)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf times zero, planted
+def test_the_current_divergence_on_slabs_is_the_whole_divergence_bit_for_bit():
+    g = 1.7
+    for i, lam in enumerate(slab_fields()):
+        whole = lattice.divergence(lam.grid, (ansatz_field.anomalous_current(lam, g, nu) for nu in range(1, 5)))
+        parts, taken = [], []
+
+        def keep(part, div):
+            parts.append(part)
+            taken.append(div.copy())
+            return div
+        top = checks.current_divergence(lam, g, keep)
+        assert [p.source[1:] for p in parts] == [p.source[1:] for p in ansatz_field.slabs(lam)]
+        assert reassembled(parts, taken).tobytes() == whole.tobytes(), i
+        assert repr(top) == repr(lattice.max_abs(whole)), i
+        assert math.isfinite(top) == (i in (0, 1, 2, 6, 7, 8)), i  # the planted values reach it
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_a_nan_in_any_one_slab_reaches_the_divergence_max(k):
+    # Python's max(1.0, nan) is 1.0: a nan planted in plane 4k + 2 of the dense
+    # phase field's profile reaches only slab k of its four (planes 4k + 1 to
+    # 4k + 3), and np.max over the slabs keeps it
+    lam = checks.phase_field(DENSE_PHASE, small_grid(16))
+    parts = ansatz_field.slabs(lam)
+    assert [p.source[1:] for p in parts] == [(0, 4 * i, 4 * i + 4) for i in range(4)]
+    f = next(f for f in lam.profile if f.shape[0] > 1)
+    f[4 * k + 2].flat[0] = np.nan
+    slabs_with_nan = []
+
+    def keep(part, div):
+        slabs_with_nan.append(bool(np.isnan(div).any()))
+        return div
+    assert math.isnan(checks.current_divergence(lam, 1.7, keep))
+    assert slabs_with_nan == [i == k for i in range(4)]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf times zero, planted
+def test_the_divergence_expansion_on_slabs_is_the_whole_expansion_bit_for_bit():
+    g = 1.7
+    for i, lam in enumerate(slab_fields()):
+        whole = checks.anomaly_divergence_expansion(lam, g)
+        parts = ansatz_field.slabs(lam)
+        assert reassembled(parts, [checks.anomaly_divergence_expansion(p, g) for p in parts]).tobytes() \
+            == whole.tobytes(), i
+        div = lattice.divergence(lam.grid, (ansatz_field.anomalous_current(lam, g, nu) for nu in range(1, 5)))
+        gap = checks.current_divergence(
+            lam, g, lambda part, div_j: div_j - checks.anomaly_divergence_expansion(part, g))
+        assert repr(gap) == repr(lattice.max_abs(div - whole)), i
+
+
+def test_the_divergence_ladder_gap_is_the_whole_fields():
+    for cfg in (config.ScenarioConfig(), DENSE_PHASE, config.ScenarioConfig(divergence_grids=(12, 19, 30))):
+        want = []
+        for n in cfg.divergence_grids:
+            lam = checks.phase_field(cfg, lattice.Grid4.cubic(n, cfg.box_length), scale=cfg.anomaly_amplitude)
+            div = lattice.divergence(lam.grid, (ansatz_field.anomalous_current(lam, cfg.coupling, nu)
+                                                for nu in range(1, 5)))
+            want.append(lattice.max_abs(div - checks.anomaly_divergence_expansion(lam, cfg.coupling)))
+        assert checks.divergence_accounting_order(cfg).errors == tuple(want)
+
+
+@pytest.mark.parametrize("plant", ["none", "inf", "nan", "ends"])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf times zero, planted
+def test_vacuum_report_on_slabs_gives_the_whole_fields_maxima(monkeypatch, plant):
+    real = ansatz_field.build_profile
+
+    def planted(lam):
+        profile = real(lam)
+        if plant == "inf":
+            profile[2].flat[-1] = np.inf
+        elif plant == "nan":
+            profile[1].flat[0] = np.nan
+        elif plant == "ends":
+            ends = [f for f in profile if f.shape[0] > 1]
+            ends[0][0].flat[0], ends[-1][-1].flat[-1] = np.inf, np.nan
+        return profile
+    monkeypatch.setattr(ansatz_field, "build_profile", planted)
+
+    def whole_path(base, eps_seq, g):
+        """vacuum_report's maxima with every current component built whole."""
+        first = base.scaled(eps_seq[0])
+        noether = float(np.max([lattice.max_abs(ansatz_field.noether_current(first, nu)) for nu in range(1, 5)]))
+        current, box = [], []
+        for eps in eps_seq:
+            lam = base.scaled(eps)
+            current.append(float(np.max([lattice.max_abs(ansatz_field.anomalous_current(lam, g, nu))
+                                         for nu in range(1, 5)])))
+            box.append(float(np.max([lattice.max_abs(lattice.box(lam.grid, f)) for f in lam.profile])))
+        if not all(c > 0 and b > 0 for c, b in zip(current, box)):
+            return None, None, noether
+        return lattice.fit_order(eps_seq, current), lattice.fit_order(eps_seq, box), noether
+    eps = (1e-1, 1e-2, 1e-3)
+    for grid in (small_grid(16), small_grid(19)):
+        for base in (scenario_field(grid), checks.phase_field(DENSE_PHASE, grid), gradient_field(grid)):
+            got = ansatz_field.vacuum_report(base, eps, 1.7)
+            assert repr(got) == repr(whole_path(base, eps, 1.7)), (grid.dims, plant)
+            assert (got[:2] == (None, None)) == (plant != "none")  # a planted value drops the slopes
 
 
 def test_profile_and_gradients_are_computed_once_per_field(monkeypatch):

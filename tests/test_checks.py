@@ -212,6 +212,34 @@ def test_divergence_scaling_builds_the_current_one_component_at_a_time():
     assert peak <= 10.80 / 2, peak
 
 
+def test_divergence_scaling_takes_the_divergence_one_slab_at_a_time():
+    # Each of the gradient base's 16^4 divergences built whole, from one
+    # current component at a time, read 4.80 fields; taken on four slabs of
+    # four planes, with j_d's planes kept across slabs, it reads 2.19. A
+    # divergence held whole again breaks the bound.
+    cfg = config.ScenarioConfig()
+    peak = traced_peak(lambda c: checks.quadratic_divergence_scaling(checks.Run("anomaly", c)), cfg)
+    assert peak <= 2.4, peak
+
+
+def test_divergence_ladder_takes_the_divergence_and_its_expansion_one_slab_at_a_time():
+    # The default 12/24/36 ladder read 3.02 fields with the 36^4 rung's
+    # divergence and expansion taken whole; on three slabs of twelve planes,
+    # 1.41. A rung taken whole again breaks the bound.
+    peak = traced_peak(checks.divergence_accounting_order, config.ScenarioConfig())
+    assert peak <= 1.6, peak
+
+
+def test_vacuum_scan_takes_each_current_one_slab_at_a_time():
+    # On the gradient base each current component built whole on 16^4 read
+    # 4.20 fields; built on one slab of four planes at a time, 1.96. A
+    # component built whole again breaks the bound.
+    cfg = config.ScenarioConfig()
+    base = checks.gradient_base_field(cfg, cfg.grid())
+    peak = traced_peak(lambda c: ansatz_field.vacuum_report(base, c.scaling_amplitudes, c.coupling), cfg)
+    assert peak <= 2.1, peak
+
+
 def test_npz_writer_holds_no_copy_of_the_field(tmp_path):
     # The anomalous current of the default recipe as the CLI writes it:
     # compact (16, 16, 16, 1, 4), 1 field when repeated to the grid. Written
@@ -540,7 +568,8 @@ def test_anomalous_current_identity_does_not_depend_on_the_stored_shape():
             run = checks.Run("verify", cfg)
             run.phase = phase
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # two of the fields break the gauge condition
+                # two of the fields break the gauge condition
+                warnings.filterwarnings("ignore", "componentwise gauge condition violated", UserWarning)
                 for check in (checks.anomalous_current_identity, checks.lagrangian_identity,
                               checks.residual_routes):
                     check(run)

@@ -129,6 +129,74 @@ def test_an_axis_neither_full_nor_one_is_refused():
         lattice.partial(grid, np.zeros((5, 2, 7, 1)), 1)
 
 
+def test_check_field_without_a_slab_axis_refuses_what_it_refused():
+    # the rule before slabs: four leading axes, each the grid's length or 1
+    grid = lattice.Grid4((5, 4, 7, 6), 0.37)
+    lengths = [sorted({0, 1, 2, n - 1, n, n + 1}) for n in grid.dims]
+    for shape in [(a, b, c, e) for a in lengths[0] for b in lengths[1] for c in lengths[2] for e in lengths[3]] + [
+            (5, 4, 7), (5,), (5, 4, 7, 6, 3), (1, 4, 7, 1, 2), (5, 3, 7, 6, 1)]:
+        old = len(shape) >= 4 and all(s in (1, n) for s, n in zip(shape, grid.dims))
+        for slab in ((), (None,)):
+            if old:
+                assert lattice.check_field(grid, np.zeros(shape), *slab).shape == shape
+            else:
+                with pytest.raises(lattice.GridMismatchError):
+                    lattice.check_field(grid, np.zeros(shape), *slab)
+    # along a slab axis any length 1..n passes; every other axis keeps the rule
+    for d, n in enumerate(grid.dims):
+        for length in range(n + 2):
+            shape = tuple(length if k == d else grid.dims[k] for k in range(4))
+            if 1 <= length <= n:
+                assert lattice.check_field(grid, np.zeros(shape), d).shape == shape
+            else:
+                with pytest.raises(lattice.GridMismatchError):
+                    lattice.check_field(grid, np.zeros(shape), d)
+        with pytest.raises(lattice.GridMismatchError):
+            lattice.check_field(grid, np.zeros(tuple(2 if k == d else 3 if k == (d + 1) % 4 else 1
+                                                     for k in range(4))), d)
+
+
+def planes(f, d, start, stop):
+    """Planes start..stop-1 of f along axis d, wrapping, as a copy."""
+    return np.take(f, range(start, stop), axis=d, mode="wrap")
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf, on both sides
+def test_stencils_on_a_slab_are_the_slab_of_the_stencils_bit_for_bit():
+    grid = lattice.Grid4((7, 5, 6, 4), 0.37)
+    rng = np.random.default_rng(41)
+    f = rng.standard_normal(grid.dims) + 1j * rng.standard_normal(grid.dims)
+    f[0, 1, 2, 3], f[-1, 0, 1, 2], f[3, -1, -1, 0], f[2, 2, 0, -1] = np.inf, np.nan, -np.inf, np.nan
+    for d, n in enumerate(grid.dims):
+        whole = [lattice.partial(grid, f, mu) for mu in (1, 2, 3, 4)]
+        # the first and last planes (their halos wrap), a last slab shorter than the
+        # others, single planes, the whole axis
+        for start, stop in ((0, 2), (2, 4), (n - 3, n), (n - 1, n), (0, 1), (1, 2), (0, n)):
+            slab = planes(f, d, start, stop)
+            for mu in (1, 2, 3, 4):
+                want = bits(planes(whole[mu - 1], d, start, stop))
+                if mu == d + 1:
+                    got = lattice.halo_partial(grid, slab, mu, planes(f, d, start - 1, start),
+                                               planes(f, d, stop, stop + 1))
+                    assert bits(got) == want, (d, start, stop)
+                    with pytest.raises(lattice.GridMismatchError):
+                        lattice.partial(grid, slab, mu, d)
+                else:
+                    assert bits(lattice.partial(grid, slab, mu, d)) == want, (d, mu, start, stop)
+
+
+def test_a_halo_must_be_one_plane_bordering_the_slab():
+    grid = lattice.Grid4((7, 5, 6, 4), 0.37)
+    f = np.zeros(grid.dims)
+    slab, plane = f[2:5], f[:1]
+    assert lattice.halo_partial(grid, slab, 1, plane, plane).shape == slab.shape
+    for below, above in ((f[:2], plane), (plane, f[:1, :1]), (plane, f[:1, :, :, :1])):
+        with pytest.raises(lattice.GridMismatchError):
+            lattice.halo_partial(grid, slab, 1, below, above)
+    with pytest.raises(lattice.GridMismatchError):  # not a slab of this grid
+        lattice.halo_partial(grid, np.zeros((3, 5, 6, 3)), 1, plane, plane)
+
+
 def test_divergence_adds_the_four_partials_in_order():
     grid = small_grid(8)
     rng = np.random.default_rng(5)
