@@ -22,11 +22,10 @@ A field is evaluated slab by slab where a quantity on its `shape` would be
 large. `slabs(lam)` cuts it along the first axis its shape varies along
 into runs of whole planes, as many as fit in SLAB_POINTS = 2^14 points
 (one plane when a plane holds more); a field that fits in one slab is that
-one slab, whole. A slab view, `lam.slab(d, start, stop)`, holds the cuts of
-the field's values, profile and gradients (views, or copies where the
-range wraps past an end to give a halo). Both currents and the divergence
-expansion are pointwise in these, so they run on a slab unchanged; a
-stencil along d is refused on it.
+one slab, whole. A slab view, `lam.slab(d, start, stop)`, holds views of
+the field's values, profile and gradients cut to its planes. Both currents
+and the divergence expansion are pointwise in these, so they run on a slab
+unchanged; a stencil along d is refused on it.
 
 Every field strength here, the ansatz form and the routes compared with
 it, returns one (mu, nu) component per call, and so do both currents,
@@ -166,13 +165,12 @@ class LambdaField:
                            for n in range(4)) for m in range(4))
 
     def slab(self, d: int, start: int, stop: int) -> "LambdaField":
-        """The view of planes start..stop-1 along the 0-based axis d, counted modulo the
-        grid, so a range past either end wraps and holds a halo; a component that does not
-        vary along d stays whole. Its profile and gradients are the same cuts of this
-        field's (views unless the range wraps); a stencil along d is refused on it."""
-        if self.source is not None or d not in range(4) or not 0 < stop - start <= self.grid.dims[d]:
-            raise ValueError(f"a slab is 1 to n planes along an axis 0..3 of a whole field, "
-                             f"got axis {d}, planes {start}..{stop}")
+        """The view of planes start..stop-1 along the 0-based axis d; a component that
+        does not vary along d stays whole. Its profile and gradients are views of this
+        field's, cut the same way; a stencil along d is refused on it."""
+        if self.source is not None or d not in range(4) or not 0 <= start < stop <= self.grid.dims[d]:
+            raise ValueError(f"a slab is planes start..stop-1, 0 <= start < stop <= n, along an axis "
+                             f"0..3 of a whole field, got axis {d}, planes {start}..{stop - 1}")
         return LambdaField(self.grid, _planes(self.values, d, start, stop), (self, d, start, stop))
 
     @classmethod
@@ -189,17 +187,11 @@ class LambdaField:
 
 
 def _planes(x, d: int, start: int, stop: int):
-    """Planes start..stop-1 of x along axis d, counted modulo its length there (a view
-    unless the range wraps), or x itself where that length is 1; a tuple is cut entry
-    by entry."""
+    """The view of planes start..stop-1 of x along axis d, or x itself where its length
+    there is 1; a tuple is cut entry by entry."""
     if isinstance(x, tuple):
         return tuple(_planes(y, d, start, stop) for y in x)
-    n = x.shape[d]
-    if n == 1:
-        return x
-    if 0 <= start and stop <= n:
-        return x[(slice(None),) * d + (slice(start, stop),)]
-    return np.take(x, range(start, stop), axis=d, mode="wrap")
+    return x if x.shape[d] == 1 else x[(slice(None),) * d + (slice(start, stop),)]
 
 
 # a slab holds whole planes, as many as fit in this many points (at least one)
