@@ -171,8 +171,9 @@ def current_divergence(lam: ansatz_field.LambdaField, g: float, gap=lambda part,
     Each component is built on the slab as its stencil reads it. Along the slab axis
     d the stencil also reads j_d's planes on either side of the slab: j_d is built once
     per slab, a slab ahead, the plane below a slab is kept from the slab before it, and
-    the first slab's, the field's last plane, is built once. The four partials are added
-    in lattice.divergence's order, so every point is as there; one slab is the whole field.
+    the plane below the first, the field's last, is built once more on its own. The four
+    partials are added in lattice.divergence's order, so every point is as there; one
+    slab is the whole field.
     """
     grid, J = lam.grid, ansatz_field.anomalous_current
     parts = ansatz_field.slabs(lam)
