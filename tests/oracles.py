@@ -12,9 +12,12 @@ Tests compare the package against these at rounding level, except the
 raw-stencil residual: it applies the compact second difference by np.roll
 to the profile values, and the package's chain-rule residual meets it at
 O(h^2). The artifact readers parse the package's CSV and npz files
-without its own code, and the ball sampler draws and places points row by
-row with np.linalg.norm, as the package did before its batches were
-stored coordinate-major. The matrix ladders' smooth scalar is drawn and
+without its own code. The CSV writer formats the whole field before it
+writes a row, and the log-log fit solves by np.polyfit, as the package
+did before it wrote one slab and fitted in closed form; `exact_order`
+takes that fit's slope without rounding. The ball sampler
+draws and places points row by row with np.linalg.norm, as the package
+did before its batches were stored coordinate-major. The matrix ladders' smooth scalar is drawn and
 summed by the loop the package used before it drew its recipes as waves.
 The connection coefficients are the closed form -i g exp(-i c) of the
 centre c, which `reduce` reads off the ansatz profile instead. The two
@@ -25,6 +28,7 @@ must agree bit for bit.
 
 import math
 from collections import namedtuple
+from fractions import Fraction
 
 import numpy as np
 
@@ -382,7 +386,37 @@ def pure_gauge_gap(grid, U, g):
 
 
 # ---------------------------------------------------------------------------
-# readers for the CSV and npz artifacts written by lattice
+# the log-log fit and the CSV writer as the package had them, and readers for
+# the CSV and npz artifacts written by lattice
+
+
+def polyfit_order(spacings, errors):
+    """Slope of log(error) vs log(h) by np.polyfit's least-squares solve."""
+    return float(np.polyfit(np.log(spacings), np.log(errors), 1)[0])
+
+
+def exact_order(spacings, errors):
+    """The least-squares slope of the float logs of spacings and errors, summed in
+    rational arithmetic and rounded once."""
+    x = [Fraction(v) for v in np.log(spacings).tolist()]
+    y = [Fraction(v) for v in np.log(errors).tolist()]
+    xm, ym = sum(x) / len(x), sum(y) / len(y)
+    return float(sum((a - xm) * (b - ym) for a, b in zip(x, y)) / sum((a - xm) ** 2 for a in x))
+
+
+def save_field_csv_whole(path, grid, f):
+    """The CSV writer that formats every stored value of the field, holds all its
+    rows as one object array and then writes them one slab of axis 1 at a time."""
+    complex_kind = np.iscomplexobj(f)
+    vals = f.astype(complex if complex_kind else float).ravel().tolist()
+    rows = [f"{z.real!r},{z.imag!r}\n" if complex_kind else f"{z!r}\n" for z in vals]
+    rows = np.array(rows, dtype=object).reshape(f.shape)
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("# dims=" + ",".join(str(n) for n in grid.dims) + "\n")
+        fh.write(f"# h={float(grid.h)!r}\n")
+        fh.write(f"# kind={'complex' if complex_kind else 'real'}\n")
+        for slab in np.broadcast_to(rows, grid.dims):
+            fh.write("".join(slab.flat))
 
 
 def read_field_csv(path):

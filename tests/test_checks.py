@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from su2reduce import ansatz_field, checks, config, lattice, su2_algebra
+from su2reduce import ansatz_field, checks, cli, config, lattice, su2_algebra
 
 import oracles
 
@@ -252,6 +252,16 @@ def test_npz_writer_holds_no_copy_of_the_field(tmp_path):
     assert peak <= 1.0, peak
 
 
+def test_csv_writer_formats_one_slab_at_a_time(tmp_path):
+    # The default anomaly divergence, compact (16, 16, 16, 1): with every
+    # stored row formatted and held as one object array before the first
+    # write, the writer read 0.86 fields; one slab of axis 1 at a time, 0.32.
+    cfg = config.ScenarioConfig()
+    div = checks.Run("anomaly", cfg).anomaly_fields[1]
+    peak = traced_peak(lambda c: lattice.save_field_csv(tmp_path / "div.csv", c.grid(), div), cfg)
+    assert peak <= 0.6, peak
+
+
 def test_covariance_study_peak_memory_is_bounded():
     # The bound is the peak with the fields stored as 2x2 complex matrices,
     # 100.0277 fields (104,886,680 bytes). As real u(2) coefficients it
@@ -368,6 +378,21 @@ def test_refine_gives_no_order_when_an_error_is_not_positive_and_finite():
     assert checks._refine(cfg, (4, 8), lambda grid: grid.h**2).order == pytest.approx(2.0)
     with pytest.raises(ValueError):  # the fit itself stays strict
         lattice.fit_order((0.5, 0.25), (1.0, 0.0))
+
+
+def test_no_order_fit_reaches_lapack(monkeypatch, tmp_path):
+    # np.polyfit's least-squares solve held about 1 MB of OpenBLAS workspace in
+    # every verify and anomaly process; the closed-form fit reaches neither it
+    # nor lstsq.
+    def refuse(*args, **kwargs):
+        raise AssertionError("an order fit reached LAPACK")
+    monkeypatch.setattr(np, "polyfit", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    assert cli.main(["anomaly", "--grid", "4", "--out", str(tmp_path)]) == 0
+    cfg = config.ScenarioConfig()
+    base = checks.gradient_base_field(cfg, cfg.grid())
+    slopes = ansatz_field.vacuum_report(base, cfg.scaling_amplitudes, cfg.coupling)[:2]
+    assert all(isinstance(s, float) for s in slopes), slopes
 
 
 def test_closed_form_row_fails_on_a_nan_in_any_position(monkeypatch):

@@ -267,10 +267,25 @@ def test_fit_order_recovers_synthetic_slope():
     for p in (1.0, 2.0, 2.37):
         errs = [0.9 * h**p for h in hs]
         assert lattice.fit_order(hs, errs) == pytest.approx(p, abs=1e-12)
-    with pytest.raises(ValueError):
-        lattice.fit_order([0.1], [0.5])
-    with pytest.raises(ValueError):
-        lattice.fit_order([0.1, 0.05], [0.5, 0.0])
+    # Seeded ladders of 2-5 strictly increasing spacings whose errors, about
+    # C h^p, span 1e-300 to 1e300; every third touches each end. The closed
+    # form reads within 4.2e-16 of the slope summed without rounding, and
+    # np.polyfit's own solve strays up to 2.3e-13 from that slope where
+    # |log error| nears 690, so polyfit is held at 1e-12 and the exact at 1e-14.
+    rng = np.random.default_rng(29)
+    for k in range(300):
+        hs = np.cumprod(np.r_[10 ** rng.uniform(-3, 0), rng.uniform(1.25, 4, rng.integers(1, 5))])
+        logs = rng.uniform(1, 6) * np.log10(hs) + np.log10(rng.uniform(0.95, 1.05, hs.size))
+        lo, hi = -300 - logs.min(), 300 - logs.max()
+        errs = 10 ** (logs + (lo, hi, rng.uniform(lo, hi))[k % 3])
+        assert 1e-300 * (1 - 1e-13) <= errs.min() and errs.max() <= 1e300 * (1 + 1e-13)
+        order = lattice.fit_order(hs, errs)
+        assert order == pytest.approx(oracles.exact_order(hs, errs), rel=1e-14, abs=0)
+        assert order == pytest.approx(oracles.polyfit_order(hs, errs), rel=1e-12, abs=0)
+    for hs, errs in (([0.1], [0.5]), ([0.1, 0.05], [0.5]), ([0.1, 0.05, 0.02], [0.5, 0.1]),
+                     ([0.1, 0.05], [0.5, 0.0]), ([0.1, 0.05], [-0.5, 0.1])):
+        with pytest.raises(ValueError):
+            lattice.fit_order(hs, errs)
 
 
 def test_convergence_order_second_order_stencil():
@@ -301,6 +316,27 @@ def test_csv_round_trip_real_and_complex(tmp_path):
     header_c, back_c = oracles.read_field_csv(path_c)
     assert header_c["kind"] == "complex"
     assert np.array_equal(back_c, cplx)
+
+
+def test_csv_writer_gives_the_whole_field_writers_bytes(tmp_path):
+    # One slab of axis 1 formatted at a time, and a field that does not vary
+    # along axis 1 formatted once for every slab, write what the writer that
+    # formatted every stored value before its first row wrote, byte for byte.
+    rng = np.random.default_rng(29)
+    planted = (math.inf, math.nan, -0.0, 5e-324, -math.inf)
+    for grid in (lattice.Grid4((4, 5, 6, 7), 0.37), small_grid(4)):
+        n1, n2, n3, n4 = grid.dims
+        for shape in ((n1, n2, n3, n4), (1, n2, n3, n4), (n1, 1, n3, 1), (1, n2, 1, n4), (1, 1, 1, 1)):
+            real = rng.standard_normal(shape)
+            cplx = real + 1j * rng.standard_normal(shape)
+            odd = real.copy(), cplx.copy()
+            for k, v in enumerate(planted):
+                odd[0].flat[k * 7 % real.size] = v
+                odd[1].flat[k * 5 % real.size] = complex(v, planted[k - 2])
+            for f in (real, cplx, real.astype(np.float32), *odd):
+                lattice.save_field_csv(tmp_path / "slab.csv", grid, f)
+                oracles.save_field_csv_whole(tmp_path / "whole.csv", grid, f)
+                assert (tmp_path / "slab.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
 def test_csv_rejects_component_fields(tmp_path):
