@@ -15,7 +15,9 @@ interior points read the shifted slices directly and the two seam points
 read the wrapped neighbours. `divergence` takes its four components as one
 array or as any iterable, so a caller can build each one as its stencil
 reads it; the CSV and npz writers repeat a compact field to the grid one
-slab of axis 1 per write, never as a whole copy.
+slab of axis 1 per write, never as a whole copy, and the CSV writer formats
+the stored values of one slab at a time. `fit_order` takes a refinement
+study's least-squares slope in closed form: no fit reaches BLAS or LAPACK.
 
 A slab is a run of whole planes of a field along one axis d: named as
 `slab=d`, `check_field` and `partial` accept any length from 1 to dims[d]
