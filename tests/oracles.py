@@ -15,10 +15,11 @@ O(h^2). The artifact readers parse the package's CSV and npz files
 without its own code. The CSV writer formats the whole field before it
 writes a row, and the log-log fit solves by np.polyfit, as the package
 did before it wrote one slab and fitted in closed form; `exact_order`
-takes that fit's slope without rounding. The ball sampler
-draws and places points row by row with np.linalg.norm, as the package
-did before its batches were stored coordinate-major. The matrix ladders' smooth scalar is drawn and
-summed by the loop the package used before it drew its recipes as waves.
+takes that fit's slope without rounding. The ball sampler draws and
+places points row by row with np.linalg.norm, as the package did before
+its batches were stored coordinate-major. The matrix ladders' smooth
+scalar is drawn and summed by the loop the package used before it drew
+its recipes as waves.
 The connection coefficients are the closed form -i g exp(-i c) of the
 centre c, which `reduce` reads off the ansatz profile instead. The two
 currents and the pure gauge are also kept as the loops that built all
