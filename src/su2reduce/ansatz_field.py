@@ -274,14 +274,15 @@ def field_strength_matrix(grid: lattice.Grid4, A, g: float, mu: int, nu: int,
     su2_algebra coefficients, shaped (*s, 4) on the union of A_mu's and A_nu's
     axes; the commutator moves a only. `stencils` may give d_mu A_nu and d_nu A_mu
     already taken (None: taken here), for a caller that slices a potential into
-    planes and takes a stencil that is the same on every plane once."""
+    planes and takes a stencil that is the same on every plane once; those are only
+    read. F is formed in the buffer of a stencil taken here that has F's shape."""
     g = su2_algebra.check_coupling(g)
     A = su2_algebra._check_matrix_field(grid, A, components=True)
-    mu_nu, nu_mu = stencils
-    F = np.subtract(lattice.partial(grid, A[nu - 1], mu) if mu_nu is None else mu_nu,
-                    lattice.partial(grid, A[mu - 1], nu) if nu_mu is None else nu_mu)
-    F[..., 1:] += su2_algebra.commutator(A[mu - 1], A[nu - 1], g)
-    return F
+    shape = np.broadcast_shapes(A[mu - 1].shape, A[nu - 1].shape)
+    d = [lattice.partial(grid, A[c - 1], m) if x is None else x for x, c, m in zip(stencils, (nu, mu), (mu, nu))]
+    own = [x for x, given in zip(d, stencils) if given is None and x.shape == shape]
+    F = np.subtract(*d, out=own[0] if own else None)
+    return su2_algebra.commutator(A[mu - 1], A[nu - 1], g, F)
 
 
 def lagrangian_density(lam: LambdaField) -> tuple[np.ndarray, np.ndarray]:

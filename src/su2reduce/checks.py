@@ -229,9 +229,11 @@ def covariance_order(cfg: config.ScenarioConfig) -> lattice.OrderEstimate:
     plane. F_mu_nu differentiates only along mu and nu, so each point's arithmetic is
     unchanged; only max_norm's scale is per plane. A smaller gap is one plane, the
     whole field. A stencil of a component that misses d is the same on every plane
-    and is taken once per gap. Each A'_mu = R A_mu + P_mu is formed once per rung
-    from the pure gauge's component P_mu, except one that fills a split rung: only
-    its P_mu is held, and its gaps form it on each plane, so no grid-sized A' is held.
+    and is taken once per gap. Each plane's F[A'] is formed in a stencil's buffer, and
+    R F[A] is subtracted from it one coefficient at a time. A rung holds A and R, and
+    holds an A'_mu = R A_mu + P_mu that fills a split rung as P_mu (its gaps form it on
+    each plane), one that fills an unsplit rung whole, and one that misses an axis not
+    at all: each gap that reads it forms it whole, from U, which the rung keeps only then.
     """
     rng = np.random.default_rng(cfg.seed)
     waves = [smooth_waves(rng, cfg.smooth_amp) for _ in range(15)]
@@ -249,13 +251,16 @@ def covariance_order(cfg: config.ScenarioConfig) -> lattice.OrderEstimate:
         planewise = [s == grid.dims and math.prod(s[1:]) >= split for s in shapes]
         P = [su2_algebra.pure_gauge_field(grid, U, g, mu) if w else None for mu, w in enumerate(planewise, 1)]
         R = su2_algebra.rotation(U)
-        Ap = [None if w else  # None: formed on each plane from P_mu
-              su2_algebra.transform_component(R, a, su2_algebra.pure_gauge_field(grid, U, g, mu))
-              for mu, (w, a) in enumerate(zip(planewise, A), 1)]
-        del U
+
+        def transformed(c):  # A'_mu, c = mu - 1, whole, from U
+            return su2_algebra.transform_component(R, A[c], su2_algebra.pure_gauge_field(grid, U, g, c + 1))
+        # None: formed on each plane from P_mu, or by each gap that reads it
+        held = [transformed(c) if shapes[c] == grid.dims and not planewise[c] else None for c in range(4)]
+        U = U if any(s != grid.dims for s in shapes) else None
 
         def norm(mu, nu):
             i, j = mu - 1, nu - 1
+            Ap = [transformed(c) if c in (i, j) and shapes[c] != grid.dims else held[c] for c in range(4)]
             d = min({0, 1, 2, 3} - {i, j})  # the free axis whose planes have the longest runs
             shape = np.broadcast_shapes(shapes[i], shapes[j])
             n = shape[d]
@@ -272,7 +277,7 @@ def covariance_order(cfg: config.ScenarioConfig) -> lattice.OrderEstimate:
                          and whole[c].shape[d] == 1 else None for c, m in ((j, mu), (i, nu))]
                 return lambda k: F(grid, [plane(c, k) for c in range(4)], g, mu, nu, fixed)
 
-            def prime(c, k):  # plane k of A'_mu, c = mu - 1, formed here if the rung does not hold it
+            def prime(c, k):  # plane k of A'_mu, c = mu - 1, formed here if the gap does not hold it
                 return cut(Ap[c], 0, k) if Ap[c] is not None else su2_algebra.transform_component(
                     cut(R, 2, k), cut(A[c], 0, k), cut(P[c], 0, k))
 
@@ -281,12 +286,8 @@ def covariance_order(cfg: config.ScenarioConfig) -> lattice.OrderEstimate:
             # an F[A] that misses an axis holds at most a plane's points: built once
             FA = F(grid, A, g, mu, nu) if 1 in np.broadcast_shapes(A[i].shape, A[j].shape) else None
             FAk = strength(A, lambda c, k: cut(A[c], 0, k)) if FA is None else lambda k: cut(FA, 0, k)
-
-            def plane(k):
-                D = FAp(k)
-                D -= su2_algebra.rotate(cut(R, 2, k), FAk(k))
-                return su2_algebra.max_norm(D)
-            return np.max([plane(k) for k in range(0, n, step)])
+            return np.max([su2_algebra.max_norm(su2_algebra.subtract_rotated(FAp(k), cut(R, 2, k), FAk(k)))
+                           for k in range(0, n, step)])
         return max_over_pairs(norm)
     return _refine(cfg, cfg.covariance_grids, gap)
 

@@ -14,7 +14,9 @@ gives, bit for bit.
 Fields this module allocates keep each coefficient as one contiguous plane
 (`empty_coefficients`), so one `lattice.partial` call covers a whole field
 and the coefficient slices X[..., i] the products read stay contiguous.
-Any memory order is accepted and gives the same numbers.
+Any memory order is accepted and gives the same numbers. Of the public functions
+only `commutator` (into out) and `subtract_rotated` (into D) write into an array
+they are given; the others only read their arguments.
 
 In these coefficients
   i g [A, B]          = -2g (a x b).sigma: the identity parts commute;
@@ -77,12 +79,17 @@ def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def commutator(A: np.ndarray, B: np.ndarray, g: float) -> np.ndarray:
-    """The sigma coefficients of i g [A, B] = -2g (a x b).sigma, shaped (..., 3);
-    the identity parts commute, so its s is zero. Leading axes broadcast."""
-    shape = np.broadcast_shapes(A.shape, B.shape)[:-1]
-    out = _cross(A[..., 1:], B[..., 1:], empty_coefficients(shape, 3))
-    out *= -2.0 * g
+def commutator(A: np.ndarray, B: np.ndarray, g: float, out: np.ndarray) -> np.ndarray:
+    """Add the sigma coefficients of i g [A, B] = -2g (a x b).sigma into out[..., 1:], one
+    coefficient at a time through one-coefficient temporaries, and return out; the
+    identity parts commute, so out[..., 0] is kept. A's and B's axes broadcast to out's."""
+    a, b = A[..., 1:], B[..., 1:]
+    t, u = np.empty(out.shape[:-1]), np.empty(out.shape[:-1])
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[..., j], b[..., k], out=t)
+        t -= np.multiply(a[..., k], b[..., j], out=u)
+        t *= -2.0 * g
+        out[..., i + 1] += t
     return out
 
 
@@ -100,19 +107,33 @@ def rotation(q: np.ndarray) -> np.ndarray:
     return R
 
 
+def _rotate_row(R: np.ndarray, a: np.ndarray, i: int, out: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """Row i of R a, three multiply-adds per point, written into out; term is a work buffer."""
+    np.multiply(R[i, 0], a[..., 0], out=out)
+    out += np.multiply(R[i, 1], a[..., 1], out=term)
+    out += np.multiply(R[i, 2], a[..., 2], out=term)
+    return out
+
+
 def rotate(R: np.ndarray, X: np.ndarray) -> np.ndarray:
     """U X U^dagger for R = rotation(q): s is kept and a becomes R a, nine
     multiply-adds per point. R's trailing axes broadcast against X's leading ones."""
-    a = X[..., 1:]
     out = empty_coefficients(np.broadcast_shapes(R.shape[2:], X.shape[:-1]))
     out[..., 0] = X[..., 0]
     term = np.empty(out.shape[:-1])
     for i in range(3):
-        v = out[..., i + 1]
-        np.multiply(R[i, 0], a[..., 0], out=v)
-        v += np.multiply(R[i, 1], a[..., 1], out=term)
-        v += np.multiply(R[i, 2], a[..., 2], out=term)
+        _rotate_row(R, X[..., 1:], i, out[..., i + 1], term)
     return out
+
+
+def subtract_rotated(D: np.ndarray, R: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """D - U X U^dagger (`rotate`) written into D and returned, one coefficient at a
+    time through one-coefficient temporaries; R's and X's axes broadcast to D's."""
+    D[..., 0] -= X[..., 0]
+    row, term = np.empty(D.shape[:-1]), np.empty(D.shape[:-1])
+    for i in range(3):
+        D[..., i + 1] -= _rotate_row(R, X[..., 1:], i, row, term)
+    return D
 
 
 def _modulus_max(x: np.ndarray, y: np.ndarray) -> float:

@@ -20,6 +20,8 @@ places points row by row with np.linalg.norm, as the package did before
 its batches were stored coordinate-major. The matrix ladders' smooth
 scalar is drawn and summed by the loop the package used before it drew
 its recipes as waves.
+The coefficient commutator is kept as the whole (..., 3) array the package
+formed before it added each coefficient into F; the two must agree bit for bit.
 The connection coefficients are the closed form -i g exp(-i c) of the
 centre c, which `reduce` reads off the ansatz profile instead. The two
 currents and the pure gauge are also kept as the loops that built all
@@ -277,9 +279,21 @@ def conjugate(U, X):
     return matmul(matmul(U, X), dagger(U))
 
 
-def commutator(A, B, g):
+def matrix_commutator(A, B, g):
     """i g [A, B]."""
     return 1j * g * (matmul(A, B) - matmul(B, A))
+
+
+def commutator(A, B, g):
+    """The sigma coefficients of i g [A, B] for coefficient fields A and B, shaped
+    (..., 3), as the package formed them whole before it added them into F one
+    coefficient at a time: the cross product a x b into one array, then times -2g."""
+    from su2reduce import su2_algebra
+
+    shape = np.broadcast_shapes(A.shape, B.shape)[:-1]
+    out = su2_algebra._cross(A[..., 1:], B[..., 1:], su2_algebra.empty_coefficients(shape, 3))
+    out *= -2.0 * g
+    return out
 
 
 def pure_gauge(grid, U, g):
@@ -295,7 +309,7 @@ def gauge_transform(grid, A, U, g):
 
 def field_strength_component(grid, A, g, mu, nu):
     """d_mu A_nu - d_nu A_mu + i g [A_mu, A_nu]."""
-    return roll_diff(grid, A[nu - 1], mu) - roll_diff(grid, A[mu - 1], nu) + commutator(A[mu - 1], A[nu - 1], g)
+    return roll_diff(grid, A[nu - 1], mu) - roll_diff(grid, A[mu - 1], nu) + matrix_commutator(A[mu - 1], A[nu - 1], g)
 
 
 def field_strength(grid, A, g):

@@ -339,6 +339,18 @@ def test_covariance_study_at_a_dense_seed_copies_no_pure_gauge():
     assert peak <= 21.47, peak
 
 
+def test_covariance_study_forms_each_plane_in_place_and_each_unsplit_a_prime_per_gap():
+    # A structural bound: on the default ladder the 24^4 rung sets the study's
+    # peak. With A'_2..A'_4, which miss an axis, held whole for the rung and each
+    # plane's R F[A], F and commutator formed as new arrays it read 6.16 fields;
+    # with each such A' formed by the gaps that read it and each plane formed in
+    # its own stencil's buffer, 5.49. Those A' held for the rung again (6.34) or
+    # F formed in a new array (5.86) break the bound; a whole R F[A] subtracted
+    # again reads 5.75, under it.
+    peak = traced_peak(checks.covariance_order, config.ScenarioConfig())
+    assert peak <= 5.8, peak
+
+
 def test_pure_gauge_study_peak_memory_is_bounded():
     # The bound is the peak with the fields stored as 2x2 complex matrices,
     # 60.0160 fields (62,931,296 bytes); as real u(2) coefficients it

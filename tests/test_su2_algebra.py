@@ -19,8 +19,8 @@ def test_pauli_commutation_relations():
     basis = np.eye(4)
     for a in (1, 2, 3):
         for b in (1, 2, 3):
-            got = su2_algebra.commutator(basis[a], basis[b], 0.5)
-            assert np.array_equal(got, -su2_algebra.EPSILON[a - 1, b - 1])
+            got = su2_algebra.commutator(basis[a], basis[b], 0.5, np.zeros(4))
+            assert got[0] == 0.0 and np.array_equal(got[1:], -su2_algebra.EPSILON[a - 1, b - 1])
 
 
 def test_pauli_index_validation():
@@ -149,6 +149,25 @@ def test_matrix_field_shape_guards():
         su2_algebra.gauge_transform(grid, np.zeros((4,) + grid.dims + (2, 2)), good_u, 1.0)
 
 
+def bits(x):
+    """The bit patterns of a float array: nan payloads and the sign of zero count."""
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+def plant(rng, x):
+    """x with inf, -inf, nan and -0.0 written at four random entries of a copy."""
+    x = np.array(x)
+    flat = x.reshape(-1)
+    flat[rng.choice(flat.size, 4, replace=False)] = [math.inf, -math.inf, math.nan, -0.0]
+    return x
+
+
+def added_commutator(A, B, g):
+    """su2_algebra.commutator added into zeros of A's and B's broadcast shape."""
+    return su2_algebra.commutator(A, B, g, np.zeros(np.broadcast_shapes(A.shape, B.shape)))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf, on both sides
 @pytest.mark.parametrize("seed", [41, 42, 43])
 def test_commutator_matches_the_oracle(seed):
     rng = np.random.default_rng(seed)
@@ -159,14 +178,27 @@ def test_commutator_matches_the_oracle(seed):
         # a six-component tensor against one field, both ways round
         (random_coefficients(rng, (6,) + dims), random_coefficients(rng, dims)),
         (random_coefficients(rng, dims), random_coefficients(rng, (6,) + dims)),
+        # compact fields on overlapping axes, and one against a dense field
+        (random_coefficients(rng, (3, 1, 5, 1)), random_coefficients(rng, (1, 4, 5, 1))),
+        (random_coefficients(rng, (1, 4, 1, 2)), random_coefficients(rng, dims)),
     ]
     for A, B in cases:
-        got = su2_algebra.commutator(A, B, g)
-        want = oracles.commutator(oracles.algebra_matrices(A), oracles.algebra_matrices(B), g)
+        # the whole-array reference against the 2x2 matrices
+        got = oracles.commutator(A, B, g)
+        want = oracles.matrix_commutator(oracles.algebra_matrices(A), oracles.algebra_matrices(B), g)
         full = np.concatenate([np.zeros(got.shape[:-1] + (1,)), got], axis=-1)
         assert relative_gap(oracles.algebra_matrices(full), want) <= 1e-13
+        # the accumulating kernel is F plus that reference, bit for bit
+        for A_, B_ in ((A, B), (plant(rng, A), plant(rng, B))):
+            F = plant(rng, random_coefficients(rng, np.broadcast_shapes(A.shape, B.shape)[:-1]))
+            want = F.copy()
+            want[..., 1:] += oracles.commutator(A_, B_, g)
+            out = F.copy()
+            assert su2_algebra.commutator(A_, B_, g, out) is out
+            assert np.array_equal(bits(out), bits(want))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf, on both sides
 @pytest.mark.parametrize("seed", [43, 44, 45])
 def test_rotate_matches_the_oracle(seed):
     rng = np.random.default_rng(seed)
@@ -178,6 +210,45 @@ def test_rotate_matches_the_oracle(seed):
     assert relative_gap(oracles.algebra_matrices(su2_algebra.rotate(R, X)), want) <= 1e-13
     got1 = oracles.algebra_matrices(su2_algebra.rotate(R, X[2]))
     assert relative_gap(got1, want[2]) <= 1e-13
+    # the in-place subtraction is D - rotate(R, X), bit for bit: dense and compact
+    # rotations and operands, with inf, nan and -0.0 planted in each input
+    Rc = su2_algebra.rotation(random_group(rng, (4, 1, 2, 1)))
+    for Rk, Xk in ((R, X), (R, X[3]), (R, random_coefficients(rng, (1, 3, 1, 5))),
+                   (Rc, X), (Rc, random_coefficients(rng, (1, 3, 2, 1)))):
+        for R_, X_ in ((Rk, Xk), (plant(rng, Rk), plant(rng, Xk))):
+            D = plant(rng, random_coefficients(rng, np.broadcast_shapes(R_.shape[2:], X_.shape[:-1])))
+            want = D - su2_algebra.rotate(R_, X_)
+            got = D.copy()
+            assert su2_algebra.subtract_rotated(got, R_, X_) is got
+            assert np.array_equal(bits(got), bits(want))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf, on both sides
+@pytest.mark.parametrize("special", [False, True])
+def test_field_strength_only_reads_the_stencils_it_is_given(special):
+    from su2reduce import ansatz_field
+
+    # components on all four axes, on three, and on two: F is formed in a stencil's
+    # buffer where one has F's shape, and in a new array where each is smaller
+    grid = lattice.Grid4((4, 5, 6, 4), 0.3)
+    rng = np.random.default_rng(61 + special)
+    A = [random_coefficients(rng, axes_shape(grid, axes)) for axes in ((0, 1, 2, 3), (0, 1, 3), (1, 2), (0, 2, 3))]
+    if special:
+        A = [plant(rng, a) for a in A]
+    g = 1.3
+    for mu, nu in ansatz_field.PAIRS:
+        taken = (lattice.partial(grid, A[nu - 1], mu), lattice.partial(grid, A[mu - 1], nu))
+        want = np.subtract(*taken)
+        want[..., 1:] += oracles.commutator(A[mu - 1], A[nu - 1], g)
+        F = ansatz_field.field_strength_matrix(grid, A, g, mu, nu)
+        assert np.array_equal(bits(F), bits(want))
+        for given in ((taken[0], None), (None, taken[1]), taken):
+            kept = [None if x is None else x.copy() for x in given]
+            got = ansatz_field.field_strength_matrix(grid, A, g, mu, nu, given)
+            assert np.array_equal(bits(got), bits(want))
+            for x, y in zip(given, kept):
+                if x is not None:
+                    assert np.array_equal(bits(x), bits(y)) and not np.shares_memory(got, x)
 
 
 def smooth_pair(grid, rng, amp):
@@ -264,7 +335,7 @@ def test_entry_planes_layout_gives_identical_products():
     planar = su2_algebra.empty_coefficients((5, 6))
     planar[...] = A
     assert planar[..., 1].flags.c_contiguous
-    assert np.array_equal(su2_algebra.commutator(planar, B, 1.5), su2_algebra.commutator(A, B, 1.5))
+    assert np.array_equal(added_commutator(planar, B, 1.5), added_commutator(A, B, 1.5))
     R = su2_algebra.rotation(q)
     assert np.array_equal(su2_algebra.rotate(R, planar), su2_algebra.rotate(R, A))
     assert np.array_equal(R, su2_algebra.rotation(np.ascontiguousarray(q)))
@@ -326,8 +397,7 @@ def test_compact_matrix_fields_equal_their_dense_copies(a_axes, q_axes, special)
             F = ansatz_field.field_strength_matrix(grid, pot, g, mu, nu)
             assert F.shape == np.broadcast_shapes(pot[mu - 1].shape, pot[nu - 1].shape)
             same(F, ansatz_field.field_strength_matrix(grid, Ad, g, mu, nu))
-            same(su2_algebra.commutator(pot[mu - 1], pot[nu - 1], g),
-                 su2_algebra.commutator(Ad[mu - 1], Ad[nu - 1], g))
+            same(added_commutator(pot[mu - 1], pot[nu - 1], g), added_commutator(Ad[mu - 1], Ad[nu - 1], g))
     for mu in range(1, 5):
         same(su2_algebra.pure_gauge_field(grid, q, g, mu), su2_algebra.pure_gauge_field(grid, qd, g, mu))
         assert su2_algebra.pure_gauge_field(grid, q, g, mu).shape == q.shape
