@@ -349,17 +349,17 @@ def anomaly_divergence_closed_form(lam: LambdaField, g: float) -> np.ndarray:
 
     g sum_{mu,nu} exp(-i(lam_mu + lam_nu)) [ i (d_mu lam_nu)^2 - d_mu^2 lam_nu ]
 
-    The second derivative is the composed central stencil. The lattice
-    divergence of the anomalous current is the ground truth; callers are
-    expected to record the gap between the two rather than assert it away.
+    The second derivative is the composed central stencil d_mu G[nu][mu], read from
+    `second_gradients`, so a slab view takes it too. The lattice divergence of the
+    anomalous current is the ground truth; callers are expected to record the gap
+    between the two rather than assert it away.
     """
     g = su2_algebra.check_coupling(g)
-    f, G = lam.profile, lam.gradients
+    f, G, DG = lam.profile, lam.gradients, lam.second_gradients
     out = np.zeros(lam.shape, dtype=complex)
     for m in range(4):
         for n in range(4):
-            d2 = lattice.partial(lam.grid, G[n][m], m + 1, lam.slab_axis)
-            out += g * f[m] * f[n] * (1j * G[n][m] ** 2 - d2)
+            out += g * f[m] * f[n] * (1j * G[n][m] ** 2 - DG[n][m][0])
     return out
 
 
@@ -437,6 +437,12 @@ def field_equation_residual_full(lam: LambdaField, g: float) -> np.ndarray:
     return out
 
 
+def current_max(current, lam: LambdaField, *args) -> float:
+    """The max-norm of the four components of current(lam, *args, nu), each built on one
+    slab at a time: a max is exact and np.max keeps a nan from any slab or component."""
+    return float(np.max([lattice.max_abs(current(part, *args, nu)) for part in slabs(lam) for nu in range(1, 5)]))
+
+
 def vacuum_report(base: LambdaField, eps_seq, g: float) -> tuple[float | None, float | None, float]:
     """Scan lambda = eps * base over a decreasing amplitude sequence:
     (slope_current, slope_box_profile, noether_max at the first amplitude).
@@ -455,12 +461,6 @@ def vacuum_report(base: LambdaField, eps_seq, g: float) -> tuple[float | None, f
     if any(e < 0 for e in eps_list):
         raise ValueError("amplitudes must be nonnegative")
     grid = base.grid
-
-    def current_max(current, lam, *args):
-        """The max-norm of the four components of a current of lam, each built on one slab
-        at a time: a max is exact and np.max keeps a nan from any slab or component."""
-        return float(np.max([lattice.max_abs(current(part, *args, nu))
-                             for part in slabs(lam) for nu in range(1, 5)]))
     first = base.scaled(eps_list[0])
     noether_max = current_max(noether_current, first)
     pos, current, box_profile = [e for e in eps_list if e > 0], [], []

@@ -164,16 +164,16 @@ def residual_contraction_route(lam: ansatz_field.LambdaField, g: float) -> np.nd
     return out
 
 
-def current_divergence(lam: ansatz_field.LambdaField, g: float, gap=lambda part, div: div) -> float:
-    """The max-norm of gap(slab, the lattice divergence of the anomalous current on it)
-    over ansatz_field.slabs(lam), one slab at a time; np.max keeps a nan from any slab.
+def current_divergence(lam: ansatz_field.LambdaField, g: float, gap) -> list:
+    """[gap(slab, the lattice divergence of the anomalous current on it)] for each slab
+    of ansatz_field.slabs(lam), in order: the package's one lattice divergence of the
+    current. Each slab's divergence is dropped inside gap before the next slab is built.
 
     Each component is built on the slab as its stencil reads it. Along the slab axis
     d the stencil also reads j_d's planes on either side of the slab: j_d is built once
     per slab, a slab ahead, the plane below a slab is kept from the slab before it, and
     the plane below the first, the field's last, is built once more on its own. The four
-    partials are added in lattice.divergence's order, so every point is as there; one
-    slab is the whole field.
+    partials d_mu j_mu are added in the order mu = 1..4; one slab is the whole field.
     """
     grid, J = lam.grid, ansatz_field.anomalous_current
     parts = ansatz_field.slabs(lam)
@@ -194,12 +194,22 @@ def current_divergence(lam: ansatz_field.LambdaField, g: float, gap=lambda part,
         below = np.take(jd, [-1], axis=d)
         return out
 
-    def norm(k, part):
+    def taken(k, part):
         div = term(k, part, 1)
         for mu in (2, 3, 4):
             div += term(k, part, mu)
-        return lattice.max_abs(gap(part, div))
-    return float(np.max([norm(k, part) for k, part in enumerate(parts)]))
+        return gap(part, div)
+    return [taken(k, part) for k, part in enumerate(parts)]
+
+
+def anomaly_fields(lam: ansatz_field.LambdaField, g: float):
+    """(the anomalous current stacked, its lattice divergence, the product-rule
+    expansion, the closed form) of lam; the divergence is current_divergence's
+    slabs joined along their axis."""
+    j = np.stack([ansatz_field.anomalous_current(lam, g, nu) for nu in range(1, 5)])
+    div = np.concatenate(current_divergence(lam, g, lambda part, div: div),
+                         axis=ansatz_field.slabs(lam)[0].slab_axis)
+    return j, div, anomaly_divergence_expansion(lam, g), ansatz_field.anomaly_divergence_closed_form(lam, g)
 
 
 def divergence_accounting_order(cfg: config.ScenarioConfig) -> lattice.OrderEstimate:
@@ -213,8 +223,8 @@ def divergence_accounting_order(cfg: config.ScenarioConfig) -> lattice.OrderEsti
     """
     def gap(grid):
         lam = phase_field(cfg, grid, scale=cfg.anomaly_amplitude)
-        return current_divergence(lam, cfg.coupling, lambda part, div: np.subtract(
-            div, anomaly_divergence_expansion(part, cfg.coupling), out=div))
+        return float(np.max(current_divergence(lam, cfg.coupling, lambda part, div: lattice.max_abs(
+            np.subtract(div, anomaly_divergence_expansion(part, cfg.coupling), out=div)))))
     return _refine(cfg, cfg.divergence_grids, gap)
 
 
@@ -399,14 +409,9 @@ class Run:
 
     @cached_property
     def anomaly_fields(self):
-        """(current, its lattice divergence, the product-rule expansion, the
-        closed form) at the anomaly amplitude; the phase field itself is not
-        kept, so it is gone before the divergence ladder runs."""
-        g = self.cfg.coupling
-        lam = phase_field(self.cfg, self.grid, scale=self.cfg.anomaly_amplitude)
-        j = np.stack([ansatz_field.anomalous_current(lam, g, nu) for nu in range(1, 5)])
-        return (j, lattice.divergence(self.grid, j), anomaly_divergence_expansion(lam, g),
-                ansatz_field.anomaly_divergence_closed_form(lam, g))
+        """anomaly_fields of the phase field at the anomaly amplitude; the phase
+        field itself is not kept, so it is gone before the divergence ladder runs."""
+        return anomaly_fields(phase_field(self.cfg, self.grid, scale=self.cfg.anomaly_amplitude), self.cfg.coupling)
 
     @cached_property
     def contraction_map(self) -> contraction.ContractionMap:
@@ -531,10 +536,8 @@ def vacuum_limit(run: Run) -> None:
         "field_strength": max_over_pairs(lambda mu, nu: lattice.max_abs(
             ansatz_field.field_strength_ansatz(zero, mu, nu))),
         "lagrangian": lattice.max_abs(ansatz_field.lagrangian_density(zero)[0]),
-        "noether_current": float(np.max([lattice.max_abs(ansatz_field.noether_current(zero, nu))
-                                         for nu in range(1, 5)])),
-        "anomalous_current": float(np.max([lattice.max_abs(ansatz_field.anomalous_current(zero, g, nu))
-                                           for nu in range(1, 5)])),
+        "noether_current": ansatz_field.current_max(ansatz_field.noether_current, zero),
+        "anomalous_current": ansatz_field.current_max(ansatz_field.anomalous_current, zero, g),
         "residual": lattice.max_abs(ansatz_field.field_equation_residual(zero, g)),
     }
     run.judge("vacuum_exact_zeros", all(v == 0.0 for v in zvals.values()), **zvals)
@@ -579,8 +582,8 @@ def quadratic_divergence_scaling(run: Run) -> None:
     cfg, grid = run.cfg, run.grid
     base = gradient_base_field(cfg, grid)
     eps = cfg.scaling_amplitudes[-2]  # the config holds at least two
-    d1 = current_divergence(base.scaled(eps), cfg.coupling)
-    d2 = current_divergence(base.scaled(2 * eps), cfg.coupling)
+    d1, d2 = (float(np.max(current_divergence(base.scaled(e), cfg.coupling, lambda part, div: lattice.max_abs(div))))
+              for e in (eps, 2 * eps))
     ratio = d2 / d1 if d1 > 0 else float("inf")
     window = LIMITS["quadratic_divergence_scaling"]
     run.judge("quadratic_divergence_scaling", window[0] <= ratio <= window[1],
@@ -588,10 +591,7 @@ def quadratic_divergence_scaling(run: Run) -> None:
 
 
 def vacuum_zero_current(run: Run) -> None:
-    zero = ansatz_field.LambdaField.zero(run.grid)
-    zj = np.stack([ansatz_field.anomalous_current(zero, run.cfg.coupling, nu) for nu in range(1, 5)])
-    zc = ansatz_field.anomaly_divergence_closed_form(zero, run.cfg.coupling)
-    zd = lattice.divergence(run.grid, zj)
+    zj, zd, _, zc = anomaly_fields(ansatz_field.LambdaField.zero(run.grid), run.cfg.coupling)
     maxima = {"current_max": lattice.max_abs(zj), "divergence_max": lattice.max_abs(zd),
               "closed_form_max": lattice.max_abs(zc)}
     run.judge("vacuum_zero_current", all(v == 0.0 for v in maxima.values()), **maxima)

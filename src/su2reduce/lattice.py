@@ -12,12 +12,11 @@ wrap periodically; that makes discrete integration by parts exact and
 keeps every operator translation invariant. They are built by slicing
 into one preallocated result, which keeps the input's memory order: the
 interior points read the shifted slices directly and the two seam points
-read the wrapped neighbours. `divergence` takes its four components as one
-array or as any iterable, so a caller can build each one as its stencil
-reads it; the CSV and npz writers repeat a compact field to the grid one
-slab of axis 1 per write, never as a whole copy, and the CSV writer formats
-the stored values of one slab at a time. `fit_order` takes a refinement
-study's least-squares slope in closed form: no fit reaches BLAS or LAPACK.
+read the wrapped neighbours. The CSV and npz writers repeat a compact field
+to the grid one slab of axis 1 per write, never as a whole copy, and the CSV
+writer formats the stored values of one slab at a time. `fit_order` takes
+a refinement study's least-squares slope in closed form: no fit reaches
+BLAS or LAPACK.
 
 A slab is a run of whole planes of a field along one axis d: named as
 `slab=d`, `check_field` and `partial` accept any length from 1 to dims[d]
@@ -165,21 +164,6 @@ def box(grid: Grid4, f: np.ndarray) -> np.ndarray:
     out = second_diff(grid, f, 1)
     for mu in (2, 3, 4):
         out += second_diff(grid, f, mu)
-    return out
-
-
-def divergence(grid: Grid4, v) -> np.ndarray:
-    """sum_mu d_mu v_mu of a four-component field: an array shaped (4, *dims) or any
-    iterable of four components of one shape and dtype, such as a generator that
-    builds each on demand; a component is only its stencil's argument, so it is
-    dropped before the next is drawn. A missing one arrives as None, which
-    check_field refuses."""
-    it = iter(v)
-    out = partial(grid, next(it, None), 1)
-    for mu in (2, 3, 4):
-        out += partial(grid, next(it, None), mu)
-    if next(it, None) is not None:
-        raise GridMismatchError("expected four components, got more")
     return out
 
 

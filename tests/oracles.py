@@ -26,7 +26,9 @@ The connection coefficients are the closed form -i g exp(-i c) of the
 centre c, which `reduce` reads off the ansatz profile instead. The two
 currents and the pure gauge are also kept as the loops that built all
 four components at once, before the package built one per call; those
-must agree bit for bit.
+must agree bit for bit. The divergence of a four-component field is the
+four partials summed on the whole field, as the package summed them
+before it took the current's divergence slab by slab.
 """
 
 import math
@@ -348,6 +350,19 @@ def stacked_anomalous_current(lam, g):
     out *= g
     return out
 
+
+def divergence(grid, v):
+    """sum_mu d_mu v_mu of four components, an array shaped (4, *dims) or any
+    iterable of them: the four `lattice.partial`s on the whole field, added in
+    order, as the package took the current's divergence before it took it one
+    slab at a time."""
+    from su2reduce import lattice
+
+    it = iter(v)
+    out = lattice.partial(grid, next(it), 1)
+    for mu in (2, 3, 4):
+        out += lattice.partial(grid, next(it), mu)
+    return out
 
 def stacked_pure_gauge(grid, q, g):
     """The pure gauge -(i/g) U d_mu U^dagger as su2 coefficients shaped (4, *s, 4),

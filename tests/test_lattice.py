@@ -1,7 +1,6 @@
 """Stencil, refinement-fit and serialization tests for the grid layer."""
 
 import math
-import weakref
 import zipfile
 
 import numpy as np
@@ -115,9 +114,6 @@ def test_stencils_on_length_one_axes_equal_the_dense_field(shape, trailing):
             assert bits(np.broadcast_to(lattice.second_diff(grid, f, mu), full)) == bits(
                 lattice.second_diff(grid, dense, mu))
         assert bits(np.broadcast_to(lattice.box(grid, f), full)) == bits(lattice.box(grid, dense))
-        v = np.stack([f, 2.0 * f, -f, f + 1.0])
-        assert bits(np.broadcast_to(lattice.divergence(grid, v), full)) == bits(
-            lattice.divergence(grid, np.broadcast_to(v, (4,) + full)))
 
 
 def test_an_axis_neither_full_nor_one_is_refused():
@@ -197,60 +193,14 @@ def test_a_halo_must_be_one_plane_bordering_the_slab():
         lattice.halo_partial(grid, np.zeros((3, 5, 6, 3)), 1, plane, plane)
 
 
-def test_divergence_adds_the_four_partials_in_order():
-    grid = small_grid(8)
-    rng = np.random.default_rng(5)
-    for v in (rng.standard_normal((4,) + grid.dims),
-              rng.standard_normal((4,) + grid.dims) + 1j * rng.standard_normal((4,) + grid.dims)):
-        d = [lattice.partial(grid, v[mu - 1], mu) for mu in (1, 2, 3, 4)]
-        assert np.array_equal(lattice.divergence(grid, v), ((d[0] + d[1]) + d[2]) + d[3])
-
-
 def test_divergence_and_shape_guards():
     grid = small_grid(8)
     rng = np.random.default_rng(3)
     v = rng.standard_normal((4,) + grid.dims)
-    manual = sum(lattice.partial(grid, v[mu - 1], mu) for mu in (1, 2, 3, 4))
-    assert lattice.max_abs(lattice.divergence(grid, v) - manual) == 0.0
-    with pytest.raises(lattice.GridMismatchError):
-        lattice.divergence(grid, v[:3])
     with pytest.raises(lattice.GridMismatchError):
         lattice.check_field(grid, np.zeros((8, 8, 8, 4)))
     with pytest.raises(ValueError):
         lattice.partial(grid, v[0], 5)
-
-
-def test_divergence_takes_any_iterable_of_four_components():
-    grid = small_grid(8)
-    v = np.random.default_rng(7).standard_normal((4,) + grid.dims)
-    want = bits(lattice.divergence(grid, v))
-    assert bits(lattice.divergence(grid, list(v))) == want
-    assert bits(lattice.divergence(grid, (c.copy() for c in v))) == want
-    for count in (3, 5):
-        for parts in (np.zeros((count,) + grid.dims), [np.zeros(grid.dims)] * count,
-                      (np.zeros(grid.dims) for _ in range(count))):
-            with pytest.raises(lattice.GridMismatchError):
-                lattice.divergence(grid, parts)
-
-
-def test_divergence_drops_each_component_before_drawing_the_next():
-    # a component is only its stencil's argument: when the generator builds
-    # the next one, no earlier one is alive (a loop variable would keep one)
-    grid = small_grid(8)
-    v = np.random.default_rng(8).standard_normal((4,) + grid.dims)
-    refs, alive = [], []
-
-    def track(c):
-        refs.append(weakref.ref(c))
-        return c
-
-    def components():
-        for c in v:
-            alive.append(sum(r() is not None for r in refs))
-            yield track(c.copy())
-
-    assert bits(lattice.divergence(grid, components())) == bits(lattice.divergence(grid, v))
-    assert alive == [0, 0, 0, 0]
 
 
 def test_periodic_sum_of_partial_vanishes():
