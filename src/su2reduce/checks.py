@@ -8,6 +8,14 @@ A recipe is a list of (cycles, amplitude, phase) waves, as the config
 holds them; each matrix study draws its random recipes once, and every
 rung sums them with `ansatz_field.wave_sum`.
 
+`verify` draws its seeded recipes and samples from `_draws.Generator`, an
+in-repo copy of numpy's SeedSequence -> PCG64 stream for the three draws it
+makes, so it never imports `numpy.random` (about 5.5 MB a process). `contract`
+and `reduce` keep `np.random.default_rng`: they draw numpy's ziggurat
+`standard_normal`, which `_draws` does not copy, hence two draw paths. The
+in-repo stream also keeps `verify`'s frozen values fixed if a later numpy
+changes its `Generator` stream, as NEP 19 allows; tests/test_draws.py then fails.
+
 Then the checks. Each is a function of one `Run` that adds one or more
 rows to the run's report; it returns True when the command must end
 after it (an uncertified contraction, a Banach run that did not
@@ -24,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import ansatz_field, bundle, config, contraction, lattice, report, su2_algebra
+from . import _draws, ansatz_field, bundle, config, contraction, lattice, report, su2_algebra
 
 
 def phase_field(cfg: config.ScenarioConfig, grid: lattice.Grid4,
@@ -44,7 +52,8 @@ def smooth_waves(rng, amp: float) -> list[tuple]:
     """A random low-harmonic scalar's recipe for ansatz_field.wave_sum: two single-axis
     unit waves, each drawn as axis, sign, phase, then amplitude factor. Content is kept
     at |cycles| = 1 so products of these fields stay resolvable on the coarse ends of
-    the refinement ladders."""
+    the refinement ladders. `verify` passes a `_draws.Generator`, the in-repo PCG64;
+    numpy's default_rng of the same seed draws the same recipe."""
     draws = [(int(rng.integers(0, 4)), -1 if rng.random() < 0.5 else 1,
               rng.uniform(0.0, 2.0 * math.pi), amp * rng.uniform(0.3, 1.0)) for _ in range(2)]
     return [(tuple(sign if d == axis else 0 for d in range(4)), a, ph) for axis, sign, ph, a in draws]
@@ -245,7 +254,7 @@ def covariance_order(cfg: config.ScenarioConfig) -> lattice.OrderEstimate:
     each plane), one that fills an unsplit rung whole, and one that misses an axis not
     at all: each gap that reads it forms it whole, from U, which the rung keeps only then.
     """
-    rng = np.random.default_rng(cfg.seed)
+    rng = _draws.Generator(cfg.seed)
     waves = [smooth_waves(rng, cfg.smooth_amp) for _ in range(15)]
     # Split from 2^12 points, the 16^4 rung's planes: run whole, its dense gaps' n^4
     # temporaries set the study's peak. The 12^4 rung's gaps stay below the 24^4
@@ -305,7 +314,7 @@ def covariance_order(cfg: config.ScenarioConfig) -> lattice.OrderEstimate:
 def pure_gauge_order(cfg: config.ScenarioConfig) -> lattice.OrderEstimate:
     """‖F‖ of a discretized pure-gauge potential under refinement, one
     (mu, nu) component of F at a time."""
-    rng = np.random.default_rng(cfg.seed + 1)
+    rng = _draws.Generator(cfg.seed + 1)
     waves = [smooth_waves(rng, cfg.smooth_amp) for _ in range(3)]
 
     def gap(grid):
@@ -449,7 +458,7 @@ def pauli_commutators(run: Run) -> None:
 
 
 def group_exponential_unitarity(run: Run) -> None:
-    rho = np.random.default_rng(run.cfg.seed).uniform(-np.pi, np.pi, size=(64, 3))
+    rho = _draws.Generator(run.cfg.seed).uniform(-np.pi, np.pi, size=(64, 3))
     defect = su2_algebra.unitarity_defect(su2_algebra.group_matrices(su2_algebra.su2_exp(rho)))
     run.bounded("group_exponential_unitarity", "max_defect", defect, samples=64)
 
