@@ -277,7 +277,7 @@ def field_strength_matrix(grid: lattice.Grid4, A, g: float, mu: int, nu: int,
     planes and takes a stencil that is the same on every plane once; those are only
     read. F is formed in the buffer of a stencil taken here that has F's shape."""
     g = su2_algebra.check_coupling(g)
-    A = su2_algebra._check_matrix_field(grid, A, components=True)
+    A = su2_algebra.check_matrix_field(grid, A, components=True)
     shape = np.broadcast_shapes(A[mu - 1].shape, A[nu - 1].shape)
     d = [lattice.partial(grid, A[c - 1], m) if x is None else x for x, c, m in zip(stencils, (nu, mu), (mu, nu))]
     own = [x for x, given in zip(d, stencils) if given is None and x.shape == shape]

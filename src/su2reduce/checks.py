@@ -173,50 +173,47 @@ def residual_contraction_route(lam: ansatz_field.LambdaField, g: float) -> np.nd
     return out
 
 
-def current_divergence(lam: ansatz_field.LambdaField, g: float, gap) -> list:
-    """[gap(slab, the lattice divergence of the anomalous current on it)] for each slab
-    of ansatz_field.slabs(lam), in order: the package's one lattice divergence of the
-    current. Each slab's divergence is dropped inside gap before the next slab is built.
+def current_divergence(lam: ansatz_field.LambdaField, current, gap) -> list:
+    """[gap(slab, the lattice divergence of the current on it)] for each slab of
+    ansatz_field.slabs(lam), in order: the package's one lattice divergence of a current.
+    current(part, mu) is the component j_mu on the slab view part, on part.shape.
+    Each slab's divergence is a function of that slab alone, dropped inside gap
+    before the next slab's is built.
 
-    Each component is built on the slab as its stencil reads it. Along the slab axis
-    d the stencil also reads j_d's planes on either side of the slab: j_d is built once
-    per slab, a slab ahead, the plane below a slab is kept from the slab before it, and
-    the plane below the first, the field's last, is built once more on its own. The four
-    partials d_mu j_mu are added in the order mu = 1..4; one slab is the whole field.
+    Along the slab axis d the stencil also reads j_d's planes on either side of the
+    slab, (start - 1) % n and stop % n, which current gives on those one-plane slab
+    views. The four partials d_mu j_mu are added in the order mu = 1..4.
     """
-    grid, J = lam.grid, ansatz_field.anomalous_current
-    parts = ansatz_field.slabs(lam)
+    grid, parts = lam.grid, ansatz_field.slabs(lam)
     d = parts[0].slab_axis
     n = lam.shape[d]
 
-    ahead = J(parts[0], g, d + 1)
-    # j_d's first plane, above the last slab, and its last, below the first
-    first = np.take(ahead, [0], axis=d)
-    below = np.take(ahead, [-1], axis=d) if len(parts) == 1 else J(lam.slab(d, n - 1, n), g, d + 1)
-
-    def term(k, part, mu):  # d_mu j_mu on slab k, part
-        nonlocal ahead, below
+    def term(part, mu):  # d_mu j_mu on the slab part
         if mu != d + 1:
-            return lattice.partial(grid, J(part, g, mu), mu, d)
-        jd, ahead = ahead, J(parts[k + 1], g, mu) if k + 1 < len(parts) else None
-        out = lattice.halo_partial(grid, jd, mu, below, first if ahead is None else np.take(ahead, [0], axis=d))
-        below = np.take(jd, [-1], axis=d)
-        return out
+            return lattice.partial(grid, current(part, mu), mu, d)
+        _, _, start, stop = part.source
+        below, above = (current(lam.slab(d, k % n, k % n + 1), mu) for k in (start - 1, stop))
+        return lattice.halo_partial(grid, current(part, mu), mu, below, above)
 
-    def taken(k, part):
-        div = term(k, part, 1)
+    def taken(part):
+        div = term(part, 1)
         for mu in (2, 3, 4):
-            div += term(k, part, mu)
+            div += term(part, mu)
         return gap(part, div)
-    return [taken(k, part) for k, part in enumerate(parts)]
+    return [taken(part) for part in parts]
 
 
 def anomaly_fields(lam: ansatz_field.LambdaField, g: float):
     """(the anomalous current stacked, its lattice divergence, the product-rule
-    expansion, the closed form) of lam; the divergence is current_divergence's
-    slabs joined along their axis."""
+    expansion, the closed form) of lam. Each current component is built once, whole;
+    the divergence is current_divergence's slabs joined along their axis, each slab
+    reading its planes of the stacked current."""
     j = np.stack([ansatz_field.anomalous_current(lam, g, nu) for nu in range(1, 5)])
-    div = np.concatenate(current_divergence(lam, g, lambda part, div: div),
+
+    def planes(part, mu):  # j_mu cut to the slab view part
+        _, d, start, stop = part.source
+        return j[mu - 1][(slice(None),) * d + (slice(start, stop),)]
+    div = np.concatenate(current_divergence(lam, planes, lambda part, div: div),
                          axis=ansatz_field.slabs(lam)[0].slab_axis)
     return j, div, anomaly_divergence_expansion(lam, g), ansatz_field.anomaly_divergence_closed_form(lam, g)
 
@@ -232,8 +229,10 @@ def divergence_accounting_order(cfg: config.ScenarioConfig) -> lattice.OrderEsti
     """
     def gap(grid):
         lam = phase_field(cfg, grid, scale=cfg.anomaly_amplitude)
-        return float(np.max(current_divergence(lam, cfg.coupling, lambda part, div: lattice.max_abs(
-            np.subtract(div, anomaly_divergence_expansion(part, cfg.coupling), out=div)))))
+        return float(np.max(current_divergence(
+            lam, lambda part, mu: ansatz_field.anomalous_current(part, cfg.coupling, mu),
+            lambda part, div: lattice.max_abs(
+                np.subtract(div, anomaly_divergence_expansion(part, cfg.coupling), out=div)))))
     return _refine(cfg, cfg.divergence_grids, gap)
 
 
@@ -591,8 +590,9 @@ def quadratic_divergence_scaling(run: Run) -> None:
     cfg, grid = run.cfg, run.grid
     base = gradient_base_field(cfg, grid)
     eps = cfg.scaling_amplitudes[-2]  # the config holds at least two
-    d1, d2 = (float(np.max(current_divergence(base.scaled(e), cfg.coupling, lambda part, div: lattice.max_abs(div))))
-              for e in (eps, 2 * eps))
+    d1, d2 = (float(np.max(current_divergence(
+        base.scaled(e), lambda part, mu: ansatz_field.anomalous_current(part, cfg.coupling, mu),
+        lambda part, div: lattice.max_abs(div)))) for e in (eps, 2 * eps))
     ratio = d2 / d1 if d1 > 0 else float("inf")
     window = LIMITS["quadratic_divergence_scaling"]
     run.judge("quadratic_divergence_scaling", window[0] <= ratio <= window[1],

@@ -289,11 +289,4 @@ def load_config(path) -> ScenarioConfig:
     unknown = sorted(set(raw) - known)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    kw = {}
-    for key, val in raw.items():
-        kw[key] = tuple(_tupled(val)) if isinstance(val, list) else val
-    return ScenarioConfig(**kw)
-
-
-def _tupled(v):
-    return [tuple(_tupled(x)) if isinstance(x, list) else x for x in v]
+    return ScenarioConfig(**raw)

@@ -201,14 +201,14 @@ def unitarity_defect(U: np.ndarray) -> float:
     return float(np.max([lattice.max_abs(gram), lattice.max_abs(det)]))
 
 
-def _check_matrix_field(grid: lattice.Grid4, A, components: bool):
+def check_matrix_field(grid: lattice.Grid4, A, components: bool):
     """A potential as four components (*s_mu, 4), a stacked (4, *s, 4) array
     among them, or a group field (*s, 4); each s[d] is 1 or dims[d]."""
     if components:
         A = tuple(A)
         if len(A) != 4:
             raise lattice.GridMismatchError(f"expected four potential components, got {len(A)}")
-        return tuple(_check_matrix_field(grid, a, components=False) for a in A)
+        return tuple(check_matrix_field(grid, a, components=False) for a in A)
     A = np.asarray(A, dtype=float)
     if A.ndim != 5 or A.shape[-1] != 4:
         raise lattice.GridMismatchError(f"expected shape (s1, s2, s3, s4, 4), got {A.shape}")
@@ -234,8 +234,8 @@ def gauge_transform(grid: lattice.Grid4, A, q: np.ndarray, g: float) -> tuple[np
     coefficients, so the transform of a constant U is exact rotation.
     """
     g = check_coupling(g)
-    A = _check_matrix_field(grid, A, components=True)
-    R = rotation(_check_matrix_field(grid, q, components=False))
+    A = check_matrix_field(grid, A, components=True)
+    R = rotation(check_matrix_field(grid, q, components=False))
     return tuple(transform_component(R, a, pure_gauge_field(grid, q, g, mu)) for mu, a in enumerate(A, 1))
 
 
@@ -243,7 +243,7 @@ def pure_gauge_field(grid: lattice.Grid4, q: np.ndarray, g: float, mu: int) -> n
     """The component P_mu = -(i/g) U d_mu U^-1 of the gauge transform of the zero
     potential, shaped (*s, 4) for q shaped (*s, 4)."""
     g = check_coupling(g)
-    q = _check_matrix_field(grid, q, components=False)
+    q = check_matrix_field(grid, q, components=False)
     q0, qv = q[..., 0], q[..., 1:]
     p = lattice.partial(grid, q, mu)
     out = empty_coefficients(q.shape[:-1])

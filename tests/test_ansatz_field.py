@@ -599,6 +599,11 @@ def reassembled(parts, taken):
     return np.concatenate(taken, axis=parts[0].slab_axis)
 
 
+def anomalous(g):
+    """checks.current_divergence's current for the anomalous current at coupling g."""
+    return lambda part, mu: ansatz_field.anomalous_current(part, g, mu)
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf times zero, planted
 def test_slabs_cut_whole_planes_and_their_views_share_the_fields_arrays():
     for lam in slab_fields():
@@ -668,7 +673,7 @@ def test_the_current_divergence_on_slabs_is_the_whole_divergence_bit_for_bit():
             parts.append(part)
             taken.append(div.copy())
             return lattice.max_abs(div)
-        top = float(np.max(checks.current_divergence(lam, g, keep)))
+        top = float(np.max(checks.current_divergence(lam, anomalous(g), keep)))
         assert [p.source[1:] for p in parts] == [p.source[1:] for p in ansatz_field.slabs(lam)]
         assert reassembled(parts, taken).tobytes() == whole.tobytes(), i
         assert repr(top) == repr(lattice.max_abs(whole)), i
@@ -677,6 +682,52 @@ def test_the_current_divergence_on_slabs_is_the_whole_divergence_bit_for_bit():
         j, div, _, _ = checks.anomaly_fields(lam, g)
         want = oracles.divergence(lam.grid, j)
         assert div.shape == want.shape == lam.shape and div.tobytes() == want.tobytes(), i
+
+
+def divergence_fields():
+    """The default recipe on 16^4, one slab; the dense phase field on 16^4, four
+    slabs of four planes; and on 19^4, slabs of two planes, the last of one."""
+    return [scenario_field(small_grid(16)), checks.phase_field(DENSE_PHASE, small_grid(16)),
+            checks.phase_field(DENSE_PHASE, small_grid(19))]
+
+
+def test_anomaly_fields_builds_each_current_component_once_whole(monkeypatch):
+    # the divergence reads its slabs' planes of the stacked current: no component
+    # is built again on a slab or a halo plane
+    real, calls = ansatz_field.anomalous_current, []
+
+    def counted(lam, g, nu):
+        calls.append((lam, nu))
+        return real(lam, g, nu)
+    monkeypatch.setattr(ansatz_field, "anomalous_current", counted)
+    for i, lam in enumerate(divergence_fields()):
+        calls.clear()
+        checks.anomaly_fields(lam, 1.7)
+        assert [(part is lam, nu) for part, nu in calls] == [(True, nu) for nu in range(1, 5)], i
+
+
+def test_current_divergence_carries_nothing_across_slabs():
+    # every current built before gap(slab k) lies on slab k or on one of its two
+    # halo planes: nothing is built a slab ahead or kept from the slab before
+    for i, lam in enumerate(divergence_fields()):
+        parts, events = ansatz_field.slabs(lam), []
+        d, n = parts[0].slab_axis, lam.shape[parts[0].slab_axis]
+
+        def current(part, mu):
+            events.append(("current", part.source[1:]))
+            return ansatz_field.anomalous_current(part, 1.7, mu)
+        checks.current_divergence(lam, current, lambda part, div: events.append(("gap", part.source[1:])))
+        assert [where for kind, where in events if kind == "gap"] == [p.source[1:] for p in parts], i
+        built = []
+        for kind, where in events:
+            if kind == "current":
+                built.append(where)
+                continue
+            _, start, stop = where
+            halo = {(d, k % n, k % n + 1) for k in (start - 1, stop)}
+            assert where in built and set(built) <= {where} | halo, (i, where, built)
+            built = []
+        assert not built, i
 
 
 @pytest.mark.parametrize("k", range(4))
@@ -694,7 +745,7 @@ def test_a_nan_in_any_one_slab_reaches_the_divergence_max(k):
     def keep(part, div):
         slabs_with_nan.append(bool(np.isnan(div).any()))
         return lattice.max_abs(div)
-    assert math.isnan(np.max(checks.current_divergence(lam, 1.7, keep)))
+    assert math.isnan(np.max(checks.current_divergence(lam, anomalous(1.7), keep)))
     assert slabs_with_nan == [i == k for i in range(4)]
 
 
@@ -708,7 +759,7 @@ def test_the_divergence_expansion_on_slabs_is_the_whole_expansion_bit_for_bit():
             == whole.tobytes(), i
         div = oracles.divergence(lam.grid, (ansatz_field.anomalous_current(lam, g, nu) for nu in range(1, 5)))
         gap = float(np.max(checks.current_divergence(
-            lam, g, lambda part, div_j: lattice.max_abs(div_j - checks.anomaly_divergence_expansion(part, g)))))
+            lam, anomalous(g), lambda part, div_j: lattice.max_abs(div_j - checks.anomaly_divergence_expansion(part, g)))))
         assert repr(gap) == repr(lattice.max_abs(div - whole)), i
 
 

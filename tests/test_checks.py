@@ -215,7 +215,8 @@ def test_divergence_scaling_builds_the_current_one_component_at_a_time():
 def test_divergence_scaling_takes_the_divergence_one_slab_at_a_time():
     # Each of the gradient base's 16^4 divergences built whole, from one
     # current component at a time, read 4.80 fields; taken on four slabs of
-    # four planes, with j_d's planes kept across slabs, it reads 2.19. A
+    # four planes, with the next slab's j_d built ahead, 2.19, and with each
+    # slab's divergence from that slab and its two halo planes alone, 1.83. A
     # divergence held whole again breaks the bound.
     cfg = config.ScenarioConfig()
     peak = traced_peak(lambda c: checks.quadratic_divergence_scaling(checks.Run("anomaly", c)), cfg)
@@ -225,7 +226,8 @@ def test_divergence_scaling_takes_the_divergence_one_slab_at_a_time():
 def test_divergence_ladder_takes_the_divergence_and_its_expansion_one_slab_at_a_time():
     # The default 12/24/36 ladder read 3.02 fields with the 36^4 rung's
     # divergence and expansion taken whole; on three slabs of twelve planes,
-    # 1.41. A rung taken whole again breaks the bound.
+    # 1.41 with the next slab's j_d built ahead, 1.14 without. A rung taken
+    # whole again breaks the bound.
     peak = traced_peak(checks.divergence_accounting_order, config.ScenarioConfig())
     assert peak <= 1.6, peak
 

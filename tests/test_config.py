@@ -93,6 +93,16 @@ def test_loaded_lists_become_tuples(tmp_path):
     cfg = config.load_config(path)
     assert cfg.phase_waves == (((0, 1, 0, 0), 0.4, 0.0),)
     assert cfg.phase_components == (2,)
+    # every list field of a whole config, nested lists too: a list left in place
+    # would not compare equal to the defaults' tuples
+    whole = tmp_path / "whole.json"
+    whole.write_text(json.dumps(config.ScenarioConfig().to_dict()))
+    assert config.load_config(whole) == config.ScenarioConfig()
+    # a list given to a scalar field is refused, and echoed as the file gave it
+    scalar = tmp_path / "scalar.json"
+    scalar.write_text(json.dumps({"grid_n": [1]}))
+    with pytest.raises(config.ConfigError, match=r"grid_n must be a number, got \[1\]$"):
+        config.load_config(scalar)
 
 
 def test_json_integers_still_fill_float_fields(tmp_path):

@@ -8,6 +8,9 @@ used. Every public method, property and dataclass field of a class there
 must be read in the same files, as a loaded attribute or as the
 attribute-name argument of `getattr` or `hasattr`. Any other string, such
 as a report key that happens to spell a member's name, does not count.
+And no module of `src/su2reduce` reads another module's private name: what
+one module shares with another is public. A private module (`_draws`) is
+the package's own, so its public names are read like any module's.
 """
 
 import ast
@@ -62,6 +65,20 @@ def read_name(node):
     return None
 
 
+def private_reads(tree):
+    """The private names of other package modules that tree reads: `module._name`
+    of a module it imports by `from . import module`, and `from .module import _name`."""
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level]
+    modules = {alias.asname or alias.name for node in imports if node.module is None for alias in node.names}
+    return ({f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and node.value.id in modules and private(node.attr)}
+            | {f"{node.module}.{alias.name}" for node in imports if node.module
+               for alias in node.names if private(alias.name)})
+
+
 def parsed():
     assert SOURCES and HARNESS
     return {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -88,6 +105,25 @@ def test_every_public_class_member_is_read_outside_the_tests():
     assert members
     unread = sorted(f"{members[key]}: {'.'.join(key)}" for key in members if key[1] not in read)
     assert not unread, "class members that only the tests read: " + ", ".join(unread)
+
+
+def test_no_module_reads_another_modules_private_name():
+    reads = sorted(f"{path.name}: {name}" for path, tree in parsed().items() if path in SOURCES
+                   for name in private_reads(tree))
+    assert not reads, "private names read from another module: " + ", ".join(reads)
+
+
+def test_private_read_scan_flags_module_attributes_and_imports():
+    # a private attribute of an imported package module, and a private name imported
+    # from one, are flagged; the module's own private names, an attribute of
+    # anything else, a dunder and a private module imported whole are not
+    tree = ast.parse(
+        "from . import lattice, _draws as dr\n"
+        "from .config import _number, load_config\n"
+        "def _own(x): return x._cache\n"
+        "def use(g): return lattice._difference(g), dr.Generator(0), lattice.__name__, _own(g)\n"
+    )
+    assert private_reads(tree) == {"lattice._difference", "config._number"}
 
 
 def test_member_scan_counts_loads_and_strings_but_not_stores():
