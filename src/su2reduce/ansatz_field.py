@@ -143,9 +143,14 @@ class LambdaField:
     def slab_axis(self) -> int | None:
         return None if self.source is None else self.source[1]
 
+    def cut(self, x):
+        """x, an array (or tuple of arrays) on its field's axes, cut as this slab view
+        cuts its field: the planes start..stop-1 along d where x varies along d."""
+        _, d, start, stop = self.source
+        return _planes(x, d, start, stop)
+
     def _cut(self, name: str):
-        field, d, start, stop = self.source
-        return _planes(getattr(field, name), d, start, stop)
+        return self.cut(getattr(self.source[0], name))
 
     @cached_property
     def profile(self) -> tuple[np.ndarray, ...]:

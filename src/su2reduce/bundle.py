@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .contraction import ContractionMap, ball_draw, point_norms
+from . import contraction
 
 
 # points sampled from each chart ball
@@ -42,7 +42,7 @@ def collapse_threshold(center, tol: float) -> int:
     return hi
 
 
-def collapse_chart(m: ContractionMap, n_sequence, seed: int = 0) -> list[float]:
+def collapse_chart(m: contraction.ContractionMap, n_sequence, seed: int = 0) -> list[float]:
     """Re-scale the map's chart along `n_sequence`: the sampled diameter of
     each chart image.
 
@@ -60,13 +60,13 @@ def collapse_chart(m: ContractionMap, n_sequence, seed: int = 0) -> list[float]:
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])) or ns[0] < 1:
         raise ValueError("need a strictly increasing schedule of scales >= 1")
     c, cn = m.center_array, m.center_norm
-    d, u = ball_draw(CHART_SAMPLES, np.random.default_rng(seed))
+    d, u = contraction.ball_draw(CHART_SAMPLES, np.random.default_rng(seed))
     diameters = []
     for n in ns:
         pts = d * ((1.0 / n) * u)[:, None]
         pts += c  # placed as sample_ball places them; the round trip to c rounds
         pts -= c
-        factors = np.exp(-point_norms(pts) / n)
+        factors = contraction.decay(pts, n)
         diameters.append(cn * float(factors.max() - factors.min()))
     return diameters
 

@@ -209,12 +209,9 @@ def anomaly_fields(lam: ansatz_field.LambdaField, g: float):
     the divergence is current_divergence's slabs joined along their axis, each slab
     reading its planes of the stacked current."""
     j = np.stack([ansatz_field.anomalous_current(lam, g, nu) for nu in range(1, 5)])
-
-    def planes(part, mu):  # j_mu cut to the slab view part
-        _, d, start, stop = part.source
-        return j[mu - 1][(slice(None),) * d + (slice(start, stop),)]
-    div = np.concatenate(current_divergence(lam, planes, lambda part, div: div),
-                         axis=ansatz_field.slabs(lam)[0].slab_axis)
+    divs = current_divergence(lam, lambda part, mu: part.cut(j[mu - 1]), lambda part, div: (div, part.slab_axis))
+    div = np.concatenate([d for d, _ in divs], axis=divs[0][1])
+    del divs  # the slabs' own divergences, dropped before the expansion's temporaries
     return j, div, anomaly_divergence_expansion(lam, g), ansatz_field.anomaly_divergence_closed_form(lam, g)
 
 

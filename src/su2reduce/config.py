@@ -50,7 +50,7 @@ class ScenarioConfig:
                       2 pi c / (n h) of a grid (c = 1 for the matrix ladders' unit waves) or a
                       gradient wave's amplitude times one is not finite
     coupling          gauge coupling g > 0
-    pauli_index       internal direction for matrix readings (1..3)
+    pauli_index       internal direction for matrix readings
     phase_waves       waves for the main phase field, one per entry of
                       phase_components
     phase_components  which lambda component each wave feeds; every command exits 2 if a
@@ -66,17 +66,15 @@ class ScenarioConfig:
     raw_order_grids     h-halving ladder for raw-stencil convergence
     divergence_grids    ladder for the current-divergence convergence
     covariance_grids    ladder for the gauge-covariance study
-    pure_gauge_grids    ladder for the pure-gauge field-strength decay;
-                        every rung of the four ladders is >= 4, like grid_n
+    pure_gauge_grids    ladder for the pure-gauge field-strength decay
     smooth_amp          amplitude of the random smooth fields in the
                       covariance and pure-gauge studies
     contraction_center  target point of the radial map
-    contraction_n       map scale (integer >= 1)
+    contraction_n       map scale
     banach_offset       starting displacement for the fixed-point run
     banach_tol          displacement convergence tolerance
     lipschitz_pairs     sampled pairs for the ratio estimate
-    collapse_schedule   strictly increasing chart scales; every command exits 2
-                        if a scale's square n^2 overflows a float
+    collapse_schedule   chart scales; every command exits 2 if a scale's square n^2 overflows a float
     collapse_tol        image-size tolerance declaring collapse; every command
                         exits 2 if either center's |c|, the root of a sum of squares,
                         overflows (above about 1.34e154) or its sqrt(|c| / collapse_tol) does
@@ -84,6 +82,12 @@ class ScenarioConfig:
     reduce_centers      1 for the happy-path reduction, 2 to include the
                         second center and exercise the inconsistency path
     seed                base RNG seed for every sampled quantity
+
+    Two rule tables check the integer fields and the ladders: each field of
+    _INTEGER_FIELDS is an integer within its (least, most) bounds (grid_n >= 4,
+    pauli_index 1..3, contraction_n >= 1, lipschitz_pairs >= 2, reduce_centers 1..2,
+    seed >= 0), and each ladder of _LADDERS holds >= 2 strictly increasing integers,
+    the first at least 4 (the four grid ladders) or 2 (collapse_schedule).
     """
 
     grid_n: int = 16
@@ -112,39 +116,35 @@ class ScenarioConfig:
     seed: int = 2024
 
     def __post_init__(self):
-        for name in _INTEGER_FIELDS:
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        for name, (least, most) in _INTEGER_FIELDS.items():
+            v = _integer(getattr(self, name), name)
+            if not least <= v <= most:
+                raise ConfigError(f"{name} must be an integer from {least} to {most}, got {v}")
+            object.__setattr__(self, name, v)
         for name in _POSITIVE_FIELDS:
             v = _number(getattr(self, name), name)
             if not (v > 0 and math.isfinite(v)):
                 raise ConfigError(f"{name} must be positive and finite")
-        if self.grid_n < 4:
-            raise ConfigError(f"grid_n must be an integer >= 4, got {self.grid_n}")
-        if self.pauli_index not in (1, 2, 3):
-            raise ConfigError(f"pauli_index must be 1..3, got {self.pauli_index}")
-        object.__setattr__(self, "phase_waves", _check_waves(self.phase_waves, "phase_waves"))
-        comps = tuple(
-            _integer(c, "phase_components") for c in _sequence(self.phase_components, "phase_components")
-        )
+        for name, least in _LADDERS.items():
+            ns = _sequence(getattr(self, name), name, _integer)
+            if len(ns) < 2 or ns[0] < least or any(b <= a for a, b in zip(ns, ns[1:])):
+                raise ConfigError(f"{name} must be >= 2 strictly increasing integers, each >= {least}")
+            object.__setattr__(self, name, ns)
+        for name in ("phase_waves", "gradient_waves"):
+            object.__setattr__(self, name, _check_waves(getattr(self, name), name))
+        comps = _sequence(self.phase_components, "phase_components", _integer)
         if len(comps) != len(self.phase_waves) or any(c not in (1, 2, 3, 4) for c in comps):
             raise ConfigError("phase_components must list one component (1..4) per phase wave")
         object.__setattr__(self, "phase_components", comps)
-        object.__setattr__(
-            self, "gradient_waves", _check_waves(self.gradient_waves, "gradient_waves")
-        )
-        amps = tuple(
-            _number(a, "scaling_amplitudes")
-            for a in _sequence(self.scaling_amplitudes, "scaling_amplitudes")
-        )
+        amps = _sequence(self.scaling_amplitudes, "scaling_amplitudes", _number)
         if len(amps) < 2 or any(not (a > 0 and math.isfinite(a)) for a in amps):
             raise ConfigError("scaling_amplitudes needs >= 2 positive finite entries")
         if any(b >= a for a, b in zip(amps, amps[1:])):
             raise ConfigError("scaling_amplitudes must decrease strictly")
         object.__setattr__(self, "scaling_amplitudes", amps)
-        L = self.grid_n * (self.box_length / self.grid_n)  # the shortest grid length n h, as lattice takes it
-        for name in ("raw_order_grids", "divergence_grids", "covariance_grids", "pure_gauge_grids"):
-            object.__setattr__(self, name, _check_ladder(getattr(self, name), name, 4, "grid sizes"))
-            L = min([L] + [n * (self.box_length / n) for n in getattr(self, name)])
+        grids = (self.grid_n, *self.raw_order_grids, *self.divergence_grids, *self.covariance_grids,
+                 *self.pure_gauge_grids)
+        L = min(n * (self.box_length / n) for n in grids)  # the shortest grid length n h, as lattice takes it
         waves = [(1.0, c) for c, _, _ in self.phase_waves] + [(abs(a), c) for c, a, _ in self.gradient_waves]
         if not (L and all(math.isfinite(max(1.0, a) * (2.0 * math.pi * max(1, *map(abs, c)) / L))
                           for a, c in waves)):
@@ -161,16 +161,10 @@ class ScenarioConfig:
         if not all(map(math.isfinite, sums)):
             raise ConfigError("a phase or gradient component's sum of wave amplitudes, or that sum"
                               " at the anomaly amplitude or a scan's largest factor, overflows")
-        object.__setattr__(self, "collapse_schedule", _check_ladder(
-            self.collapse_schedule, "collapse_schedule", 2, "chart scales"))
         try:  # the collapse bounds each chart image by |c| / n^2
             float(self.collapse_schedule[-1] ** 2)
         except OverflowError:
             raise ConfigError("collapse_schedule: a scale's square n^2 overflows a float") from None
-        if self.contraction_n < 1:
-            raise ConfigError(f"contraction_n must be an integer >= 1, got {self.contraction_n}")
-        if self.lipschitz_pairs < 2:
-            raise ConfigError("lipschitz_pairs must be an integer >= 2")
         for name in ("contraction_center", "second_center"):
             c = _check_center(getattr(self, name))
             with np.errstate(over="ignore"):  # the norm the collapse reads
@@ -182,10 +176,6 @@ class ScenarioConfig:
             except OverflowError:
                 raise ConfigError(f"{name}: sqrt(|c| / collapse_tol) overflows") from None
             object.__setattr__(self, name, c)
-        if self.reduce_centers not in (1, 2):
-            raise ConfigError(f"reduce_centers must be 1 or 2, got {self.reduce_centers}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")
 
     def grid(self) -> lattice.Grid4:
         return lattice.Grid4.cubic(self.grid_n, self.box_length)
@@ -204,9 +194,13 @@ def _plain(v):
     return v
 
 
-# fields stored as Python ints; integral floats such as 8.0 are accepted
-_INTEGER_FIELDS = ("grid_n", "pauli_index", "contraction_n", "lipschitz_pairs",
-                   "reduce_centers", "seed")
+# fields stored as Python ints, with their (least, most) values; integral floats
+# such as 8.0 are accepted
+_INTEGER_FIELDS = {"grid_n": (4, math.inf), "pauli_index": (1, 3), "contraction_n": (1, math.inf),
+                   "lipschitz_pairs": (2, math.inf), "reduce_centers": (1, 2), "seed": (0, math.inf)}
+# ladders: >= 2 strictly increasing integers, the first at least the value here
+_LADDERS = {"raw_order_grids": 4, "divergence_grids": 4, "covariance_grids": 4, "pure_gauge_grids": 4,
+            "collapse_schedule": 2}
 # fields that must be positive finite numbers; they keep the value given,
 # so a JSON integer such as "coupling": 2 stays 2 in the report
 _POSITIVE_FIELDS = ("box_length", "coupling", "anomaly_amplitude", "smooth_amp",
@@ -232,10 +226,11 @@ def _integer(value, name) -> int:
     return int(x)
 
 
-def _sequence(value, name) -> tuple:
+def _sequence(value, name, convert=None) -> tuple:
+    """value as a tuple, each entry taken through convert(entry, name) when one is given."""
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{name} must be a list, got {value!r}")
-    return tuple(value)
+    return tuple(value) if convert is None else tuple(convert(v, name) for v in value)
 
 
 def _check_waves(waves, name):
@@ -261,16 +256,8 @@ def _check_waves(waves, name):
     return tuple(checked)
 
 
-def _check_ladder(ladder, name, least, what):
-    """At least two strictly increasing integers, the first >= least."""
-    ns = tuple(_integer(n, name) for n in _sequence(ladder, name))
-    if len(ns) < 2 or ns[0] < least or any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ConfigError(f"{name} must be >= 2 strictly increasing {what}, each >= {least}")
-    return ns
-
-
 def _check_center(center):
-    c = tuple(_number(v, "centers") for v in _sequence(center, "centers"))
+    c = _sequence(center, "centers", _number)
     if len(c) != 4 or any(not math.isfinite(v) for v in c):
         raise ConfigError("centers must be finite 4-vectors")
     return c

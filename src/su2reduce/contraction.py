@@ -82,11 +82,18 @@ def point_norms(x):
     return np.sqrt(s)
 
 
+def decay(displacement, n):
+    """The map's factor exp(-|displacement| / n) over the last axis of a (..., 4) array
+    of displacements c - x (or x - c): the one formula of the map, which `evaluate` and
+    the chart collapse both read."""
+    return np.exp(-point_norms(displacement) / n)
+
+
 def evaluate(m: ContractionMap, x) -> np.ndarray:
     """Map one point or a (..., 4) batch of points, in the batch's memory order."""
     x = _check_point(x)
     out = np.subtract(m.center_array, x)  # c - x, overwritten by the images
-    return np.multiply(m.center_array, np.exp(-point_norms(out) / m.n)[..., None], out=out)
+    return np.multiply(m.center_array, decay(out, m.n)[..., None], out=out)
 
 
 def ball_draw(count: int, rng) -> tuple[np.ndarray, np.ndarray]:

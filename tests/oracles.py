@@ -28,7 +28,9 @@ currents and the pure gauge are also kept as the loops that built all
 four components at once, before the package built one per call; those
 must agree bit for bit. The divergence of a four-component field is the
 four partials summed on the whole field, as the package summed them
-before it took the current's divergence slab by slab.
+before it took the current's divergence slab by slab. `validated_config` is
+`ScenarioConfig`'s validator as it was before it checked the integer fields
+and the ladders from rule tables: one clause per field, in that order.
 """
 
 import math
@@ -480,3 +482,137 @@ def row_major_sample(center, radius, count, rng):
     d = rng.standard_normal((count, 4))
     d /= np.linalg.norm(d, axis=1, keepdims=True)
     return center + d * (radius * rng.random(count) ** 0.25)[:, None]
+
+
+def validated_config(overrides):
+    """The fields of ScenarioConfig(**overrides), as its to_dict() gives them, by the
+    validator that range-checked each integer field in its own clause; a refused
+    config raises config.ConfigError."""
+    import dataclasses
+    import numbers
+
+    from su2reduce import bundle, config
+    ConfigError = config.ConfigError
+
+    def number(value, name):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigError(f"{name} must be a number, got {value!r}")
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{name} is out of range, got {value!r}") from None
+
+    def integer(value, name):
+        x = number(value, name)
+        if isinstance(value, numbers.Integral):
+            return int(value)
+        if not (math.isfinite(x) and x == int(x)):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        return int(x)
+
+    def sequence(value, name):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        return tuple(value)
+
+    def check_waves(waves, name):
+        checked = []
+        for i, entry in enumerate(sequence(waves, name)):
+            try:
+                cycles, amp, phase = entry
+            except (TypeError, ValueError):
+                raise ConfigError(f"{name}[{i}] must be (cycles, amplitude, phase)") from None
+            cyc = sequence(cycles, f"{name}[{i}] cycles")
+            if len(cyc) != 4:
+                raise ConfigError(f"{name}[{i}] cycles must have four entries")
+            cyc = tuple(integer(c, f"{name}[{i}] cycle count") for c in cyc)
+            amp = number(amp, f"{name}[{i}] amplitude")
+            phase = number(phase, f"{name}[{i}] phase")
+            if not (math.isfinite(amp) and math.isfinite(phase)):
+                raise ConfigError(f"{name}[{i}] amplitude and phase must be finite")
+            checked.append((cyc, amp, phase))
+        if not checked:
+            raise ConfigError(f"{name} must not be empty")
+        return tuple(checked)
+
+    def check_ladder(ladder, name, least, what):
+        ns = tuple(integer(n, name) for n in sequence(ladder, name))
+        if len(ns) < 2 or ns[0] < least or any(b <= a for a, b in zip(ns, ns[1:])):
+            raise ConfigError(f"{name} must be >= 2 strictly increasing {what}, each >= {least}")
+        return ns
+
+    def check_center(center):
+        c = tuple(number(v, "centers") for v in sequence(center, "centers"))
+        if len(c) != 4 or any(not math.isfinite(v) for v in c):
+            raise ConfigError("centers must be finite 4-vectors")
+        return c
+
+    cfg = {f.name: overrides.get(f.name, f.default) for f in dataclasses.fields(config.ScenarioConfig)}
+    for name in ("grid_n", "pauli_index", "contraction_n", "lipschitz_pairs", "reduce_centers", "seed"):
+        cfg[name] = integer(cfg[name], name)
+    for name in ("box_length", "coupling", "anomaly_amplitude", "smooth_amp", "banach_offset",
+                 "banach_tol", "collapse_tol"):
+        v = number(cfg[name], name)
+        if not (v > 0 and math.isfinite(v)):
+            raise ConfigError(f"{name} must be positive and finite")
+    if cfg["grid_n"] < 4:
+        raise ConfigError(f"grid_n must be an integer >= 4, got {cfg['grid_n']}")
+    if cfg["pauli_index"] not in (1, 2, 3):
+        raise ConfigError(f"pauli_index must be 1..3, got {cfg['pauli_index']}")
+    cfg["phase_waves"] = check_waves(cfg["phase_waves"], "phase_waves")
+    comps = tuple(integer(c, "phase_components") for c in sequence(cfg["phase_components"], "phase_components"))
+    if len(comps) != len(cfg["phase_waves"]) or any(c not in (1, 2, 3, 4) for c in comps):
+        raise ConfigError("phase_components must list one component (1..4) per phase wave")
+    cfg["phase_components"] = comps
+    cfg["gradient_waves"] = check_waves(cfg["gradient_waves"], "gradient_waves")
+    amps = tuple(number(a, "scaling_amplitudes") for a in sequence(cfg["scaling_amplitudes"], "scaling_amplitudes"))
+    if len(amps) < 2 or any(not (a > 0 and math.isfinite(a)) for a in amps):
+        raise ConfigError("scaling_amplitudes needs >= 2 positive finite entries")
+    if any(b >= a for a, b in zip(amps, amps[1:])):
+        raise ConfigError("scaling_amplitudes must decrease strictly")
+    cfg["scaling_amplitudes"] = amps
+    box = cfg["box_length"]
+    L = cfg["grid_n"] * (box / cfg["grid_n"])
+    for name in ("raw_order_grids", "divergence_grids", "covariance_grids", "pure_gauge_grids"):
+        cfg[name] = check_ladder(cfg[name], name, 4, "grid sizes")
+        L = min([L] + [n * (box / n) for n in cfg[name]])
+    waves = [(1.0, c) for c, _, _ in cfg["phase_waves"]] + [(abs(a), c) for c, a, _ in cfg["gradient_waves"]]
+    if not (L and all(math.isfinite(max(1.0, a) * (2.0 * math.pi * max(1, *map(abs, c)) / L)) for a, c in waves)):
+        raise ConfigError("a wave number 2 pi c / (n h), or a gradient amplitude times one, overflows")
+    if not all(any(c) for c, _, _ in cfg["gradient_waves"]):
+        raise ConfigError("gradient_waves: each gradient wave needs a nonzero cycle count")
+    phase = [sum(abs(a) for m, (_, a, _) in zip(comps, cfg["phase_waves"]) if m == mu) for mu in (1, 2, 3, 4)]
+    grad = [sum(abs(a) * (2.0 * math.pi * abs(c[mu]) / L) for c, a, _ in cfg["gradient_waves"]) for mu in range(4)]
+    scale = max(amps[0], 2.0 * amps[-2])
+    sums = phase + [cfg["anomaly_amplitude"] * x for x in phase] + grad + [scale * x for x in grad]
+    if not all(map(math.isfinite, sums)):
+        raise ConfigError("a phase or gradient component's sum of wave amplitudes, or that sum"
+                          " at the anomaly amplitude or a scan's largest factor, overflows")
+    cfg["collapse_schedule"] = check_ladder(cfg["collapse_schedule"], "collapse_schedule", 2, "chart scales")
+    try:
+        float(cfg["collapse_schedule"][-1] ** 2)
+    except OverflowError:
+        raise ConfigError("collapse_schedule: a scale's square n^2 overflows a float") from None
+    if cfg["contraction_n"] < 1:
+        raise ConfigError(f"contraction_n must be an integer >= 1, got {cfg['contraction_n']}")
+    if cfg["lipschitz_pairs"] < 2:
+        raise ConfigError("lipschitz_pairs must be an integer >= 2")
+    for name in ("contraction_center", "second_center"):
+        c = check_center(cfg[name])
+        with np.errstate(over="ignore"):
+            if math.isinf(np.linalg.norm(c)):
+                raise ConfigError(f"{name}: |c| overflows, so sqrt(|c| / collapse_tol) cannot be formed: |c| is"
+                                  " the root of a sum of squares, which overflows for |c| above about 1.34e154")
+        try:
+            bundle.collapse_threshold(c, cfg["collapse_tol"])
+        except OverflowError:
+            raise ConfigError(f"{name}: sqrt(|c| / collapse_tol) overflows") from None
+        cfg[name] = c
+    if cfg["reduce_centers"] not in (1, 2):
+        raise ConfigError(f"reduce_centers must be 1 or 2, got {cfg['reduce_centers']}")
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {cfg['seed']}")
+
+    def plain(v):
+        return [plain(x) for x in v] if isinstance(v, tuple) else v
+    return {name: plain(v) for name, v in cfg.items()}

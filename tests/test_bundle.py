@@ -223,6 +223,20 @@ def test_pipeline_two_centers_is_inconsistent():
     assert stage.status == "FAIL" and stage.details["stage_status"] == "INCONSISTENT"
 
 
+def test_a_factor_planted_in_the_map_fails_the_collapse_rows(monkeypatch):
+    # the collapse reads the map's factor from contraction.decay, as evaluate does, so a
+    # map that drops the 1/n fails reduce's diameter and shrink rows (its chart images
+    # shrink like 1/n, not 1/n^2). The half-rate map exp(-r / (2n)) still passes every
+    # row: its images shrink like 1/n^2 too, at half the size, inside the judged bounds;
+    # only judging each row against its closed form would catch it.
+    def planted(displacement, n):
+        return np.exp(-contraction.point_norms(displacement))
+    monkeypatch.setattr(contraction, "decay", planted)
+    _, rows = reduce_run()
+    failed = {name for name, row in rows.items() if row.status == "FAIL"}
+    assert failed == {"chart_diameter_bound_0", "chart_shrink_factor_0"}
+
+
 def test_errata_catalog_ids():
     ids = {e["id"] for e in bundle.ERRATA}
     assert ids == {

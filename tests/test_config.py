@@ -2,11 +2,14 @@
 
 import json
 import math
+import random
 import warnings
 
 import pytest
 
 from su2reduce import ansatz_field, config, lattice
+
+import oracles
 
 
 def test_defaults_are_self_consistent():
@@ -271,3 +274,132 @@ def test_wave_numbers_are_taken_on_each_grid_s_own_length():
         config.ScenarioConfig(**{**short, "gradient_waves": config.DEFAULT_GRADIENT_WAVES}, pure_gauge_grids=(12, 16))
     with pytest.raises(config.ConfigError, match="wave number"):
         config.ScenarioConfig(**short, pure_gauge_grids=(16, 20))
+
+
+# The configs the rule tables are held to the oracle on: every literal of this file and
+# of test_cli.py, the exit-code inputs of ROADMAP's Baseline, and a seeded sweep of
+# mutated override dicts
+LITERALS = [
+    {}, {"grid_n": 3}, {"coupling": 0.0}, {"pauli_index": 4}, {"phase_waves": [[[0, 1, 0], 0.8, 0.0]]},
+    {"phase_waves": [[[0, 1.5, 0, 0], 0.8, 0.0]]}, {"phase_components": [1, 2]},
+    {"scaling_amplitudes": [1e-2, 1e-1]}, {"raw_order_grids": [8]}, {"contraction_n": 0},
+    {"contraction_center": [1.0, 0.0, 0.0]}, {"collapse_schedule": [4, 4, 8]}, {"reduce_centers": 3},
+    {"seed": -1}, {"grid_n": 8, "seed": 7, "collapse_schedule": [4, 8, 16]},
+    {"phase_waves": [[[0, 1, 0, 0], 0.4, 0.0]], "phase_components": [2]}, {"grid_n": [1]},
+    {"coupling": 2, "smooth_amp": 1, "scaling_amplitudes": [1, 0.5], "contraction_center": [1, 0, 0, 0],
+     "grid_n": 8.0},
+    {"coupling": "2"}, {"grid_n": math.inf}, {"grid_n": 8.5}, {"seed": 10**400}, {"reduce_centers": True},
+    {"seed": False}, {"contraction_n": True}, {"pauli_index": True}, {"coupling": None},
+    {"phase_waves": [[[0, 1, 0, 0], "0.8", 0.0]], "phase_components": [1]},
+    {"phase_waves": [[["0", 1, 0, 0], 0.8, 0.0]], "phase_components": [1]}, {"phase_components": ["1", 2, 4]},
+    {"raw_order_grids": [8, 16.5, 32]}, {"raw_order_grids": 8}, {"contraction_center": [True, 0.0, 0.0, 0.0]},
+    {"scaling_amplitudes": ["0.1", 0.01]}, {"contraction_center": [1e308, 0, 0, 0]},
+    {"contraction_center": [1e200, 1e200, 0, 0]}, {"collapse_tol": 1e-320}, {"second_center": [0, 1e308, 0, 0]},
+    {"contraction_center": [1e150, 0, 0, 0], "collapse_tol": 1e-6}, {"contraction_center": [1e155, 0, 0, 0]},
+    {"second_center": [0, 0, 1e155, 0]}, {"contraction_center": [1.34e154, 0, 0, 0]},
+    {"collapse_schedule": [4, 1e155]}, {"collapse_schedule": [4, 2**512]}, {"collapse_schedule": [4, 1e154]},
+    {"collapse_schedule": [4, 2**511]}, {"box_length": 1e-308}, {"box_length": 1e-310}, {"box_length": 1e-320},
+    {"box_length": 1e-307, "phase_waves": [[[9, 0, 0, 0], 0.5, 0.0]], "phase_components": [1]},
+    {"box_length": 1.0, "gradient_waves": [[[1, 1, 0, 0], 1e308, 0.0]]}, {"box_length": 1e-307, "grid_n": 10**300},
+    {"box_length": 1e-307}, {"gradient_waves": [[[1, 1, 0, 0], 1e307, 0.0]]},
+    {"gradient_waves": [[[0, 0, 0, 0], 0.5, 0.0]]}, {"gradient_waves": [[[0.0, 0, 0, 0], 0.5, 0.0]]},
+    {"gradient_waves": [[[1, 1, 0, 0], 0.7, 0.2], [[0, 0, 0, 0], 0.5, 0.0]]},
+    {"phase_waves": [[[0, 1, 0, 0], 1e308, 0.0], [[0, 0, 1, 0], 1e308, 0.0]], "phase_components": [1, 1]},
+    {"phase_waves": [[[0, 1, 0, 0], -1e308, 0.0], [[0, 0, 1, 0], -1e308, 0.0]], "phase_components": [4, 4]},
+    {"phase_waves": [[[0, 1, 0, 0], 1e308, 0.0], [[0, 0, 1, 0], 1e308, 0.0]], "phase_components": [1, 2]},
+    {"phase_waves": [[[0, 1, 0, 0], 1e307, 0.0], [[0, 0, 1, 0], 1e307, 0.0]], "phase_components": [1, 1]},
+    {"gradient_waves": [[[1, 0, 0, 0], 0.6e308, 0.0], [[2, 0, 0, 0], 0.6e308, 0.0]]},
+    {"gradient_waves": [[[1, 0, 0, 0], 0.6e308, 0.0], [[0, 2, 0, 0], 0.6e308, 0.0]]},
+    {"anomaly_amplitude": 1e308, "phase_waves": [[[0, 1, 0, 0], 2.0, 0.0]], "phase_components": [1]},
+    {"anomaly_amplitude": 0.8e308, "phase_waves": [[[0, 1, 0, 0], 2.0, 0.0]], "phase_components": [1]},
+    {"scaling_amplitudes": [1e308, 1e307]}, {"scaling_amplitudes": [1.6e308, 1e-3, 1e-4]},
+    {"scaling_amplitudes": [1e308, 0.8e308, 1e-4]}, {"anomaly_amplitude": 1e308},
+    {"scaling_amplitudes": [1.4e308, 1e-3, 1e-4]}, {"scaling_amplitudes": [1e308, 0.7e308, 1e-4]},
+    {"box_length": 3.4951378437904613e-308, "raw_order_grids": [8, 16], "divergence_grids": [12, 16],
+     "covariance_grids": [12, 16], "gradient_waves": [[[1, 1, 0, 0], 0.5, 0.0]], "pure_gauge_grids": [12, 16]},
+    {"box_length": 3.4951378437904613e-308, "raw_order_grids": [8, 16], "divergence_grids": [12, 16],
+     "covariance_grids": [12, 16], "pure_gauge_grids": [12, 16]},
+    {"box_length": 3.4951378437904613e-308, "raw_order_grids": [8, 16], "divergence_grids": [12, 16],
+     "covariance_grids": [12, 16], "gradient_waves": [[[1, 1, 0, 0], 0.5, 0.0]], "pure_gauge_grids": [16, 20]},
+    # test_cli.py
+    {"collapse_schedule": [4, 6, 9, 1000, 2000]}, {"reduce_centers": 2}, {"contraction_n": 1},
+    {"contraction_center": [9.9, 0, 0, 0]}, {"seed": 3, "contraction_n": 20}, {"grid_n": 1e400},
+    {"divergence_grids": [2, 3]}, {"raw_order_grids": [3, 8]}, {"collapse_schedule": [4, 1e200]},
+    {"collapse_schedule": [4, 8, 1e155]},
+    {"box_length": 1e-307, "raw_order_grids": [6, 8], "divergence_grids": [6, 8], "covariance_grids": [6, 8],
+     "pure_gauge_grids": [6, 8, 10]},
+    {"box_length": 1e308, "raw_order_grids": [6, 8], "covariance_grids": [6, 8], "pure_gauge_grids": [6, 8, 10]},
+    # the Baseline's exit-code inputs not listed above
+    {"collapse_schedule": [4, 10**154]}, {"contraction_center": [1e150, 0, 0, 0]}, {"grid_n": 100000000000},
+    {"lipschitz_pairs": 100000000000}, {"collapse_schedule": [4, 10**20]}, {"contraction_n": 10**23},
+    {"banach_offset": 1e308}, {"coupling": 1e308}, {"smooth_amp": 1e300}, {"scaling_amplitudes": [0.1, 1e-320]},
+    {"gradient_waves": [[[0, 0, 1, 1], 0.4, 0.7]]}, {"gradient_waves": [[[0, 0, 1, 1], 0.4, 0.7]], "coupling": 0.6},
+]
+# each integer field at its least and most values and one past them, and each ladder
+# with its first rung at its least value and one below
+LITERALS += [{name: v} for name, values in (("grid_n", (3, 4)), ("pauli_index", (0, 1, 3, 4)),
+                                            ("contraction_n", (0, 1)), ("lipschitz_pairs", (1, 2)),
+                                            ("reduce_centers", (0, 1, 2, 3)), ("seed", (-1, 0)))
+             for v in values]
+LITERALS += [{name: [least + k, 64]} for name, least in (("raw_order_grids", 4), ("divergence_grids", 4),
+                                                        ("covariance_grids", 4), ("pure_gauge_grids", 4),
+                                                        ("collapse_schedule", 2)) for k in (-1, 0)]
+# values a mutation puts in place of a number: each field's edges, magnitudes at the
+# float and overflow limits, non-integers, non-finites and the wrong types
+EDGES = [0, 1, 2, 3, 4, 5, -1, 8, 9, 1000, 2048, 2**53 + 1, 10**20, 2**511, 2**512, 10**154, 10**308, 10**309,
+         0.0, -0.0, 0.5, 1.5, 4.0, 8.0, 8.5, 5e-324, 1e-320, 1e-308, 3.4951378437904613e-308, 1e-307, 1e-6,
+         1e-12, 1e150, 1.34e154, 1.35e154, 1e155, 1e200, 1e300, 1e307, 0.6e308, 0.8e308, 1e308, 1.4e308,
+         1.6e308, 1.7976931348623157e308, -1e308, -0.5, math.inf, -math.inf, math.nan,
+         True, False, None, "2", "", [1], {}]
+
+
+def mutated(value, rng):
+    """value with one of its numbers replaced, or one of its lists lengthened,
+    shortened, shuffled, emptied or replaced by a scalar, chosen by rng."""
+    if isinstance(value, list) and value and rng.random() < 0.7:
+        value = list(value)
+        op = rng.randrange(6)
+        if op == 0:
+            value.append(rng.choice(value + EDGES[:20]))
+        elif op == 1:
+            del value[rng.randrange(len(value))]
+        elif op == 2:
+            rng.shuffle(value)
+        else:
+            i = rng.choice((0, -1, rng.randrange(len(value))))  # a ladder's ends bear its rules
+            value[i] = mutated(value[i], rng)
+        return value
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and rng.random() < 0.3:
+        return rng.choice([2 * value, -value, value + 1, value - 1])
+    return rng.choice(EDGES + [[], [4, 8]])
+
+
+def sweep(count, seed=36):
+    rng = random.Random(seed)
+    defaults = config.ScenarioConfig().to_dict()
+    for _ in range(count):
+        overrides = dict(rng.choice(LITERALS)) if rng.random() < 0.3 else {}
+        for name in rng.sample(sorted(defaults), rng.choice((1, 1, 1, 2, 2, 3))):
+            overrides[name] = mutated(overrides.get(name, defaults[name]), rng)
+        yield overrides
+
+
+def test_rule_tables_accept_and_refuse_as_the_per_field_clauses_did():
+    accepted = refused = 0
+    for overrides in LITERALS + list(sweep(5000)):
+        try:
+            want = oracles.validated_config(overrides)
+        except config.ConfigError:
+            want = None
+        try:
+            cfg = config.ScenarioConfig(**overrides)
+        except config.ConfigError:
+            assert want is None, overrides
+            refused += 1
+            continue
+        assert want is not None, overrides
+        # repr tells 2 from 2.0 and -0.0 from 0.0, at every depth
+        assert repr(cfg.to_dict()) == repr(want), overrides
+        assert config.ScenarioConfig(**cfg.to_dict()) == cfg
+        accepted += 1
+    assert accepted > 1000 and refused > 1000

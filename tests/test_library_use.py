@@ -10,13 +10,18 @@ attribute-name argument of `getattr` or `hasattr`. Any other string, such
 as a report key that happens to spell a member's name, does not count.
 And no module of `src/su2reduce` reads another module's private name: what
 one module shares with another is public. A private module (`_draws`) is
-the package's own, so its public names are read like any module's.
+the package's own, so its public names are read like any module's. And
+every name the benchmark's tracer looks up exists: each module of its
+`LAYERS` is an attribute of the package, each of its `STUDIES` a public
+function of `checks`.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
-from su2reduce import checks
+import su2reduce
+from su2reduce import checks, cli  # noqa: F401  (the traced child imports cli too)
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "su2reduce").glob("*.py"))
@@ -111,6 +116,23 @@ def test_no_module_reads_another_modules_private_name():
     reads = sorted(f"{path.name}: {name}" for path, tree in parsed().items() if path in SOURCES
                    for name in private_reads(tree))
     assert not reads, "private names read from another module: " + ", ".join(reads)
+
+
+def test_the_tracer_names_only_layers_and_studies_that_exist():
+    # Tracer.install takes each layer by getattr(su2reduce, name) and marks each study
+    # among the public functions of checks: a layer module or a study renamed away would
+    # crash, or silently drop from, every traced benchmark run
+    tree = parsed()[ROOT / "benchmarks" / "tracer.py"]
+    names = {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
+             if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+             and node.targets[0].id in ("LAYERS", "STUDIES")}
+    assert names.get("LAYERS") and names.get("STUDIES")
+    missing = [m for m in names["LAYERS"] if not inspect.ismodule(getattr(su2reduce, m, None))]
+    assert not missing, "tracer layers that are no module of the package: " + ", ".join(missing)
+    public = {name for name, obj in vars(checks).items() if not name.startswith("_")
+              and inspect.isfunction(obj) and obj.__module__ == checks.__name__}
+    unknown = sorted(set(names["STUDIES"]) - public)
+    assert not unknown, "tracer studies that are no public function of checks: " + ", ".join(unknown)
 
 
 def test_private_read_scan_flags_module_attributes_and_imports():
