@@ -277,7 +277,7 @@ def test_wave_numbers_are_taken_on_each_grid_s_own_length():
 
 
 # The configs the rule tables are held to the oracle on: every literal of this file and
-# of test_cli.py, the exit-code inputs of ROADMAP's Baseline, and a seeded sweep of
+# of test_cli.py, the inputs probed for the exit-code contract, and a seeded sweep of
 # mutated override dicts
 LITERALS = [
     {}, {"grid_n": 3}, {"coupling": 0.0}, {"pauli_index": 4}, {"phase_waves": [[[0, 1, 0], 0.8, 0.0]]},
@@ -329,7 +329,7 @@ LITERALS = [
     {"box_length": 1e-307, "raw_order_grids": [6, 8], "divergence_grids": [6, 8], "covariance_grids": [6, 8],
      "pure_gauge_grids": [6, 8, 10]},
     {"box_length": 1e308, "raw_order_grids": [6, 8], "covariance_grids": [6, 8], "pure_gauge_grids": [6, 8, 10]},
-    # the Baseline's exit-code inputs not listed above
+    # inputs probed for the exit-code contract, not listed above
     {"collapse_schedule": [4, 10**154]}, {"contraction_center": [1e150, 0, 0, 0]}, {"grid_n": 100000000000},
     {"lipschitz_pairs": 100000000000}, {"collapse_schedule": [4, 10**20]}, {"contraction_n": 10**23},
     {"banach_offset": 1e308}, {"coupling": 1e308}, {"smooth_amp": 1e300}, {"scaling_amplitudes": [0.1, 1e-320]},
